@@ -150,10 +150,12 @@ func TestEventGate(t *testing.T) {
 	}
 	// E18 cells: the sharded engine runs both engines per cell and every
 	// non-wall field is deterministic — event rates, crossings, window
-	// counts and delivery all gate exactly. The replies check holds the
-	// sharded engine to the sequential engine's delivery (the engines
-	// must agree run for run, not just match a committed number), which
-	// is the gate's "TestEventGate passes on both engines" obligation.
+	// counts and delivery all gate exactly. The replies and event-count
+	// checks hold the sharded engine to the sequential engine's run
+	// (the engines must agree run for run, not just match a committed
+	// number): both route Ethernet frames by destination MAC, so
+	// partitioning a world moves events between schedulers without
+	// adding or removing one.
 	for _, cell := range experiments.E18Cells() {
 		key := fmt.Sprintf("n%d_c%d", cell[0], cell[1])
 		want, ok := committed.E18Parallel[key]
@@ -164,6 +166,10 @@ func TestEventGate(t *testing.T) {
 		if pt.ShardReplies != pt.SeqReplies {
 			t.Errorf("E18 %s: engines disagree — sequential %d replies, sharded %d",
 				key, pt.SeqReplies, pt.ShardReplies)
+		}
+		if pt.SeqEventsPerSimS != pt.ShardEventsPerSimS {
+			t.Errorf("E18 %s: engines disagree — sequential %v events/sim-s, sharded %v",
+				key, pt.SeqEventsPerSimS, pt.ShardEventsPerSimS)
 		}
 		if float64(pt.ShardReplies) != want.Replies {
 			t.Errorf("E18 %s replies = %d, committed %v", key, pt.ShardReplies, want.Replies)

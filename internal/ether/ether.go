@@ -58,11 +58,9 @@ type Segment struct {
 	// group, when non-nil, is the sharded engine this segment is a seam
 	// of (DESIGN.md §3g): NICs may live on different shard schedulers,
 	// and frames for them cross as timestamped inter-shard messages.
-	// Unicast frames are routed to the owner of the destination MAC
-	// alone — the model's receive filter discards them everywhere else
-	// anyway (no promiscuous ether), so routing changes which shard does
-	// the discarding, not what is delivered, and it turns the broadcast
-	// fan-out's O(attached NICs) scheduled events per frame into O(1).
+	// Both engines route unicast frames the same way, to the owner of
+	// the destination MAC alone, so group only decides which scheduler
+	// each reception is queued on.
 	group *sim.Group
 
 	// blocked holds ordered NIC pairs (from,to) whose frames are
@@ -243,26 +241,11 @@ func (n *NIC) transmit(dst MAC, etherType uint16, payload []byte) {
 	g := n.seg
 	atomic.AddUint64(&g.Frames, 1)
 	atomic.AddUint64(&g.Bytes, uint64(len(frame)))
-	delay := g.txTime(len(payload))
-	if g.group == nil {
-		// Single-loop engine: the seed broadcast physics, one scheduled
-		// reception per attached NIC (the receive filter discards frames
-		// not addressed to it).
-		for _, other := range g.nics {
-			if other == n || g.blocked[[2]*NIC{n, other}] {
-				continue
-			}
-			o := other
-			g.sched.After(delay, func() { o.receive(frame) })
-		}
-		return
-	}
-	// Sharded engine: same wire timing, but unicast frames go only to
-	// the owner of the destination MAC — every other NIC would discard
-	// them on reception anyway — and each delivery lands in the
-	// receiver's shard, cross-shard ones as timestamped seam messages
-	// carrying their own copy of the frame.
-	at := n.sched.Now().Add(delay)
+	// The receive filter is the DEQNA's hardware address match, so a
+	// unicast frame is scheduled only at the owner of its destination
+	// MAC — any other NIC would discard it on reception — and a
+	// broadcast at every NIC the sender reaches.
+	at := n.sched.Now().Add(g.txTime(len(payload)))
 	if dst != BroadcastMAC {
 		o := g.byMAC[dst]
 		if o == nil || o == n || g.blocked[[2]*NIC{n, o}] {
@@ -279,16 +262,22 @@ func (n *NIC) transmit(dst MAC, etherType uint16, payload []byte) {
 	}
 }
 
-// deliverAt schedules one reception in o's shard. Cross-shard
-// receivers get a private copy: shards run concurrently, and the
-// receive path hands the payload slice to the IP input queue.
+// deliverAt schedules one reception at o. On the single-loop engine
+// every NIC shares the segment's scheduler. On the sharded engine the
+// reception lands in o's shard, and cross-shard receivers get a
+// private copy: shards run concurrently, and the receive path hands
+// the payload slice to the IP input queue.
 func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte) {
-	if o.sched == n.sched {
+	g := n.seg
+	switch {
+	case g.group == nil:
+		g.sched.At(at, func() { o.receive(frame) })
+	case o.sched == n.sched:
 		n.sched.At(at, func() { o.receive(frame) })
-		return
+	default:
+		cp := append([]byte(nil), frame...)
+		g.group.Send(n.sched, o.sched, at, func() { o.receive(cp) })
 	}
-	cp := append([]byte(nil), frame...)
-	n.seg.group.Send(n.sched, o.sched, at, func() { o.receive(cp) })
 }
 
 func (n *NIC) receive(frame []byte) {

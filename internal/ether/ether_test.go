@@ -1,9 +1,11 @@
 package ether
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"packetradio/internal/arp"
 	"packetradio/internal/ip"
 	"packetradio/internal/ipstack"
 	"packetradio/internal/sim"
@@ -239,5 +241,104 @@ func TestSegmentSetReachableCutsPair(t *testing.T) {
 	g.SetReachable(b.nic, a.nic, true)
 	if !ping() {
 		t.Fatal("ping failed after restore")
+	}
+}
+
+// sink counts IP datagrams handed up by a NIC.
+type sink struct{ n int }
+
+func (k *sink) Input([]byte, string) { k.n++ }
+
+// filterSegment is a single-loop segment with four up NICs, each
+// delivering into its own sink.
+func filterSegment(t *testing.T) (*sim.Scheduler, *Segment, []*NIC, []*sink) {
+	t.Helper()
+	s := sim.NewScheduler(1)
+	g := NewSegment(s, 0)
+	var nics []*NIC
+	var sinks []*sink
+	for i := 0; i < 4; i++ {
+		k := &sink{}
+		n := g.Attach("qe0", ip.Addr{10, 0, 0, byte(i + 1)}, k)
+		n.Init()
+		nics = append(nics, n)
+		sinks = append(sinks, k)
+	}
+	return s, g, nics, sinks
+}
+
+// receptions sends one frame from nics[0] and reports how many events
+// it scheduled and fired, and which NICs took it in.
+func receptions(t *testing.T, s *sim.Scheduler, nics []*NIC, dst MAC, etherType uint16, payload []byte) (scheduled int, fired uint64, got []uint64) {
+	t.Helper()
+	before := s.Fired()
+	nics[0].transmit(dst, etherType, payload)
+	scheduled = s.Pending()
+	s.Run()
+	for _, n := range nics {
+		got = append(got, n.Stats().Ipackets)
+	}
+	return scheduled, s.Fired() - before, got
+}
+
+func TestUnicastFiresOneReception(t *testing.T) {
+	s, _, nics, sinks := filterSegment(t)
+	scheduled, fired, got := receptions(t, s, nics, nics[2].MAC(), TypeIP, []byte("datagram"))
+	if scheduled != 1 || fired != 1 {
+		t.Fatalf("unicast scheduled %d and fired %d events, want 1 and 1", scheduled, fired)
+	}
+	for i, n := range got {
+		want := uint64(0)
+		if i == 2 {
+			want = 1
+		}
+		if n != want {
+			t.Errorf("NIC %d Ipackets = %d, want %d", i, n, want)
+		}
+	}
+	if sinks[2].n != 1 || sinks[1].n+sinks[3].n != 0 {
+		t.Errorf("datagrams handed up: %d to the destination, %d elsewhere", sinks[2].n, sinks[1].n+sinks[3].n)
+	}
+}
+
+func TestBroadcastARPReachesEveryUnblockedNIC(t *testing.T) {
+	s, g, nics, _ := filterSegment(t)
+	g.SetReachable(nics[0], nics[3], false)
+	// A request for an address nobody owns: every receiver takes it in
+	// and none answers, so each fired event is one reception.
+	req := &arp.Packet{HType: arp.HTypeEthernet, PType: arp.EtherTypeIP, Op: arp.OpRequest,
+		SHA: nics[0].mac[:], SPA: ip.Addr{10, 0, 0, 1}, THA: make([]byte, 6), TPA: ip.Addr{10, 0, 0, 99}}
+	buf, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fired, got := receptions(t, s, nics, BroadcastMAC, TypeARP, buf)
+	if fired != 2 {
+		t.Fatalf("broadcast fired %d events, want 2 (two reachable NICs)", fired)
+	}
+	if want := []uint64{0, 1, 1, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Ipackets per NIC = %v, want %v (sender and blocked NIC see nothing)", got, want)
+	}
+}
+
+func TestBlockedPairSuppressesUnicast(t *testing.T) {
+	s, g, nics, _ := filterSegment(t)
+	g.SetReachable(nics[0], nics[1], false)
+	scheduled, fired, got := receptions(t, s, nics, nics[1].MAC(), TypeIP, []byte("datagram"))
+	if scheduled != 0 || fired != 0 || got[1] != 0 {
+		t.Fatalf("unicast across a cut pair scheduled %d, fired %d, delivered %d", scheduled, fired, got[1])
+	}
+}
+
+func TestUnknownMACSchedulesNothing(t *testing.T) {
+	s, _, nics, _ := filterSegment(t)
+	scheduled, fired, got := receptions(t, s, nics, MAC{0x08, 0x00, 0x2B, 0xEE, 0xEE, 0xEE}, TypeIP, []byte("datagram"))
+	if scheduled != 0 || fired != 0 {
+		t.Fatalf("frame for an unknown MAC scheduled %d and fired %d events, want none", scheduled, fired)
+	}
+	for i, n := range got {
+		if n != 0 {
+			t.Errorf("NIC %d took in a frame for an unknown MAC", i)
+		}
 	}
 }

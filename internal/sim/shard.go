@@ -104,6 +104,10 @@ type Group struct {
 	// Deterministic run statistics.
 	windows   uint64
 	crossings uint64
+
+	// busy is runWindow's scratch list of shards with work below the
+	// bound, reused across windows (a long run executes millions).
+	busy []*Shard
 }
 
 // NewGroup creates an empty shard group. seed plays the role the
@@ -331,12 +335,13 @@ func (g *Group) RunFor(d time.Duration) { g.RunUntil(g.now.Add(d)) }
 
 // runWindow executes every busy shard up to (exclusive) bound h.
 func (g *Group) runWindow(h Time) {
-	var busy []*Shard
+	busy := g.busy[:0]
 	for _, sh := range g.shards {
 		if q := sh.Sched.queue; len(q) > 0 && q[0].when < h {
 			busy = append(busy, sh)
 		}
 	}
+	g.busy = busy
 	if g.workers <= 1 || len(busy) <= 1 {
 		for _, sh := range busy {
 			sh.Sched.RunBefore(h)

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -50,8 +49,7 @@ func (t Time) String() string { return fmt.Sprintf("T+%v", time.Duration(t)) }
 // event from inside it is safe.
 type Event struct {
 	when  Time
-	seq   uint64 // tiebreak so equal-time events run in schedule order
-	index int    // heap index, -1 when not queued
+	index int // heap index, -1 when not queued
 	fn    func()
 	name  string
 }
@@ -63,32 +61,94 @@ func (e *Event) When() Time { return e.when }
 // fired.
 func (e *Event) Cancelled() bool { return e.index < 0 }
 
-type eventQueue []*Event
+// eventSlot is one entry of the pending-event heap. The ordering key
+// (when, seq) lives in the slot itself, so sifting compares slots
+// without dereferencing their events; seq is the tiebreak that makes
+// equal-time events run in schedule order.
+type eventSlot struct {
+	when Time
+	seq  uint64
+	ev   *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (a *eventSlot) before(b *eventSlot) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of slots ordered by (when, seq), with
+// each queued event's index kept equal to its slot position. Keys are
+// unique, so every valid heap pops the same sequence: the queue's
+// shape is invisible to the simulation. Sifts move a hole rather than
+// swapping, writing each displaced slot once.
+type eventQueue []eventSlot
+
+// up places x at or above hole i.
+func (q eventQueue) up(i int, x eventSlot) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = x
+	x.ev.index = i
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// down places x at or below hole i.
+func (q eventQueue) down(i int, x eventSlot) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = x
+	x.ev.index = i
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+// fix places x at hole i, sifting whichever way its key requires.
+func (q eventQueue) fix(i int, x eventSlot) {
+	if i > 0 && x.before(&q[(i-1)/4]) {
+		q.up(i, x)
+	} else {
+		q.down(i, x)
+	}
 }
-func (q *eventQueue) Pop() any {
+
+func (q *eventQueue) push(x eventSlot) {
+	*q = append(*q, eventSlot{})
+	q.up(len(*q)-1, x)
+}
+
+// remove takes the slot at i out of the heap and returns its event,
+// marked unqueued.
+func (q *eventQueue) remove(i int) *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[i].ev
+	last := old[n]
+	old[n] = eventSlot{}
+	*q = old[:n]
+	if i < n {
+		q.fix(i, last)
+	}
 	e.index = -1
-	*q = old[:n-1]
 	return e
 }
 
@@ -188,8 +248,8 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	} else {
 		e = new(Event)
 	}
-	*e = Event{when: t, seq: s.seq, fn: fn, index: -1}
-	heap.Push(&s.queue, e)
+	*e = Event{when: t, fn: fn, index: -1}
+	s.queue.push(eventSlot{when: t, seq: s.seq, ev: e})
 	return e
 }
 
@@ -225,8 +285,7 @@ func (s *Scheduler) Reschedule(e *Event, t Time) bool {
 	}
 	s.seq++
 	e.when = t
-	e.seq = s.seq
-	heap.Fix(&s.queue, e.index)
+	s.queue.fix(e.index, eventSlot{when: t, seq: s.seq, ev: e})
 	return true
 }
 
@@ -237,8 +296,7 @@ func (s *Scheduler) Cancel(e *Event) bool {
 	if e == nil || e.index < 0 {
 		return false
 	}
-	heap.Remove(&s.queue, e.index)
-	e.index = -1
+	s.queue.remove(e.index)
 	e.fn = nil
 	e.name = ""
 	s.free = append(s.free, e)
@@ -251,7 +309,7 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue.remove(0)
 	s.now = e.when
 	s.fired++
 	if s.EventHook != nil {
