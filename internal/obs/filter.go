@@ -221,19 +221,6 @@ func (f *Filter) Match(pkt *ip.Packet) bool {
 	return false
 }
 
-// MatchRaw unmarshals and matches a raw datagram; undecodable packets
-// only pass a match-all filter.
-func (f *Filter) MatchRaw(buf []byte) bool {
-	if f == nil || len(f.alts) == 0 {
-		return true
-	}
-	pkt, err := ip.Unmarshal(buf)
-	if err != nil {
-		return false
-	}
-	return f.Match(pkt)
-}
-
 func (p pred) eval(pkt *ip.Packet) bool {
 	switch p.kind {
 	case 'h':

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"packetradio/internal/sim"
 )
@@ -20,9 +19,9 @@ type FlightEvent struct {
 }
 
 // FlightRecorder is a bounded ring of recent events — the post-mortem
-// instrument: always cheap enough to leave running, dumped on test
-// failure or on demand. All methods are nil-safe so call sites can
-// hold a recorder pointer that is nil when recording is off.
+// instrument: always cheap enough to leave running. All methods are
+// nil-safe so call sites can hold a recorder pointer that is nil when
+// recording is off.
 type FlightRecorder struct {
 	buf     []FlightEvent
 	next    int
@@ -120,50 +119,13 @@ type traceEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// WriteTrace dumps the ring as Chrome trace_event JSON: open the file
-// at chrome://tracing (or ui.perfetto.dev) and the run renders as a
-// timeline, one track per category. Timestamps are virtual-time
-// microseconds since the simulation epoch.
-func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
-	evs := fr.Events()
-	out := struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}{TraceEvents: make([]traceEvent, 0, len(evs))}
-	tids := map[string]int{}
-	for _, e := range evs {
-		tid, ok := tids[e.Cat]
-		if !ok {
-			tid = len(tids) + 1
-			tids[e.Cat] = tid
-		}
-		te := traceEvent{
-			Name: e.Name, Cat: e.Cat, Phase: "i", Scope: "t",
-			TS:  float64(e.T.Duration().Microseconds()),
-			PID: 1, TID: tid,
-		}
-		if e.Arg != "" {
-			te.Args = map[string]string{"arg": e.Arg}
-		}
-		out.TraceEvents = append(out.TraceEvents, te)
-	}
-	buf, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
 // MultiRecorder aggregates per-lane flight recorders into one
-// instrument — the sharded engine's recorder (one lane per shard, each
-// written only by its shard's goroutine, so recording needs no locks)
-// and, degenerately, the single-loop engine's (one lane). Reading —
-// Len, Events, WriteTrace, Dump — merges the lanes ordered by virtual
-// time; call only with no run in flight.
+// instrument — one lane per shard, each written only by its shard's
+// goroutine, so recording needs no locks (the single-loop engine has
+// one lane). Reading merges the lanes ordered by virtual time, as the
+// seam recorder's readers do; call only with no run in flight.
 type MultiRecorder struct {
-	names []string
-	lanes []*FlightRecorder
+	lanes lanes[FlightRecorder]
 
 	// spanSource, when set (SetSpanSource), contributes the packet
 	// tracer's span stream to WriteTrace.
@@ -183,24 +145,13 @@ func NewMultiRecorder() *MultiRecorder { return &MultiRecorder{} }
 // capacity (<=0 takes DefaultFlightCap; the capacity of an existing
 // lane is not changed).
 func (m *MultiRecorder) Lane(name string, capacity int) *FlightRecorder {
-	for i, n := range m.names {
-		if n == name {
-			return m.lanes[i]
-		}
-	}
-	fr := NewFlightRecorder(capacity)
-	m.names = append(m.names, name)
-	m.lanes = append(m.lanes, fr)
-	return fr
+	return m.lanes.get(name, func() *FlightRecorder { return NewFlightRecorder(capacity) })
 }
-
-// Lanes lists the lane names in creation order.
-func (m *MultiRecorder) Lanes() []string { return append([]string(nil), m.names...) }
 
 // Len sums held events across lanes.
 func (m *MultiRecorder) Len() int {
 	n := 0
-	for _, fr := range m.lanes {
+	for _, fr := range m.lanes.all {
 		n += fr.Len()
 	}
 	return n
@@ -209,72 +160,39 @@ func (m *MultiRecorder) Len() int {
 // Dropped sums overwritten events across lanes.
 func (m *MultiRecorder) Dropped() uint64 {
 	var n uint64
-	for _, fr := range m.lanes {
+	for _, fr := range m.lanes.all {
 		n += fr.Dropped()
 	}
 	return n
 }
 
-// merged returns every lane's events with lane indices, ordered by
-// virtual time (ties: lane order, then each lane's own order — the
-// deterministic merge the cross-shard inbox uses).
-func (m *MultiRecorder) merged() []struct {
-	lane int
-	ev   FlightEvent
-} {
-	var out []struct {
-		lane int
-		ev   FlightEvent
-	}
-	for i, fr := range m.lanes {
-		for _, e := range fr.Events() {
-			out = append(out, struct {
-				lane int
-				ev   FlightEvent
-			}{i, e})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].ev.T != out[b].ev.T {
-			return out[a].ev.T < out[b].ev.T
-		}
-		return out[a].lane < out[b].lane
-	})
-	return out
-}
-
-// Events returns all lanes' events merged oldest-first.
-func (m *MultiRecorder) Events() []FlightEvent {
-	ms := m.merged()
-	out := make([]FlightEvent, len(ms))
-	for i, e := range ms {
-		out[i] = e.ev
-	}
-	return out
-}
-
-// WriteTrace dumps all lanes as one Chrome trace_event JSON timeline:
-// one process per lane (named via process_name metadata, so a sharded
-// run renders one swimlane group per shard), one thread per category
-// within it, every event stamped with virtual-time microseconds and
-// ordered by virtual time — a parallel run's trace reads exactly like
-// a sequential one's.
+// WriteTrace dumps all lanes as one Chrome trace_event JSON timeline
+// (open it at chrome://tracing or ui.perfetto.dev): one process per
+// lane (named via process_name metadata, so a sharded run renders one
+// swimlane group per shard), one thread per category within it, every
+// event stamped with virtual-time microseconds since the simulation
+// epoch and ordered by virtual time — a parallel run's trace reads
+// exactly like a sequential one's.
 func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 	out := struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}{}
-	for i, name := range m.names {
+	for i, name := range m.lanes.names {
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: i + 1,
 			Args: map[string]string{"name": name},
 		})
+	}
+	perLane := make([][]FlightEvent, len(m.lanes.all))
+	for i, fr := range m.lanes.all {
+		perLane[i] = fr.Events()
 	}
 	type laneCat struct {
 		lane int
 		cat  string
 	}
 	tids := map[laneCat]int{}
-	for _, e := range m.merged() {
+	for _, e := range mergeLanes(perLane, func(e FlightEvent) sim.Time { return e.T }) {
 		key := laneCat{e.lane, e.ev.Cat}
 		tid, ok := tids[key]
 		if !ok {
@@ -292,7 +210,7 @@ func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
 	if m.spanSource != nil {
-		spanPID := len(m.names) + 1
+		spanPID := len(m.lanes.names) + 1
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: spanPID,
 			Args: map[string]string{"name": "packet journeys"},
@@ -348,33 +266,4 @@ func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
 	return err
-}
-
-// Dump writes all lanes merged as plain text, one line per event.
-func (m *MultiRecorder) Dump(w io.Writer) {
-	for _, e := range m.merged() {
-		if e.ev.Arg != "" {
-			fmt.Fprintf(w, "%12.6f %-8s %-6s %s %s\n", e.ev.T.Seconds(), m.names[e.lane], e.ev.Cat, e.ev.Name, e.ev.Arg)
-		} else {
-			fmt.Fprintf(w, "%12.6f %-8s %-6s %s\n", e.ev.T.Seconds(), m.names[e.lane], e.ev.Cat, e.ev.Name)
-		}
-	}
-	if d := m.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d earlier events overwritten)\n", d)
-	}
-}
-
-// Dump writes the ring as plain text, one line per event — the test-
-// failure format.
-func (fr *FlightRecorder) Dump(w io.Writer) {
-	for _, e := range fr.Events() {
-		if e.Arg != "" {
-			fmt.Fprintf(w, "%12.6f %-6s %s %s\n", e.T.Seconds(), e.Cat, e.Name, e.Arg)
-		} else {
-			fmt.Fprintf(w, "%12.6f %-6s %s\n", e.T.Seconds(), e.Cat, e.Name)
-		}
-	}
-	if d := fr.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d earlier events overwritten)\n", d)
-	}
 }

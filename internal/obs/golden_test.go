@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"packetradio/internal/ax25"
 	"packetradio/internal/obs"
 	"packetradio/internal/world"
 )
@@ -86,11 +87,11 @@ func TestGoldenSeattlePingCapture(t *testing.T) {
 		if len(p.Data) == 0 || p.Data[0] != 0 {
 			t.Fatalf("record %d is not a KISS data frame: % x", i, p.Data)
 		}
-		info, ok := obs.AX25Info(p.Data[1:])
-		if !ok {
-			t.Fatalf("record %d does not decode as AX.25", i)
+		f, err := ax25.Decode(p.Data[1:])
+		if err != nil {
+			t.Fatalf("record %d does not decode as AX.25: %v", i, err)
 		}
-		if len(info) == 0 {
+		if len(f.Info) == 0 {
 			t.Fatalf("record %d has no IP payload", i)
 		}
 	}

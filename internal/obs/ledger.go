@@ -5,352 +5,87 @@ import (
 	"io"
 	"sort"
 
-	"packetradio/internal/ax25"
 	"packetradio/internal/ip"
-	"packetradio/internal/sim"
 )
 
-// PingLedger accounts for every echo request a world sends: each ping
-// is tracked by (station address, icmp id, icmp seq) through a ladder
-// of stages — request leaves the station's stack, crosses the air,
-// is forwarded by the gateway, arrives at the server, and the reply
-// walks the same path back. Loss events (a collision on the air, a
-// queue overflow in a driver) pin a terminal reason on the ping they
-// carried; anything still mid-ladder when the run ends is reported as
-// pending at its last stage. The invariant the experiments assert:
+// PingLedger accounts for every echo request a world sends. It is the
+// fate view over the seam recorder's journeys: each ping is one ICMP
+// journey that left its station, and its fate is where that journey
+// ended — "delivered" once the reply reached the station, else the
+// first loss pinned on it (a collision on the air, a queue overflow in
+// a driver), else the last rung of the ladder it reached (request
+// leaves the station, crosses the air to the gateway, is forwarded,
+// arrives at the server; the reply walks the same path back), reported
+// as pending there. The invariant the experiments assert:
 //
 //	delivered + sum(undelivered fates) == pings sent
 //
 // so an E16-style saturation run can say exactly where every lost
-// probe died instead of just reporting a delivery ratio.
-//
-// Recording is shard-safe: taps write timestamped events into per-lane
-// buffers (one lane per shard, each written only by its shard's
-// goroutine — the MultiRecorder discipline), and reads fold the lanes
-// into the ladder state stable-sorted by (virtual time, lane). Events
-// for one ping at one instant always share a lane (its causal chain
-// runs within a shard; a cross-shard hop advances time by at least the
-// seam's lookahead), so the folded ladder is identical on the
-// single-loop and sharded engines at any worker count — the equality
-// the shard equivalence suite gates.
-type PingLedger struct {
-	// Unwrap, when set, strips a MAC-layer wrapper (the DAMA demand
-	// header) off an on-air frame before AX.25 decoding. Returns ok
-	// false when the bytes are not wrapped.
-	Unwrap func(b []byte) ([]byte, bool)
+// probe died instead of just reporting a delivery ratio. The journeys
+// are engine-independent (seam.go), so the fate table is identical on
+// the single-loop and sharded engines at any worker count — the
+// equality the shard equivalence suite gates.
+type PingLedger struct{ rec *Recorder }
 
-	hostAddrs map[string]map[ip.Addr]bool
-	recs      map[pingKey]*pingRec
-	sent      int
-	delivered int
-
-	names []string
-	lanes []*LedgerLane
+// PingLedger returns the recorder's fate view and starts buffering
+// crossings.
+func (r *Recorder) PingLedger() *PingLedger {
+	r.keep = true
+	return &PingLedger{rec: r}
 }
 
-type pingKey struct {
-	station ip.Addr
-	id, seq uint16
+// ladder ranks the crossings that move a ping forward and names where
+// a ping that got no further is pending. Crossings off the ladder
+// (ARP, KISS, MAC) don't move it.
+var ladder = map[uint8]struct {
+	rank int
+	fate string
+}{
+	PtOrigin:           {1, "pending: req in station queue"},
+	PtAirRx:            {2, "pending: req at gateway"},
+	PtFwd:              {3, "pending: req to server"},
+	PtArrive:           {4, "pending: req at server"},
+	PtOrigin | ptReply: {5, "pending: rep to gateway"},
+	PtFwd | ptReply:    {6, "pending: rep in gateway queue"},
+	PtAirRx | ptReply:  {7, "pending: rep at station"},
+	PtArrive | ptReply: {8, "delivered"},
 }
 
-type pingRec struct {
-	stage int
-	fate  string // terminal loss reason; "" while in flight
-}
-
-// The stage ladder. A ping only moves forward; duplicate sightings of
-// the same stage are no-ops.
-const (
-	stNone       = iota
-	stReqSent    // station stack emitted the request
-	stReqAir     // request crossed the air to the gateway
-	stReqFwd     // gateway forwarded it toward the server
-	stReqArrived // server stack accepted the request
-	stRepSent    // server emitted the reply
-	stRepFwd     // gateway forwarded the reply
-	stRepAir     // reply crossed the air to the station
-	stDelivered  // station stack accepted the reply
-)
-
-var stageNames = map[int]string{
-	stReqSent:    "pending: req in station queue",
-	stReqAir:     "pending: req at gateway",
-	stReqFwd:     "pending: req to server",
-	stReqArrived: "pending: req at server",
-	stRepSent:    "pending: rep to gateway",
-	stRepFwd:     "pending: rep in gateway queue",
-	stRepAir:     "pending: rep at station",
-}
-
-// NewPingLedger builds an empty ledger.
-func NewPingLedger() *PingLedger {
-	return &PingLedger{
-		hostAddrs: make(map[string]map[ip.Addr]bool),
-		recs:      make(map[pingKey]*pingRec),
-	}
-}
-
-// SetHostAddrs registers the addresses a host owns, letting the stack
-// tap tell "in: this datagram is FOR this host" apart from "in: this
-// gateway is merely transiting it".
-func (l *PingLedger) SetHostAddrs(host string, addrs ...ip.Addr) {
-	m := l.hostAddrs[host]
-	if m == nil {
-		m = make(map[ip.Addr]bool)
-		l.hostAddrs[host] = m
-	}
-	for _, a := range addrs {
-		m[a] = true
-	}
-}
-
-// ledgerEv is one buffered ladder event: an advance (stage > 0) or a
-// loss (reason != "").
-type ledgerEv struct {
-	t      sim.Time
-	k      pingKey
-	isReq  bool
-	stage  int
-	create bool
-	reason string
-}
-
-// LedgerLane is one shard's event buffer. Taps derived from a lane run
-// inside that shard's event loop only, so appends need no locks.
-type LedgerLane struct {
-	led *PingLedger
-	now func() sim.Time
-	evs []ledgerEv
-}
-
-// Lane creates (or returns) the named lane. now must read the owning
-// shard's scheduler clock.
-func (l *PingLedger) Lane(name string, now func() sim.Time) *LedgerLane {
-	for i, n := range l.names {
-		if n == name {
-			return l.lanes[i]
+// fates returns one fate per ping, in journey order.
+func (l *PingLedger) fates() []string {
+	var out []string
+	for _, tr := range l.rec.journeys() {
+		if tr.ID.Proto != ip.ProtoICMP || tr.Crossings[0].Point != PtOrigin {
+			continue // not a ping seen leaving its station
 		}
-	}
-	ln := &LedgerLane{led: l, now: now}
-	l.names = append(l.names, name)
-	l.lanes = append(l.lanes, ln)
-	return ln
-}
-
-// merge folds every lane's buffered events into the ladder state in
-// (virtual time, lane) order and clears the buffers. Idempotent and
-// incremental; every read calls it first. Call only with no run in
-// flight.
-func (l *PingLedger) merge() {
-	type tagged struct {
-		lane int
-		ev   ledgerEv
-	}
-	var all []tagged
-	for i, ln := range l.lanes {
-		for _, ev := range ln.evs {
-			all = append(all, tagged{lane: i, ev: ev})
+		top := ladder[PtOrigin]
+		for _, c := range tr.Crossings {
+			if st, ok := ladder[c.Point]; ok && st.rank > top.rank {
+				top = st
+			}
 		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].ev.t != all[b].ev.t {
-			return all[a].ev.t < all[b].ev.t
-		}
-		return all[a].lane < all[b].lane
-	})
-	for _, tg := range all {
-		if tg.ev.reason != "" {
-			l.lose(tg.ev.k, tg.ev.isReq, tg.ev.reason)
+		if tr.Loss != "" && top.fate != "delivered" {
+			out = append(out, tr.Loss)
 		} else {
-			l.advance(tg.ev.k, tg.ev.stage, tg.ev.create)
+			out = append(out, top.fate)
 		}
 	}
-	for _, ln := range l.lanes {
-		ln.evs = ln.evs[:0]
-	}
-}
-
-// pingFrom extracts a ledger key from a datagram: echo requests key on
-// the source (the station), replies on the destination.
-func pingFrom(pkt *ip.Packet) (k pingKey, isReq, ok bool) {
-	if pkt == nil || pkt.Proto != ip.ProtoICMP || pkt.FragOff != 0 || len(pkt.Payload) < 8 {
-		return k, false, false
-	}
-	id := uint16(pkt.Payload[4])<<8 | uint16(pkt.Payload[5])
-	seq := uint16(pkt.Payload[6])<<8 | uint16(pkt.Payload[7])
-	switch pkt.Payload[0] {
-	case 8: // echo request
-		return pingKey{pkt.Src, id, seq}, true, true
-	case 0: // echo reply
-		return pingKey{pkt.Dst, id, seq}, false, true
-	}
-	return k, false, false
-}
-
-func (l *PingLedger) advance(k pingKey, stage int, create bool) {
-	r := l.recs[k]
-	if r == nil {
-		if !create {
-			return
-		}
-		r = &pingRec{}
-		l.recs[k] = r
-		l.sent++
-	}
-	if stage > r.stage {
-		r.stage = stage
-		if stage == stDelivered {
-			l.delivered++
-		}
-	}
-}
-
-func (ln *LedgerLane) advance(k pingKey, isReq bool, stage int, create bool) {
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, stage: stage, create: create})
-}
-
-// StackTap returns an ipstack.Stack.Tap-shaped closure for the named
-// host; wire it to that host's stack to feed the lane.
-func (ln *LedgerLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
-	return func(dir string, pkt *ip.Packet, ifName string) {
-		k, isReq, ok := pingFrom(pkt)
-		if !ok {
-			return
-		}
-		mine := ln.led.hostAddrs[host]
-		switch {
-		case isReq && dir == "out" && mine[pkt.Src]:
-			ln.advance(k, isReq, stReqSent, true)
-		case isReq && dir == "fwd":
-			ln.advance(k, isReq, stReqFwd, false)
-		case isReq && dir == "in" && mine[pkt.Dst]:
-			ln.advance(k, isReq, stReqArrived, false)
-		case !isReq && dir == "out":
-			ln.advance(k, isReq, stRepSent, false)
-		case !isReq && dir == "fwd":
-			ln.advance(k, isReq, stRepFwd, false)
-		case !isReq && dir == "in" && mine[pkt.Dst]:
-			ln.advance(k, isReq, stDelivered, false)
-		}
-	}
-}
-
-// AX25Info extracts the information field from a bare AX.25 frame (no
-// FCS, no MAC wrapper — the dress a KISS line carries). Capture
-// filters use it to reach the IP datagram inside a KISS data record.
-func AX25Info(b []byte) ([]byte, bool) {
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, false
-	}
-	return f.Info, true
-}
-
-// decodeFrame digs the IP datagram out of an AX.25 frame as it appears
-// at any seam: MAC-wrapped on-air bytes, FCS-suffixed TNC output, or
-// the bare frame a KISS line carries.
-func (l *PingLedger) decodeFrame(b []byte) (f *ax25.Frame, pkt *ip.Packet, ok bool) {
-	if l.Unwrap != nil {
-		if inner, wrapped := l.Unwrap(b); wrapped {
-			b = inner
-		}
-	}
-	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
-		b = body
-	}
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, nil, false
-	}
-	pkt, err = ip.Unmarshal(f.Info)
-	if err != nil {
-		return nil, nil, false
-	}
-	return f, pkt, true
-}
-
-// RadioFrame records one per-receiver delivery outcome from the radio
-// tap. Only the link-layer addressee matters: overheard copies and
-// copies lost to bystanders don't move the ledger. lost=false advances
-// the air stage; lost=true pins reason as the ping's fate.
-func (ln *LedgerLane) RadioFrame(receiverCall string, frame []byte, lost bool, reason string) {
-	f, pkt, ok := ln.led.decodeFrame(frame)
-	if !ok || f.LinkDst().Callsign() != receiverCall {
-		return
-	}
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
-	}
-	if !lost {
-		if isReq {
-			ln.advance(k, isReq, stReqAir, false)
-		} else {
-			ln.advance(k, isReq, stRepAir, false)
-		}
-		return
-	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
-}
-
-// DropFrame records a queue-drop of a frame at some seam (driver ipq,
-// TNC host queue, MAC transmit queue); body is the frame in whatever
-// dress that seam uses.
-func (ln *LedgerLane) DropFrame(reason string, body []byte) {
-	_, pkt, ok := ln.led.decodeFrame(body)
-	if !ok {
-		return
-	}
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
-	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
-}
-
-// DropPacket records a drop of a bare datagram (an ipstack-level drop:
-// no route, TTL, fragmentation failure).
-func (ln *LedgerLane) DropPacket(reason string, pkt *ip.Packet) {
-	k, isReq, ok := pingFrom(pkt)
-	if !ok {
-		return
-	}
-	ln.evs = append(ln.evs, ledgerEv{t: ln.now(), k: k, isReq: isReq, reason: reason})
-}
-
-func (l *PingLedger) lose(k pingKey, isReq bool, reason string) {
-	r := l.recs[k]
-	if r == nil || r.stage == stDelivered || r.fate != "" {
-		return // untracked, already done, or already explained
-	}
-	side := "req"
-	if !isReq {
-		side = "rep"
-	}
-	r.fate = side + ": " + reason
+	return out
 }
 
 // Sent reports how many pings the ledger saw leave a station.
-func (l *PingLedger) Sent() int { l.merge(); return l.sent }
+func (l *PingLedger) Sent() int { return len(l.fates()) }
 
 // Delivered reports how many replies made it back.
-func (l *PingLedger) Delivered() int { l.merge(); return l.delivered }
+func (l *PingLedger) Delivered() int { return l.Fates()["delivered"] }
 
 // Fates classifies every tracked ping: "delivered", a terminal loss
 // reason, or "pending: ..." for pings still mid-ladder. The counts
 // always sum to Sent().
 func (l *PingLedger) Fates() map[string]int {
-	l.merge()
 	out := make(map[string]int)
-	for _, r := range l.recs {
-		switch {
-		case r.stage == stDelivered:
-			out["delivered"]++
-		case r.fate != "":
-			out[r.fate]++
-		default:
-			out[stageNames[r.stage]]++
-		}
+	for _, f := range l.fates() {
+		out[f]++
 	}
 	return out
 }

@@ -237,21 +237,11 @@ func TestFilter(t *testing.T) {
 	if _, err := ParseFilter("frobnicate 7"); err == nil {
 		t.Fatal("nonsense filter parsed")
 	}
-
-	buf, err := icmpEcho.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.MatchRaw(buf) {
-		t.Fatal("MatchRaw rejected a marshalled matching datagram")
-	}
-	if f.MatchRaw([]byte{1, 2, 3}) {
-		t.Fatal("MatchRaw accepted garbage for a constrained filter")
-	}
 }
 
 func TestFlightRecorder(t *testing.T) {
-	fr := NewFlightRecorder(4)
+	m := NewMultiRecorder()
+	fr := m.Lane("world", 4)
 	for i := 0; i < 6; i++ {
 		fr.Record(sim.Time(i)*sim.Time(time.Second), "sched", "tick", "")
 	}
@@ -267,7 +257,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := fr.WriteTrace(&buf); err != nil {
+	if err := m.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -280,11 +270,12 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
-	if len(doc.TraceEvents) != 4 {
-		t.Fatalf("trace has %d events, want 4", len(doc.TraceEvents))
+	// One process_name metadata record for the lane, then the ring.
+	if len(doc.TraceEvents) != 5 || doc.TraceEvents[0].Ph != "M" {
+		t.Fatalf("trace has %d events, want the lane's metadata + 4", len(doc.TraceEvents))
 	}
-	if doc.TraceEvents[0].Ts != 2e6 {
-		t.Fatalf("first ts = %v µs, want 2e6", doc.TraceEvents[0].Ts)
+	if doc.TraceEvents[1].Ts != 2e6 {
+		t.Fatalf("first ts = %v µs, want 2e6", doc.TraceEvents[1].Ts)
 	}
 
 	// The scheduler adapter records every fired event, named.

@@ -1,8 +1,9 @@
 // Package obs is the virtual-clock observability layer: a unified
-// metrics registry over the per-package counters, pcap capture at the
-// KISS and IP seams, a bounded flight recorder for scheduler and MAC
-// events, and the ping ledger that accounts for every undelivered
-// probe by drop reason. Everything here is read-side: the substrate
+// metrics registry over the per-package counters, a bounded flight
+// recorder for scheduler and MAC events, and one seam recorder that
+// every packet observer reads — pcap capture at the KISS and IP seams,
+// the span tracer, and the ping ledger that accounts for every
+// undelivered probe by drop reason. Everything here is read-side: the substrate
 // packages keep their plain struct counters (incremented as cheaply as
 // before), and the registry holds pointers to them, so attaching
 // observability to a world never changes its event schedule, its RNG

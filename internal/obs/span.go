@@ -5,27 +5,18 @@
 // how much DAMA poll wait, how much serial drain, how much airtime".
 //
 // The design is crossing-based rather than begin/end-based: every seam
-// a traced datagram crosses records one timestamped crossing point
-// (stack out, ARP hold, KISS tx, MAC queue, key-up, air arrival, KISS
-// rx, forward, stack in), and spans are reconstructed afterwards as
-// the intervals between consecutive crossings of one trace. Because a
-// journey's crossings telescope, the stage spans sum to exactly the
-// end-to-end latency — the property E19 gates at >= 99%.
+// a traced datagram crosses records one timestamped crossing point in
+// the seam recorder (seam.go), and spans are reconstructed afterwards
+// as the intervals between consecutive crossings of one journey.
+// Because a journey's crossings telescope, the stage spans sum to
+// exactly the end-to-end latency — the property E19 gates at >= 99%.
+// The global span stream orders traces by TraceID, making it
+// reflect.DeepEqual-comparable across engines.
 //
-// Determinism mirrors MultiRecorder: each shard records into its own
-// lane (no locks, no cross-shard writes), and reads merge the lanes
-// stable-sorted by (virtual time, lane). Same-instant crossings of one
-// trace always land in one lane — a causal chain within a shard runs
-// in program order, and a cross-shard hop advances virtual time by at
-// least the seam's lookahead — so a trace's crossing order, and hence
-// its span list, is identical on the single-loop and sharded engines
-// at any worker count. The global span stream orders traces by
-// TraceID, making it reflect.DeepEqual-comparable across engines.
-//
-// Tracing costs nothing when disabled: the hooks below are only
-// installed by World.AttachTracer, and an un-attached world carries no
-// tracer state at all (the CI gate TestTracingDisabledAddsNoAllocs
-// pins this).
+// Tracing costs nothing when disabled: the seam hooks are only
+// installed by World.AttachTracer (or another recorder view), and an
+// un-attached world carries no recorder state at all (the CI gate
+// TestTracingDisabledAddsNoAllocs pins this).
 
 package obs
 
@@ -33,80 +24,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
-	"packetradio/internal/ax25"
 	"packetradio/internal/ip"
 	"packetradio/internal/sim"
-)
-
-// TraceID identifies one traced packet journey. For ICMP echoes A is
-// the pinging station and B the pinged host, with the echo id/seq —
-// the request and its reply are one round-trip trace. For every other
-// protocol A/B are the datagram's source/destination and ID is the IP
-// header identification field: each datagram (a TCP segment, an RDM
-// message, a retransmission with its fresh ID) is its own one-way
-// trace.
-type TraceID struct {
-	Proto   uint8
-	A, B    ip.Addr
-	ID, Seq uint16
-}
-
-// String renders the trace identity the way waterfalls title it.
-func (id TraceID) String() string {
-	return fmt.Sprintf("%s %v>%v id %d seq %d", protoName(id.Proto), id.A, id.B, id.ID, id.Seq)
-}
-
-func protoName(p uint8) string {
-	switch p {
-	case ip.ProtoICMP:
-		return "icmp"
-	case ip.ProtoTCP:
-		return "tcp"
-	case ip.ProtoUDP:
-		return "udp"
-	case ip.ProtoRDM:
-		return "rdm"
-	}
-	return fmt.Sprintf("proto%d", p)
-}
-
-// less is the total order the global span stream uses — any fixed
-// order works; byte order over the struct's fields is the simplest.
-func (id TraceID) less(o TraceID) bool {
-	if id.Proto != o.Proto {
-		return id.Proto < o.Proto
-	}
-	if id.A != o.A {
-		return string(id.A[:]) < string(o.A[:])
-	}
-	if id.B != o.B {
-		return string(id.B[:]) < string(o.B[:])
-	}
-	if id.ID != o.ID {
-		return id.ID < o.ID
-	}
-	return id.Seq < o.Seq
-}
-
-// Crossing points, in journey order for one hop. ptReply marks the
-// reply leg of an ICMP round trip (the same physical seams, walked
-// back). The stage between two consecutive crossings is named by the
-// arriving one — see stageName.
-const (
-	PtOrigin   uint8 = 1  // source stack emitted the datagram
-	PtARPHold  uint8 = 2  // driver parked it on an ARP hold queue
-	PtARPFlush uint8 = 3  // ARP resolved; hold queue flushed
-	PtKISSTx   uint8 = 4  // driver framed it onto the KISS serial line
-	PtMACQueue uint8 = 5  // radio accepted it into the MAC queue
-	PtTxStart  uint8 = 6  // transmitter keyed up with it
-	PtAirRx    uint8 = 7  // addressee's radio finished receiving it
-	PtKISSRx   uint8 = 8  // receiving driver pulled it off the serial line
-	PtFwd      uint8 = 9  // a router's stack forwarded it
-	PtArrive   uint8 = 10 // destination stack accepted it
-
-	ptReply uint8 = 16 // OR'd onto the reply leg's points
 )
 
 // Span stage names. The stage is keyed on the crossing that *ends* it
@@ -188,6 +110,9 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 type Trace struct {
 	ID        TraceID
 	Crossings []Cross
+	// Loss is the first loss pinned on the journey — "req: collision",
+	// "rep: ipq overflow" — or "" if none was seen.
+	Loss string
 }
 
 // Complete reports whether the journey ran origin-to-arrival: an ICMP
@@ -253,302 +178,34 @@ func (tr Trace) WriteWaterfall(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  +%-12v %-12v %-10s %-20s |%s\n",
 			s.Start.Sub(tr.Crossings[0].T), s.Duration(), s.Stage, detail,
-			"#"+stringsRepeat("#", bar))
+			strings.Repeat("#", bar+1))
 	}
 }
 
-// stringsRepeat avoids importing strings for one call site.
-func stringsRepeat(s string, n int) string {
-	out := make([]byte, 0, n*len(s))
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return string(out)
+// Tracer is the span view over a seam recorder: read Traces, Spans and
+// Breakdown between runs.
+type Tracer struct{ rec *Recorder }
+
+// Tracer returns the recorder's span view and starts buffering
+// crossings.
+func (r *Recorder) Tracer() *Tracer {
+	r.keep = true
+	return &Tracer{rec: r}
 }
 
-// laneCross is one crossing as a lane buffers it.
-type laneCross struct {
-	id TraceID
-	c  Cross
-}
-
-// TraceLane is one shard's crossing buffer. Taps derived from a lane
-// run inside that shard's event loop only, so appends need no locks —
-// the MultiRecorder discipline.
-type TraceLane struct {
-	tr  *Tracer
-	now func() sim.Time
-	buf []laneCross
-}
-
-// Tracer owns the trace lanes and the reconstruction. Create with
-// NewTracer, hand each shard a Lane, wire the lane's taps into that
-// shard's seams, and read Traces/Spans/Breakdown between runs.
-type Tracer struct {
-	// Unwrap, when set, strips a MAC-layer wrapper (the DAMA demand
-	// header) off an on-air frame before AX.25 decoding, exactly as on
-	// PingLedger.
-	Unwrap func(b []byte) ([]byte, bool)
-
-	hostAddrs map[string]map[ip.Addr]bool
-	names     []string
-	lanes     []*TraceLane
-}
-
-// NewTracer builds an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{hostAddrs: make(map[string]map[ip.Addr]bool)}
-}
-
-// SetHostAddrs registers the addresses a host owns, so the stack tap
-// can tell origination and final arrival apart from transit.
-func (t *Tracer) SetHostAddrs(host string, addrs ...ip.Addr) {
-	m := t.hostAddrs[host]
-	if m == nil {
-		m = make(map[ip.Addr]bool)
-		t.hostAddrs[host] = m
-	}
-	for _, a := range addrs {
-		m[a] = true
-	}
-}
-
-// Lane creates (or returns) the named lane. now must read the owning
-// shard's scheduler clock.
-func (t *Tracer) Lane(name string, now func() sim.Time) *TraceLane {
-	for i, n := range t.names {
-		if n == name {
-			return t.lanes[i]
-		}
-	}
-	ln := &TraceLane{tr: t, now: now}
-	t.names = append(t.names, name)
-	t.lanes = append(t.lanes, ln)
-	return ln
-}
-
-// Reset discards every buffered crossing — called between a warm-up
-// window and the measured window so the breakdown reflects steady
-// state. Journeys straddling the reset simply never complete.
+// Reset discards every recorded crossing — for every view of the
+// recorder — called between a warm-up window and the measured window
+// so the breakdown reflects steady state. Journeys straddling the
+// reset lose their early crossings.
 func (t *Tracer) Reset() {
-	for _, ln := range t.lanes {
+	for _, ln := range t.rec.lanes.all {
 		ln.buf = ln.buf[:0]
 	}
 }
 
-// traceFrom extracts a trace identity from a datagram. ICMP echoes
-// fold request and reply into one trace (reply reports true on the
-// return leg); everything else keys one one-way trace per datagram on
-// the IP identification field. Fragments beyond the first are not
-// traced.
-func traceFrom(pkt *ip.Packet) (id TraceID, reply, ok bool) {
-	if pkt == nil || pkt.FragOff != 0 {
-		return id, false, false
-	}
-	if pkt.Proto == ip.ProtoICMP {
-		if len(pkt.Payload) < 8 {
-			return id, false, false
-		}
-		icmpID := uint16(pkt.Payload[4])<<8 | uint16(pkt.Payload[5])
-		icmpSeq := uint16(pkt.Payload[6])<<8 | uint16(pkt.Payload[7])
-		switch pkt.Payload[0] {
-		case 8: // echo request
-			return TraceID{Proto: ip.ProtoICMP, A: pkt.Src, B: pkt.Dst, ID: icmpID, Seq: icmpSeq}, false, true
-		case 0: // echo reply
-			return TraceID{Proto: ip.ProtoICMP, A: pkt.Dst, B: pkt.Src, ID: icmpID, Seq: icmpSeq}, true, true
-		}
-		return id, false, false
-	}
-	return TraceID{Proto: pkt.Proto, A: pkt.Src, B: pkt.Dst, ID: pkt.ID}, false, true
-}
-
-// add buffers one crossing at the lane's current virtual time.
-func (ln *TraceLane) add(id TraceID, pt uint8, who, arg string) {
-	ln.buf = append(ln.buf, laneCross{id: id, c: Cross{T: ln.now(), Point: pt, Who: who, Arg: arg}})
-}
-
-// point applies the reply-leg marker for ICMP return journeys.
-func point(base uint8, reply bool) uint8 {
-	if reply {
-		return base | ptReply
-	}
-	return base
-}
-
-// StackTap returns an ipstack.Stack.Tap-shaped closure recording the
-// IP-layer crossings at the named host: origination, per-hop
-// forwarding, and final arrival.
-func (ln *TraceLane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
-	return func(dir string, pkt *ip.Packet, ifName string) {
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		mine := ln.tr.hostAddrs[host]
-		switch {
-		case dir == "out" && mine[pkt.Src]:
-			ln.add(id, point(PtOrigin, reply), host, "")
-		case dir == "fwd":
-			ln.add(id, point(PtFwd, reply), host, "if "+ifName)
-		case dir == "in" && mine[pkt.Dst]:
-			ln.add(id, point(PtArrive, reply), host, "")
-		}
-	}
-}
-
-// decodeFrame digs the IP datagram out of an AX.25 frame in any dress
-// (MAC-wrapped on-air bytes, FCS-suffixed TNC output, bare KISS
-// payload) — shared with the ping ledger's decoder shape.
-func (t *Tracer) decodeFrame(b []byte) (f *ax25.Frame, pkt *ip.Packet, ok bool) {
-	if t.Unwrap != nil {
-		if inner, wrapped := t.Unwrap(b); wrapped {
-			b = inner
-		}
-	}
-	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
-		b = body
-	}
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, nil, false
-	}
-	pkt, err = ip.Unmarshal(f.Info)
-	if err != nil {
-		return nil, nil, false
-	}
-	return f, pkt, true
-}
-
-// KISSTap returns a core.PacketRadioIf.Tap-shaped closure recording
-// the serial seam: "tx" as the driver frames a datagram onto the KISS
-// line, "rx" as the receiving driver pulls one off. rec is the KISS
-// record with its command byte; only data records (cmd 0) are frames.
-func (ln *TraceLane) KISSTap(host string) func(dir string, rec []byte) {
-	return func(dir string, rec []byte) {
-		if len(rec) < 2 || rec[0] != 0 {
-			return
-		}
-		_, pkt, ok := ln.tr.decodeFrame(rec[1:])
-		if !ok {
-			return
-		}
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		switch dir {
-		case "tx":
-			ln.add(id, point(PtKISSTx, reply), host, "")
-		case "rx":
-			ln.add(id, point(PtKISSRx, reply), host, "")
-		}
-	}
-}
-
-// AirRx records a frame's arrival over the air at its link-layer
-// addressee — wire it to the channel tap, filtered to TapOK outcomes.
-// Overheard copies at bystanders don't cross the trace's path.
-func (ln *TraceLane) AirRx(receiverCall string, frame []byte) {
-	f, pkt, ok := ln.tr.decodeFrame(frame)
-	if !ok || f.LinkDst().Callsign() != receiverCall {
-		return
-	}
-	id, reply, ok := traceFrom(pkt)
-	if !ok {
-		return
-	}
-	ln.add(id, point(PtAirRx, reply), receiverCall, "")
-}
-
-// MACEvent records a MAC seam crossing for the frame: "queue" as the
-// radio accepts it, "tx-start" as the transmitter keys up with it. arg
-// carries the policy detail — "deferrals=N" under CSMA, "master=CALL"
-// under DAMA — so mac-wait spans name what they waited on.
-func (ln *TraceLane) MACEvent(who, event string, frame []byte, arg string) {
-	_, pkt, ok := ln.tr.decodeFrame(frame)
-	if !ok {
-		return
-	}
-	id, reply, ok := traceFrom(pkt)
-	if !ok {
-		return
-	}
-	switch event {
-	case "queue":
-		ln.add(id, point(PtMACQueue, reply), who, "")
-	case "tx-start":
-		ln.add(id, point(PtTxStart, reply), who, arg)
-	}
-}
-
-// ARPTap returns an arp.Resolver.Trace-shaped closure recording hold
-// ("a datagram parked awaiting resolution") and flush ("resolution
-// arrived; the hold queue drains") at the named host.
-func (ln *TraceLane) ARPTap(who string) func(event string, pkt *ip.Packet) {
-	return func(event string, pkt *ip.Packet) {
-		id, reply, ok := traceFrom(pkt)
-		if !ok {
-			return
-		}
-		switch event {
-		case "hold":
-			ln.add(id, point(PtARPHold, reply), who, "")
-		case "flush":
-			ln.add(id, point(PtARPFlush, reply), who, "")
-		}
-	}
-}
-
 // Traces merges the lanes and reconstructs every journey, ordered by
-// TraceID. Each trace's crossings come out in causal order on both
-// engines: the merge is stable-sorted by (virtual time, lane), and
-// same-instant crossings of one trace always share a lane (see the
-// package comment), so per-trace order is engine-independent.
-func (t *Tracer) Traces() []Trace {
-	type tagged struct {
-		lane int
-		lc   laneCross
-	}
-	var all []tagged
-	for i, ln := range t.lanes {
-		for _, lc := range ln.buf {
-			all = append(all, tagged{lane: i, lc: lc})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].lc.c.T != all[b].lc.c.T {
-			return all[a].lc.c.T < all[b].lc.c.T
-		}
-		return all[a].lane < all[b].lane
-	})
-	// A TraceID can be reused: an echo context closes when its reply
-	// lands and the stack hands the ICMP id to the next Ping, so the
-	// same (proto, pair, id, seq) names several journeys over a long
-	// run. Every non-reply origination therefore starts a fresh trace
-	// instance; instances of one ID stay in chronological order.
-	byID := make(map[TraceID][]*Trace)
-	var order []TraceID
-	for _, tg := range all {
-		insts := byID[tg.lc.id]
-		if len(insts) == 0 {
-			order = append(order, tg.lc.id)
-		}
-		if len(insts) == 0 || tg.lc.c.Point == PtOrigin {
-			insts = append(insts, &Trace{ID: tg.lc.id})
-			byID[tg.lc.id] = insts
-		}
-		tr := insts[len(insts)-1]
-		tr.Crossings = append(tr.Crossings, tg.lc.c)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
-	var out []Trace
-	for _, id := range order {
-		for _, tr := range byID[id] {
-			out = append(out, *tr)
-		}
-	}
-	return out
-}
+// TraceID, each one's crossings in causal order on both engines.
+func (t *Tracer) Traces() []Trace { return t.rec.journeys() }
 
 // Spans returns the global span stream: every trace's spans, traces in
 // TraceID order — the reflect.DeepEqual surface the cross-engine tests
@@ -586,7 +243,7 @@ func SpanBounds() []float64 {
 }
 
 // Breakdown is the per-stage latency attribution over complete traces:
-// totals, histograms, and per-trace share samples for the scenario
+// totals, durations, and per-trace share samples for the scenario
 // gates.
 type Breakdown struct {
 	Traces     int           // complete traces aggregated
@@ -595,7 +252,6 @@ type Breakdown struct {
 
 	totals map[string]time.Duration
 	counts map[string]int
-	hist   map[string]*Histogram
 	durs   map[string][]time.Duration // every span's width, per stage
 	shares map[string][]float64       // per complete trace: stage share of its RTT
 }
@@ -604,7 +260,6 @@ func newBreakdown() *Breakdown {
 	return &Breakdown{
 		totals: make(map[string]time.Duration),
 		counts: make(map[string]int),
-		hist:   make(map[string]*Histogram),
 		durs:   make(map[string][]time.Duration),
 		shares: make(map[string][]float64),
 	}
@@ -619,12 +274,6 @@ func (b *Breakdown) observe(tr Trace) {
 		d := s.Duration()
 		b.totals[s.Stage] += d
 		b.counts[s.Stage]++
-		h := b.hist[s.Stage]
-		if h == nil {
-			h = NewHistogram(SpanBounds())
-			b.hist[s.Stage] = h
-		}
-		h.Observe(d.Seconds())
 		b.durs[s.Stage] = append(b.durs[s.Stage], d)
 		per[s.Stage] += d
 	}
@@ -654,34 +303,12 @@ func (b *Breakdown) Stages() []string {
 // Count reports how many spans of the stage occurred.
 func (b *Breakdown) Count(stage string) int { return b.counts[stage] }
 
-// TotalFor reports the summed width of the stage's spans.
-func (b *Breakdown) TotalFor(stage string) time.Duration { return b.totals[stage] }
-
 // Share reports the stage's fraction of all end-to-end latency.
 func (b *Breakdown) Share(stage string) float64 {
 	if b.Total == 0 {
 		return 0
 	}
 	return float64(b.totals[stage]) / float64(b.Total)
-}
-
-// Hist returns the stage's duration histogram (nil if the stage never
-// occurred).
-func (b *Breakdown) Hist(stage string) *Histogram { return b.hist[stage] }
-
-// ShareQuantile reports the q-quantile (0..1) of the per-trace share
-// of end-to-end latency spent in the stage.
-func (b *Breakdown) ShareQuantile(stage string, q float64) float64 {
-	samples := append([]float64(nil), b.shares[stage]...)
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	i := int(q * float64(len(samples)))
-	if i >= len(samples) {
-		i = len(samples) - 1
-	}
-	return samples[i]
 }
 
 // DurationQuantile reports the q-quantile (0..1) of the stage's span

@@ -98,24 +98,27 @@ func TestTraceTelescoping(t *testing.T) {
 // lanes merged by (time, lane), and a reused TraceID splitting into
 // one trace instance per origination.
 func TestTracerMergeAndReuse(t *testing.T) {
-	trc := NewTracer()
+	rec := NewRecorder()
+	trc := rec.Tracer()
 	var nowA, nowB sim.Time
-	la := trc.Lane("a", func() sim.Time { return nowA })
-	lb := trc.Lane("b", func() sim.Time { return nowB })
-	if trc.Lane("a", func() sim.Time { return nowA }) != la {
+	la := rec.Lane("a", func() sim.Time { return nowA })
+	lb := rec.Lane("b", func() sim.Time { return nowB })
+	if rec.Lane("a", func() sim.Time { return nowA }) != la {
 		t.Fatal("Lane is not idempotent per name")
 	}
 
-	id := TraceID{Proto: ip.ProtoTCP, A: ip.Addr{1}, B: ip.Addr{2}, ID: 7}
+	// A TCP segment from 10.0.0.1 to 10.0.0.2, IP id 7.
+	pkt := echoPacket("10.0.0.1", "10.0.0.2", ip.ProtoTCP, []byte{0, 1, 0, 2})
+	pkt.ID = 7
 	// Journey 1: origin on lane a at t=0, arrival on lane b at t=2s.
-	la.add(id, PtOrigin, "h1", "")
+	la.add(pkt, PtOrigin, "h1", "")
 	nowB = ts(2 * time.Second)
-	lb.add(id, PtArrive, "h2", "")
+	lb.add(pkt, PtArrive, "h2", "")
 	// Journey 2 reuses the ID: origin at t=3s, arrival at t=5s.
 	nowA = ts(3 * time.Second)
-	la.add(id, PtOrigin, "h1", "")
+	la.add(pkt, PtOrigin, "h1", "")
 	nowB = ts(5 * time.Second)
-	lb.add(id, PtArrive, "h2", "")
+	lb.add(pkt, PtArrive, "h2", "")
 
 	traces := trc.Traces()
 	if len(traces) != 2 {

@@ -6,19 +6,16 @@ import (
 	"sort"
 	"strings"
 
-	"packetradio/internal/dama"
-	"packetradio/internal/ip"
-	"packetradio/internal/ipstack"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
 	"packetradio/internal/sim"
 )
 
 // This file wires the obs package onto a world: the metrics registry
-// over every layer's counters, pcap capture at the KISS and IP seams,
-// the flight recorder, and the ping ledger. Everything here is opt-in
-// and read-side — a world that never calls these runs the exact same
-// event schedule it always did.
+// over every layer's counters, the flight recorder, and the seam
+// recorder behind the span tracer, the ping ledger and pcap capture.
+// Everything here is opt-in and read-side — a world that never calls
+// these runs the exact same event schedule it always did.
 
 // metricName makes a hierarchy-safe path segment: dots separate
 // levels, so dots inside a channel or host name ("145.01") become
@@ -123,6 +120,19 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 	}
 }
 
+// laneName names the observation lane a scheduler's hooks record
+// into: its shard on the sharded engine, "world" on the single loop.
+// The flight recorder and the seam recorder share the naming, so both
+// split a run the same way.
+func (w *World) laneName(s *sim.Scheduler) string {
+	if w.group != nil {
+		if sh := w.group.ShardOf(s); sh != nil {
+			return sh.Name
+		}
+	}
+	return "world"
+}
+
 // EnableFlightRecorder starts a bounded ring of scheduler events and
 // MAC protocol transitions (capacity <= 0 takes the per-lane default).
 // It installs the scheduler's EventHook and every existing DAMA
@@ -135,28 +145,18 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 // should leave them off all the same.
 func (w *World) EnableFlightRecorder(capacity int) *obs.MultiRecorder {
 	m := obs.NewMultiRecorder()
-	laneOf := func(s *sim.Scheduler) *obs.FlightRecorder {
-		if w.group == nil {
-			return m.Lane("world", capacity)
-		}
-		sh := w.group.ShardOf(s)
-		if sh == nil {
-			return m.Lane("world", capacity)
-		}
-		return m.Lane(sh.Name, capacity)
-	}
+	lane := func(s *sim.Scheduler) *obs.FlightRecorder { return m.Lane(w.laneName(s), capacity) }
 	if w.group == nil {
-		m.Lane("world", capacity)
-		w.Sched.EventHook = m.Lane("world", capacity).SchedHook()
+		w.Sched.EventHook = lane(w.Sched).SchedHook()
 	} else {
 		for _, sh := range w.group.Shards() {
-			sh.Sched.EventHook = m.Lane(sh.Name, capacity).SchedHook()
+			sh.Sched.EventHook = lane(sh.Sched).SchedHook()
 		}
 	}
 	for ch, ctl := range w.dama {
 		cn := metricName(w.ChannelName(ch))
 		sched := ch.Scheduler()
-		fr := laneOf(sched) // the channel's shard lane on the sharded engine
+		fr := lane(sched) // the channel's shard lane on the sharded engine
 		ctl.Trace = func(event, who string) {
 			fr.Record(sched.Now(), "dama", cn+" "+event, who)
 		}
@@ -178,148 +178,138 @@ func (w *World) ChannelName(ch *radio.Channel) string {
 // Channels lists the world's channels by name.
 func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 
-// chainStackTap adds fn to a stack's Tap without displacing whatever
-// is already installed.
-func chainStackTap(s *ipstack.Stack, fn func(dir string, pkt *ip.Packet, ifName string)) {
-	prev := s.Tap
-	if prev == nil {
-		s.Tap = fn
-		return
+// seams returns the world's seam recorder, installing it on first use:
+// exactly one hook at every packet seam of every host and channel
+// built so far — stack, ARP hold queue, KISS line, MAC, the air, and
+// the driver, TNC and transceiver queue drops. Each hook records into
+// the lane of the shard it runs on, so recording needs no locks and
+// every view of the recorder is bit-identical at any worker count. The
+// recorder owns those hook slots; hosts and channels added later are
+// not observed.
+func (w *World) seams() *obs.Recorder {
+	if w.rec != nil {
+		return w.rec
 	}
-	s.Tap = func(dir string, pkt *ip.Packet, ifName string) {
-		prev(dir, pkt, ifName)
-		fn(dir, pkt, ifName)
+	r := obs.NewRecorder()
+	w.rec = r
+	lane := func(s *sim.Scheduler) *obs.Lane { return r.Lane(w.laneName(s), s.Now) }
+	for _, ch := range w.channels {
+		ln := lane(ch.Scheduler())
+		ch.Tap = func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
+			ln.Air(receiver.Name, payload, outcome.String())
+		}
 	}
+	for name, h := range w.hosts {
+		ln := lane(h.Sched())
+		h.Stack.Tap = ln.StackTap(name)
+		for _, ifName := range h.Stack.IfNames() {
+			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
+				r.SetHostAddrs(name, addr)
+			}
+		}
+		drop := ln.DropTap(name)
+		for ifName, p := range h.radios {
+			p.Driver.Tap = ln.KISSTap(name, ifName)
+			p.Driver.Resolver().Trace = ln.ARPTap(name)
+			p.Driver.OnDrop, p.TNC.OnDrop, p.RF.OnDrop = drop, drop, drop
+			rf := p.RF
+			rf.TraceMAC = func(event string, frame []byte, deferrals uint64) {
+				ln.MAC(rf.Name, event, frame, w.macWaitCause(rf, event, deferrals))
+			}
+		}
+	}
+	return r
 }
+
+// macWaitCause names what a frame keying up waited on, for the
+// mac-wait span's argument: the DAMA master's callsign (or a
+// mid-election marker) on a polled channel, the deferral count under
+// CSMA.
+func (w *World) macWaitCause(rf *radio.Transceiver, event string, deferrals uint64) string {
+	if event != "tx-start" {
+		return ""
+	}
+	if ctl, ok := w.dama[rf.Channel()]; ok {
+		if m := ctl.Master(); m != nil {
+			return "master=" + m.Name
+		}
+		return "election"
+	}
+	return fmt.Sprintf("deferrals=%d", deferrals)
+}
+
+// AttachTracer wires an obs.Tracer into every seam of the world (see
+// seams): stack origination/forwarding/arrival, the ARP hold-queue
+// wait, the KISS serial seam, MAC queue/key-up (with the CSMA deferral
+// count or the DAMA master's name), and the on-air arrival at the
+// addressee. Attach after the topology is built and before traffic
+// starts; read Spans/Breakdown between runs. Idempotent — a second
+// call returns the same tracer. A world that never attaches a
+// recorder view installs none of these hooks and pays nothing — the
+// contract TestTracingDisabledAddsNoAllocs gates.
+func (w *World) AttachTracer() *obs.Tracer {
+	if w.tracer == nil {
+		w.tracer = w.seams().Tracer()
+	}
+	return w.tracer
+}
+
+// Tracer returns the attached tracer (nil when tracing is off).
+func (w *World) Tracer() *obs.Tracer { return w.tracer }
+
+// AttachPingLedger wires a PingLedger into every seam of the world
+// (see seams): each ping's journey is staged through its ladder, air
+// losses are pinned at the intended receiver, and queue drops pin
+// their reasons. Attach after the topology is built and before traffic
+// starts. The hooks add no scheduler events, so ledgered runs keep
+// their event counts — E16 attaches one to explain every undelivered
+// ping.
+func (w *World) AttachPingLedger() *obs.PingLedger { return w.seams().PingLedger() }
 
 // CapturePort attaches a pcap capture to one radio port's KISS/serial
 // seam: every frame crossing between host and TNC, both directions,
-// as DLT_AX25_KISS records stamped with virtual time. filter (nil =
-// everything) screens on the IP datagram inside data frames; KISS
-// parameter frames are captured only by a nil/match-all filter.
+// as DLT_AX25_KISS records stamped with the port's virtual clock.
+// filter (nil = everything) screens on the IP datagram inside data
+// frames; KISS parameter frames are captured only by a nil/match-all
+// filter.
 func (w *World) CapturePort(host, ifName string, out io.Writer, filter *obs.Filter) (*obs.PcapWriter, error) {
 	h, ok := w.hosts[host]
 	if !ok {
 		return nil, fmt.Errorf("world: no host %q", host)
 	}
-	port, ok := h.radios[ifName]
-	if !ok {
+	if _, ok := h.radios[ifName]; !ok {
 		return nil, fmt.Errorf("world: host %q has no radio %q", host, ifName)
 	}
 	pw, err := obs.NewPcapWriter(out, obs.LinkTypeAX25KISS)
 	if err != nil {
 		return nil, err
 	}
-	prev := port.Driver.Tap
-	port.Driver.Tap = func(dir string, rec []byte) {
-		if prev != nil {
-			prev(dir, rec)
+	w.seams().Subscribe(func(t sim.Time, ev obs.SeamEvent) {
+		if ev.Seam == obs.SeamKISS && ev.Who == host && ev.If == ifName && filter.Match(ev.Pkt) {
+			pw.WritePacket(t, ev.Raw)
 		}
-		if filter != nil && !kissRecordMatches(filter, rec) {
-			return
-		}
-		pw.WritePacket(w.Sched.Now(), rec)
-	}
+	})
 	return pw, nil
-}
-
-// kissRecordMatches applies an IP-level filter to a KISS record (the
-// command byte plus an AX.25 frame): data frames match on the info
-// field, anything else only passes a match-all filter.
-func kissRecordMatches(f *obs.Filter, rec []byte) bool {
-	if len(rec) == 0 || rec[0] != 0 { // not a data frame
-		return f.Match(nil) // true only for match-all
-	}
-	info, ok := obs.AX25Info(rec[1:])
-	if !ok {
-		return f.Match(nil)
-	}
-	return f.MatchRaw(info)
 }
 
 // CaptureIP attaches a pcap capture at a host's IP layer (the netif
 // seam): every datagram the stack receives, originates or forwards,
-// as DLT_RAW records stamped with virtual time.
+// as DLT_RAW records stamped with the host's virtual clock.
 func (w *World) CaptureIP(host string, out io.Writer, filter *obs.Filter) (*obs.PcapWriter, error) {
-	h, ok := w.hosts[host]
-	if !ok {
+	if _, ok := w.hosts[host]; !ok {
 		return nil, fmt.Errorf("world: no host %q", host)
 	}
 	pw, err := obs.NewPcapWriter(out, obs.LinkTypeRaw)
 	if err != nil {
 		return nil, err
 	}
-	chainStackTap(h.Stack, func(dir string, pkt *ip.Packet, ifName string) {
-		if !filter.Match(pkt) {
+	w.seams().Subscribe(func(t sim.Time, ev obs.SeamEvent) {
+		if ev.Seam != obs.SeamStack || ev.Who != host || !filter.Match(ev.Pkt) {
 			return
 		}
-		if buf, err := pkt.Marshal(); err == nil {
-			pw.WritePacket(w.Sched.Now(), buf)
+		if buf, err := ev.Pkt.Marshal(); err == nil {
+			pw.WritePacket(t, buf)
 		}
 	})
 	return pw, nil
-}
-
-// AttachPingLedger wires a PingLedger into every host, channel and
-// driver in the world: stack taps stage each ping through its ladder,
-// radio taps account air losses at the intended receiver, and the
-// drop hooks at every queue pin terminal reasons. Attach after the
-// topology is built and before traffic starts. The hooks add no
-// scheduler events, so ledgered runs keep their event counts — E16
-// attaches one to explain every undelivered ping.
-//
-// Every hook records into the lane of the shard it runs on (one
-// "world" lane on the single-loop engine), so the ledger is safe — and
-// bit-identical — at any -workers count.
-func (w *World) AttachPingLedger() *obs.PingLedger {
-	l := obs.NewPingLedger()
-	l.Unwrap = dama.Unwrap
-	laneFor := func(s *sim.Scheduler) *obs.LedgerLane {
-		name := "world"
-		if w.group != nil {
-			if sh := w.group.ShardOf(s); sh != nil {
-				name = sh.Name
-			}
-		}
-		return l.Lane(name, s.Now)
-	}
-	for _, ch := range w.channels {
-		ln := laneFor(ch.Scheduler())
-		prev := ch.Tap
-		ch.Tap = func(sender, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, consumed bool) {
-			if prev != nil {
-				prev(sender, receiver, payload, outcome, consumed)
-			}
-			ln.RadioFrame(receiver.Name, payload, outcome != radio.TapOK, outcome.String())
-		}
-	}
-	for name, h := range w.hosts {
-		ln := laneFor(h.Sched())
-		chainStackTap(h.Stack, ln.StackTap(name))
-		for _, ifName := range h.Stack.IfNames() {
-			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
-				l.SetHostAddrs(name, addr)
-			}
-		}
-		for _, p := range h.radios {
-			chainFrameDrop(&p.Driver.OnDrop, ln.DropFrame)
-			chainFrameDrop(&p.TNC.OnDrop, ln.DropFrame)
-			chainFrameDrop(&p.RF.OnDrop, ln.DropFrame)
-		}
-	}
-	return l
-}
-
-// chainFrameDrop adds fn to a drop hook slot without displacing an
-// existing observer.
-func chainFrameDrop(slot *func(reason string, frame []byte), fn func(reason string, frame []byte)) {
-	prev := *slot
-	if prev == nil {
-		*slot = fn
-		return
-	}
-	*slot = func(reason string, frame []byte) {
-		prev(reason, frame)
-		fn(reason, frame)
-	}
 }

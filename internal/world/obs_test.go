@@ -2,10 +2,80 @@ package world
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"packetradio/internal/obs"
 )
+
+// TestSeamViewsShareOneRecorder pins the one-recorder design: the ping
+// ledger, the span tracer and a pcap capture read one seam recorder,
+// yet attaching all three yields the same fate table, span stream and
+// capture bytes as attaching each alone — and the same again on the
+// sharded engine, where the capture is stamped with the gateway
+// shard's own clock.
+func TestSeamViewsShareOneRecorder(t *testing.T) {
+	type views struct {
+		fates map[string]int
+		spans []obs.Span
+		pcap  []byte
+	}
+	run := func(workers int, ledger, tracer, capture bool) views {
+		lw := NewLarge(LargeConfig{
+			Seed: 7, Stations: 60, Channels: 6, PingInterval: time.Minute, Workers: workers,
+		})
+		if workers > 1 {
+			lw.W.Shards().SetWorkers(workers)
+		}
+		var led *obs.PingLedger
+		var tr *obs.Tracer
+		var buf bytes.Buffer
+		if ledger {
+			led = lw.W.AttachPingLedger()
+		}
+		if tracer {
+			tr = lw.W.AttachTracer()
+		}
+		if capture {
+			if _, err := lw.W.CapturePort("gw1", "pr0", &buf, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lw.W.Run(3 * time.Minute)
+		v := views{pcap: buf.Bytes()}
+		if led != nil {
+			v.fates = led.Fates()
+		}
+		if tr != nil {
+			v.spans = tr.Spans()
+		}
+		return v
+	}
+	ref := run(0, true, true, true)
+	if ref.fates["delivered"] == 0 || len(ref.spans) == 0 || len(ref.pcap) <= 24 {
+		t.Fatalf("vacuous run: fates %v, %d spans, %d pcap bytes", ref.fates, len(ref.spans), len(ref.pcap))
+	}
+	if got := run(0, true, false, false).fates; !reflect.DeepEqual(got, ref.fates) {
+		t.Fatalf("ledger alone: fates %v, with every view attached %v", got, ref.fates)
+	}
+	if got := run(0, false, true, false).spans; !reflect.DeepEqual(got, ref.spans) {
+		t.Fatal("tracer alone records a different span stream")
+	}
+	if got := run(0, false, false, true).pcap; !bytes.Equal(got, ref.pcap) {
+		t.Fatal("capture alone writes different bytes")
+	}
+	for _, workers := range []int{1, 4} {
+		got := run(workers, true, true, true)
+		if !reflect.DeepEqual(got.fates, ref.fates) || !reflect.DeepEqual(got.spans, ref.spans) {
+			t.Fatalf("workers=%d: fates or spans differ from the single loop", workers)
+		}
+		if !bytes.Equal(got.pcap, ref.pcap) {
+			t.Fatalf("workers=%d: capture differs from the single loop (%d vs %d bytes)", workers, len(got.pcap), len(ref.pcap))
+		}
+	}
+}
 
 // TestRegistryCoversEveryLayer sweeps a built world and checks the
 // hierarchical names land for every layer the issue's netstat view

@@ -57,7 +57,8 @@ type World struct {
 	onRunEnd []func()
 
 	reg    *obs.Registry // lazily built by Registry(); see obs.go
-	tracer *obs.Tracer   // installed by AttachTracer; see trace.go
+	rec    *obs.Recorder // the seam recorder, installed by seams(); see obs.go
+	tracer *obs.Tracer   // installed by AttachTracer
 }
 
 // New creates an empty world with a deterministic seed.
