@@ -210,37 +210,50 @@ func Decode(src []byte) (*Frame, error) {
 		return nil, errShortFrame
 	}
 	f := &Frame{}
+	if err := f.decode(src); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decode parses src into f, overwriting every field and appending the
+// digipeater path to f.Digi[:0], so a caller that owns f.Digi's
+// storage decodes without allocating.
+func (f *Frame) decode(src []byte) error {
+	*f = Frame{Digi: f.Digi[:0]}
+	if len(src) < 2*AddrLen+1 {
+		return errShortFrame
+	}
 	var err error
-	var dstC, srcC, last bool
+	var dstC, last bool
 	f.Dst, dstC, last, err = decodeAddr(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if last {
-		return nil, errShortFrame // destination can never be the last address
+		return errShortFrame // destination can never be the last address
 	}
 	src = src[AddrLen:]
-	f.Src, srcC, last, err = decodeAddr(src)
+	f.Src, _, last, err = decodeAddr(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	src = src[AddrLen:]
-	_ = srcC
 	f.Command = dstC
 	for !last {
 		if len(f.Digi) == MaxDigis {
-			return nil, errTooMany
+			return errTooMany
 		}
 		var d Digi
 		d.Addr, d.Repeated, last, err = decodeAddr(src)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		src = src[AddrLen:]
 		f.Digi = append(f.Digi, d)
 	}
 	if len(src) < 1 {
-		return nil, errShortFrame
+		return errShortFrame
 	}
 	ctl := src[0]
 	src = src[1:]
@@ -260,7 +273,7 @@ func Decode(src []byte) (*Frame, error) {
 		case ctlREJ:
 			f.Kind = KindREJ
 		default:
-			return nil, errBadControl
+			return errBadControl
 		}
 	default: // unnumbered
 		switch ctl &^ ctlPF {
@@ -277,18 +290,18 @@ func Decode(src []byte) (*Frame, error) {
 		case ctlUI:
 			f.Kind = KindUI
 		default:
-			return nil, errBadControl
+			return errBadControl
 		}
 	}
 	if f.hasPID() {
 		if len(src) < 1 {
-			return nil, errShortFrame
+			return errShortFrame
 		}
 		f.PID = src[0]
 		src = src[1:]
 	}
 	f.Info = src
-	return f, nil
+	return nil
 }
 
 // NextDigi returns the index of the first digipeater that has not yet

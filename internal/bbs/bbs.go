@@ -108,15 +108,11 @@ func (b *Board) fromRadio(framed []byte, damaged bool) {
 	if damaged {
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
+	h := ax25.Hear(b.rf.Channel().Memo(), framed)
+	if !h.OK || h.Err != nil || h.Frame.Dst != b.Call || h.Frame.NextDigi() >= 0 {
 		return
 	}
-	f, err := ax25.Decode(body)
-	if err != nil || f.Dst != b.Call || f.NextDigi() >= 0 {
-		return
-	}
-	b.ep.Input(f)
+	b.ep.Input(&h.Frame)
 }
 
 type session struct {

@@ -62,16 +62,22 @@ func sec(d time.Duration) string {
 }
 
 // pingOnce sends one echo and runs the world until the reply (or the
-// deadline), returning the RTT and whether it arrived.
+// deadline), returning the RTT and whether it arrived. The reply
+// callback is disarmed on return, so a reply that lands after the
+// deadline cannot halt a later run.
 func pingOnce(w *world.World, from *world.Host, dst ip.Addr, size int, deadline time.Duration) (time.Duration, bool) {
 	var rtt time.Duration
-	got := false
+	got, armed := false, true
 	from.Stack.Ping(dst, size, func(_ uint16, d time.Duration, _ ip.Addr) {
+		if !armed {
+			return
+		}
 		rtt = d
 		got = true
 		w.Sched.Halt()
 	})
 	w.Sched.RunUntil(w.Sched.Now().Add(deadline))
+	armed = false
 	return rtt, got
 }
 

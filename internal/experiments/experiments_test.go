@@ -411,3 +411,17 @@ func TestE17RDMBeatsTCPOnRadio(t *testing.T) {
 		}
 	}
 }
+
+// TestPingOnceLateReplyKeepsLaterRunWhole: a reply that arrives after
+// pingOnce's deadline must not halt the next run short of its target.
+func TestPingOnceLateReplyKeepsLaterRunWhole(t *testing.T) {
+	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
+	if _, ok := pingOnce(s.W, s.PCs[0], world.GatewayIP, 8, time.Millisecond); ok {
+		t.Fatal("a 1 ms deadline beat the 1200 bps round trip")
+	}
+	target := s.W.Sched.Now().Add(10 * time.Minute)
+	s.W.Sched.RunUntil(target)
+	if now := s.W.Sched.Now(); now != target {
+		t.Fatalf("run halted at %v, short of %v", now, target)
+	}
+}

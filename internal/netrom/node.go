@@ -140,13 +140,13 @@ func (n *Node) fromRadio(framed []byte, damaged bool) {
 		n.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
+	h := ax25.Hear(n.rf.Channel().Memo(), framed)
+	if !h.OK {
 		n.Stats.CRCErrors++
 		return
 	}
-	f, err := ax25.Decode(body)
-	if err != nil || f.Kind != ax25.KindUI || f.PID != ax25.PIDNetROM {
+	f := &h.Frame
+	if h.Err != nil || f.Kind != ax25.KindUI || f.PID != ax25.PIDNetROM {
 		return
 	}
 	if f.Dst == ax25.Nodes {

@@ -20,7 +20,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -263,8 +262,8 @@ type Lane struct {
 	buf []crossing
 
 	// A transmission reaches every receiver on the channel in one loop
-	// with the same bytes; the last on-air decode is kept (over a
-	// private copy of the bytes) so it serves them all.
+	// as the same read-only slice; the last on-air decode is kept,
+	// keyed by that slice, so it serves them all.
 	airB   []byte
 	airF   *ax25.Frame
 	airPkt *ip.Packet
@@ -390,9 +389,9 @@ func (ln *Lane) MAC(who, event string, frame []byte, arg string) {
 // a destroyed one its loss. Overheard copies at bystanders don't cross
 // the journey's path.
 func (ln *Lane) Air(receiverCall string, frame []byte, outcome string) {
-	if !bytes.Equal(frame, ln.airB) || ln.airB == nil {
-		ln.airB = append(ln.airB[:0], frame...)
-		ln.airF, ln.airPkt = decode(ln.airB)
+	if len(frame) == 0 || len(frame) != len(ln.airB) || &frame[0] != &ln.airB[0] {
+		ln.airB = frame
+		ln.airF, ln.airPkt = decode(frame)
 	}
 	f, pkt := ln.airF, ln.airPkt
 	if f != nil && f.LinkDst().Callsign() == receiverCall {

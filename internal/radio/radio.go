@@ -129,6 +129,9 @@ type Channel struct {
 	// edges dispatch to each exactly once.
 	accs   []Accessor
 	accRef map[Accessor]int
+
+	// memo is the slot the channel's receivers share (Memo).
+	memo any
 }
 
 // DefaultBitRate is the classic 1200 bps AFSK channel rate of the
@@ -175,6 +178,14 @@ func (c *Channel) SetReachable(from, to *Transceiver, ok bool) {
 func (c *Channel) reachable(from, to *Transceiver) bool {
 	return !c.unreachable[[2]*Transceiver{from, to}]
 }
+
+// Memo returns a slot the channel's receivers share and radio never
+// touches. A transmission reaches every receiver as the same read-only
+// bytes (SetReceiver), so work that depends on the bytes alone — the
+// FCS check and decode of ax25.Hear — is done by the first receiver
+// and kept here for the rest. The slot belongs to the channel, so to
+// the one shard that runs it.
+func (c *Channel) Memo() *any { return &c.memo }
 
 // Utilization reports total transmit airtime divided by elapsed time.
 // Overlapping (colliding) transmissions both count, so values can
@@ -458,7 +469,7 @@ func (t *Transceiver) Retune(to *Channel) {
 			r.Stats.FramesDamaged++
 			old.Stats.FramesDamaged++
 			if r.rx != nil {
-				r.rx(append([]byte(nil), payload...), true)
+				r.rx(shared(payload), true)
 			}
 		}
 	}
@@ -486,8 +497,17 @@ func (t *Transceiver) Retune(to *Channel) {
 	}
 }
 
-// SetReceiver installs the frame-delivery callback.
+// SetReceiver installs the frame-delivery callback. Every receiver of
+// a transmission is handed the same bytes: read-only, never reused, and
+// capped at their length, so a receiver's append copies them instead of
+// writing where another receiver reads.
 func (t *Transceiver) SetReceiver(rx func(frame []byte, damaged bool)) { t.rx = rx }
+
+// Receiver reports the callback SetReceiver installed.
+func (t *Transceiver) Receiver() func(frame []byte, damaged bool) { return t.rx }
+
+// shared caps a delivered frame at its length (SetReceiver).
+func shared(p []byte) []byte { return p[:len(p):len(p)] }
 
 // SetParams installs new channel-access parameters (the TNC pushes
 // these on KISS parameter frames). Writing the Params field directly
@@ -899,7 +919,7 @@ func (c *Channel) complete(tx *transmission) {
 			c.Stats.FramesHeard++
 		}
 		if r.rx != nil {
-			r.rx(append([]byte(nil), payload...), damaged)
+			r.rx(shared(payload), damaged)
 		}
 	}
 

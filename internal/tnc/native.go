@@ -211,15 +211,15 @@ func (n *Native) fromRadio(framed []byte, damaged bool) {
 		n.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
+	h := ax25.Hear(n.rf.Channel().Memo(), framed)
+	if !h.OK {
 		n.Stats.CRCErrors++
 		return
 	}
-	f, err := ax25.Decode(body)
-	if err != nil {
+	if h.Err != nil {
 		return
 	}
+	f := &h.Frame
 	// Digipeat first: the frame may be routed through us.
 	if i := f.NextDigi(); i >= 0 {
 		if n.Digipeat && f.Digi[i].Addr == n.MyCall {

@@ -160,35 +160,31 @@ func (t *TNC) fromRadio(framed []byte, damaged bool) {
 		t.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
+	h := ax25.Hear(t.rf.Channel().Memo(), framed)
+	if !h.OK {
 		t.Stats.CRCErrors++
 		return
 	}
-	if t.Filter == AddressFilter && !t.wantFrame(body) {
-		t.Stats.Filtered++
-		return
+	if t.Filter == AddressFilter {
+		// The paper's proposed selective filter: only frames for our
+		// callsign, the broadcast address or NODES go up the line, and
+		// frames that do not parse are noise.
+		dst, final := h.LinkDst, h.Frame.Dst
+		if h.Err != nil || dst != t.MyCall && dst != ax25.Broadcast && dst != ax25.Nodes &&
+			final != ax25.Broadcast && final != ax25.Nodes {
+			t.Stats.Filtered++
+			return
+		}
 	}
-	enc := kiss.Encode(nil, 0, body)
+	enc := kiss.Encode(nil, 0, h.Body)
 	if !t.hostQ.Enqueue(enc) {
 		t.Stats.HostDrops++
 		if t.OnDrop != nil {
-			t.OnDrop("tnc host queue overflow", body)
+			t.OnDrop("tnc host queue overflow", h.Body)
 		}
 		return
 	}
 	t.pumpHost()
-}
-
-// wantFrame implements the paper's proposed selective filter.
-func (t *TNC) wantFrame(body []byte) bool {
-	f, err := ax25.Decode(body)
-	if err != nil {
-		return false // unparseable frames are noise
-	}
-	dst := f.LinkDst()
-	return dst == t.MyCall || dst == ax25.Broadcast || dst == ax25.Nodes ||
-		f.Dst == ax25.Broadcast || f.Dst == ax25.Nodes
 }
 
 // pumpHost moves one queued frame at a time onto the serial line so
@@ -238,23 +234,18 @@ func (d *Digipeater) fromRadio(framed []byte, damaged bool) {
 		d.Stats.CRCErrors++
 		return
 	}
-	body, ok := ax25.CheckFCS(framed)
-	if !ok {
+	h := ax25.Hear(d.rf.Channel().Memo(), framed)
+	if !h.OK {
 		d.Stats.CRCErrors++
 		return
 	}
-	f, err := ax25.Decode(body)
-	if err != nil {
+	// Ours to repeat: the next unrepeated hop of its path is our call.
+	if h.Err != nil || h.LinkDst != d.Call || h.Frame.NextDigi() < 0 {
 		d.Stats.Ignored++
 		return
 	}
-	i := f.NextDigi()
-	if i < 0 || f.Digi[i].Addr != d.Call {
-		d.Stats.Ignored++
-		return
-	}
-	g := f.Clone()
-	g.Digi[i].Repeated = true
+	g := h.Frame.Clone()
+	g.Digi[g.NextDigi()].Repeated = true
 	enc, err := g.Encode(nil)
 	if err != nil {
 		d.Stats.Ignored++
