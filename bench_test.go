@@ -19,7 +19,6 @@ import (
 	"packetradio/internal/rspf"
 	"packetradio/internal/sim"
 	"packetradio/internal/tcp"
-	"packetradio/internal/world"
 )
 
 func reportMetrics(b *testing.B, r *experiments.Result, keys ...string) {
@@ -246,20 +245,11 @@ func BenchmarkSchedulerEventLoop(b *testing.B) {
 // BenchmarkSeattlePing measures simulator throughput end to end: one
 // full ping through the complete Figure-1 chain per iteration.
 func BenchmarkSeattlePing(b *testing.B) {
-	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
-	// Warm ARP outside the loop.
-	done := false
-	s.PCs[0].Stack.Ping(world.GatewayIP, 8, func(uint16, time.Duration, ip.Addr) { done = true })
-	s.W.Run(5 * time.Minute)
-	if !done {
-		b.Fatal("warmup ping failed")
-	}
+	_, ping := warmSeattle(false) // ARP warm outside the loop
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok := false
-		s.PCs[0].Stack.Ping(world.GatewayIP, 64, func(uint16, time.Duration, ip.Addr) { ok = true })
-		s.W.Run(time.Minute)
-		if !ok {
+		if !ping() {
 			b.Fatal("ping lost")
 		}
 	}

@@ -57,7 +57,7 @@ func TestEventGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, events := seattlePing(false, seattlePingIters)
+	events := seattlePing(false, seattlePingIters)
 	if events != committed.SeattlePingEventsPerOp {
 		t.Errorf("seattle_ping_events_per_op = %v, committed %v — the datapath's event count changed; "+
 			"regenerate BENCH_simcore.json if intentional", events, committed.SeattlePingEventsPerOp)

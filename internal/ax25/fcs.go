@@ -7,7 +7,9 @@ package ax25
 // checksums", so the host driver never sees the FCS; internal/tnc uses
 // this module on both sides of the radio.
 
-var fcsTable [256]uint16
+// fcsTable[k][b] is the CRC register after byte b followed by k zero
+// bytes, starting from zero: slicing-by-4 folds four bytes per step.
+var fcsTable [4][256]uint16
 
 func init() {
 	const poly = 0x8408 // reflected 0x1021
@@ -20,15 +22,28 @@ func init() {
 				crc >>= 1
 			}
 		}
-		fcsTable[i] = crc
+		fcsTable[0][i] = crc
+	}
+	for k := 1; k < 4; k++ {
+		for i := 0; i < 256; i++ {
+			prev := fcsTable[k-1][i]
+			fcsTable[k][i] = prev>>8 ^ fcsTable[0][byte(prev)]
+		}
 	}
 }
 
-// FCS computes the AX.25 frame check sequence over p.
+// FCS computes the AX.25 frame check sequence over p. Four bytes at a
+// time, the 16-bit register shifts out completely: the first two bytes
+// fold into it and every byte indexes the table for its distance from
+// the end of the group.
 func FCS(p []byte) uint16 {
 	crc := uint16(0xFFFF)
+	for ; len(p) >= 4; p = p[4:] {
+		crc ^= uint16(p[0]) | uint16(p[1])<<8
+		crc = fcsTable[3][byte(crc)] ^ fcsTable[2][crc>>8] ^ fcsTable[1][p[2]] ^ fcsTable[0][p[3]]
+	}
 	for _, b := range p {
-		crc = crc>>8 ^ fcsTable[byte(crc)^b]
+		crc = crc>>8 ^ fcsTable[0][byte(crc)^b]
 	}
 	return ^crc
 }

@@ -210,16 +210,17 @@ func Decode(src []byte) (*Frame, error) {
 		return nil, errShortFrame
 	}
 	f := &Frame{}
-	if err := f.decode(src); err != nil {
+	if err := f.Decode(src); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// decode parses src into f, overwriting every field and appending the
+// Decode parses src into f, overwriting every field and appending the
 // digipeater path to f.Digi[:0], so a caller that owns f.Digi's
-// storage decodes without allocating.
-func (f *Frame) decode(src []byte) error {
+// storage (room for MaxDigis) decodes without allocating. Like the
+// Decode function, it leaves f.Info aliasing src.
+func (f *Frame) Decode(src []byte) error {
 	*f = Frame{Digi: f.Digi[:0]}
 	if len(src) < 2*AddrLen+1 {
 		return errShortFrame

@@ -54,7 +54,7 @@ func (h *Heard) hear(framed []byte) {
 	h.Body, h.OK = CheckFCS(framed)
 	h.Err = errBadFCS
 	if h.OK {
-		h.Err = h.Frame.decode(h.Body)
+		h.Err = h.Frame.Decode(h.Body)
 	}
 	h.LinkDst = Addr{}
 	if h.Err == nil {

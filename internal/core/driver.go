@@ -86,6 +86,8 @@ type PacketRadioIf struct {
 	TTYHandler func(*ax25.Frame)
 
 	// Monitor, when set, observes every frame in and out ("rx"/"tx").
+	// The frame is the driver's own and is reused for the next one, so
+	// the callback must not keep it.
 	Monitor func(dir string, f *ax25.Frame)
 
 	// PerByteCPU and PerPacketCPU model the MicroVAX's interrupt and
@@ -135,6 +137,17 @@ type PacketRadioIf struct {
 	ttyq     *netif.Queue[*ax25.Frame]
 	ipqBusy  bool
 	busyTill sim.Time
+	ipIntrFn func() // cached ipIntr, so scheduling it never allocates a closure
+
+	// Driver-owned buffers, reused for every frame: rx is the frame
+	// being received, decoded from the KISS decoder's lent payload; tx
+	// is the UI frame being sent, encoded into txAX and then KISS-framed
+	// into txKISS, which the serial line copies; tapRec is the record
+	// handed to Tap. Only the IP queue keeps bytes (a copy of Info).
+	rx, tx         ax25.Frame
+	rxDigi, txDigi [ax25.MaxDigis]ax25.Digi
+	txAX, txKISS   []byte
+	tapRec         []byte
 
 	paths map[ip.Addr][]ax25.Addr
 }
@@ -166,6 +179,8 @@ func NewPacketRadioIf(sched *sim.Scheduler, name string, ser *serial.End, mycall
 	// AX.25 ARP needs patience: a request+reply is ~2 s of airtime at
 	// 1200 bps before any CSMA deferrals.
 	d.res.RequestInterval = 10 * time.Second
+	d.rx.Digi, d.tx.Digi = d.rxDigi[:0], d.txDigi[:0]
+	d.ipIntrFn = d.ipIntr
 	d.dec.Frame = d.kissFrame
 	ser.SetRunReceiver(d.interruptRun)
 	return d
@@ -243,19 +258,18 @@ func (d *PacketRadioIf) interruptRun(p []byte) {
 	d.dec.Write(p)
 }
 
-// kissFrame fires when the decoder has assembled a complete frame.
+// kissFrame fires when the decoder has assembled a complete frame. The
+// payload is lent by the decoder; only the IP queue keeps a copy.
 func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 	d.DStats.KISSFrames++
 	if d.Tap != nil {
-		rec := make([]byte, 0, 1+len(kf.Payload))
-		rec = append(rec, byte(kf.Command))
-		d.Tap("rx", append(rec, kf.Payload...))
+		d.tap("rx", kf.Command, kf.Payload)
 	}
 	if kf.Command != kiss.CmdData {
 		return // TNC-bound parameters never come from the TNC
 	}
-	f, err := ax25.Decode(kf.Payload)
-	if err != nil {
+	f := &d.rx
+	if err := f.Decode(kf.Payload); err != nil {
 		d.DStats.BadFrames++
 		d.stats.Ierrors++
 		return
@@ -343,7 +357,7 @@ func (d *PacketRadioIf) scheduleIPIntr() {
 		d.DStats.CPUBusy += d.PerPacketCPU
 		delay = d.busyTill.Sub(now)
 	}
-	d.sched.After(delay, d.ipIntr)
+	d.sched.After(delay, d.ipIntrFn)
 }
 
 func (d *PacketRadioIf) ipIntr() {
@@ -415,10 +429,11 @@ func (d *PacketRadioIf) sendARP(p *arp.Packet, dstHW []byte) {
 // side of the §2.4 tty interface; the application gateway and NET/ROM
 // use it).
 func (d *PacketRadioIf) SendFrame(f *ax25.Frame) error {
-	enc, err := f.Encode(nil)
+	enc, err := f.Encode(d.txAX[:0])
 	if err != nil {
 		return err
 	}
+	d.txAX = enc
 	if d.Monitor != nil {
 		d.Monitor("tx", f)
 	}
@@ -426,25 +441,28 @@ func (d *PacketRadioIf) SendFrame(f *ax25.Frame) error {
 }
 
 func (d *PacketRadioIf) sendUI(dst ax25.Addr, pid uint8, info []byte, via []ax25.Addr) {
-	f := ax25.NewUI(dst, d.MyCall, pid, info)
-	if len(via) > 0 {
-		f = f.Via(via...)
+	f := &d.tx
+	*f = ax25.Frame{Dst: dst, Src: d.MyCall, Digi: f.Digi[:0], Kind: ax25.KindUI, PID: pid, Info: info, Command: true}
+	for _, a := range via {
+		f.Digi = append(f.Digi, ax25.Digi{Addr: a})
 	}
 	if d.Monitor != nil {
 		d.Monitor("tx", f)
 	}
-	enc, err := f.Encode(nil)
+	enc, err := f.Encode(d.txAX[:0])
 	if err != nil {
 		d.stats.Oerrors++
 		return
 	}
+	d.txAX = enc
 	if err := d.writeKISS(enc); err != nil {
 		d.stats.Oerrors++
 	}
 }
 
 func (d *PacketRadioIf) writeKISS(frame []byte) error {
-	enc := kiss.Encode(nil, 0, frame)
+	d.txKISS = kiss.Encode(d.txKISS[:0], 0, frame)
+	enc := d.txKISS
 	if d.ser.QueueLen()+len(enc) > d.OutQueueBytes {
 		d.DStats.OutDrops++
 		d.stats.Oerrors++
@@ -454,14 +472,19 @@ func (d *PacketRadioIf) writeKISS(frame []byte) error {
 		return nil // dropped, as IF_DROP does: not an error to the caller
 	}
 	if d.Tap != nil {
-		rec := make([]byte, 0, 1+len(frame))
-		rec = append(rec, 0) // KISS data command
-		d.Tap("tx", append(rec, frame...))
+		d.tap("tx", kiss.CmdData, frame)
 	}
 	d.stats.Opackets++
 	d.stats.Obytes += uint64(len(frame))
 	_, err := d.ser.Write(enc)
 	return err
+}
+
+// tap hands Tap a KISS record, the command byte and then the unescaped
+// payload, built in the driver's reused tapRec.
+func (d *PacketRadioIf) tap(dir string, command uint8, payload []byte) {
+	d.tapRec = append(append(d.tapRec[:0], command), payload...)
+	d.Tap(dir, d.tapRec)
 }
 
 // SetTNCParams pushes KISS parameter commands down the line.

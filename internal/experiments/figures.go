@@ -45,7 +45,7 @@ func F1(w io.Writer) *Result {
 	// Analytic components for the same frame.
 	ipLen := ip.HeaderLen + payload
 	ax25Len := ipLen + 2*ax25.AddrLen + 2 // addresses + control + PID
-	kissLen := kiss.EncodedLen(make([]byte, ax25Len))
+	kissLen := kiss.EncodedLen(0, kiss.CmdData, make([]byte, ax25Len))
 	serialT := time.Duration(float64(kissLen) * 10 / 9600 * float64(time.Second))
 	txdelay := 300 * time.Millisecond
 	airT := s.Channel.AirTime(ax25Len + 2) // +FCS
@@ -80,7 +80,7 @@ func F2(w io.Writer) *Result {
 		ipLen := tcpLen + ip.HeaderLen
 		ax25Len := ipLen + 2*ax25.AddrLen + 2
 		fcsLen := ax25Len + 2
-		kissLen := kiss.EncodedLen(make([]byte, ax25Len)) // KISS wraps pre-FCS frame
+		kissLen := kiss.EncodedLen(0, kiss.CmdData, make([]byte, ax25Len)) // KISS wraps pre-FCS frame
 		t.row("application data", "7 (telnet/FTP/SMTP)", payload, payload)
 		t.row(layer("TCP", "4 (TCP)", tcp.HeaderLen, tcpLen)...)
 		t.row(layer("IP", "3 (IP)", ip.HeaderLen, ipLen)...)

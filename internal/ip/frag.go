@@ -19,10 +19,10 @@ var ErrFragmentDF = errors.New("ip: fragmentation needed but DF set")
 // Fragment splits p into fragments whose total length fits mtu. If p
 // already fits, it is returned unchanged as the single element.
 func Fragment(p *Packet, mtu int) ([]*Packet, error) {
-	hlen := HeaderLen + len(p.Options)
-	if hlen+len(p.Payload) <= mtu {
+	if p.Len() <= mtu {
 		return []*Packet{p}, nil
 	}
+	hlen := HeaderLen + len(p.Options)
 	if p.DF {
 		return nil, ErrFragmentDF
 	}

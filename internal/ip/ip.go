@@ -194,6 +194,10 @@ type Packet struct {
 	Payload []byte
 }
 
+// Len reports the datagram's total length on the wire: header,
+// options and payload.
+func (p *Packet) Len() int { return HeaderLen + len(p.Options) + len(p.Payload) }
+
 // Marshal renders the datagram, computing the header checksum.
 func (p *Packet) Marshal() ([]byte, error) {
 	if len(p.Options)%4 != 0 {

@@ -338,7 +338,12 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 	if ent.Flags&route.FlagGateway != 0 {
 		nextHop = ent.Gateway
 	}
-	frags, err := ip.Fragment(pkt, e.ifc.MTU())
+	mtu := e.ifc.MTU()
+	if pkt.Len() <= mtu {
+		s.output(e, pkt, nextHop, dir)
+		return
+	}
+	frags, err := ip.Fragment(pkt, mtu)
 	if err != nil {
 		s.Stats.FragDrops++
 		if errors.Is(err, ip.ErrFragmentDF) {
@@ -346,16 +351,19 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 		}
 		return
 	}
-	if len(frags) > 1 {
-		s.Stats.FragsOut += uint64(len(frags))
-	}
+	s.Stats.FragsOut += uint64(len(frags))
 	for _, f := range frags {
-		if s.Tap != nil {
-			s.Tap(dir, f, e.ifc.Name())
-		}
-		if err := e.ifc.Output(f, nextHop); err != nil {
-			e.ifc.Stats().Oerrors++
-		}
+		s.output(e, f, nextHop, dir)
+	}
+}
+
+// output hands one datagram that fits the interface MTU to its driver.
+func (s *Stack) output(e *ifEntry, pkt *ip.Packet, nextHop ip.Addr, dir string) {
+	if s.Tap != nil {
+		s.Tap(dir, pkt, e.ifc.Name())
+	}
+	if err := e.ifc.Output(pkt, nextHop); err != nil {
+		e.ifc.Stats().Oerrors++
 	}
 }
 

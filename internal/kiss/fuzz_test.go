@@ -69,8 +69,8 @@ func FuzzDecoder(f *testing.F) {
 		// fuzz inputs.
 		const maxFrame = 32
 		var refFrames, bulkFrames []Frame
-		ref := Decoder{MaxFrame: maxFrame, Frame: func(fr Frame) { refFrames = append(refFrames, fr) }}
-		bulk := Decoder{MaxFrame: maxFrame, Frame: func(fr Frame) { bulkFrames = append(bulkFrames, fr) }}
+		ref := Decoder{MaxFrame: maxFrame, Frame: collect(&refFrames)}
+		bulk := Decoder{MaxFrame: maxFrame, Frame: collect(&bulkFrames)}
 
 		for _, b := range data {
 			ref.PutByte(b)
@@ -111,8 +111,8 @@ func TestWriteMatchesPutByteOnEveryPrefixSplit(t *testing.T) {
 	const maxFrame = 24
 	for cut := 0; cut <= len(stream); cut++ {
 		var refFrames, bulkFrames []Frame
-		ref := Decoder{MaxFrame: maxFrame, Frame: func(fr Frame) { refFrames = append(refFrames, fr) }}
-		bulk := Decoder{MaxFrame: maxFrame, Frame: func(fr Frame) { bulkFrames = append(bulkFrames, fr) }}
+		ref := Decoder{MaxFrame: maxFrame, Frame: collect(&refFrames)}
+		bulk := Decoder{MaxFrame: maxFrame, Frame: collect(&bulkFrames)}
 		for _, b := range stream {
 			ref.PutByte(b)
 		}
@@ -128,4 +128,69 @@ func TestWriteMatchesPutByteOnEveryPrefixSplit(t *testing.T) {
 func dump(s decoderState) string {
 	return fmt.Sprintf("frames=%d overruns=%d badesc=%d buf=%x inFrame=%v escaped=%v dropped=%v",
 		s.frameCnt, s.overruns, s.badEsc, s.buf, s.inFrame, s.escaped, s.dropped)
+}
+
+// refEncode is the byte-at-a-time encoder EncodeCommand replaced, kept
+// as the oracle FuzzKISSEncode checks the run-copying encoder against.
+func refEncode(dst []byte, port, command uint8, payload []byte) []byte {
+	dst = append(dst, FEND)
+	dst = refEscape(dst, (port<<4)|(command&0x0F))
+	for _, b := range payload {
+		dst = refEscape(dst, b)
+	}
+	return append(dst, FEND)
+}
+
+func refEscape(dst []byte, b byte) []byte {
+	switch b {
+	case FEND:
+		return append(dst, FESC, TFEND)
+	case FESC:
+		return append(dst, FESC, TFESC)
+	default:
+		return append(dst, b)
+	}
+}
+
+// FuzzKISSEncode encodes arbitrary frames into a reused, non-empty dst,
+// as the driver and the TNC do, and checks that the prefix is left
+// alone, that the appended bytes are exactly the reference encoder's,
+// that EncodedLen predicts their number, that spare room for any
+// encoding is used in place, and that the encoding decodes back to the
+// frame whenever it fits the decoder's default MaxFrame.
+func FuzzKISSEncode(f *testing.F) {
+	f.Add([]byte{FEND, 0x00, 'x'}, uint8(0), uint8(CmdData), []byte("hello"), uint8(0))
+	f.Add([]byte{1}, uint8(12), uint8(CmdData), []byte{1, 2, FEND, 3}, uint8(16))
+	f.Add([]byte{}, uint8(13), uint8(0x0B), []byte{FESC, FESC, FEND, FESC}, uint8(3))
+	f.Add([]byte{FESC}, uint8(0xFF), uint8(0xFF), []byte{}, uint8(200))
+	f.Fuzz(func(t *testing.T, prefix []byte, port, command uint8, payload []byte, spare uint8) {
+		dst := make([]byte, len(prefix), len(prefix)+int(spare))
+		copy(dst, prefix)
+		out := EncodeCommand(dst, port, command, payload)
+		if !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Fatalf("prefix clobbered: % x -> % x", prefix, out[:len(prefix)])
+		}
+		got, want := out[len(prefix):], refEncode(nil, port, command, payload)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeCommand(%d, %#x, % x) appended % x, reference % x", port, command, payload, got, want)
+		}
+		if n := EncodedLen(port, command, payload); n != len(got) {
+			t.Fatalf("EncodedLen = %d, appended %d", n, len(got))
+		}
+		if len(dst) > 0 && int(spare) >= 2*len(payload)+4 && &out[0] != &dst[0] {
+			t.Fatal("EncodeCommand reallocated although dst had room for any encoding")
+		}
+		if len(payload) >= DefaultMaxFrame {
+			return // the command byte and payload overrun DecodeAll's decoder
+		}
+		frames := DecodeAll(got)
+		if len(frames) != 1 {
+			t.Fatalf("decoded %d frames from % x, want 1", len(frames), got)
+		}
+		fr := frames[0]
+		if fr.Port != port&0x0F || fr.Command != command&0x0F || !bytes.Equal(fr.Payload, payload) {
+			t.Fatalf("decoded %v payload % x, want port %d cmd %#x payload % x",
+				fr, fr.Payload, port&0x0F, command&0x0F, payload)
+		}
+	})
 }

@@ -18,8 +18,10 @@
 package kiss
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Framing bytes.
@@ -69,13 +71,39 @@ func Encode(dst []byte, port uint8, payload []byte) []byte {
 
 // EncodeCommand appends an arbitrary-command KISS frame. Parameter
 // frames (CmdTXDelay etc.) conventionally carry a single payload byte.
+//
+// dst grows at most once, to room for the worst case (every byte
+// escaped) rather than counting escapes first, and the literal runs
+// between framing bytes are copied whole, so encoding into a reused
+// buffer (dst[:0]) allocates nothing once it is large enough.
 func EncodeCommand(dst []byte, port, command uint8, payload []byte) []byte {
-	dst = append(dst, FEND)
-	dst = appendEscaped(dst, (port<<4)|(command&0x0F))
-	for _, b := range payload {
-		dst = appendEscaped(dst, b)
+	dst = slices.Grow(dst, 2*len(payload)+4)
+	dst = appendEscaped(append(dst, FEND), port<<4|command&0x0F)
+	fend, fesc := index(payload, FEND), index(payload, FESC)
+	lit := 0 // start of the literal run not yet copied
+	for {
+		i := min(fend, fesc)
+		dst = append(dst, payload[lit:i]...)
+		if i == len(payload) {
+			return append(dst, FEND)
+		}
+		dst = appendEscaped(dst, payload[i])
+		lit = i + 1
+		if i == fend {
+			fend = lit + index(payload[lit:], FEND)
+		} else {
+			fesc = lit + index(payload[lit:], FESC)
+		}
 	}
-	return append(dst, FEND)
+}
+
+// index returns the index of the first b in p, or len(p) if there is
+// none. It is small enough to inline, so a scan costs one call.
+func index(p []byte, b byte) int {
+	if i := bytes.IndexByte(p, b); i >= 0 {
+		return i
+	}
+	return len(p)
 }
 
 func appendEscaped(dst []byte, b byte) []byte {
@@ -89,16 +117,14 @@ func appendEscaped(dst []byte, b byte) []byte {
 	}
 }
 
-// EncodedLen reports the exact number of bytes Encode will append for
-// payload: the two FENDs, the command byte, and escapes.
-func EncodedLen(payload []byte) int {
-	n := 3 // FEND + command + FEND (command byte 0x00 never needs escaping)
-	for _, b := range payload {
-		if b == FEND || b == FESC {
-			n += 2
-		} else {
-			n++
-		}
+// EncodedLen reports the exact number of bytes EncodeCommand appends
+// for a frame on port with command and payload: the two FENDs, the
+// command byte, and escapes. The command byte needs one too when it
+// is itself a framing byte, as a data frame on port 12 (0xC0) is.
+func EncodedLen(port, command uint8, payload []byte) int {
+	n := 3 + len(payload) + bytes.Count(payload, []byte{FEND}) + bytes.Count(payload, []byte{FESC})
+	if c := port<<4 | command&0x0F; c == FEND || c == FESC {
+		n++
 	}
 	return n
 }
@@ -110,7 +136,10 @@ func EncodedLen(payload []byte) int {
 // (dropped and counted, like a kernel buffer overrun).
 type Decoder struct {
 	// Frame is invoked for each complete, non-empty frame. The payload
-	// slice is freshly allocated and owned by the callee.
+	// is lent: it is valid only until the callback returns, after which
+	// the decoder reuses its buffer. A callee that keeps the bytes must
+	// copy them. The decoder does not touch the lent bytes while the
+	// callback runs, so a write into the decoder from inside it is safe.
 	Frame func(Frame)
 
 	// MaxFrame bounds the unescaped frame size (command byte included).
@@ -186,29 +215,35 @@ func (d *Decoder) PutByte(b byte) {
 // a Decoder can terminate any byte pipeline.
 //
 // Write is the burst-mode fast path: runs of in-frame bytes that need
-// no unescaping are appended to the frame buffer in one copy instead of
-// one PutByte call each. Decoding is byte-for-byte identical to feeding
-// the same stream through PutByte (the fuzz test cross-checks the two
-// for arbitrary chunkings, including FESC split across chunks).
+// no unescaping, found with bytes.IndexByte, are appended to the frame
+// buffer in one copy instead of one PutByte call each. Decoding is
+// byte-for-byte identical to feeding the same stream through PutByte
+// (the fuzz test cross-checks the two for arbitrary chunkings,
+// including FESC split across chunks).
 func (d *Decoder) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		// Escape pending, between frames, or at a framing byte: let the
-		// state machine handle one byte, then rescan.
-		if d.escaped || !d.inFrame || p[0] == FEND || p[0] == FESC {
-			d.PutByte(p[0])
-			p = p[1:]
+	fend, fesc := index(p, FEND), index(p, FESC)
+	for i := 0; i < len(p); {
+		// Escape pending or at a framing byte: let the state machine
+		// handle one byte.
+		if d.escaped || i == fend || i == fesc {
+			d.PutByte(p[i])
+			i++
+			if fend < i {
+				fend = i + index(p[i:], FEND)
+			}
+			if fesc < i {
+				fesc = i + index(p[i:], FESC)
+			}
 			continue
 		}
-		// In-frame literal run: everything up to the next FEND or FESC.
-		i := 1
-		for i < len(p) && p[i] != FEND && p[i] != FESC {
-			i++
-		}
-		d.putRun(p[:i])
-		p = p[i:]
+		// Literal run: everything up to the next FEND or FESC. Outside
+		// a frame it opens one, as a literal byte does in PutByte.
+		d.inFrame = true
+		j := min(fend, fesc)
+		d.putRun(p[i:j])
+		i = j
 	}
-	return n, nil
+	return len(p), nil
 }
 
 // putRun appends a run of in-frame bytes containing no framing bytes,
@@ -238,12 +273,17 @@ func (d *Decoder) endFrame() {
 	if wasDropped || len(buf) == 0 {
 		return // empty frame between back-to-back FENDs, or overrun
 	}
-	cmd := buf[0]
-	payload := make([]byte, len(buf)-1)
-	copy(payload, buf[1:])
 	d.Frames++
-	if d.Frame != nil {
-		d.Frame(Frame{Port: cmd >> 4, Command: cmd & 0x0F, Payload: payload})
+	if d.Frame == nil {
+		return
+	}
+	// Lend buf to the callback. Until it returns, the decoder holds no
+	// reference to buf, so a write from inside the callback starts a
+	// fresh buffer; buf comes back for reuse only if none was started.
+	d.buf = nil
+	d.Frame(Frame{Port: buf[0] >> 4, Command: buf[0] & 0x0F, Payload: buf[1:len(buf):len(buf)]})
+	if d.buf == nil {
+		d.buf = buf[:0]
 	}
 }
 
@@ -254,10 +294,14 @@ func (d *Decoder) Reset() {
 }
 
 // DecodeAll decodes every complete frame in p, for tools and tests that
-// have the whole byte stream in memory.
+// have the whole byte stream in memory. Each returned payload is a
+// copy the caller owns.
 func DecodeAll(p []byte) []Frame {
 	var frames []Frame
-	d := Decoder{Frame: func(f Frame) { frames = append(frames, f) }}
+	d := Decoder{Frame: func(f Frame) {
+		f.Payload = append([]byte(nil), f.Payload...)
+		frames = append(frames, f)
+	}}
 	for _, b := range p {
 		d.PutByte(b)
 	}

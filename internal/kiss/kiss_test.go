@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// collect returns a Frame callback that appends each frame to *dst
+// with its own copy of the payload, which the decoder only lends.
+func collect(dst *[]Frame) func(Frame) {
+	return func(f Frame) {
+		f.Payload = append([]byte(nil), f.Payload...)
+		*dst = append(*dst, f)
+	}
+}
+
 func roundTrip(t *testing.T, payload []byte) Frame {
 	t.Helper()
 	enc := Encode(nil, 0, payload)
@@ -86,11 +95,11 @@ func TestByteAtATimeEqualsBurst(t *testing.T) {
 	enc := Encode(nil, 5, payload)
 
 	var single, burst []Frame
-	d1 := Decoder{Frame: func(f Frame) { single = append(single, f) }}
+	d1 := Decoder{Frame: collect(&single)}
 	for _, b := range enc {
 		d1.PutByte(b)
 	}
-	d2 := Decoder{Frame: func(f Frame) { burst = append(burst, f) }}
+	d2 := Decoder{Frame: collect(&burst)}
 	if _, err := d2.Write(enc); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +114,32 @@ func TestByteAtATimeEqualsBurst(t *testing.T) {
 	}
 }
 
+// TestLentPayloadSurvivesWriteFromCallback pins the lending rule: a
+// callback that feeds the decoder another frame before it returns, as
+// a loopback handler might, does not overwrite the payload it was lent.
+func TestLentPayloadSurvivesWriteFromCallback(t *testing.T) {
+	var d Decoder
+	var got []string
+	d.Frame = func(f Frame) {
+		before := string(f.Payload)
+		if before == "first" {
+			d.Write(Encode(nil, 0, []byte("SECOND")))
+		}
+		if string(f.Payload) != before {
+			t.Fatalf("payload changed under the callback: %q -> %q", before, f.Payload)
+		}
+		got = append(got, before)
+	}
+	d.Write(Encode(nil, 0, []byte("first")))
+	d.Write(Encode(nil, 0, []byte("third")))
+	if want := []string{"SECOND", "first", "third"}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("frames = %q, want %q", got, want)
+	}
+}
+
 func TestOverrunDropsFrameAndCounts(t *testing.T) {
 	var got []Frame
-	d := Decoder{MaxFrame: 16, Frame: func(f Frame) { got = append(got, f) }}
+	d := Decoder{MaxFrame: 16, Frame: collect(&got)}
 	big := Encode(nil, 0, bytes.Repeat([]byte{'a'}, 100))
 	d.Write(big)
 	ok := Encode(nil, 0, []byte("ok"))
@@ -122,7 +154,7 @@ func TestOverrunDropsFrameAndCounts(t *testing.T) {
 
 func TestBadEscapeCounted(t *testing.T) {
 	var got []Frame
-	d := Decoder{Frame: func(f Frame) { got = append(got, f) }}
+	d := Decoder{Frame: collect(&got)}
 	d.Write([]byte{FEND, 0x00, FESC, 0x41, FEND}) // FESC followed by 'A'
 	if d.BadEsc != 1 {
 		t.Fatalf("BadEsc = %d, want 1", d.BadEsc)
@@ -136,7 +168,7 @@ func TestNoiseBeforeFirstFEND(t *testing.T) {
 	// Bytes before any FEND are treated as a (garbage) frame; the
 	// stream must resynchronize at the next FEND.
 	var got []Frame
-	d := Decoder{Frame: func(f Frame) { got = append(got, f) }}
+	d := Decoder{Frame: collect(&got)}
 	d.Write([]byte{0x13, 0x37})
 	d.Write(Encode(nil, 0, []byte("good")))
 	if len(got) != 2 {
@@ -149,7 +181,7 @@ func TestNoiseBeforeFirstFEND(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var got []Frame
-	d := Decoder{Frame: func(f Frame) { got = append(got, f) }}
+	d := Decoder{Frame: collect(&got)}
 	d.Write([]byte{FEND, 0x00, 'p', 'a', 'r', 't'})
 	d.Reset()
 	d.Write(Encode(nil, 0, []byte("whole")))
@@ -159,11 +191,34 @@ func TestReset(t *testing.T) {
 }
 
 func TestEncodedLenMatchesEncode(t *testing.T) {
-	f := func(payload []byte) bool {
-		return EncodedLen(payload) == len(Encode(nil, 0, payload))
+	f := func(port, command uint8, payload []byte) bool {
+		return EncodedLen(port, command, payload) == len(EncodeCommand(nil, port, command, payload))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodedLenEveryPort pins the command byte's own escape: a data
+// frame on port 12 has command byte 0xC0 (FEND), which Encode escapes,
+// so the payload below takes 9 bytes there and 8 on every other port.
+func TestEncodedLenEveryPort(t *testing.T) {
+	payload := []byte{0x01, 0x02, FEND, 0x03}
+	for port := uint8(0); port < 16; port++ {
+		want := 8
+		if port == 12 {
+			want = 9
+		}
+		if got := EncodedLen(port, CmdData, payload); got != want {
+			t.Errorf("port %d: EncodedLen = %d, want %d", port, got, want)
+		}
+		for cmd := uint8(0); cmd < 16; cmd++ {
+			enc := EncodeCommand(nil, port, cmd, payload)
+			if got := EncodedLen(port, cmd, payload); got != len(enc) {
+				t.Errorf("port %d cmd %#x: EncodedLen = %d, EncodeCommand appended %d (% x)",
+					port, cmd, got, len(enc), enc)
+			}
+		}
 	}
 }
 

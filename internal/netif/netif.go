@@ -60,7 +60,11 @@ const DefaultQueueLimit = 50
 // gateway falls behind (E2), packets drop here and are counted.
 type Queue[T any] struct {
 	limit int
+	// items[head:] are queued, oldest first. Dequeue zeroes the slot
+	// it vacates, and the backing array is reused once the queue
+	// drains, so a queue that keeps up never allocates.
 	items []T
+	head  int
 	Drops uint64
 	Peak  int
 }
@@ -76,13 +80,20 @@ func NewQueue[T any](limit int) *Queue[T] {
 
 // Enqueue appends x, returning false (and counting a drop) when full.
 func (q *Queue[T]) Enqueue(x T) bool {
-	if len(q.items) >= q.limit {
+	if q.Len() >= q.limit {
 		q.Drops++
 		return false
 	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Slide a backlog to the front of its array instead of growing
+		// past the dead slots before it.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, x)
-	if len(q.items) > q.Peak {
-		q.Peak = len(q.items)
+	if q.Len() > q.Peak {
+		q.Peak = q.Len()
 	}
 	return true
 }
@@ -90,16 +101,20 @@ func (q *Queue[T]) Enqueue(x T) bool {
 // Dequeue removes and returns the head.
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.Len() == 0 {
 		return zero, false
 	}
-	x := q.items[0]
-	q.items = q.items[1:]
+	x := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return x, true
 }
 
 // Len reports queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Limit reports the capacity.
 func (q *Queue[T]) Limit() int { return q.limit }

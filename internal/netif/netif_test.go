@@ -83,6 +83,47 @@ func TestQuickQueueNeverExceedsLimit(t *testing.T) {
 	}
 }
 
+// TestQueueReusesBackingArray pins the no-allocation steady state: a
+// queue that drains reuses its array, a standing backlog slides down
+// instead of growing, FIFO order survives both, and every vacated
+// slot is zeroed so the queue keeps nothing it no longer holds alive.
+func TestQueueReusesBackingArray(t *testing.T) {
+	q := NewQueue[*int](4)
+	v := new(int)
+	q.Enqueue(v)
+	q.Dequeue()
+	if a := testing.AllocsPerRun(100, func() {
+		q.Enqueue(v)
+		q.Enqueue(v)
+		q.Dequeue()
+		q.Dequeue()
+	}); a != 0 {
+		t.Fatalf("drained queue allocates %.1f objects per cycle, want 0", a)
+	}
+
+	b := NewQueue[int](3)
+	next, want := 1, 1 // 0 is the zero value vacated slots must hold
+	for i := 0; i < 1000; i++ {
+		for b.Len() < 3 {
+			b.Enqueue(next)
+			next++
+		}
+		got, _ := b.Dequeue()
+		if got != want {
+			t.Fatalf("dequeue %d = %d, want %d", i, got, want)
+		}
+		want++
+	}
+	if cap(b.items) > 8 {
+		t.Fatalf("standing backlog of 3 grew the array to %d slots", cap(b.items))
+	}
+	for i := 0; i < b.head; i++ {
+		if b.items[i] != 0 {
+			t.Fatalf("vacated slot %d still holds %d", i, b.items[i])
+		}
+	}
+}
+
 func TestErrDown(t *testing.T) {
 	err := &ErrDown{If: "pr0"}
 	if err.Error() != "netif: pr0 is down" {

@@ -110,7 +110,7 @@ func (csmaAccessor) ParamsChanged(t *Transceiver, old Params) {
 	}
 	t.slot = now
 	t.ch.sched.Cancel(t.wake)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlot)
+	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
 }
 
 func (csmaAccessor) Deliver(_ *Transceiver, frame []byte, _ bool) ([]byte, bool) {
@@ -208,15 +208,15 @@ func (t *Transceiver) TakeQueued() ([]byte, bool) {
 	if len(t.queue) == 0 {
 		return nil, false
 	}
-	f := t.queue[0]
-	t.queue = t.queue[1:]
-	return f, true
+	return t.popQueue(), true
 }
 
 // RequeueHead puts a frame taken with TakeQueued back at the head of
 // the queue — the undo for an admission the radio refused.
 func (t *Transceiver) RequeueHead(frame []byte) {
-	t.queue = append([][]byte{frame}, t.queue...)
+	t.queue = append(t.queue, nil)
+	copy(t.queue[1:], t.queue)
+	t.queue[0] = frame
 }
 
 // Transmitting reports whether t currently has a frame keyed up.

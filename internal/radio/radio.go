@@ -233,12 +233,21 @@ type transmission struct {
 	control    bool // MAC control frame (poll), for overhead accounting
 	start, end sim.Time
 	done       *sim.Event // delivery at end-of-frame; cancelled by Retune
-	// damagedAt marks receivers whose copy is destroyed by overlap.
+	// damagedAt marks receivers whose copy is destroyed by overlap;
+	// nil until the first collision.
 	damagedAt map[*Transceiver]bool
 }
 
 func (t *transmission) overlaps(u *transmission) bool {
 	return t.start < u.end && u.start < t.end
+}
+
+// damage marks r's copy of t as destroyed by overlap.
+func (t *transmission) damage(r *Transceiver) {
+	if t.damagedAt == nil {
+		t.damagedAt = make(map[*Transceiver]bool)
+	}
+	t.damagedAt[r] = true
 }
 
 // TxStats counts per-transceiver events.
@@ -358,6 +367,8 @@ type Transceiver struct {
 	csmaRng  *rand.Rand
 	noiseRng *rand.Rand
 
+	// queue holds the owned copies of frames awaiting transmission,
+	// oldest first (popQueue).
 	queue      [][]byte
 	contending bool
 
@@ -368,8 +379,9 @@ type Transceiver struct {
 	// channel wait-list. Invariant: every grid slot that passes while
 	// the wake is pending was carrier-busy, so the stretch
 	// [slot, wakeTime) settles as deferrals when the wake fires.
-	slot sim.Time
-	wake *sim.Event
+	slot     sim.Time
+	wake     *sim.Event
+	onSlotFn func() // cached onSlot, so arming a wake never allocates a closure
 
 	transmitting   bool
 	txStart, txEnd sim.Time
@@ -385,6 +397,7 @@ func (c *Channel) Attach(name string, params Params) *Transceiver {
 		csmaRng:  rand.New(rand.NewSource(c.sched.DeriveSeed())),
 		noiseRng: rand.New(rand.NewSource(c.sched.DeriveSeed())),
 	}
+	t.onSlotFn = t.onSlot
 	c.stations = append(c.stations, t)
 	c.addAccessor(t.acc)
 	return t
@@ -582,7 +595,8 @@ func (t *Transceiver) CSMADeferrals() uint64 {
 }
 
 // Send queues one frame (a fully framed byte string, FCS included) for
-// CSMA transmission. The slice is copied.
+// CSMA transmission. The slice is copied: the copy is the on-air frame
+// every receiver will share, so the caller may reuse its buffer.
 func (t *Transceiver) Send(frame []byte) {
 	if t.MaxQueue > 0 && len(t.queue) >= t.MaxQueue {
 		t.Stats.QueueDrops++
@@ -601,6 +615,17 @@ func (t *Transceiver) Send(frame []byte) {
 	}
 }
 
+// popQueue removes and returns the head-of-queue frame. The rest slide
+// down one slot and the vacated slot is zeroed, so the backing array is
+// reused from the front and a queue that drains never regrows it.
+func (t *Transceiver) popQueue() []byte {
+	f := t.queue[0]
+	n := copy(t.queue, t.queue[1:])
+	t.queue[n] = nil
+	t.queue = t.queue[:n]
+	return f
+}
+
 // giveUp drops the head-of-queue frame once it has exhausted the
 // MaxDeferrals patience budget. It reports true when contention should
 // stop because the queue drained.
@@ -608,8 +633,7 @@ func (t *Transceiver) giveUp() bool {
 	if t.MaxDeferrals == 0 || t.frameDeferrals < t.MaxDeferrals || len(t.queue) == 0 {
 		return false
 	}
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.Stats.CSMAGiveUps++
 	t.frameDeferrals = 0
 	if t.OnDrop != nil {
@@ -633,7 +657,7 @@ func (t *Transceiver) startContention() {
 	}
 	t.slot = now
 	t.ch.addWaiter(t)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlot)
+	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
 }
 
 // stopContention retires the waiter state (the wake event has fired or
@@ -701,7 +725,7 @@ func (t *Transceiver) onSlot() {
 				return
 			}
 			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlot)
+			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
 			return
 		}
 		if t.csmaRng.Float64() >= p.Persist {
@@ -711,13 +735,12 @@ func (t *Transceiver) onSlot() {
 				return
 			}
 			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlot)
+			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
 			return
 		}
 	}
 	t.stopContention()
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	// frameDeferrals resets after the key-up so the tx-start trace hook
 	// can report what this frame waited through.
 	t.transmitFrame(frame, false)
@@ -760,8 +783,7 @@ func (t *Transceiver) contend() {
 		}
 	}
 	t.contending = false
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.transmitFrame(frame, false)
 	t.frameDeferrals = 0
 }
@@ -769,8 +791,7 @@ func (t *Transceiver) contend() {
 // giveUpPerSlot is the per-slot path's give-up: drop the head frame and
 // report whether contention should continue for a successor.
 func (t *Transceiver) giveUpPerSlot() bool {
-	frame := t.queue[0]
-	t.queue = t.queue[1:]
+	frame := t.popQueue()
 	t.Stats.CSMAGiveUps++
 	t.frameDeferrals = 0
 	if t.OnDrop != nil {
@@ -814,12 +835,11 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	now := c.sched.Now()
 	dur := t.Params.TXDelay + c.AirTime(len(frame))
 	tx := &transmission{
-		sender:    t,
-		frame:     frame,
-		control:   control,
-		start:     now,
-		end:       now.Add(dur),
-		damagedAt: make(map[*Transceiver]bool),
+		sender:  t,
+		frame:   frame,
+		control: control,
+		start:   now,
+		end:     now.Add(dur),
 	}
 	t.transmitting = true
 	t.txStart, t.txEnd = tx.start, tx.end
@@ -845,8 +865,8 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 			hearsNew := c.reachable(t, r)
 			hearsOld := c.reachable(other.sender, r)
 			if hearsNew && hearsOld {
-				tx.damagedAt[r] = true
-				other.damagedAt[r] = true
+				tx.damage(r)
+				other.damage(r)
 			}
 		}
 	}

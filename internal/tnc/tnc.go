@@ -79,8 +79,15 @@ type TNC struct {
 	params kiss.Params
 	dec    kiss.Decoder
 
+	// hostQ holds the bodies of frames bound for the host: the shared,
+	// read-only on-air bytes, which a receiver may keep (ax25.Hear).
+	// pumpHost KISS-encodes each into hostBuf as it goes on the line,
+	// and fromHost builds FCS-suffixed frames in txBuf for the radio,
+	// which copies them.
 	hostQ       *netif.Queue[[]byte]
 	hostSending bool
+	hostBuf     []byte
+	txBuf       []byte
 }
 
 // New builds a KISS TNC between a host serial end and a radio
@@ -149,9 +156,9 @@ func (t *TNC) fromHost(f kiss.Frame) {
 	t.Stats.FromHost++
 	// The KISS TNC appends the FCS and transmits; it does not inspect
 	// the AX.25 payload at all.
-	framed := ax25.AppendFCS(append([]byte(nil), f.Payload...))
+	t.txBuf = ax25.AppendFCS(append(t.txBuf[:0], f.Payload...))
 	t.Stats.Transmitted++
-	t.rf.Send(framed)
+	t.rf.Send(t.txBuf)
 }
 
 // fromRadio handles one frame heard on the channel.
@@ -176,8 +183,7 @@ func (t *TNC) fromRadio(framed []byte, damaged bool) {
 			return
 		}
 	}
-	enc := kiss.Encode(nil, 0, h.Body)
-	if !t.hostQ.Enqueue(enc) {
+	if !t.hostQ.Enqueue(h.Body) {
 		t.Stats.HostDrops++
 		if t.OnDrop != nil {
 			t.OnDrop("tnc host queue overflow", h.Body)
@@ -193,14 +199,15 @@ func (t *TNC) pumpHost() {
 	if t.hostSending && !t.host.Drained() {
 		return
 	}
-	frame, ok := t.hostQ.Dequeue()
+	body, ok := t.hostQ.Dequeue()
 	if !ok {
 		t.hostSending = false
 		return
 	}
 	t.hostSending = true
 	t.Stats.ToHost++
-	t.host.Write(frame)
+	t.hostBuf = kiss.Encode(t.hostBuf[:0], 0, body)
+	t.host.Write(t.hostBuf)
 }
 
 // HostBacklog reports frames waiting for the serial line — the §3

@@ -27,7 +27,10 @@ func newStation(s *sim.Scheduler, ch *radio.Channel, call string, baud int) *sta
 	rf := ch.Attach(call, radio.Params{TXDelay: 100 * time.Millisecond, Persist: 1.0, SlotTime: 50 * time.Millisecond})
 	st.host = hostEnd
 	st.tnc = New(s, tncEnd, rf, ax25.MustAddr(call))
-	st.dec.Frame = func(f kiss.Frame) { st.rx = append(st.rx, f) }
+	st.dec.Frame = func(f kiss.Frame) {
+		f.Payload = append([]byte(nil), f.Payload...) // the decoder only lends it
+		st.rx = append(st.rx, f)
+	}
 	hostEnd.SetReceiver(st.dec.PutByte)
 	return st
 }

@@ -1,10 +1,10 @@
-// Simulator-core benchmarks: the wall-clock cost of stepping the
-// Figure-1 chain, before and after the burst-mode datapath refactor.
-// TestWriteSimCoreBench regenerates BENCH_simcore.json so the repo
-// carries the perf trajectory of the simulator itself alongside the
-// socket-layer numbers in BENCH_sockets.json. Event counts are
-// deterministic (virtual clock, fixed seeds); ns/op values are wall
-// time on whatever machine last regenerated the file.
+// Simulator-core benchmarks: the deterministic cost of stepping the
+// Figure-1 chain and the generated worlds. TestWriteSimCoreBench
+// regenerates BENCH_simcore.json, whose every field is a pure function
+// of the seed and the code (event counts, deliveries, allocations), so
+// a regeneration is byte-identical unless behaviour moved, and
+// TestEventGate holds it exactly. Wall time belongs to prbench in
+// bench/, which measures it with spreads.
 package packetradio
 
 import (
@@ -38,14 +38,6 @@ func macCell(n int, mac world.MACMode) map[string]float64 {
 	}
 }
 
-// preBurstSeattlePingNs is BenchmarkSeattlePing at the commit before
-// the burst-mode datapath landed (per-byte serial events, allocating
-// scheduler), measured on the same class of machine that produced the
-// current numbers below. The acceptance bar for the refactor was 3x;
-// see "seattle_ping_speedup" in BENCH_simcore.json for the measured
-// value.
-const preBurstSeattlePingNs = 86598.0
-
 // seattlePingIters is the iteration count behind the events/op numbers
 // in BENCH_simcore.json. TestEventGate recomputes with the same count:
 // the quotient depends on it (ARP refresh and ICMP id sequencing
@@ -53,29 +45,61 @@ const preBurstSeattlePingNs = 86598.0
 // must share it.
 const seattlePingIters = 20000
 
-// seattlePing measures one warm ping through the full chain, returning
-// wall ns/op and scheduler events/op over iters iterations.
-func seattlePing(perByte bool, iters int) (nsPerOp float64, eventsPerOp float64) {
-	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1, PerByteSerial: perByte})
-	done := false
-	s.PCs[0].Stack.Ping(world.GatewayIP, 8, func(uint16, time.Duration, ip.Addr) { done = true })
+// warmSeattle builds the one-PC Figure-1 world and warms the PC's ARP
+// entry for the gateway with one small ping. It returns a function
+// that sends one warm 64-byte ping through the full chain and runs the
+// world for a simulated minute, reporting whether the reply came back.
+func warmSeattle(perByte bool) (s *world.Seattle, ping func() bool) {
+	s = world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1, PerByteSerial: perByte})
+	ok := false
+	reply := func(uint16, time.Duration, ip.Addr) { ok = true }
+	s.PCs[0].Stack.Ping(world.GatewayIP, 8, reply)
 	s.W.Run(5 * time.Minute)
-	if !done {
+	if !ok {
 		panic("warmup ping failed")
 	}
-	firedBefore := s.W.Sched.Fired()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		ok := false
-		s.PCs[0].Stack.Ping(world.GatewayIP, 64, func(uint16, time.Duration, ip.Addr) { ok = true })
+	return s, func() bool {
+		ok = false
+		s.PCs[0].Stack.Ping(world.GatewayIP, 64, reply)
 		s.W.Run(time.Minute)
-		if !ok {
+		return ok
+	}
+}
+
+// seattlePing returns the scheduler events one warm ping fires through
+// the full chain, averaged over iters pings.
+func seattlePing(perByte bool, iters int) (eventsPerOp float64) {
+	s, ping := warmSeattle(perByte)
+	firedBefore := s.W.Sched.Fired()
+	for i := 0; i < iters; i++ {
+		if !ping() {
 			panic("ping lost")
 		}
 	}
-	wall := time.Since(start)
-	return float64(wall.Nanoseconds()) / float64(iters),
-		float64(s.W.Sched.Fired()-firedBefore) / float64(iters)
+	return float64(s.W.Sched.Fired()-firedBefore) / float64(iters)
+}
+
+// maxSeattlePingAllocs bounds the heap objects one warm ping allocates
+// end to end. The datapath copies bytes only where the model keeps them
+// across virtual time (DESIGN.md §3b, "Copy once per hop"); what is
+// left is the Ping call's own echo context and payload, the IP and
+// ICMP packets each host builds and parses, one radio frame and one
+// transmission per hop, and the driver's IP-queue copy.
+const maxSeattlePingAllocs = 24
+
+// TestSeattlePingAllocs is the allocation gate on the datapath: a
+// warm ping that allocates more than maxSeattlePingAllocs objects has
+// grown a per-hop copy or a per-frame closure back.
+func TestSeattlePingAllocs(t *testing.T) {
+	_, ping := warmSeattle(false)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !ping() {
+			t.Fatal("ping lost")
+		}
+	})
+	if allocs > maxSeattlePingAllocs {
+		t.Fatalf("a warm 64-byte ping allocates %.0f objects, want <= %d", allocs, maxSeattlePingAllocs)
+	}
 }
 
 func schedulerAllocsPerOp() float64 {
@@ -113,8 +137,8 @@ func tracingEventsPerSimS(n int, traced bool) float64 {
 // fires at least 5x fewer scheduler events per ping than the per-byte
 // chain, and the hot scheduler loop does not allocate.
 func TestWriteSimCoreBench(t *testing.T) {
-	burstNs, burstEvents := seattlePing(false, seattlePingIters)
-	_, perByteEvents := seattlePing(true, seattlePingIters/10)
+	burstEvents := seattlePing(false, seattlePingIters)
+	perByteEvents := seattlePing(true, seattlePingIters/10)
 
 	if burstEvents*5 > perByteEvents {
 		t.Fatalf("burst path fires %.0f events/ping vs %.0f per-byte — coalescing regressed",
@@ -143,7 +167,6 @@ func TestWriteSimCoreBench(t *testing.T) {
 				edge.EventsPerSimS, slot.EventsPerSimS)
 		}
 		scaling[fmt.Sprintf("n%d", n)] = map[string]float64{
-			"sim_s_per_wall_s":          edge.SimSPerWallS,
 			"events_per_sim_s":          edge.EventsPerSimS,
 			"events_per_sim_s_per_slot": slot.EventsPerSimS,
 			"csma_event_reduction":      slot.EventsPerSimS / edge.EventsPerSimS,
@@ -185,9 +208,8 @@ func TestWriteSimCoreBench(t *testing.T) {
 		}
 	}
 
-	// E18: the sharded engine against the single-loop reference. The
-	// wall-clock speedups are recorded for the trajectory but never
-	// asserted (machine-relative); what gates is the deterministic half:
+	// E18: the sharded engine against the single-loop reference. Only
+	// the deterministic half is recorded (wall speedups are prbench's):
 	// identical replies and identical event counts on both engines for
 	// every cell — both route Ethernet frames by MAC, so a partition
 	// moves events between schedulers but never adds or removes one.
@@ -200,9 +222,6 @@ func TestWriteSimCoreBench(t *testing.T) {
 		}
 		par[fmt.Sprintf("n%d_c%d", cell[0], cell[1])] = map[string]float64{
 			"workers":              float64(pt.Workers),
-			"sim_s_per_wall_s":     pt.ShardSimSPerWallS,
-			"sim_s_per_wall_s_seq": pt.SeqSimSPerWallS,
-			"speedup":              pt.Speedup,
 			"events_per_sim_s":     pt.ShardEventsPerSimS,
 			"events_per_sim_s_seq": pt.SeqEventsPerSimS,
 			"event_reduction":      pt.EventReduction,
@@ -223,10 +242,7 @@ func TestWriteSimCoreBench(t *testing.T) {
 	}
 
 	report := map[string]any{
-		"description":                              "simulator-core benchmarks: ns values are wall time on the machine that last regenerated this file; events/op values are deterministic",
-		"seattle_ping_ns_per_op_pre_burst":         preBurstSeattlePingNs,
-		"seattle_ping_ns_per_op":                   burstNs,
-		"seattle_ping_speedup":                     preBurstSeattlePingNs / burstNs,
+		"description":                              "simulator-core benchmarks: every value is deterministic (event counts, deliveries, allocations); wall time is measured by prbench in bench/",
 		"seattle_ping_events_per_op":               burstEvents,
 		"seattle_ping_events_per_op_per_byte_path": perByteEvents,
 		"scheduler_allocs_per_op":                  allocs,
