@@ -53,7 +53,7 @@ var index = []struct {
 	{"E15", "event-driven CSMA: events per simulated second, before/after", experiments.E15},
 	{"E16", "DAMA vs CSMA: delivery past the saturation knee", experiments.E16},
 	{"E17", "SOCK_RDM vs TCP: goodput and airtime on the 1200 bps path", experiments.E17},
-	{"E18", "sharded engine vs sequential: same replies, fewer events", experiments.E18},
+	{"E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference", experiments.E18},
 }
 
 func main() {

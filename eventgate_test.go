@@ -51,6 +51,8 @@ func TestEventGate(t *testing.T) {
 			DeliveryRatio    float64 `json:"delivery_ratio"`
 			Crossings        float64 `json:"crossings"`
 			Windows          float64 `json:"windows"`
+			MultiBusyWindows float64 `json:"multi_busy_windows"`
+			Bound2W          float64 `json:"bound_2w"`
 		} `json:"e18_parallel"`
 	}
 	if err := json.Unmarshal(raw, &committed); err != nil {
@@ -150,12 +152,12 @@ func TestEventGate(t *testing.T) {
 	}
 	// E18 cells: the sharded engine runs both engines per cell and every
 	// non-wall field is deterministic — event rates, crossings, window
-	// counts and delivery all gate exactly. The replies and event-count
-	// checks hold the sharded engine to the sequential engine's run
-	// (the engines must agree run for run, not just match a committed
-	// number): both route Ethernet frames by destination MAC, so
-	// partitioning a world moves events between schedulers without
-	// adding or removing one.
+	// counts, the two-worker bound and delivery all gate exactly. The
+	// replies and event-count checks hold the sharded engine to the
+	// sequential engine's run (the engines must agree run for run, not
+	// just match a committed number): both route Ethernet frames by
+	// destination MAC, so partitioning a world moves events between
+	// schedulers without adding or removing one.
 	for _, cell := range experiments.E18Cells() {
 		key := fmt.Sprintf("n%d_c%d", cell[0], cell[1])
 		want, ok := committed.E18Parallel[key]
@@ -188,6 +190,12 @@ func TestEventGate(t *testing.T) {
 		}
 		if float64(pt.Windows) != want.Windows {
 			t.Errorf("E18 %s windows = %v, committed %v", key, pt.Windows, want.Windows)
+		}
+		if float64(pt.MultiBusyWindows) != want.MultiBusyWindows {
+			t.Errorf("E18 %s multi_busy_windows = %v, committed %v", key, pt.MultiBusyWindows, want.MultiBusyWindows)
+		}
+		if pt.Bound2W != want.Bound2W {
+			t.Errorf("E18 %s bound_2w = %v, committed %v", key, pt.Bound2W, want.Bound2W)
 		}
 	}
 

@@ -34,6 +34,13 @@ type ParallelPoint struct {
 
 	Crossings uint64 // deterministic: cross-shard seam messages
 	Windows   uint64 // deterministic: conservative synchronization rounds
+
+	// The two-worker bound over the timed minutes (deterministic):
+	// the windows with two or more busy shards, and the timed events
+	// over the group's TwoWorkerSpan — the speedup two workers could
+	// reach if every event cost the same and coordination were free.
+	MultiBusyWindows uint64
+	Bound2W          float64
 }
 
 // parallelMemo caches ParallelRun results per cell within one process
@@ -59,6 +66,7 @@ func ParallelRun(n, channels, workers int) ParallelPoint {
 
 func parallelRunFresh(n, channels, workers int) ParallelPoint {
 	const simWindow = 3 * time.Minute
+	var multiBusy, span2, events uint64 // the sharded run's, over the timed window
 	step := func(w int) (*world.Large, float64, float64) {
 		lw := world.NewLarge(world.LargeConfig{
 			Seed:         1,
@@ -69,15 +77,21 @@ func parallelRunFresh(n, channels, workers int) ParallelPoint {
 		})
 		lw.W.Run(30 * time.Second) // warm-up: ARP + first ping wave, untimed
 		firedBefore := lw.W.EventsFired()
+		g := lw.W.Shards()
+		if g != nil {
+			multiBusy, span2 = g.MultiBusyWindows(), g.TwoWorkerSpan()
+		}
 		wallStart := time.Now()
 		lw.W.Run(simWindow)
 		wall := time.Since(wallStart)
 		if wall <= 0 {
 			wall = time.Nanosecond
 		}
-		return lw,
-			simWindow.Seconds() / wall.Seconds(),
-			float64(lw.W.EventsFired()-firedBefore) / simWindow.Seconds()
+		fired := lw.W.EventsFired() - firedBefore
+		if g != nil {
+			multiBusy, span2, events = g.MultiBusyWindows()-multiBusy, g.TwoWorkerSpan()-span2, fired
+		}
+		return lw, simWindow.Seconds() / wall.Seconds(), float64(fired) / simWindow.Seconds()
 	}
 
 	seq, seqRate, seqEv := step(0)
@@ -97,6 +111,8 @@ func parallelRunFresh(n, channels, workers int) ParallelPoint {
 		Delivery:           shd.DeliveryRatio(),
 		Crossings:          shd.W.Shards().Crossings(),
 		Windows:            shd.W.Shards().Windows(),
+		MultiBusyWindows:   multiBusy,
+		Bound2W:            float64(events) / float64(span2),
 	}
 	return pt
 }
@@ -124,13 +140,17 @@ var e18Cells = [][3]int{
 // reads 1.0x; deterministic, gated) and any speedup is parallelism
 // alone: on multi-core hosts the windows execute shards concurrently
 // (the workers knob; wall-clock only), against the cost of the
-// conservative windows themselves. Delivery is identical on both
-// engines by the construction-order seed argument in world.NewLarge —
-// the table marks any divergence loudly, and the event gate pins it.
+// conservative windows themselves. The last two columns bound that
+// speedup from the event schedule alone (deterministic, gated): how
+// many timed windows had two or more busy shards, and bound_2w, the
+// speedup two workers could reach if every event cost the same and
+// coordination were free. Delivery is identical on both engines by the
+// construction-order seed argument in world.NewLarge — the table marks
+// any divergence loudly, and the event gate pins it.
 func E18(w io.Writer) *Result {
 	r := newResult("E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference")
 	t := newTable(w, "E18", "same seeded worlds on both engines, 3 simulated minutes per cell")
-	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings")
+	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings", "multi-busy", "bound 2w")
 
 	for _, cell := range e18Cells {
 		pt := ParallelRun(cell[0], cell[1], cell[2])
@@ -144,6 +164,8 @@ func E18(w io.Writer) *Result {
 		r.set("delivery"+key, pt.Delivery)
 		r.set("crossings"+key, float64(pt.Crossings))
 		r.set("windows"+key, float64(pt.Windows))
+		r.set("multi_busy_windows"+key, float64(pt.MultiBusyWindows))
+		r.set("bound_2w"+key, pt.Bound2W)
 		mark := ""
 		if pt.ShardReplies != pt.SeqReplies || pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
 			mark = " ENGINES-DIVERGE" // equivalence broken: make it loud
@@ -156,12 +178,16 @@ func E18(w io.Writer) *Result {
 			fmt.Sprintf("%.1f", pt.ShardEventsPerSimS),
 			fmt.Sprintf("%.1fx", pt.EventReduction),
 			fmt.Sprintf("%.0f%%%s", pt.Delivery*100, mark),
-			pt.Crossings)
+			pt.Crossings,
+			pt.MultiBusyWindows,
+			fmt.Sprintf("%.3fx", pt.Bound2W))
 	}
 	t.flush()
 	fmt.Fprintln(w, "   (delivery and event counts are identical on both engines — both route")
 	fmt.Fprintln(w, "    Ethernet frames by MAC, and sharding moves events between schedulers,")
 	fmt.Fprintln(w, "    not physics; the speedup column is parallelism alone, net of the")
-	fmt.Fprintln(w, "    window synchronization cost)")
+	fmt.Fprintln(w, "    window synchronization cost; bound 2w is the most two workers could")
+	fmt.Fprintln(w, "    reach over the timed windows at equal cost per event and free")
+	fmt.Fprintln(w, "    coordination)")
 	return r
 }

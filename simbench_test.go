@@ -212,7 +212,9 @@ func TestWriteSimCoreBench(t *testing.T) {
 	// the deterministic half is recorded (wall speedups are prbench's):
 	// identical replies and identical event counts on both engines for
 	// every cell — both route Ethernet frames by MAC, so a partition
-	// moves events between schedulers but never adds or removes one.
+	// moves events between schedulers but never adds or removes one —
+	// and the two-worker bound every parallel speedup is checked
+	// against.
 	par := map[string]any{}
 	for _, cell := range experiments.E18Cells() {
 		pt := experiments.ParallelRun(cell[0], cell[1], cell[2])
@@ -229,6 +231,8 @@ func TestWriteSimCoreBench(t *testing.T) {
 			"delivery_ratio":       pt.Delivery,
 			"crossings":            float64(pt.Crossings),
 			"windows":              float64(pt.Windows),
+			"multi_busy_windows":   float64(pt.MultiBusyWindows),
+			"bound_2w":             pt.Bound2W,
 		}
 	}
 
@@ -270,6 +274,7 @@ func TestWriteSimCoreBench(t *testing.T) {
 // with -cpuprofile/-memprofile, or from the CLI via
 // prsim -scale 1000 -workers 4 -cpuprofile.
 func BenchmarkShardedLarge(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer() // construction and warm-up are not the measurement
 		lw := world.NewLarge(world.LargeConfig{
