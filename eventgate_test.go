@@ -2,10 +2,10 @@
 // functions of the seed and the code — the virtual clock makes them
 // bit-deterministic across machines — so unlike the ns/op numbers in
 // BENCH_simcore.json they can be held to exact equality. Any change
-// that fires one extra event per ping or per CSMA slot shows up here
-// as a hard CI failure, with the committed JSON as the baseline;
-// regenerate it with TestWriteSimCoreBench when the change is
-// intentional and explain the delta in the PR.
+// that fires one extra event per ping or per CSMA transmission attempt
+// shows up here as a hard CI failure, with the committed JSON as the
+// baseline; regenerate it with TestWriteSimCoreBench when the change
+// is intentional and explain the delta in the PR.
 package packetradio
 
 import (

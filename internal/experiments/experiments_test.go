@@ -298,7 +298,7 @@ func TestE15EventDrivenCSMAWins(t *testing.T) {
 	// utilized rather than drowning in ARP retry storms, so the
 	// carrier-edge saving is smaller than the 3x+ it showed on the
 	// strict-RFC-826 mix — but it must still be clearly present at
-	// N=200 (measured 1.5x; a vanished refactor reads 1.0x).
+	// N=200 (measured 2.8x; a vanished refactor reads 1.0x).
 	if red := r.Get("csma_event_reduction_n200"); red < 1.3 {
 		t.Fatalf("N=200 event reduction %.2fx, want >= 1.3x", red)
 	}

@@ -263,10 +263,12 @@ type Lane struct {
 
 	// A transmission reaches every receiver on the channel in one loop
 	// as the same read-only slice; the last on-air decode is kept,
-	// keyed by that slice, so it serves them all.
+	// keyed by that slice, so it serves them all. airDst is its link
+	// destination as AX.25 prints it, SSID included.
 	airB   []byte
 	airF   *ax25.Frame
 	airPkt *ip.Packet
+	airDst string
 }
 
 // add buffers one crossing of the datagram at the lane's current
@@ -383,18 +385,24 @@ func (ln *Lane) MAC(who, event string, frame []byte, arg string) {
 	}
 }
 
-// Air records one receiver's copy of a transmission; outcome is "ok"
-// for an intact copy, else what destroyed it. Only the link-layer
-// addressee's copy moves a journey: an intact one is its air arrival,
-// a destroyed one its loss. Overheard copies at bystanders don't cross
-// the journey's path.
+// Air records one receiver's copy of a transmission; receiverCall is
+// the receiver's callsign as AX.25 prints it ("N7AKR", "KB7DZ-4"), and
+// outcome is "ok" for an intact copy, else what destroyed it. Only the
+// link-layer addressee's copy moves a journey: an intact one is its
+// air arrival, a destroyed one its loss. Overheard copies at
+// bystanders, including stations that share the callsign under another
+// SSID, don't cross the journey's path.
 func (ln *Lane) Air(receiverCall string, frame []byte, outcome string) {
 	if len(frame) == 0 || len(frame) != len(ln.airB) || &frame[0] != &ln.airB[0] {
 		ln.airB = frame
 		ln.airF, ln.airPkt = decode(frame)
+		ln.airDst = ""
+		if ln.airF != nil {
+			ln.airDst = ln.airF.LinkDst().String()
+		}
 	}
 	f, pkt := ln.airF, ln.airPkt
-	if f != nil && f.LinkDst().Callsign() == receiverCall {
+	if f != nil && ln.airDst == receiverCall {
 		if outcome == "ok" {
 			ln.add(pkt, PtAirRx, receiverCall, "")
 		} else {

@@ -51,8 +51,8 @@ type Accessor interface {
 	Deliver(t *Transceiver, frame []byte, damaged bool) (payload []byte, consumed bool)
 
 	// KeyUp is the channel-wide carrier-edge hook: sender just keyed
-	// up on c. The CSMA accessor slides parked waiters' wakes to the
-	// far side of the new carrier.
+	// up on c. The CSMA accessor re-plans the parked waiters whose
+	// planned slots the new carrier now covers.
 	KeyUp(c *Channel, sender *Transceiver)
 
 	// CarrierChanged is the other carrier-schedule edge: an early
@@ -65,7 +65,8 @@ type Accessor interface {
 // csma is the default accessor: the event-driven p-persistent CSMA of
 // DESIGN.md §3c (with the seed per-slot path behind Params.PerSlotCSMA).
 // One instance serves every transceiver — all its state lives on the
-// Transceiver (slot grid, wake event) and the Channel (wait-list).
+// Transceiver (slot grid, wake event, planned draws) and the Channel
+// (wait-list).
 var csma Accessor = &csmaAccessor{}
 
 type csmaAccessor struct{}
@@ -80,11 +81,16 @@ func (csmaAccessor) TxDone(t *Transceiver) {
 
 func (csmaAccessor) Detach(t *Transceiver) {
 	// Migrate a pending event-driven deferral: off the wait-list, wake
-	// cancelled, so contention restarts cleanly on the next channel. (A
-	// per-slot contender keeps its scheduled contend closure, which
-	// simply finds t.ch pointing at the new channel — the seed
-	// behaviour.)
+	// cancelled, so contention restarts cleanly on the next channel. The
+	// planned losers before now were decided and settle as their slots'
+	// wakes would have; the busy stretch after the last one is not
+	// counted, and the remaining draws stay in the FIFO for the next
+	// channel. (A per-slot contender keeps its scheduled contend
+	// closure, which simply finds t.ch pointing at the new channel — the
+	// seed behaviour.)
 	if t.wake != nil {
+		t.settleLosers(t.ch.sched.Now(), t.Params.slotTime())
+		t.losers = t.losers[:0]
 		t.ch.removeWaiter(t)
 		t.ch.sched.Cancel(t.wake)
 		t.wake = nil
@@ -93,24 +99,27 @@ func (csmaAccessor) Detach(t *Transceiver) {
 }
 
 func (csmaAccessor) ParamsChanged(t *Transceiver, old Params) {
-	// Mid-defer, the pending wake and the settlement arithmetic were
-	// computed against the old slot grid: settle the slots already
-	// passed under the old SlotTime and re-anchor contention on the new
-	// parameters at the current instant. Idle (wake == nil), the field
-	// write alone was enough.
+	// Mid-defer, the pending wake, its planned losers and the
+	// settlement arithmetic were computed against the old slot grid:
+	// settle the plan through its last loser before now, then count the
+	// old-grid slots still before now, and re-anchor contention on the
+	// new parameters at the current instant. The planned draws not yet
+	// settled stay in the FIFO, to be judged against the new
+	// persistence. Idle (wake == nil), the field write alone was enough.
 	if t.wake == nil {
 		return
 	}
 	now := t.ch.sched.Now()
+	oldSlot := old.slotTime()
+	t.settleLosers(now, oldSlot)
 	if d := now.Sub(t.slot); d > 0 {
-		oldSlot := old.slotTime()
 		// Ceiling division: every old-grid instant strictly before now
 		// passed under busy carrier (the settled-deferral invariant).
 		t.Stats.CSMADeferrals += uint64((d + oldSlot - 1) / oldSlot)
 	}
 	t.slot = now
 	t.ch.sched.Cancel(t.wake)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
+	t.wake = t.ch.sched.At(t.walk(now, 0), t.onSlotFn)
 }
 
 func (csmaAccessor) Deliver(_ *Transceiver, frame []byte, _ bool) ([]byte, bool) {
@@ -118,21 +127,27 @@ func (csmaAccessor) Deliver(_ *Transceiver, frame []byte, _ bool) ([]byte, bool)
 }
 
 func (csmaAccessor) KeyUp(c *Channel, sender *Transceiver) {
-	// Carrier edge: waiters whose parked slot the new carrier now
-	// covers slide their wake to the far side of it (never earlier, so
-	// the settled-deferral invariant holds).
+	// Carrier edge: the new carrier is audible from cut on. A waiter
+	// whose wake comes earlier keeps its plan; any other keeps its
+	// planned losers before cut and re-plans the slots from cut on,
+	// which the new carrier may have turned busy (so the wake never
+	// moves earlier, and the settled-deferral invariant holds).
+	cut := c.sched.Now().Add(c.DCDDelay)
 	for _, u := range c.waiters {
 		if u == sender || u.wake == nil {
 			continue
 		}
 		w := u.wake.When()
-		if nw := u.firstIdleSlot(w); nw != w {
+		if w < cut {
+			continue
+		}
+		if nw := u.replan(cut); nw != w {
 			c.sched.Reschedule(u.wake, nw)
 		}
 	}
 }
 
-func (csmaAccessor) CarrierChanged(c *Channel) { c.reresolveWaiters() }
+func (csmaAccessor) CarrierChanged(c *Channel) { c.replanWaiters() }
 
 // --- accessor bookkeeping on the channel --------------------------------
 

@@ -13,14 +13,17 @@ import (
 // against the seed per-slot polling path on arbitrary traffic
 // programs, the way FuzzDecoder cross-checks bulk KISS decode against
 // PutByte. The fuzz input is a tiny byte-coded schedule: each triple
-// (station, size, gap) queues one frame; a header byte picks the
-// station count, bit-error rate and an optional hidden pair. Both
-// modes must produce the identical delivery trace and drain the
-// wait-list.
+// (station, size, gap) queues one frame, or, with the station byte's
+// high bit set, flips whether that station is heard by another one
+// (the size byte picks which), so reachability changes land under
+// live carriers and planned draws; a header byte picks the station
+// count, bit-error rate and an optional hidden pair. Both modes must
+// produce the identical delivery trace and drain the wait-list.
 func FuzzContention(f *testing.F) {
 	f.Add(int64(1), []byte{3, 0, 0, 50, 1, 1, 60, 2, 2, 80, 3})
 	f.Add(int64(7), []byte{0x85, 0, 200, 0, 1, 200, 0, 2, 200, 0, 3, 200, 0})
 	f.Add(int64(42), []byte{0x43, 0, 10, 5, 1, 120, 0, 1, 30, 2, 0, 90, 7})
+	f.Add(int64(5), []byte{0x02, 0, 200, 0, 1, 40, 1, 2, 40, 0, 0x80, 1, 3, 0x81, 0, 8, 0x80, 1, 9})
 	f.Fuzz(func(t *testing.T, seed int64, prog []byte) {
 		if len(prog) == 0 {
 			return
@@ -56,9 +59,19 @@ func FuzzContention(f *testing.F) {
 			}
 			at := time.Duration(0)
 			for o := 0; o+2 < len(ops); o += 3 {
-				st := rfs[int(ops[o])%stations]
-				size := 16 + int(ops[o+1])
+				st := rfs[int(ops[o]&0x7f)%stations]
 				at += time.Duration(ops[o+2]) * 100 * time.Millisecond
+				if ops[o]&0x80 != 0 {
+					// A flip lands a few milliseconds and one nanosecond
+					// past the frame schedule: off the slot grids, where
+					// the two modes could order it differently against a
+					// same-instant decision.
+					to := rfs[(int(ops[o]&0x7f)+1+int(ops[o+1])%(stations-1))%stations]
+					flipAt := sim.Time(at + time.Duration(ops[o+2]&7)*time.Millisecond + 1)
+					s.At(flipAt, func() { ch.SetReachable(st, to, !ch.reachable(st, to)) })
+					continue
+				}
+				size := 16 + int(ops[o+1])
 				s.At(sim.Time(at), func() { st.Send(make([]byte, size)) })
 			}
 			s.Run()

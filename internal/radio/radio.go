@@ -21,17 +21,18 @@
 // real system it lives in the TNC, which owns those parameters.
 //
 // Contention is event-driven (DESIGN.md §3c): a deferred transmitter
-// does not poll the carrier once per SlotTime. Instead it computes, on
-// its own slot grid, the first instant the currently scheduled
-// transmissions leave idle, parks on the channel's wait-list with one
-// wake event at that instant, and is re-resolved on carrier edges
-// (key-up, and early release via Retune). Slots that pass while parked
-// are settled as CSMADeferrals in one step, and persistence draws
-// still happen one per idle slot from the transceiver's private RNG,
-// so the observable outcome — deferral counts, transmit instants,
-// collision windows — is identical to the seed per-slot polling path,
-// which survives behind Params.PerSlotCSMA for the equivalence
-// regression tests.
+// does not poll the carrier once per SlotTime. Instead it walks its own
+// slot grid past the stretches the currently scheduled transmissions
+// keep busy, takes the persistence draws for the idle slots ahead of
+// time from its private RNG, and parks on the channel's wait-list with
+// one wake event at the first slot whose draw wins (or where its
+// MaxDeferrals patience runs out). It is re-planned on carrier edges
+// (key-up, and early release via Retune). Busy slots and lost draws
+// that pass while parked are settled as CSMADeferrals in one step, and
+// every draw is decided in the per-slot order, so the observable
+// outcome — deferral counts, transmit instants, collision windows — is
+// identical to the seed per-slot polling path, which survives behind
+// Params.PerSlotCSMA for the equivalence regression tests.
 package radio
 
 import (
@@ -117,7 +118,7 @@ type Channel struct {
 	// waiters are transceivers with a deferred transmission pending: an
 	// event-driven contender appears here from the moment its frame has
 	// to wait for the carrier (or a persistence draw) until it keys up,
-	// leaves on key-up or Retune, and is re-resolved on carrier edges.
+	// leaves on key-up or Retune, and is re-planned on carrier edges.
 	waiters []*Transceiver
 
 	// unreachable holds ordered pairs (from,to) that cannot hear each
@@ -362,25 +363,38 @@ type Transceiver struct {
 	// Scheduler.DeriveSeed at Attach, so one station's draw sequence is
 	// a function of its attach position alone: adding stations (or
 	// reordering their traffic) never perturbs anyone else's CSMA
-	// outcomes, and batched draws stay sequence-identical to per-slot
-	// ones.
-	csmaRng  *rand.Rand
-	noiseRng *rand.Rand
+	// outcomes, and draws taken ahead stay sequence-identical to
+	// per-slot ones. noiseRng is built from noiseSeed on the first BER
+	// draw (noise), so a clean channel never pays for one.
+	csmaRng   *rand.Rand
+	noiseRng  *rand.Rand
+	noiseSeed int64
 
 	// queue holds the owned copies of frames awaiting transmission,
 	// oldest first (popQueue).
 	queue      [][]byte
 	contending bool
 
-	// Event-driven contention state: slot is the next undecided instant
-	// on this transceiver's slot grid (anchored where contention
-	// started, advancing by SlotTime); wake is the single pending
-	// decision event, non-nil exactly while the transceiver is on the
-	// channel wait-list. Invariant: every grid slot that passes while
-	// the wake is pending was carrier-busy, so the stretch
-	// [slot, wakeTime) settles as deferrals when the wake fires.
+	// Event-driven contention state: slot is the first unsettled
+	// instant on this transceiver's slot grid (anchored where
+	// contention started, advancing by SlotTime); wake is the single
+	// pending decision event, non-nil exactly while the transceiver is
+	// on the channel wait-list. Invariant: every grid slot that passes
+	// while the wake is pending was carrier-busy or lost its
+	// persistence draw, so the stretch [slot, wakeTime) settles as
+	// deferrals when the wake fires.
+	//
+	// draws is the FIFO of persistence draws taken from csmaRng ahead
+	// of their slots, oldest first; losers holds the instants of the
+	// planned idle slots whose draws lose, losers[i] owning draws[i].
+	// A draw leaves the FIFO only when its slot settles, so the draws
+	// decide the same slots, in the same order, as on the per-slot
+	// path. Both buffers are reused, so planning allocates nothing in
+	// steady state.
 	slot     sim.Time
 	wake     *sim.Event
+	draws    []float64
+	losers   []sim.Time
 	onSlotFn func() // cached onSlot, so arming a wake never allocates a closure
 
 	transmitting   bool
@@ -390,12 +404,12 @@ type Transceiver struct {
 // Attach adds a new transceiver to the channel.
 func (c *Channel) Attach(name string, params Params) *Transceiver {
 	t := &Transceiver{
-		Name:     name,
-		Params:   params.withDefaults(),
-		ch:       c,
-		acc:      csma,
-		csmaRng:  rand.New(rand.NewSource(c.sched.DeriveSeed())),
-		noiseRng: rand.New(rand.NewSource(c.sched.DeriveSeed())),
+		Name:      name,
+		Params:    params.withDefaults(),
+		ch:        c,
+		acc:       csma,
+		csmaRng:   rand.New(rand.NewSource(c.sched.DeriveSeed())),
+		noiseSeed: c.sched.DeriveSeed(),
 	}
 	t.onSlotFn = t.onSlot
 	c.stations = append(c.stations, t)
@@ -572,17 +586,17 @@ func (t *Transceiver) QueueLen() int { return len(t.queue) }
 // CSMADeferrals reports the deferral count as of the current instant.
 // The event-driven path settles skipped slots in bulk when its wake
 // fires, so mid-defer the raw Stats.CSMADeferrals field lags by the
-// slots currently parked under a busy carrier; this accessor counts
-// them in, making the value slot-exact at any read point — the same
-// interpolated-observation contract as serial.End.QueueLen (DESIGN.md
-// §3b).
+// slots passed since the last wake, busy or lost to a planned draw;
+// this accessor counts them in, making the value slot-exact at any read
+// point — the same interpolated-observation contract as
+// serial.End.QueueLen (DESIGN.md §3b).
 func (t *Transceiver) CSMADeferrals() uint64 {
 	n := t.Stats.CSMADeferrals
 	now := t.ch.sched.Now()
 	if t.wake != nil {
-		// Every grid slot in [t.slot, now) passed under busy carrier —
-		// the wake would otherwise have fired there — and the slot at
-		// now itself stands busy too unless it is the pending decision
+		// Every grid slot in [t.slot, now) was carrier-busy or lost its
+		// draw — the wake would otherwise have fired there — and so is
+		// the slot at now itself unless it is the pending decision
 		// instant (wake exactly at now, not yet fired).
 		if d := now.Sub(t.slot); d >= 0 {
 			n += uint64(d / t.Params.slotTime())
@@ -626,11 +640,15 @@ func (t *Transceiver) popQueue() []byte {
 	return f
 }
 
+// spent reports whether n slot waits exhaust the MaxDeferrals
+// patience budget.
+func (t *Transceiver) spent(n uint64) bool { return t.MaxDeferrals > 0 && n >= t.MaxDeferrals }
+
 // giveUp drops the head-of-queue frame once it has exhausted the
 // MaxDeferrals patience budget. It reports true when contention should
 // stop because the queue drained.
 func (t *Transceiver) giveUp() bool {
-	if t.MaxDeferrals == 0 || t.frameDeferrals < t.MaxDeferrals || len(t.queue) == 0 {
+	if !t.spent(t.frameDeferrals) || len(t.queue) == 0 {
 		return false
 	}
 	frame := t.popQueue()
@@ -657,7 +675,7 @@ func (t *Transceiver) startContention() {
 	}
 	t.slot = now
 	t.ch.addWaiter(t)
-	t.wake = t.ch.sched.At(t.firstIdleSlot(now), t.onSlotFn)
+	t.wake = t.ch.sched.At(t.walk(now, 0), t.onSlotFn)
 }
 
 // stopContention retires the waiter state (the wake event has fired or
@@ -673,11 +691,8 @@ func (t *Transceiver) stopContention() {
 // for t. Busy stretches are skipped arithmetically in whole slots —
 // the carrier-edge replacement for one polling event per SlotTime.
 // Transmissions keyed up later can only push the result later; they
-// re-resolve the waiter at key-up.
+// re-plan the waiter at key-up.
 func (t *Transceiver) firstIdleSlot(from sim.Time) sim.Time {
-	if t.Params.FullDuplex {
-		return from // full duplex never defers to carrier
-	}
 	slotTime := t.Params.slotTime()
 	slot := from
 	for {
@@ -690,23 +705,110 @@ func (t *Transceiver) firstIdleSlot(from sim.Time) sim.Time {
 	}
 }
 
+// walk plans t's wake from grid slot from, keeping the first kept
+// planned losers (those before from), and returns the wake instant. It
+// skips busy stretches with firstIdleSlot and decides each idle slot
+// with the next draw in the FIFO, taking a fresh one from csmaRng when
+// the FIFO runs out. It stops at the first idle slot whose draw wins or
+// where the per-slot path would give the head frame up (MaxDeferrals
+// reached before the draw, or by losing it); every idle slot before
+// that is a planned loser. Full duplex never defers, so it takes no
+// draw and wakes at from.
+func (t *Transceiver) walk(from sim.Time, kept int) sim.Time {
+	t.losers = t.losers[:kept]
+	if t.Params.FullDuplex {
+		return from
+	}
+	slotTime := t.Params.slotTime()
+	for slot := from; ; slot = slot.Add(slotTime) {
+		slot = t.firstIdleSlot(slot)
+		// Every grid slot in [t.slot, slot) is a deferral by the time
+		// the frame reaches this one.
+		n := t.frameDeferrals + uint64(slot.Sub(t.slot)/slotTime)
+		if t.spent(n) {
+			return slot
+		}
+		i := len(t.losers)
+		if i == len(t.draws) {
+			t.draws = append(t.draws, t.csmaRng.Float64())
+		}
+		if t.draws[i] < t.Params.Persist || t.spent(n+1) {
+			return slot
+		}
+		t.losers = append(t.losers, slot)
+	}
+}
+
+// replan re-plans a waiting t from its first grid slot at or after
+// from. Planned losers before that slot stay planned; the draws of the
+// rest go back to the front of the FIFO for the slots ahead. It
+// returns the new wake instant; the caller moves the wake event.
+func (t *Transceiver) replan(from sim.Time) sim.Time {
+	slotTime := t.Params.slotTime()
+	if d := from.Sub(t.slot); d > 0 {
+		from = t.slot.Add((d + slotTime - 1) / slotTime * slotTime)
+	} else {
+		from = t.slot
+	}
+	kept := 0
+	for kept < len(t.losers) && t.losers[kept] < from {
+		kept++
+	}
+	return t.walk(from, kept)
+}
+
+// settle advances t.slot to at, a grid instant, counting every slot it
+// passes as a deferral of the head frame, and retires the first k
+// planned losers with their draws.
+func (t *Transceiver) settle(at sim.Time, slotTime time.Duration, k int) {
+	if d := at.Sub(t.slot); d > 0 {
+		n := uint64(d / slotTime)
+		t.Stats.CSMADeferrals += n
+		t.frameDeferrals += n
+	}
+	t.slot = at
+	t.draws = t.draws[:copy(t.draws, t.draws[k:])]
+	t.losers = t.losers[:copy(t.losers, t.losers[k:])]
+}
+
+// settleLosers settles the plan through its last loser before now, as
+// the per-slot path's decisions at those slots would have: the exits
+// that are not a wake (ParamsChanged, Detach) leave what wakes fired
+// there would have left.
+func (t *Transceiver) settleLosers(now sim.Time, slotTime time.Duration) {
+	k := 0
+	for k < len(t.losers) && t.losers[k] < now {
+		k++
+	}
+	if k > 0 {
+		t.settle(t.losers[k-1].Add(slotTime), slotTime, k)
+	}
+}
+
+// draw returns the persistence draw for the slot being decided: the
+// oldest one taken ahead, else a fresh one.
+func (t *Transceiver) draw() float64 {
+	if len(t.draws) == 0 {
+		return t.csmaRng.Float64()
+	}
+	d := t.draws[0]
+	t.draws = t.draws[:copy(t.draws, t.draws[1:])]
+	return d
+}
+
 // onSlot is the single contention decision point of the event-driven
-// path, firing exactly at a slot instant that was idle when the wake
-// was last resolved.
+// path, firing at the slot walk planned: one wake per transmission
+// attempt.
 func (t *Transceiver) onSlot() {
 	t.wake = nil // one-shot pointer discipline: the event is spent
 	now := t.ch.sched.Now()
 	slotTime := t.Params.slotTime()
 	// Settle the stretch the wake skipped: every grid slot in
-	// [t.slot, now) passed under busy carrier (key-ups only push the
-	// wake later, and early release re-resolves it), so each is one
-	// deferral the per-slot path would have burned an event on.
-	if d := now.Sub(t.slot); d > 0 {
-		n := uint64(d / slotTime)
-		t.Stats.CSMADeferrals += n
-		t.frameDeferrals += n
-	}
-	t.slot = now
+	// [t.slot, now) was carrier-busy or lost its planned draw (key-ups
+	// re-plan only what lies ahead of the new carrier, and early
+	// release re-plans from the present), so each is one deferral the
+	// per-slot path would have burned an event on.
+	t.settle(now, slotTime, len(t.losers))
 	if len(t.queue) == 0 {
 		t.stopContention()
 		return
@@ -715,29 +817,18 @@ func (t *Transceiver) onSlot() {
 		return
 	}
 	p := t.Params
-	if !p.FullDuplex {
-		if t.CarrierSense() {
-			// A carrier keyed up at this very instant (zero DCDDelay)
-			// before our wake ran.
-			t.Stats.CSMADeferrals++
-			t.frameDeferrals++
-			if t.giveUp() {
-				return
-			}
-			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
+	// A carrier keyed up at this very instant (zero DCDDelay) before
+	// our wake ran defers without a draw; the planned one stays at the
+	// front of the FIFO for the next idle slot.
+	if !p.FullDuplex && (t.CarrierSense() || t.draw() >= p.Persist) {
+		t.Stats.CSMADeferrals++
+		t.frameDeferrals++
+		if t.giveUp() {
 			return
 		}
-		if t.csmaRng.Float64() >= p.Persist {
-			t.Stats.CSMADeferrals++
-			t.frameDeferrals++
-			if t.giveUp() {
-				return
-			}
-			t.slot = t.slot.Add(slotTime)
-			t.wake = t.ch.sched.At(t.firstIdleSlot(t.slot), t.onSlotFn)
-			return
-		}
+		t.slot = t.slot.Add(slotTime)
+		t.wake = t.ch.sched.At(t.walk(t.slot, 0), t.onSlotFn)
+		return
 	}
 	t.stopContention()
 	frame := t.popQueue()
@@ -804,24 +895,19 @@ func (t *Transceiver) giveUpPerSlot() bool {
 	return true
 }
 
-// reresolveWaiters recomputes every waiter's wake after an early
-// carrier release (a transmission cut by Retune): the first idle slot
-// may now be sooner than the one the wake was parked on. Slots behind
-// the current instant stay settled as busy — the cut carrier really
-// did occupy them.
-func (c *Channel) reresolveWaiters() {
+// replanWaiters re-plans every waiter from the present after a change
+// to the carrier schedule other than a key-up: an early release (a
+// transmission cut by Retune) or a reachability flip. The first idle
+// slot may now be sooner, or later, than the one the wake was parked
+// on. Slots behind the current instant stay settled as they were
+// decided — the cut carrier really did occupy them.
+func (c *Channel) replanWaiters() {
 	now := c.sched.Now()
 	for _, u := range c.waiters {
 		if u.wake == nil {
 			continue
 		}
-		slotTime := u.Params.slotTime()
-		from := u.slot
-		if from < now {
-			n := (now.Sub(from) + slotTime - 1) / slotTime
-			from = from.Add(time.Duration(n) * slotTime)
-		}
-		if w := u.firstIdleSlot(from); w != u.wake.When() {
+		if w := u.replan(now); w != u.wake.When() {
 			c.sched.Reschedule(u.wake, w)
 		}
 	}
@@ -872,8 +958,8 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	}
 	c.active = append(c.active, tx)
 	// Carrier edge: each access policy on the channel re-resolves the
-	// stations it holds deferred (CSMA slides parked waiters' wakes to
-	// the far side of the new carrier).
+	// stations it holds deferred (CSMA re-plans the parked waiters whose
+	// planned slots the new carrier covers).
 	for _, a := range c.accs {
 		a.KeyUp(c, t)
 	}
@@ -911,7 +997,7 @@ func (c *Channel) complete(tx *transmission) {
 		if !damaged && c.BitErrorRate > 0 {
 			bits := float64((len(tx.frame) + 2) * 8)
 			pSurvive := pow1m(c.BitErrorRate, bits)
-			if r.noiseRng.Float64() >= pSurvive {
+			if r.noise().Float64() >= pSurvive {
 				damaged = true
 			}
 		}
@@ -946,6 +1032,14 @@ func (c *Channel) complete(tx *transmission) {
 	// Sender may have more queued traffic (or, polled, the rest of its
 	// reserved turn).
 	sender.acc.TxDone(sender)
+}
+
+// noise returns the BER survival stream, building it on first use.
+func (t *Transceiver) noise() *rand.Rand {
+	if t.noiseRng == nil {
+		t.noiseRng = rand.New(rand.NewSource(t.noiseSeed))
+	}
+	return t.noiseRng
 }
 
 // pow1m computes (1-ber)^bits without importing math for one call.

@@ -70,6 +70,11 @@ func (w *World) Registry() *obs.Registry {
 			r.RegisterStruct(pn+".drv", &p.Driver.DStats)
 			r.RegisterStruct(pn+".tnc", &p.TNC.Stats)
 			r.RegisterStruct(pn+".rf", &p.RF.Stats)
+			// The raw deferral field lags mid-defer by the slots the
+			// pending wake will settle; read the slot-exact count
+			// (DESIGN.md §3c), replacing the raw view in place.
+			rf := p.RF
+			r.RegisterFunc(pn+".rf.csma_deferrals", func() float64 { return float64(rf.CSMADeferrals()) })
 			r.RegisterStruct(pn+".arp", &p.Driver.Resolver().Stats)
 		}
 	}

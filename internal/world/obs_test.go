@@ -118,6 +118,27 @@ func TestRegistryCoversEveryLayer(t *testing.T) {
 	}
 }
 
+// TestRegistryReadsSlotExactDeferrals: a station parked behind a long
+// carrier has its deferrals settled only when its wake fires, so the
+// raw Stats field lags mid-defer. The registry, and with it Netstat
+// and sampling, reads the slot-exact CSMADeferrals instead.
+func TestRegistryReadsSlotExactDeferrals(t *testing.T) {
+	lw := NewLarge(LargeConfig{Seed: 1, Stations: 2, Channels: 1, PingInterval: time.Hour})
+	a, b := lw.Stations[0].Radio("pr0").RF, lw.Stations[1].Radio("pr0").RF
+	a.Send(make([]byte, 1200)) // about 8 s of carrier
+	lw.W.Run(time.Second)
+	b.Send(make([]byte, 60)) // parks behind it
+	lw.W.Run(3*time.Second + 12345679)
+	want := b.CSMADeferrals()
+	if want <= b.Stats.CSMADeferrals {
+		t.Fatalf("station is not parked behind the carrier: %d slot-exact deferrals, %d settled", want, b.Stats.CSMADeferrals)
+	}
+	name := "host." + metricName(lw.Stations[1].Name) + ".pr0.rf.csma_deferrals"
+	if got, ok := lw.W.Registry().Value(name); !ok || got != float64(want) {
+		t.Fatalf("%s = %v (present %v), want CSMADeferrals() = %d", name, got, ok, want)
+	}
+}
+
 // TestCountersSurviveChurn pins the satellite fix: per-layer counters
 // are owned by objects that persist across Retune, MoveHost and
 // FailLink, so topology churn never resets or double-counts them. The

@@ -1,12 +1,14 @@
 package world
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"packetradio/internal/ax25"
 	"packetradio/internal/ip"
 	"packetradio/internal/obs"
 )
@@ -118,5 +120,42 @@ func TestTraceSpansEngineInvariance(t *testing.T) {
 			t.Fatalf("span stream diverges at workers=%d (len %d vs %d, first diff at %d)",
 				workers, len(ref), len(got), i)
 		}
+	}
+}
+
+// TestTracerMatchesSSIDStations: the air seam finds a frame's
+// addressee by its full link address. A ping between stations with
+// SSIDs, overheard by a station holding the sender's bare callsign,
+// must trace the same spans as the same ping between plain callsigns
+// with an unrelated bystander. Matching the callsign alone lost both
+// airtime spans to rx-serial and let the bystander claim the request.
+func TestTracerMatchesSSIDStations(t *testing.T) {
+	spans := func(callA, callB, bystander string) []string {
+		w := New(11)
+		ch := w.Channel("145.01", 0)
+		a := w.Host("a")
+		a.AttachRadio(ch, "pr0", callA, ip.MustAddr("44.24.0.1"), ip.MaskClassA, RadioConfig{})
+		b := w.Host("b")
+		b.AttachRadio(ch, "pr0", callB, ip.MustAddr("44.24.0.2"), ip.MaskClassA, RadioConfig{})
+		w.Host("c").AttachRadio(ch, "pr0", bystander, ip.MustAddr("44.24.0.3"), ip.MaskClassA, RadioConfig{})
+		a.Radio("pr0").Driver.Resolver().AddStatic(ip.MustAddr("44.24.0.2"), ax25.MustAddr(callB).HW())
+		b.Radio("pr0").Driver.Resolver().AddStatic(ip.MustAddr("44.24.0.1"), ax25.MustAddr(callA).HW())
+		tr := w.AttachTracer()
+		a.Stack.Ping(ip.MustAddr("44.24.0.2"), 64, func(uint16, time.Duration, ip.Addr) {})
+		w.Run(time.Minute)
+		var out []string
+		for _, sp := range tr.Spans() {
+			out = append(out, fmt.Sprintf("%s %v-%v", sp.Stage, sp.Start, sp.End))
+		}
+		return out
+	}
+	plain := spans("AAA", "BBB", "CCC")
+	ssid := spans("AAA-1", "BBB-2", "AAA")
+	if !strings.Contains(strings.Join(plain, "\n"), "airtime") {
+		t.Fatalf("plain world traced no airtime span:\n%s", strings.Join(plain, "\n"))
+	}
+	if !reflect.DeepEqual(ssid, plain) {
+		t.Fatalf("SSID world's spans differ from the plain world's:\n-- plain --\n%s\n-- ssid --\n%s",
+			strings.Join(plain, "\n"), strings.Join(ssid, "\n"))
 	}
 }

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -245,18 +246,26 @@ func TestNoisyChannelStillDeliversWithTCP(t *testing.T) {
 	}
 }
 
+// The seed reaches the Seattle world through the CSMA persistence
+// draws alone: one ping fires the same events at every seed (each
+// transmission attempt is one wake however many draws it loses), so
+// seeds are told apart by what the draws decide — the ping's RTT and
+// the deferrals at the PC and the gateway.
 func TestSeattleWorldIsDeterministicPerSeed(t *testing.T) {
-	run := func(seed int64) uint64 {
+	run := func(seed int64) string {
 		s := NewSeattle(SeattleConfig{Seed: seed})
-		s.PCs[0].Stack.Ping(InternetIP, 64, func(uint16, time.Duration, ip.Addr) {})
+		var rtt time.Duration
+		s.PCs[0].Stack.Ping(InternetIP, 64, func(_ uint16, d time.Duration, _ ip.Addr) { rtt = d })
 		s.W.Run(5 * time.Minute)
-		return s.W.Sched.Fired()
+		return fmt.Sprintf("rtt=%v deferrals=%d+%d", rtt,
+			s.PCs[0].Radio("pr0").RF.CSMADeferrals(), s.Gateway.Radio("pr0").RF.CSMADeferrals())
 	}
-	if run(11) != run(11) {
-		t.Fatal("same seed produced different event counts")
+	a, b := run(11), run(11)
+	if a != b {
+		t.Fatalf("same seed produced different outcomes: %s vs %s", a, b)
 	}
-	if run(11) == run(12) {
-		t.Fatal("different seeds suspiciously identical")
+	if c := run(12); c == a {
+		t.Fatalf("different seeds suspiciously identical: %s", a)
 	}
 }
 

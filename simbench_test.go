@@ -159,9 +159,9 @@ func TestWriteSimCoreBench(t *testing.T) {
 		}
 		// Recalibrated for the auto-ARP default mix: without ARP retry
 		// storms the N=200 channels sit at ~80% utilization and the
-		// carrier-edge saving measures 1.5x (it was 3.5x on the
-		// strict-RFC-826 mix); 1.3x still trips if the refactor
-		// vanishes (1.0x).
+		// carrier-edge saving measures 2.8x (it was 3.5x on the
+		// strict-RFC-826 mix, before planned losers); 1.3x still trips
+		// if the refactor vanishes (1.0x).
 		if n == 200 && edge.EventsPerSimS*1.3 > slot.EventsPerSimS {
 			t.Fatalf("N=200 event-driven CSMA fires %.1f events/sim-s vs %.1f per-slot — want >= 1.3x fewer",
 				edge.EventsPerSimS, slot.EventsPerSimS)
