@@ -91,6 +91,9 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	if plen != 4 {
 		return nil, fmt.Errorf("arp: unsupported protocol address length %d", plen)
 	}
+	if hlen == 0 {
+		return nil, errBadLen // Marshal cannot render it either
+	}
 	need := 8 + 2*hlen + 8
 	if len(buf) < need {
 		return nil, errShort
@@ -159,10 +162,12 @@ type Resolver struct {
 	// SendPacket transmits an ARP packet; dstHW nil means broadcast.
 	SendPacket func(p *Packet, dstHW []byte)
 	// Deliver transmits a held IP datagram once its next hop resolves.
+	// pkt is valid only for the call.
 	Deliver func(pkt *ip.Packet, dstHW []byte)
 	// Trace, when non-nil, observes the hold queue for the packet
 	// tracer: "hold" as a datagram parks awaiting resolution, "flush"
-	// as resolution arrives and it re-enters the transmit path.
+	// as resolution arrives and it re-enters the transmit path. pkt is
+	// valid only for the call.
 	Trace func(event string, pkt *ip.Packet)
 
 	Stats ResolverStats
@@ -216,9 +221,10 @@ func (r *Resolver) Lookup(addr ip.Addr) ([]byte, bool) {
 
 // Enqueue resolves nextHop and then delivers pkt through the Deliver
 // callback; if the address is cached this happens synchronously.
-// Otherwise the packet is held (up to MaxHold per destination; older
-// holds drop, as in the classic single-mbuf ARP hold) and a request
-// goes out.
+// Otherwise a copy of the packet is held (up to MaxHold per
+// destination; older holds drop, as in the classic single-mbuf ARP
+// hold) and a request goes out. pkt itself is lent for the call only:
+// the IP stack reuses it and its payload for the next datagram.
 func (r *Resolver) Enqueue(pkt *ip.Packet, nextHop ip.Addr) {
 	if hw, ok := r.Lookup(nextHop); ok {
 		r.Stats.Hits++
@@ -241,6 +247,7 @@ func (r *Resolver) Enqueue(pkt *ip.Packet, nextHop ip.Addr) {
 		pe.held = pe.held[drop:]
 		r.Stats.HeldDrops += uint64(drop)
 	}
+	pkt = pkt.Clone()
 	pe.held = append(pe.held, pkt)
 	if r.Trace != nil {
 		r.Trace("hold", pkt)

@@ -141,13 +141,14 @@ type PacketRadioIf struct {
 
 	// Driver-owned buffers, reused for every frame: rx is the frame
 	// being received, decoded from the KISS decoder's lent payload; tx
-	// is the UI frame being sent, encoded into txAX and then KISS-framed
-	// into txKISS, which the serial line copies; tapRec is the record
-	// handed to Tap. Only the IP queue keeps bytes (a copy of Info).
-	rx, tx         ax25.Frame
-	rxDigi, txDigi [ax25.MaxDigis]ax25.Digi
-	txAX, txKISS   []byte
-	tapRec         []byte
+	// is the UI frame being sent, whose datagram is marshalled into
+	// txIP, encoded into txAX and then KISS-framed into txKISS, which
+	// the serial line copies; tapRec is the record handed to Tap. Only
+	// the IP queue keeps bytes (a copy of Info).
+	rx, tx             ax25.Frame
+	rxDigi, txDigi     [ax25.MaxDigis]ax25.Digi
+	txIP, txAX, txKISS []byte
+	tapRec             []byte
 
 	paths map[ip.Addr][]ax25.Addr
 }
@@ -383,13 +384,7 @@ func (d *PacketRadioIf) Output(pkt *ip.Packet, nextHop ip.Addr) error {
 		return &netif.ErrDown{If: d.name}
 	}
 	if nextHop.IsBroadcast() {
-		buf, err := pkt.Marshal()
-		if err != nil {
-			d.stats.Oerrors++
-			return err
-		}
-		d.sendUI(ax25.Broadcast, ax25.PIDIP, buf, nil)
-		return nil
+		return d.sendIP(ax25.Broadcast, pkt, nil)
 	}
 	d.res.Enqueue(pkt, nextHop)
 	return nil
@@ -402,12 +397,19 @@ func (d *PacketRadioIf) deliverIP(pkt *ip.Packet, dstHW []byte) {
 		d.stats.Oerrors++
 		return
 	}
-	buf, err := pkt.Marshal()
+	_ = d.sendIP(dst, pkt, d.paths[pkt.Dst]) // counted in Oerrors
+}
+
+// sendIP marshals pkt into txIP and sends it in a UI frame.
+func (d *PacketRadioIf) sendIP(dst ax25.Addr, pkt *ip.Packet, via []ax25.Addr) error {
+	buf, err := pkt.MarshalTo(d.txIP[:0])
 	if err != nil {
 		d.stats.Oerrors++
-		return
+		return err
 	}
-	d.sendUI(dst, ax25.PIDIP, buf, d.paths[pkt.Dst])
+	d.txIP = buf
+	d.sendUI(dst, ax25.PIDIP, buf, via)
+	return nil
 }
 
 // sendARP is the resolver's transmit callback.

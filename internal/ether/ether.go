@@ -193,27 +193,29 @@ func (n *NIC) Output(pkt *ip.Packet, nextHop ip.Addr) error {
 		return &netif.ErrDown{If: n.name}
 	}
 	if nextHop.IsBroadcast() {
-		buf, err := pkt.Marshal()
-		if err != nil {
-			n.stats.Oerrors++
-			return err
-		}
-		n.transmit(BroadcastMAC, TypeIP, buf)
-		return nil
+		return n.sendIP(BroadcastMAC, pkt)
 	}
 	n.res.Enqueue(pkt, nextHop)
 	return nil
 }
 
 func (n *NIC) deliverIP(pkt *ip.Packet, dstHW []byte) {
-	buf, err := pkt.Marshal()
-	if err != nil {
-		n.stats.Oerrors++
-		return
-	}
 	var dst MAC
 	copy(dst[:], dstHW)
-	n.transmit(dst, TypeIP, buf)
+	_ = n.sendIP(dst, pkt) // counted in Oerrors
+}
+
+// sendIP marshals pkt straight into a new frame, behind the header.
+// The frame is the one copy of the datagram: it travels to the
+// receivers, whose stacks may keep slices of it.
+func (n *NIC) sendIP(dst MAC, pkt *ip.Packet) error {
+	frame, err := pkt.MarshalTo(make([]byte, HeaderLen, HeaderLen+pkt.Len()))
+	if err != nil {
+		n.stats.Oerrors++
+		return err
+	}
+	n.transmit(dst, TypeIP, frame)
+	return nil
 }
 
 func (n *NIC) sendARP(p *arp.Packet, dstHW []byte) {
@@ -225,18 +227,18 @@ func (n *NIC) sendARP(p *arp.Packet, dstHW []byte) {
 	if dstHW != nil {
 		copy(dst[:], dstHW)
 	}
-	n.transmit(dst, TypeARP, buf)
+	n.transmit(dst, TypeARP, append(make([]byte, HeaderLen, HeaderLen+len(buf)), buf...))
 }
 
-func (n *NIC) transmit(dst MAC, etherType uint16, payload []byte) {
+// transmit fills in the header of frame, whose payload follows
+// HeaderLen bytes left for it, and puts the frame on the segment.
+func (n *NIC) transmit(dst MAC, etherType uint16, frame []byte) {
 	n.stats.Opackets++
-	n.stats.Obytes += uint64(len(payload))
-	frame := make([]byte, HeaderLen+len(payload))
+	n.stats.Obytes += uint64(len(frame) - HeaderLen)
 	copy(frame[0:6], dst[:])
 	copy(frame[6:12], n.mac[:])
 	frame[12] = byte(etherType >> 8)
 	frame[13] = byte(etherType)
-	copy(frame[14:], payload)
 
 	g := n.seg
 	atomic.AddUint64(&g.Frames, 1)
@@ -245,29 +247,31 @@ func (n *NIC) transmit(dst MAC, etherType uint16, payload []byte) {
 	// unicast frame is scheduled only at the owner of its destination
 	// MAC — any other NIC would discard it on reception — and a
 	// broadcast at every NIC the sender reaches.
-	at := n.sched.Now().Add(g.txTime(len(payload)))
+	at := n.sched.Now().Add(g.txTime(len(frame) - HeaderLen))
 	if dst != BroadcastMAC {
 		o := g.byMAC[dst]
 		if o == nil || o == n || g.blocked[[2]*NIC{n, o}] {
 			return
 		}
-		n.deliverAt(o, at, frame)
+		n.deliverAt(o, at, frame, false)
 		return
 	}
 	for _, other := range g.nics {
 		if other == n || g.blocked[[2]*NIC{n, other}] {
 			continue
 		}
-		n.deliverAt(other, at, frame)
+		n.deliverAt(other, at, frame, true)
 	}
 }
 
 // deliverAt schedules one reception at o. On the single-loop engine
 // every NIC shares the segment's scheduler. On the sharded engine the
-// reception lands in o's shard, and cross-shard receivers get a
-// private copy: shards run concurrently, and the receive path hands
-// the payload slice to the IP input queue.
-func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte) {
+// reception lands in o's shard. A frame shared by several receivers
+// (a broadcast) is copied for each one on another shard: shards run
+// concurrently, and the receive path hands the payload slice to the
+// IP input queue. A unicast frame crosses as it is, because its one
+// receiver owns it and the sender never touches it again.
+func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte, shared bool) {
 	g := n.seg
 	switch {
 	case g.group == nil:
@@ -275,8 +279,10 @@ func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte) {
 	case o.sched == n.sched:
 		n.sched.At(at, func() { o.receive(frame) })
 	default:
-		cp := append([]byte(nil), frame...)
-		g.group.Send(n.sched, o.sched, at, func() { o.receive(cp) })
+		if shared {
+			frame = append([]byte(nil), frame...)
+		}
+		g.group.Send(n.sched, o.sched, at, func() { o.receive(frame) })
 	}
 }
 

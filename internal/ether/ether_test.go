@@ -267,12 +267,12 @@ func filterSegment(t *testing.T) (*sim.Scheduler, *Segment, []*NIC, []*sink) {
 	return s, g, nics, sinks
 }
 
-// receptions sends one frame from nics[0] and reports how many events
-// it scheduled and fired, and which NICs took it in.
+// receptions sends one frame carrying payload from nics[0] and reports
+// how many events it scheduled and fired, and which NICs took it in.
 func receptions(t *testing.T, s *sim.Scheduler, nics []*NIC, dst MAC, etherType uint16, payload []byte) (scheduled int, fired uint64, got []uint64) {
 	t.Helper()
 	before := s.Fired()
-	nics[0].transmit(dst, etherType, payload)
+	nics[0].transmit(dst, etherType, append(make([]byte, HeaderLen), payload...))
 	scheduled = s.Pending()
 	s.Run()
 	for _, n := range nics {

@@ -1,6 +1,8 @@
 package icmp
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,7 +12,11 @@ import (
 // FuzzICMPUnmarshal feeds Unmarshal arbitrary bytes, as an ICMP body
 // off the air may carry: it must return an error or a message and
 // never panic, and a message it returns must survive Marshal and
-// Unmarshal unchanged.
+// Unmarshal unchanged. The reuse forms must agree with the allocating
+// ones: Parse into a message holding another message's fields gives
+// what Unmarshal gives, errors included, and MarshalTo into a reused
+// buffer (prior's bytes, with prior's capacity) appends what Marshal
+// renders.
 func FuzzICMPUnmarshal(f *testing.F) {
 	about := &ip.Packet{
 		Header:  ip.Header{ID: 3, TTL: 30, Proto: ip.ProtoUDP, Src: ip.AddrFrom(44, 24, 0, 5), Dst: ip.AddrFrom(128, 95, 1, 2)},
@@ -18,6 +24,7 @@ func FuzzICMPUnmarshal(f *testing.F) {
 	}
 	redirect := NewError(TypeRedirect, 1, about)
 	redirect.Gateway = ip.AddrFrom(44, 24, 0, 28)
+	junk := bytes.Repeat([]byte{0x5A}, 128) // not 0xFF: one's-complement zero hides a stale checksum
 	for _, m := range []*Message{
 		NewEcho(0x1234, 7, []byte("ping payload")),
 		NewEchoReply(NewEcho(1, 2, nil)),
@@ -26,21 +33,43 @@ func FuzzICMPUnmarshal(f *testing.F) {
 		NewAuthAdd(&AuthPayload{TTLSeconds: 600, Amateur: ip.AddrFrom(44, 24, 0, 9), NonAmateur: ip.AddrFrom(128, 95, 1, 9), Callsign: "N7AKR", Password: "pw"}),
 	} {
 		b := m.Marshal()
-		f.Add(b)
-		f.Add(b[:len(b)-1])
+		f.Add(b, junk)
+		f.Add(b[:len(b)-1], b)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, b, prior []byte) {
 		m, err := Unmarshal(b)
+
+		dirty := Message{Type: 0xFF, Code: 0xFF, ID: 0xFFFF, Seq: 0xFFFF, Gateway: ip.Limited, Body: prior}
+		before := dirty
+		if perr := dirty.Parse(b); fmt.Sprint(perr) != fmt.Sprint(err) {
+			t.Fatalf("Parse error %v, Unmarshal error %v", perr, err)
+		}
 		if err != nil {
+			if !reflect.DeepEqual(dirty, before) {
+				t.Fatalf("failed Parse changed the message:\n got  %+v\n want %+v", dirty, before)
+			}
 			return
 		}
-		q, err := Unmarshal(m.Marshal())
+		if !reflect.DeepEqual(&dirty, m) {
+			t.Fatalf("Parse into a used message differs from Unmarshal:\n got  %+v\n want %+v", dirty, m)
+		}
+
+		out := m.Marshal()
+		q, err := Unmarshal(out)
 		if err != nil {
 			t.Fatalf("Unmarshal(Marshal(%v)): %v", m, err)
 		}
 		if !reflect.DeepEqual(m, q) {
 			t.Fatalf("round trip changed the message:\n got  %+v\n want %+v", q, m)
+		}
+
+		reused := make([]byte, len(prior))
+		copy(reused, prior)
+		keep := len(prior) / 8
+		got := m.MarshalTo(reused[:keep])
+		if !bytes.Equal(got[:keep], prior[:keep]) || !bytes.Equal(got[keep:], out) {
+			t.Fatalf("MarshalTo into a reused buffer:\n got  %x\n want %x then %x", got, prior[:keep], out)
 		}
 	})
 }

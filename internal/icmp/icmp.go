@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"packetradio/internal/ip"
@@ -64,11 +65,22 @@ type Message struct {
 	Body       []byte
 }
 
-// Marshal renders the message with checksum.
-func (m *Message) Marshal() []byte {
-	buf := make([]byte, 8+len(m.Body))
+// Marshal renders the message with checksum into a new buffer.
+func (m *Message) Marshal() []byte { return m.MarshalTo(nil) }
+
+// MarshalTo appends the message with checksum to dst and returns the
+// extended slice. dst grows only when its spare capacity is too small,
+// so rendering into a reused buffer (buf[:0]) allocates nothing once it
+// is large enough.
+func (m *Message) MarshalTo(dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8+len(m.Body))[:n+8+len(m.Body)]
+	buf := dst[n:]
 	buf[0] = m.Type
 	buf[1] = m.Code
+	// A reused buffer holds old bytes in the checksum and in the
+	// type-specific word, which only some types fill.
+	clear(buf[2:8])
 	switch m.Type {
 	case TypeEcho, TypeEchoReply:
 		binary.BigEndian.PutUint16(buf[4:], m.ID)
@@ -77,28 +89,38 @@ func (m *Message) Marshal() []byte {
 		copy(buf[4:8], m.Gateway[:])
 	}
 	copy(buf[8:], m.Body)
-	cs := ip.Checksum(buf)
-	binary.BigEndian.PutUint16(buf[2:], cs)
-	return buf
+	binary.BigEndian.PutUint16(buf[2:], ip.Checksum(buf))
+	return dst
 }
 
 // Unmarshal parses and checksums a message. Body aliases buf.
 func Unmarshal(buf []byte) (*Message, error) {
+	m := &Message{}
+	if err := m.Parse(buf); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Parse is Unmarshal into m: it checks buf and, if it holds a message,
+// overwrites every field of m with it. Body aliases buf. On error m is
+// left unchanged.
+func (m *Message) Parse(buf []byte) error {
 	if len(buf) < 8 {
-		return nil, errShort
+		return errShort
 	}
 	if ip.Checksum(buf) != 0 {
-		return nil, errChecksum
+		return errChecksum
 	}
-	m := &Message{Type: buf[0], Code: buf[1], Body: buf[8:]}
+	*m = Message{Type: buf[0], Code: buf[1], Body: buf[8:]}
 	switch m.Type {
 	case TypeEcho, TypeEchoReply:
 		m.ID = binary.BigEndian.Uint16(buf[4:])
 		m.Seq = binary.BigEndian.Uint16(buf[6:])
 	case TypeRedirect:
-		copy(m.Gateway[:], buf[4:8])
+		m.Gateway = ip.Addr(buf[4:8])
 	}
-	return m, nil
+	return nil
 }
 
 func (m *Message) String() string {

@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -8,9 +10,13 @@ import (
 // FuzzIPUnmarshal feeds Unmarshal arbitrary bytes, as a datagram off
 // the air may carry: it must return an error or a packet and never
 // panic, and a packet it returns must survive Marshal and Unmarshal
-// unchanged.
+// unchanged. The reuse forms must agree with the allocating ones:
+// Parse into a packet holding another datagram's fields gives what
+// Unmarshal gives, errors included, and MarshalTo into a reused buffer
+// (prior's bytes, with prior's capacity) appends what Marshal renders.
 func FuzzIPUnmarshal(f *testing.F) {
 	src, dst := AddrFrom(44, 24, 0, 28), AddrFrom(128, 95, 1, 2)
+	junk := bytes.Repeat([]byte{0x5A}, 128) // not 0xFF: one's-complement zero hides a stale checksum
 	for _, p := range []*Packet{
 		{Header: Header{ID: 7, TTL: DefaultTTL, Proto: ProtoICMP, Src: src, Dst: dst}, Payload: []byte("echo payload")},
 		{Header: Header{ID: 9, MF: true, FragOff: 29, TTL: 1, Proto: ProtoUDP, Src: src, Dst: dst, Options: []byte{1, 1, 1, 0}}},
@@ -20,16 +26,32 @@ func FuzzIPUnmarshal(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
-		f.Add(b[:len(b)-1])
+		f.Add(b, junk)
+		f.Add(b[:len(b)-1], b)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x4F, 0, 0, 20})
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0x4F, 0, 0, 20}, junk[:8])
+	f.Fuzz(func(t *testing.T, b, prior []byte) {
 		p, err := Unmarshal(b)
+
+		dirty := Packet{
+			Header:  Header{TOS: 0xFF, ID: 0xFFFF, DF: true, MF: true, FragOff: 0x1FFF, TTL: 0xFF, Proto: 0xFF, Src: Limited, Dst: Limited, Options: prior},
+			Payload: prior,
+		}
+		before := dirty
+		if perr := dirty.Parse(b); fmt.Sprint(perr) != fmt.Sprint(err) {
+			t.Fatalf("Parse error %v, Unmarshal error %v", perr, err)
+		}
 		if err != nil {
+			if !reflect.DeepEqual(dirty, before) {
+				t.Fatalf("failed Parse changed the packet:\n got  %+v\n want %+v", dirty, before)
+			}
 			return
 		}
+		if !reflect.DeepEqual(&dirty, p) {
+			t.Fatalf("Parse into a used packet differs from Unmarshal:\n got  %+v\n want %+v", dirty, p)
+		}
+
 		out, err := p.Marshal()
 		if err != nil {
 			t.Fatalf("Marshal of parsed %v: %v", p, err)
@@ -40,6 +62,17 @@ func FuzzIPUnmarshal(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round trip changed the packet:\n got  %+v\n want %+v", q, p)
+		}
+
+		reused := make([]byte, len(prior))
+		copy(reused, prior)
+		keep := len(prior) / 8
+		got, err := p.MarshalTo(reused[:keep])
+		if err != nil {
+			t.Fatalf("MarshalTo of parsed %v: %v", p, err)
+		}
+		if !bytes.Equal(got[:keep], prior[:keep]) || !bytes.Equal(got[keep:], out) {
+			t.Fatalf("MarshalTo into a reused buffer:\n got  %x\n want %x then %x", got, prior[:keep], out)
 		}
 	})
 }

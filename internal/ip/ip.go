@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -173,19 +174,41 @@ var (
 )
 
 // Checksum computes the Internet one's-complement checksum of p.
-func Checksum(p []byte) uint16 {
-	var sum uint32
+func Checksum(p []byte) uint16 { return fold(sum(0, p)) }
+
+// PseudoChecksum computes the checksum a TCP, UDP or RDM segment
+// carries: over the 12-byte pseudo-header (src, dst, a zero byte,
+// proto, and the segment length truncated to 16 bits) followed by seg.
+// The pseudo-header has even length, so seg is summed in place with
+// the same word alignment as in one contiguous buffer.
+func PseudoChecksum(src, dst Addr, proto uint8, seg []byte) uint16 {
+	var ph [12]byte
+	copy(ph[0:4], src[:])
+	copy(ph[4:8], dst[:])
+	ph[9] = proto
+	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
+	return fold(sum(sum(0, ph[:]), seg))
+}
+
+// sum adds p to acc as big-endian 16-bit words, an odd last byte
+// padded with a zero.
+func sum(acc uint32, p []byte) uint32 {
 	for len(p) >= 2 {
-		sum += uint32(p[0])<<8 | uint32(p[1])
+		acc += uint32(p[0])<<8 | uint32(p[1])
 		p = p[2:]
 	}
 	if len(p) == 1 {
-		sum += uint32(p[0]) << 8
+		acc += uint32(p[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
+	return acc
+}
+
+// fold folds the carries of a word sum back in and complements it.
+func fold(acc uint32) uint16 {
+	for acc>>16 != 0 {
+		acc = acc&0xFFFF + acc>>16
 	}
-	return ^uint16(sum)
+	return ^uint16(acc)
 }
 
 // Packet is a full IP datagram.
@@ -198,20 +221,30 @@ type Packet struct {
 // options and payload.
 func (p *Packet) Len() int { return HeaderLen + len(p.Options) + len(p.Payload) }
 
-// Marshal renders the datagram, computing the header checksum.
-func (p *Packet) Marshal() ([]byte, error) {
+// Marshal renders the datagram into a new buffer, computing the
+// header checksum.
+func (p *Packet) Marshal() ([]byte, error) { return p.MarshalTo(nil) }
+
+// MarshalTo appends the datagram to dst, computing the header
+// checksum, and returns the extended slice. dst grows only when its
+// spare capacity is too small, so rendering into a reused buffer
+// (buf[:0]) allocates nothing once it is large enough. On error dst is
+// returned unchanged.
+func (p *Packet) MarshalTo(dst []byte) ([]byte, error) {
 	if len(p.Options)%4 != 0 {
-		return nil, errOptions
+		return dst, errOptions
 	}
 	hlen := HeaderLen + len(p.Options)
 	if hlen > 60 {
-		return nil, errHdrLen
+		return dst, errHdrLen
 	}
 	total := hlen + len(p.Payload)
 	if total > MaxPacket {
-		return nil, fmt.Errorf("ip: datagram too large (%d)", total)
+		return dst, fmt.Errorf("ip: datagram too large (%d)", total)
 	}
-	buf := make([]byte, total)
+	n := len(dst)
+	dst = slices.Grow(dst, total)[:n+total]
+	buf := dst[n:]
 	buf[0] = 0x40 | byte(hlen/4)
 	buf[1] = p.TOS
 	binary.BigEndian.PutUint16(buf[2:], uint16(total))
@@ -226,49 +259,64 @@ func (p *Packet) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[6:], ffo)
 	buf[8] = p.TTL
 	buf[9] = p.Proto
+	// A reused buffer holds an old checksum here; it must not be summed.
+	buf[10], buf[11] = 0, 0
 	copy(buf[12:], p.Src[:])
 	copy(buf[16:], p.Dst[:])
 	copy(buf[20:], p.Options)
-	cs := Checksum(buf[:hlen])
-	binary.BigEndian.PutUint16(buf[10:], cs)
+	binary.BigEndian.PutUint16(buf[10:], Checksum(buf[:hlen]))
 	copy(buf[hlen:], p.Payload)
-	return buf, nil
+	return dst, nil
 }
 
 // Unmarshal parses and validates a datagram (version, lengths, header
 // checksum). The returned packet's Payload and Options alias buf.
 func Unmarshal(buf []byte) (*Packet, error) {
+	p := &Packet{}
+	if err := p.Parse(buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Parse is Unmarshal into p: it validates buf and, if it holds a
+// datagram, overwrites every field of p with it. p's Payload and
+// Options alias buf. On error p is left unchanged.
+func (p *Packet) Parse(buf []byte) error {
 	if len(buf) < HeaderLen {
-		return nil, errShort
+		return errShort
 	}
 	if buf[0]>>4 != 4 {
-		return nil, errVersion
+		return errVersion
 	}
 	hlen := int(buf[0]&0x0F) * 4
 	if hlen < HeaderLen || hlen > len(buf) {
-		return nil, errHdrLen
+		return errHdrLen
 	}
 	total := int(binary.BigEndian.Uint16(buf[2:]))
 	if total < hlen || total > len(buf) {
-		return nil, errShort
+		return errShort
 	}
 	if Checksum(buf[:hlen]) != 0 {
-		return nil, errChecksum
+		return errChecksum
 	}
-	p := &Packet{}
-	p.TOS = buf[1]
-	p.ID = binary.BigEndian.Uint16(buf[4:])
 	ffo := binary.BigEndian.Uint16(buf[6:])
-	p.DF = ffo&FlagDF != 0
-	p.MF = ffo&FlagMF != 0
-	p.FragOff = ffo & 0x1FFF
-	p.TTL = buf[8]
-	p.Proto = buf[9]
-	copy(p.Src[:], buf[12:])
-	copy(p.Dst[:], buf[16:])
-	p.Options = buf[HeaderLen:hlen]
-	p.Payload = buf[hlen:total]
-	return p, nil
+	*p = Packet{
+		Header: Header{
+			TOS:     buf[1],
+			ID:      binary.BigEndian.Uint16(buf[4:]),
+			DF:      ffo&FlagDF != 0,
+			MF:      ffo&FlagMF != 0,
+			FragOff: ffo & 0x1FFF,
+			TTL:     buf[8],
+			Proto:   buf[9],
+			Src:     Addr(buf[12:16]),
+			Dst:     Addr(buf[16:20]),
+			Options: buf[HeaderLen:hlen],
+		},
+		Payload: buf[hlen:total],
+	}
+	return nil
 }
 
 // Clone deep-copies the packet.

@@ -23,6 +23,13 @@ import (
 
 // Handler processes a transport-layer segment: the full datagram is
 // passed so the transport can see addresses for its pseudo-header.
+//
+// Every *ip.Packet and *icmp.Message the stack passes to a Handler,
+// Filter, ICMPHook, Tap or RegisterProtoError handler, or to an
+// interface's Output, is the stack's own scratch and is valid only for
+// that call. A received datagram's Payload bytes (the driver's
+// IP-queue copy, or the Ethernet frame) are never reused and may be
+// kept; an outgoing one's may not.
 type Handler func(pkt *ip.Packet, ifName string)
 
 // FilterVerdict is a forwarding filter's decision.
@@ -59,9 +66,20 @@ type Stats struct {
 }
 
 type ifEntry struct {
-	ifc  netif.Interface
-	addr ip.Addr
-	mask ip.Mask
+	ifc   netif.Interface
+	name  string
+	addr  ip.Addr
+	mask  ip.Mask
+	bcast ip.Addr // the connected net's directed broadcast
+}
+
+// scratch is the storage one call borrows for a datagram in flight:
+// the packet it is parsed into or built in, the ICMP message parsed
+// from it, and the buffer an ICMP message is marshalled into.
+type scratch struct {
+	pkt ip.Packet
+	msg icmp.Message
+	buf []byte
 }
 
 // Stack is one host's (or gateway's) IP layer.
@@ -97,8 +115,7 @@ type Stack struct {
 
 	Stats Stats
 
-	ifs         map[string]*ifEntry
-	order       []string
+	ifs         []*ifEntry // attachment order
 	protos      map[uint8]Handler
 	protoOwners map[uint8]any
 	protoErrs   map[uint8]func(dst ip.Addr, m *icmp.Message)
@@ -106,7 +123,14 @@ type Stack struct {
 	reassTick   *sim.Event
 	nextID      uint16
 
-	pings map[uint16]*pingCtx
+	// free holds the scratch not lent to a call. Calls nest (a
+	// forwarded datagram can raise an ICMP error, which sends another
+	// datagram), so each borrows its own.
+	free []*scratch
+
+	pings     map[uint16]*pingCtx
+	sparePing *pingCtx // a one-shot context whose reply came, for reuse
+	echoBody  []byte   // the body of the echo request being sent
 }
 
 // New builds a stack.
@@ -115,7 +139,6 @@ func New(sched *sim.Scheduler, hostname string) *Stack {
 		Hostname:    hostname,
 		Sched:       sched,
 		Routes:      route.New(),
-		ifs:         make(map[string]*ifEntry),
 		protos:      make(map[uint8]Handler),
 		protoOwners: make(map[uint8]any),
 		protoErrs:   make(map[uint8]func(ip.Addr, *icmp.Message)),
@@ -131,15 +154,33 @@ func (s *Stack) AddInterface(ifc netif.Interface, addr ip.Addr, mask ip.Mask) {
 	if mask == (ip.Mask{}) {
 		mask = ip.ClassMask(addr)
 	}
-	s.ifs[ifc.Name()] = &ifEntry{ifc: ifc, addr: addr, mask: mask}
-	s.order = append(s.order, ifc.Name())
-	s.Routes.AddNet(addr, mask, ip.Addr{}, ifc.Name())
+	e := ifEntry{ifc: ifc, name: ifc.Name(), addr: addr, mask: mask, bcast: addr}
+	for i := range e.bcast {
+		e.bcast[i] |= ^mask[i]
+	}
+	if old := s.iface(e.name); old != nil {
+		*old = e // re-attaching a name replaces its entry
+	} else {
+		s.ifs = append(s.ifs, &e)
+	}
+	s.Routes.AddNet(addr, mask, ip.Addr{}, e.name)
+}
+
+// iface returns the named interface's entry, or nil. Hosts have one to
+// three interfaces, so a scan beats a map.
+func (s *Stack) iface(name string) *ifEntry {
+	for _, e := range s.ifs {
+		if e.name == name {
+			return e
+		}
+	}
+	return nil
 }
 
 // Interface returns a registered interface by name.
 func (s *Stack) Interface(name string) (netif.Interface, bool) {
-	e, ok := s.ifs[name]
-	if !ok {
+	e := s.iface(name)
+	if e == nil {
 		return nil, false
 	}
 	return e.ifc, true
@@ -147,8 +188,8 @@ func (s *Stack) Interface(name string) (netif.Interface, bool) {
 
 // IfAddr reports the address of the named interface.
 func (s *Stack) IfAddr(name string) (ip.Addr, ip.Mask, bool) {
-	e, ok := s.ifs[name]
-	if !ok {
+	e := s.iface(name)
+	if e == nil {
 		return ip.Addr{}, ip.Mask{}, false
 	}
 	return e.addr, e.mask, true
@@ -158,15 +199,19 @@ func (s *Stack) IfAddr(name string) (ip.Addr, ip.Mask, bool) {
 // daemons that send per-interface traffic (RSPF hellos) iterate this
 // so their behaviour is deterministic.
 func (s *Stack) IfNames() []string {
-	return append([]string(nil), s.order...)
+	names := make([]string, len(s.ifs))
+	for i, e := range s.ifs {
+		names[i] = e.name
+	}
+	return names
 }
 
 // Addr returns the stack's primary address (first interface).
 func (s *Stack) Addr() ip.Addr {
-	if len(s.order) == 0 {
+	if len(s.ifs) == 0 {
 		return ip.Addr{}
 	}
-	return s.ifs[s.order[0]].addr
+	return s.ifs[0].addr
 }
 
 // RegisterProto installs the transport handler for an IP protocol.
@@ -209,19 +254,29 @@ func (s *Stack) isLocal(dst ip.Addr) bool {
 		return true
 	}
 	for _, e := range s.ifs {
-		if dst == e.addr {
-			return true
-		}
-		// Directed broadcast for a connected net.
-		bcast := e.addr
-		for i := range bcast {
-			bcast[i] |= ^e.mask[i]
-		}
-		if dst == bcast {
+		if dst == e.addr || dst == e.bcast {
 			return true
 		}
 	}
 	return false
+}
+
+// borrow lends the caller a scratch until it calls giveBack.
+func (s *Stack) borrow() *scratch {
+	n := len(s.free)
+	if n == 0 {
+		return new(scratch)
+	}
+	sc := s.free[n-1]
+	s.free = s.free[:n-1]
+	return sc
+}
+
+// giveBack returns a borrowed scratch, dropping its references to
+// bytes it does not own.
+func (s *Stack) giveBack(sc *scratch) {
+	sc.pkt.Options, sc.pkt.Payload, sc.msg.Body = nil, nil, nil
+	s.free = append(s.free, sc)
 }
 
 // Input is the driver entry point: a validated-length raw datagram
@@ -229,8 +284,10 @@ func (s *Stack) isLocal(dst ip.Addr) bool {
 // input queue.
 func (s *Stack) Input(buf []byte, ifName string) {
 	s.Stats.Received++
-	pkt, err := ip.Unmarshal(buf)
-	if err != nil {
+	sc := s.borrow()
+	defer s.giveBack(sc)
+	pkt := &sc.pkt
+	if err := pkt.Parse(buf); err != nil {
 		s.Stats.BadPackets++
 		return
 	}
@@ -310,27 +367,29 @@ func (s *Stack) forward(pkt *ip.Packet, inIf string) {
 			return
 		}
 	}
-	fwd := pkt.Clone()
-	fwd.TTL--
 	// 4.3BSD ip_forward sends a redirect when the packet leaves by the
 	// interface it arrived on and the source is on that network — the
 	// mechanism §4.2 suggests could steer regional gateway selection.
 	if ent.IfName == inIf {
-		if e, ok := s.ifs[inIf]; ok && ip.SameNet(pkt.Src, e.addr, e.mask) && !ent.Gateway.IsZero() {
+		if e := s.iface(inIf); e != nil && ip.SameNet(pkt.Src, e.addr, e.mask) && !ent.Gateway.IsZero() {
 			s.Stats.RedirectsOut++
 			m := icmp.NewError(icmp.TypeRedirect, 1, pkt) // host redirect
 			m.Gateway = ent.Gateway
 			s.sendICMP(pkt.Src, m)
 		}
 	}
-	s.transmit(fwd, ent, "fwd", inIf)
+	// pkt is Input's scratch, so like ip_forward the TTL is decremented
+	// in place, after the redirect has quoted the header as received;
+	// Payload still aliases the received bytes.
+	pkt.TTL--
+	s.transmit(pkt, ent, "fwd", inIf)
 	s.Stats.Forwarded++
 }
 
 // transmit routes are resolved; fragment and hand to the driver.
 func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
-	e, ok := s.ifs[ent.IfName]
-	if !ok {
+	e := s.iface(ent.IfName)
+	if e == nil {
 		s.Stats.NoRoute++
 		return
 	}
@@ -360,7 +419,7 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 // output hands one datagram that fits the interface MTU to its driver.
 func (s *Stack) output(e *ifEntry, pkt *ip.Packet, nextHop ip.Addr, dir string) {
 	if s.Tap != nil {
-		s.Tap(dir, pkt, e.ifc.Name())
+		s.Tap(dir, pkt, e.name)
 	}
 	if err := e.ifc.Output(pkt, nextHop); err != nil {
 		e.ifc.Stats().Oerrors++
@@ -375,7 +434,10 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 	if ttl == 0 {
 		ttl = ip.DefaultTTL
 	}
-	pkt := &ip.Packet{
+	sc := s.borrow()
+	defer s.giveBack(sc)
+	pkt := &sc.pkt
+	*pkt = ip.Packet{
 		Header: ip.Header{
 			TOS: tos, ID: s.allocID(), TTL: ttl, Proto: proto, Src: src, Dst: dst,
 		},
@@ -383,18 +445,12 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 	}
 	if dst.IsBroadcast() {
 		// Limited broadcast goes out every interface, never forwarded.
-		for _, name := range s.order {
-			e := s.ifs[name]
-			out := pkt.Clone()
-			if out.Src.IsZero() {
-				out.Src = e.addr
+		for _, e := range s.ifs {
+			pkt.Src = src
+			if src.IsZero() {
+				pkt.Src = e.addr
 			}
-			if s.Tap != nil {
-				s.Tap("out", out, name)
-			}
-			if err := e.ifc.Output(out, dst); err != nil {
-				e.ifc.Stats().Oerrors++
-			}
+			s.output(e, pkt, dst, "out")
 		}
 		return nil
 	}
@@ -416,7 +472,7 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 		return err
 	}
 	if pkt.Src.IsZero() {
-		if e, ok := s.ifs[ent.IfName]; ok {
+		if e := s.iface(ent.IfName); e != nil {
 			pkt.Src = e.addr
 		}
 	}
@@ -432,15 +488,18 @@ func (s *Stack) Send(proto uint8, src, dst ip.Addr, payload []byte, ttl uint8, t
 // the chicken-and-egg a routed protocol cannot solve through its own
 // routing table. The source address is the interface's own.
 func (s *Stack) SendVia(ifName string, proto uint8, dst ip.Addr, payload []byte, ttl uint8) error {
-	e, ok := s.ifs[ifName]
-	if !ok {
+	e := s.iface(ifName)
+	if e == nil {
 		return fmt.Errorf("ipstack: SendVia on unknown interface %q", ifName)
 	}
 	s.Stats.OutRequests++
 	if ttl == 0 {
 		ttl = 1 // link-local by default, never forwarded off-net
 	}
-	pkt := &ip.Packet{
+	sc := s.borrow()
+	defer s.giveBack(sc)
+	pkt := &sc.pkt
+	*pkt = ip.Packet{
 		Header: ip.Header{
 			ID: s.allocID(), TTL: ttl, Proto: proto, Src: e.addr, Dst: dst,
 		},
@@ -465,8 +524,10 @@ func (s *Stack) allocID() uint16 {
 
 func (s *Stack) icmpInput(pkt *ip.Packet, ifName string) {
 	s.Stats.ICMPIn++
-	m, err := icmp.Unmarshal(pkt.Payload)
-	if err != nil {
+	sc := s.borrow()
+	defer s.giveBack(sc)
+	m := &sc.msg
+	if err := m.Parse(pkt.Payload); err != nil {
 		s.Stats.BadPackets++
 		return
 	}
@@ -510,13 +571,15 @@ func (s *Stack) RaiseError(typ, code uint8, about *ip.Packet) {
 	s.sendICMPError(typ, code, about)
 }
 
-// sendICMP originates an ICMP message to dst.
+// sendICMP originates an ICMP message to dst, marshalled into a
+// borrowed buffer.
 func (s *Stack) sendICMP(dst ip.Addr, m *icmp.Message) {
 	s.Stats.ICMPOut++
-	if err := s.Send(ip.ProtoICMP, ip.Addr{}, dst, m.Marshal(), 0, 0); err != nil {
-		// Unroutable ICMP is silently dropped.
-		_ = err
-	}
+	sc := s.borrow()
+	defer s.giveBack(sc)
+	sc.buf = m.MarshalTo(sc.buf[:0])
+	// Unroutable ICMP is silently dropped.
+	_ = s.Send(ip.ProtoICMP, ip.Addr{}, dst, sc.buf, 0, 0)
 }
 
 // sendICMPError raises an error about a received datagram, applying
@@ -529,7 +592,8 @@ func (s *Stack) sendICMPError(typ, code uint8, about *ip.Packet) {
 		return
 	}
 	if about.Proto == ip.ProtoICMP {
-		if m, err := icmp.Unmarshal(about.Payload); err == nil {
+		var m icmp.Message
+		if m.Parse(about.Payload) == nil {
 			switch m.Type {
 			case icmp.TypeEcho, icmp.TypeEchoReply:
 				// Errors about echo are fine.
@@ -575,26 +639,42 @@ func (s *Stack) ping(dst ip.Addr, size int, cb func(seq uint16, rtt time.Duratio
 		}
 		id++
 	}
-	ctx := &pingCtx{sent: map[uint16]sim.Time{}, callback: cb, open: open}
+	ctx := s.sparePing
+	if ctx == nil {
+		ctx = &pingCtx{sent: map[uint16]sim.Time{}}
+	}
+	s.sparePing = nil
+	ctx.callback, ctx.open = cb, open
 	s.pings[id] = ctx
 	ctx.sent[0] = s.Sched.Now()
-	payload := make([]byte, size)
-	for i := range payload {
-		payload[i] = byte(i)
+	body := s.echo(size)
+	for i := range body {
+		body[i] = byte(i)
 	}
-	s.sendICMP(dst, icmp.NewEcho(id, 0, payload))
+	s.sendICMP(dst, icmp.NewEcho(id, 0, body))
 	return id, 0
 }
 
-// PingSeq sends a follow-up echo on an existing (PingOpen) id.
+// PingSeq sends a follow-up echo, with a zero body, on an existing
+// (PingOpen) id.
 func (s *Stack) PingSeq(dst ip.Addr, id, seq uint16, size int) {
 	ctx := s.pings[id]
 	if ctx == nil {
 		return
 	}
 	ctx.sent[seq] = s.Sched.Now()
-	payload := make([]byte, size)
-	s.sendICMP(dst, icmp.NewEcho(id, seq, payload))
+	body := s.echo(size)
+	clear(body)
+	s.sendICMP(dst, icmp.NewEcho(id, seq, body))
+}
+
+// echo returns size bytes of the stack's echo body buffer. sendICMP
+// copies the body out, so the next echo can reuse it.
+func (s *Stack) echo(size int) []byte {
+	if cap(s.echoBody) < size {
+		s.echoBody = make([]byte, size)
+	}
+	return s.echoBody[:size]
 }
 
 // ClosePing releases an echo context created with PingOpen.
@@ -610,13 +690,18 @@ func (s *Stack) pingReply(pkt *ip.Packet, m *icmp.Message) {
 		return
 	}
 	delete(ctx.sent, m.Seq)
-	// One-shot contexts are released before the callback runs, so a
-	// callback that immediately pings again may reuse the id.
+	cb := ctx.callback
+	// One-shot contexts are released, and recycled with their map, before
+	// the callback runs, so a callback that immediately pings again may
+	// reuse the id.
 	if !ctx.open {
 		delete(s.pings, m.ID)
+		clear(ctx.sent)
+		ctx.callback = nil
+		s.sparePing = ctx
 	}
-	if ctx.callback != nil {
-		ctx.callback(m.Seq, s.Sched.Now().Sub(t0), pkt.Src)
+	if cb != nil {
+		cb(m.Seq, s.Sched.Now().Sub(t0), pkt.Src)
 	}
 }
 

@@ -37,6 +37,67 @@ func (w *wire) Output(pkt *ip.Packet, _ ip.Addr) error {
 	return nil
 }
 
+// reuser is a test interface that marshals every datagram into a
+// buffer it owns and reuses, as the drivers do, and keeps nothing else.
+type reuser struct {
+	name  string
+	buf   []byte
+	sent  int
+	stats netif.Stats
+}
+
+func (r *reuser) Name() string        { return r.name }
+func (r *reuser) MTU() int            { return 1500 }
+func (r *reuser) Up() bool            { return true }
+func (r *reuser) Init() error         { return nil }
+func (r *reuser) Stats() *netif.Stats { return &r.stats }
+func (r *reuser) Output(pkt *ip.Packet, _ ip.Addr) error {
+	buf, err := pkt.MarshalTo(r.buf[:0])
+	if err != nil {
+		return err
+	}
+	r.buf = buf
+	r.sent++
+	return nil
+}
+
+// TestWarmDatapathAllocatesNothing holds the stack to its scratch:
+// once warm, answering an echo request and forwarding a datagram each
+// parse, build and hand over the datagram without allocating.
+func TestWarmDatapathAllocatesNothing(t *testing.T) {
+	s := New(sim.NewScheduler(1), "gw")
+	s.Forwarding = true
+	if0, if1 := &reuser{name: "if0"}, &reuser{name: "if1"}
+	s.AddInterface(if0, ip.MustAddr("10.0.0.1"), ip.MaskClassC)
+	s.AddInterface(if1, ip.MustAddr("10.0.1.1"), ip.MaskClassC)
+	datagram := func(dst ip.Addr, proto uint8, payload []byte) []byte {
+		p := &ip.Packet{Header: ip.Header{ID: 1, TTL: ip.DefaultTTL, Proto: proto, Src: ip.MustAddr("10.0.0.9"), Dst: dst}, Payload: payload}
+		buf, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		out  *reuser
+	}{
+		{"echo reply", datagram(s.Addr(), ip.ProtoICMP, icmp.NewEcho(7, 1, make([]byte, 56)).Marshal()), if0},
+		{"forward", datagram(ip.MustAddr("10.0.1.9"), ip.ProtoUDP, make([]byte, 64)), if1},
+	} {
+		s.Input(c.buf, "if0")
+		sent := c.out.sent
+		allocs := testing.AllocsPerRun(100, func() { s.Input(c.buf, "if0") })
+		if c.out.sent != sent+101 {
+			t.Fatalf("%s: %d datagrams out of %s, want 101", c.name, c.out.sent-sent, c.out.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f objects per datagram, want 0", c.name, allocs)
+		}
+	}
+}
+
 func pairUp(t *testing.T, mtu int) (*sim.Scheduler, *Stack, *Stack, *wire, *wire) {
 	t.Helper()
 	s := sim.NewScheduler(1)
@@ -71,6 +132,29 @@ func TestEchoAcrossWire(t *testing.T) {
 	s.RunFor(time.Second)
 	if rtt < 0 || a.Stats.ICMPIn == 0 {
 		t.Fatal("no echo reply")
+	}
+}
+
+// A one-shot Ping context still takes PingSeq follow-ups: whichever
+// reply comes first fires the callback and releases the id, and a
+// later reply on it is ignored.
+func TestPingSeqOnOneShotContext(t *testing.T) {
+	s, a, _, wa, _ := pairUp(t, 1500)
+	wa.drop = func(pkt *ip.Packet) bool {
+		m, err := icmp.Unmarshal(pkt.Payload)
+		return err == nil && m.Type == icmp.TypeEcho && m.Seq == 0
+	}
+	var seqs []uint16
+	dst := ip.MustAddr("10.0.0.2")
+	id, _ := a.Ping(dst, 8, func(seq uint16, _ time.Duration, _ ip.Addr) { seqs = append(seqs, seq) })
+	a.PingSeq(dst, id, 1, 8)
+	a.PingSeq(dst, id, 2, 8)
+	s.RunFor(time.Second)
+	if len(seqs) != 1 || seqs[0] != 1 {
+		t.Fatalf("callbacks for seqs %v, want [1]", seqs)
+	}
+	if again, _ := a.Ping(dst, 8, nil); again != id {
+		t.Fatalf("next Ping took id %d, want the released id %d", again, id)
 	}
 }
 

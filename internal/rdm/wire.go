@@ -127,18 +127,6 @@ var (
 	errType     = errors.New("rdm: bad packet type")
 )
 
-// pseudoChecksum computes the Internet checksum over the RFC 768-style
-// pseudo-header plus segment, with the RDM protocol number.
-func pseudoChecksum(src, dst ip.Addr, seg []byte) uint16 {
-	ph := make([]byte, 12+len(seg))
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[9] = ip.ProtoRDM
-	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
-	copy(ph[12:], seg)
-	return ip.Checksum(ph)
-}
-
 // Marshal builds an RDM packet with checksum.
 func Marshal(src, dst ip.Addr, h Header, payload []byte) []byte {
 	seg := make([]byte, HeaderLen+len(payload))
@@ -149,7 +137,7 @@ func Marshal(src, dst ip.Addr, h Header, payload []byte) []byte {
 	binary.BigEndian.PutUint16(seg[8:], h.Ack)
 	binary.BigEndian.PutUint16(seg[10:], h.Sack)
 	copy(seg[HeaderLen:], payload)
-	cs := pseudoChecksum(src, dst, seg)
+	cs := ip.PseudoChecksum(src, dst, ip.ProtoRDM, seg)
 	if cs == 0 {
 		cs = 0xFFFF // 0 means "no checksum" on the wire
 	}
@@ -165,7 +153,7 @@ func Unmarshal(src, dst ip.Addr, seg []byte) (Header, []byte, error) {
 		return h, nil, errShort
 	}
 	if binary.BigEndian.Uint16(seg[12:]) != 0 { // checksum in use
-		if pseudoChecksum(src, dst, seg) != 0 {
+		if ip.PseudoChecksum(src, dst, ip.ProtoRDM, seg) != 0 {
 			return h, nil, errChecksum
 		}
 	}

@@ -2,12 +2,63 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"packetradio/internal/ip"
 )
+
+// pseudoChecksum is the construction ip.PseudoChecksum replaced, kept
+// as its reference: copy the pseudo-header and the segment into one
+// buffer and sum that.
+func pseudoChecksum(src, dst ip.Addr, seg []byte) uint16 {
+	ph := make([]byte, 12+len(seg))
+	copy(ph[0:4], src[:])
+	copy(ph[4:8], dst[:])
+	ph[9] = ip.ProtoTCP
+	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
+	copy(ph[12:], seg)
+	return ip.Checksum(ph)
+}
+
+// FuzzTCPUnmarshal feeds Unmarshal arbitrary bytes between arbitrary
+// addresses: it must return an error or a segment and never panic, and
+// a segment it returns must survive Marshal and Unmarshal unchanged.
+// ip.PseudoChecksum must equal the copy-and-sum reference on every
+// input.
+func FuzzTCPUnmarshal(f *testing.F) {
+	src, dst := ip.AddrFrom(44, 24, 0, 5), ip.AddrFrom(128, 95, 1, 2)
+	for _, seg := range []*Segment{
+		{SrcPort: 1025, DstPort: 23, Seq: 1, Flags: FlagSYN, Window: 4096, MSS: 216},
+		{SrcPort: 23, DstPort: 1025, Seq: 0xFFFFFFF0, Ack: 2, Flags: FlagACK | FlagPSH, Window: 512, Payload: []byte("login: ")},
+		{SrcPort: 23, DstPort: 1025, Flags: FlagRST},
+	} {
+		b := seg.Marshal(src, dst)
+		f.Add(src.Uint32(), dst.Uint32(), b)
+		f.Add(dst.Uint32(), src.Uint32(), b[:len(b)-1])
+	}
+	f.Add(uint32(0), uint32(0), []byte{})
+	f.Fuzz(func(t *testing.T, s, d uint32, b []byte) {
+		src, dst := ip.AddrFromUint32(s), ip.AddrFromUint32(d)
+		if got, want := ip.PseudoChecksum(src, dst, ip.ProtoTCP, b), pseudoChecksum(src, dst, b); got != want {
+			t.Fatalf("PseudoChecksum = %#04x, reference %#04x", got, want)
+		}
+		seg, err := Unmarshal(src, dst, b)
+		if err != nil {
+			return
+		}
+		q, err := Unmarshal(src, dst, seg.Marshal(src, dst))
+		if err != nil {
+			t.Fatalf("Unmarshal(Marshal(%v)): %v", seg, err)
+		}
+		if !reflect.DeepEqual(seg, q) {
+			t.Fatalf("round trip changed the segment:\n got  %+v\n want %+v", q, seg)
+		}
+	})
+}
 
 // Property: under random loss, duplication and reordering, the TCP
 // stream is delivered exactly, in order, or the connection reports a

@@ -60,16 +60,6 @@ func (s *Segment) String() string {
 		s.SrcPort, s.DstPort, fl, s.Seq, s.Ack, s.Window, len(s.Payload))
 }
 
-func pseudoChecksum(src, dst ip.Addr, seg []byte) uint16 {
-	ph := make([]byte, 12+len(seg))
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[9] = ip.ProtoTCP
-	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
-	copy(ph[12:], seg)
-	return ip.Checksum(ph)
-}
-
 // Marshal renders the segment with pseudo-header checksum.
 func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 	optLen := 0
@@ -91,7 +81,7 @@ func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 		binary.BigEndian.PutUint16(buf[22:], s.MSS)
 	}
 	copy(buf[hlen:], s.Payload)
-	cs := pseudoChecksum(src, dst, buf)
+	cs := ip.PseudoChecksum(src, dst, ip.ProtoTCP, buf)
 	binary.BigEndian.PutUint16(buf[16:], cs)
 	return buf
 }
@@ -101,7 +91,7 @@ func Unmarshal(src, dst ip.Addr, buf []byte) (*Segment, error) {
 	if len(buf) < HeaderLen {
 		return nil, errShort
 	}
-	if pseudoChecksum(src, dst, buf) != 0 {
+	if ip.PseudoChecksum(src, dst, ip.ProtoTCP, buf) != 0 {
 		return nil, errChecksum
 	}
 	hlen := int(buf[12]>>4) * 4

@@ -25,18 +25,6 @@ var (
 	ErrClosed = errors.New("udp: use of closed socket")
 )
 
-// pseudoChecksum computes the Internet checksum over the RFC 768
-// pseudo-header plus segment.
-func pseudoChecksum(src, dst ip.Addr, seg []byte) uint16 {
-	ph := make([]byte, 12+len(seg))
-	copy(ph[0:4], src[:])
-	copy(ph[4:8], dst[:])
-	ph[9] = ip.ProtoUDP
-	binary.BigEndian.PutUint16(ph[10:], uint16(len(seg)))
-	copy(ph[12:], seg)
-	return ip.Checksum(ph)
-}
-
 // Marshal builds a UDP segment with checksum.
 func Marshal(src, dst ip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	seg := make([]byte, HeaderLen+len(payload))
@@ -44,7 +32,7 @@ func Marshal(src, dst ip.Addr, srcPort, dstPort uint16, payload []byte) []byte {
 	binary.BigEndian.PutUint16(seg[2:], dstPort)
 	binary.BigEndian.PutUint16(seg[4:], uint16(len(seg)))
 	copy(seg[8:], payload)
-	cs := pseudoChecksum(src, dst, seg)
+	cs := ip.PseudoChecksum(src, dst, ip.ProtoUDP, seg)
 	if cs == 0 {
 		cs = 0xFFFF // 0 means "no checksum" on the wire
 	}
@@ -63,7 +51,7 @@ func Unmarshal(src, dst ip.Addr, seg []byte) (srcPort, dstPort uint16, payload [
 	}
 	seg = seg[:length]
 	if binary.BigEndian.Uint16(seg[6:]) != 0 { // checksum in use
-		if pseudoChecksum(src, dst, seg) != 0 {
+		if ip.PseudoChecksum(src, dst, ip.ProtoUDP, seg) != 0 {
 			return 0, 0, nil, errChecksum
 		}
 	}

@@ -81,11 +81,13 @@ func seattlePing(perByte bool, iters int) (eventsPerOp float64) {
 
 // maxSeattlePingAllocs bounds the heap objects one warm ping allocates
 // end to end. The datapath copies bytes only where the model keeps them
-// across virtual time (DESIGN.md §3b, "Copy once per hop"); what is
-// left is the Ping call's own echo context and payload, the IP and
-// ICMP packets each host builds and parses, one radio frame and one
-// transmission per hop, and the driver's IP-queue copy.
-const maxSeattlePingAllocs = 24
+// across virtual time (DESIGN.md §3b, "Copy once per hop"), and the IP
+// layer parses and builds datagrams in scratch each stack owns. What is
+// left, 9 objects: the radio's queue copy, transmission and completion
+// closure for each of the two frames, the driver's IP-queue copy at
+// each end, and the ARP refresh, spread over the pings between
+// refreshes.
+const maxSeattlePingAllocs = 10
 
 // TestSeattlePingAllocs is the allocation gate on the datapath: a
 // warm ping that allocates more than maxSeattlePingAllocs objects has
