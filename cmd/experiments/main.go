@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments            # all of F1 F2 E1..E10
+//	experiments            # every experiment, in experiments.Registry order
 //	experiments -only E2   # a single experiment
 //	experiments -list      # show the index
 //
@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,33 +27,6 @@ import (
 	"packetradio/internal/experiments"
 	"packetradio/internal/scenario"
 )
-
-var index = []struct {
-	id    string
-	claim string
-	run   func(io.Writer) *experiments.Result
-}{
-	{"F1", "Figure 1: hardware path latency decomposition", experiments.F1},
-	{"F2", "Figure 2: ISO/OSI layering and per-layer overhead", experiments.F2},
-	{"E1", "§3: transmission time dominates at 1200 bps", experiments.E1},
-	{"E2", "§3: gateway slowdown under load; TNC filter ablation", experiments.E2},
-	{"E3", "§4.1: fixed vs adaptive retransmission timeouts", experiments.E3},
-	{"E4", "§4.2: single class-A route vs regional gateways", experiments.E4},
-	{"E5", "§4.3: access-control table life cycle", experiments.E5},
-	{"E6", "§1: source-routed digipeating, 0-8 hops", experiments.E6},
-	{"E7", "§2.3: ARP over AX.25, cold vs warm", experiments.E7},
-	{"E8", "§2.4: IP over the NET/ROM backbone", experiments.E8},
-	{"E9", "§2.3/§5: telnet, FTP, SMTP across the gateway", experiments.E9},
-	{"E10", "substrate: CSMA channel capacity", experiments.E10},
-	{"E11", "RSPF reconverges after gateway failure; static blackholes", experiments.E11},
-	{"E12", "RSPF control-plane overhead on the 1200 bps channel", experiments.E12},
-	{"E13", "delivery ratio under link churn: static vs RSPF", experiments.E13},
-	{"E14", "simulator scaling: N-station worlds per wall second", experiments.E14},
-	{"E15", "event-driven CSMA: events per simulated second, before/after", experiments.E15},
-	{"E16", "DAMA vs CSMA: delivery past the saturation knee", experiments.E16},
-	{"E17", "SOCK_RDM vs TCP: goodput and airtime on the 1200 bps path", experiments.E17},
-	{"E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference", experiments.E18},
-}
 
 func main() {
 	only := flag.String("only", "", "run a single experiment (e.g. E3)")
@@ -69,17 +41,17 @@ func main() {
 		return
 	}
 	if *list {
-		for _, e := range index {
-			fmt.Printf("%-4s %s\n", e.id, e.claim)
+		for _, e := range experiments.Registry() {
+			fmt.Printf("%-4s %s\n", e.ID, e.Claim)
 		}
 		return
 	}
 	ran := 0
-	for _, e := range index {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+	for _, e := range experiments.Registry() {
+		if *only != "" && !strings.EqualFold(*only, e.ID) {
 			continue
 		}
-		e.run(os.Stdout)
+		e.Run(os.Stdout)
 		ran++
 	}
 	if ran == 0 {

@@ -34,7 +34,6 @@ import (
 	"packetradio/internal/experiments"
 	"packetradio/internal/ip"
 	"packetradio/internal/obs"
-	"packetradio/internal/radio"
 	"packetradio/internal/scenario"
 	"packetradio/internal/tcp"
 	"packetradio/internal/telnet"
@@ -244,9 +243,7 @@ func main() {
 			fmt.Printf("%10.3f gw %-2s %v\n", s.W.Sched.Now().Seconds(), dir, f)
 		}
 	}
-	if *load > 0 {
-		addChatter(s, *load)
-	}
+	experiments.Chatter(s, *load)
 
 	// Workload 1: the paper's first test, ICMP-level.
 	fmt.Printf("# %d bps channel, %d baud serial, %d PCs, acl=%v, load=%d%%, mac=%v\n",
@@ -440,22 +437,4 @@ func runSweep(seeds, stations, channels, workers int, dur time.Duration) {
 	fmt.Printf("# rtt:      median=%.2fs p95=%.2fs\n",
 		pt.RTTMedian.Seconds(), pt.RTTP95.Seconds())
 	fmt.Printf("# wall: %.1fs\n", time.Since(start).Seconds())
-}
-
-func addChatter(s *world.Seattle, loadPct int) {
-	params := radio.DefaultParams()
-	a := s.Channel.Attach("CHAT1", params)
-	b := s.Channel.Attach("CHAT2", params)
-	a.SetReceiver(func([]byte, bool) {})
-	b.SetReceiver(func([]byte, bool) {})
-	f := ax25.NewUI(ax25.MustAddr("CHAT2"), ax25.MustAddr("CHAT1"), ax25.PIDNone, make([]byte, 120))
-	enc, _ := f.Encode(nil)
-	framed := ax25.AppendFCS(enc)
-	per := s.Channel.AirTime(len(framed)) + params.TXDelay
-	interval := time.Duration(float64(per) * 100 / float64(loadPct))
-	s.W.Sched.Every(interval, func() {
-		if a.QueueLen() < 4 {
-			a.Send(framed)
-		}
-	})
 }

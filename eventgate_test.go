@@ -59,7 +59,7 @@ func TestEventGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := seattlePing(false, seattlePingIters)
+	events := seattlePing(seattlePingIters)
 	if events != committed.SeattlePingEventsPerOp {
 		t.Errorf("seattle_ping_events_per_op = %v, committed %v — the datapath's event count changed; "+
 			"regenerate BENCH_simcore.json if intentional", events, committed.SeattlePingEventsPerOp)
@@ -71,7 +71,7 @@ func TestEventGate(t *testing.T) {
 		if !ok {
 			t.Fatalf("baseline has no e14_scaling.%s", key)
 		}
-		pt := experiments.ScaleRun(n, false)
+		pt := experiments.ScaleRun(n)
 		if pt.EventsPerSimS != want.EventsPerSimS {
 			t.Errorf("E14 %s events_per_sim_s = %v, committed %v", key, pt.EventsPerSimS, want.EventsPerSimS)
 		}

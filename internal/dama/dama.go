@@ -1,6 +1,6 @@
 // Package dama implements demand-assigned polled channel access — the
-// MAC that lifts delivery past the CSMA saturation knee E15 exposed
-// (~25 stations per 1200 bps channel). Where p-persistent CSMA burns
+// MAC that lifts delivery past the CSMA saturation knee E14's
+// utilization column exposes (~25 stations per 1200 bps channel). Where p-persistent CSMA burns
 // airtime on collisions once offered load crosses the channel's
 // capacity, DAMA makes the channel collision-free by construction: one
 // master per channel runs a demand-weighted round-robin poll list, and
@@ -201,10 +201,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // becomes the controller and its election timer arms. A station joining
 // mid-CSMA-contention (a mobile returning to a polled channel) has its
 // edge-driven deferral retired first; queued frames then wait for a
-// poll like any other demand. (The seed per-slot path cannot be
-// retired this way — its contend closure is already scheduled — so
-// per-slot stations must Join idle, which world's attach-time wiring
-// guarantees.)
+// poll like any other demand.
 func (c *Controller) Join(t *radio.Transceiver) {
 	if t.Channel() != c.ch {
 		panic("dama: Join of a transceiver tuned elsewhere")

@@ -114,7 +114,7 @@ func e11Run(dynamic bool, failAt, total time.Duration) (*prober, sim.Time) {
 // bounded number of simulated seconds (neighbor death detection plus
 // flood and SPF), and the run is bit-for-bit reproducible by seed.
 func E11(w io.Writer) *Result {
-	r := newResult("E11", "RSPF reconverges after gateway failure; static routing blackholes")
+	r := newResult("E11")
 	t := newTable(w, "E11", "primary gateway fails at T+10min; pc1 probes june every 15 s")
 	t.row("routing", "delivered after failure", "first success after", "convergence(s)")
 
@@ -152,7 +152,7 @@ func fmtFrac(got, sent int) string { return fmt.Sprintf("%d/%d", got, sent) }
 // ("transmission time is the dominant factor") applied to RSPF's own
 // control plane — the reason the daemon's defaults are so slow.
 func E12(w io.Writer) *Result {
-	r := newResult("E12", "RSPF control-plane overhead on the 1200 bps channel")
+	r := newResult("E12")
 	t := newTable(w, "E12", "4 radio stations, 30 min, no user traffic")
 	t.row("timers", "frames", "airtime(s)", "channel util %")
 
@@ -180,7 +180,7 @@ func E12(w io.Writer) *Result {
 // single wired-in gateway happens to be up; RSPF routes around each
 // outage after its detection lag.
 func E13(w io.Writer) *Result {
-	r := newResult("E13", "delivery ratio under link churn: static vs RSPF")
+	r := newResult("E13")
 	t := newTable(w, "E13", "gateway RF outages on a fixed schedule; pc1 probes june every 20 s for 40 min")
 	t.row("routing", "delivered", "ratio")
 

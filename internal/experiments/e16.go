@@ -47,7 +47,7 @@ var macMemo = map[struct {
 // MACRun steps the E16 world — N stations on ONE 1200 bps channel
 // behind one gateway, every station pinging the Internet host once a
 // minute — for three simulated minutes after a 30 s warm-up, under the
-// given MAC. One channel (unlike E14/E15's N/25) is the point: it
+// given MAC. One channel (unlike E14's N/25) is the point: it
 // sweeps stations-per-channel straight through the CSMA saturation
 // knee, which is exactly where polled access must keep delivering.
 func MACRun(n int, mac world.MACMode) MACPoint {
@@ -127,7 +127,7 @@ func macRunFresh(n int, mac world.MACMode) MACPoint {
 // trade: CSMA pays in deferrals and collisions, DAMA in poll airtime
 // and timeout windows.
 func E16(w io.Writer) *Result {
-	r := newResult("E16", "DAMA vs CSMA: delivery past the saturation knee")
+	r := newResult("E16")
 	t := newTable(w, "E16", "N stations, ONE 1200 bps channel, 60 s ping interval, 3 simulated minutes per cell")
 	t.row("stations", "mac", "delivered", "replies", "median rtt", "ev/sim-s", "collisions", "overhead")
 
@@ -157,7 +157,7 @@ func E16(w io.Writer) *Result {
 			fmt.Sprintf("%d polls, %d timeouts, %.0f%% ctl air", d.PollsSent, d.PollTimeouts, d.ControlShare*100))
 	}
 	t.flush()
-	fmt.Fprintln(w, "   (one channel on purpose: N sweeps stations-per-channel through the E15 knee;")
+	fmt.Fprintln(w, "   (one channel on purpose: N sweeps stations-per-channel through the E14 knee;")
 	fmt.Fprintln(w, "    DAMA's zero collision column is the collision-free-by-construction argument,")
 	fmt.Fprintln(w, "    and its control overhead is the price of owning the schedule)")
 

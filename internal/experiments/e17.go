@@ -177,7 +177,7 @@ func transferFresh(transport string, mtu int) TransferPoint {
 // to begin with. The acceptance bar is the ISSUE's: Reliable-mode RDM
 // goodput at least 2x TCP's committed 406 bps baseline.
 func E17(w io.Writer) *Result {
-	r := newResult("E17", "SOCK_RDM vs TCP goodput and airtime on the 1200 bps path")
+	r := newResult("E17")
 	t := newTable(w, "E17", "2 KB Internet -> radio PC, Seattle world, per transport x radio MTU")
 	t.row("mtu", "transport", "time", "goodput", "airtime share", "pkts out", "resent", "delivered")
 	for _, mtu := range []int{256, 576} {

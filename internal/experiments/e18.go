@@ -52,7 +52,7 @@ var parallelMemo = map[[3]int]ParallelPoint{}
 // over the given channel count, one gateway per channel, one ping per
 // station per minute) twice with the same seed: on the single-loop
 // engine and on the sharded engine with the given worker count — 30 s
-// warm-up untimed, 3 simulated minutes timed, exactly the E14/E15
+// warm-up untimed, 3 simulated minutes timed, exactly the E14
 // protocol. Results are memoized per process.
 func ParallelRun(n, channels, workers int) ParallelPoint {
 	key := [3]int{n, channels, workers}
@@ -148,7 +148,7 @@ var e18Cells = [][3]int{
 // construction-order seed argument in world.NewLarge — the table marks
 // any divergence loudly, and the event gate pins it.
 func E18(w io.Writer) *Result {
-	r := newResult("E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference")
+	r := newResult("E18")
 	t := newTable(w, "E18", "same seeded worlds on both engines, 3 simulated minutes per cell")
 	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings", "multi-busy", "bound 2w")
 

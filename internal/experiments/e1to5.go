@@ -19,7 +19,7 @@ import (
 // throughput and latency." It sweeps link speed × datagram size,
 // measuring ping RTT and the share of it that is pure airtime.
 func E1(w io.Writer) *Result {
-	r := newResult("E1", "§3: transmission time dominates at 1200 bps")
+	r := newResult("E1")
 	t := newTable(w, "E1", "ping PC->gateway: RTT and airtime share vs link speed")
 	t.row("bps", "size(B)", "RTT(ms)", "airtime(ms)", "airtime share")
 
@@ -54,10 +54,12 @@ func E1(w io.Writer) *Result {
 	return r
 }
 
-// chatter generates background channel load: a pair of raw stations
-// exchanging UI frames (not addressed to the gateway) at the interval
-// that produces the requested fraction of channel capacity.
-func chatter(s *world.Seattle, loadPct int) {
+// Chatter generates background channel load on the Seattle channel: a
+// pair of raw stations exchanging UI frames (not addressed to the
+// gateway) at the interval that produces the requested fraction of
+// channel capacity. E2 and prsim's -load use it; a load of 0 or less
+// adds nothing.
+func Chatter(s *world.Seattle, loadPct int) {
 	if loadPct <= 0 {
 		return
 	}
@@ -91,7 +93,7 @@ func chatter(s *world.Seattle, loadPct int) {
 // crosses it, queues ahead of real packets, and overflows the TNC's
 // small buffer.
 func E2(w io.Writer) *Result {
-	r := newResult("E2", "§3: gateway slowdown under channel load; TNC filter ablation")
+	r := newResult("E2")
 	t := newTable(w, "E2", "ping PC->Internet host through gateway, serial 600 baud, 10 pings")
 	t.row("load%", "TNC mode", "mean RTT(s)", "lost", "gw serial rx(B)", "TNC drops")
 
@@ -99,7 +101,7 @@ func E2(w io.Writer) *Result {
 		s := world.NewSeattle(world.SeattleConfig{
 			Seed: 3, NumPCs: 1, Baud: 600, TNCFilter: filter,
 		})
-		chatter(s, loadPct)
+		Chatter(s, loadPct)
 		pc := s.PCs[0]
 		// The PC's own TNC filters in both configurations so the
 		// gateway's TNC mode is the only variable.
@@ -152,7 +154,7 @@ func E2(w io.Writer) *Result {
 // implementations learn the correct timeout. A 4 KB transfer from the
 // Internet host to a radio PC under three retransmission policies.
 func E3(w io.Writer) *Result {
-	r := newResult("E3", "§4.1: timeouts across the latency mismatch")
+	r := newResult("E3")
 	t := newTable(w, "E3", "4KB TCP transfer Internet->PC0; competing ping from PC1")
 	t.row("RTO policy", "time(s)", "rexmits", "dup bytes at rcvr", "final RTO(s)", "competing RTT(s)")
 
@@ -235,7 +237,7 @@ func E3(w io.Writer) *Result {
 // single-gateway path (west gateway, then a 1200 bps NET/ROM backbone
 // crossing to the east) against per-region routes.
 func E4(w io.Writer) *Result {
-	r := newResult("E4", "§4.2: single class-A route vs regional gateways")
+	r := newResult("E4")
 	t := newTable(w, "E4", "ping Internet host -> east-coast PC (44.56.0.10)")
 	t.row("routing", "RTT(s)", "path")
 
@@ -273,7 +275,7 @@ func E4(w io.Writer) *Result {
 // E5 reproduces §4.3 end to end: the authorization table life cycle
 // with every transition the paper describes.
 func E5(w io.Writer) *Result {
-	r := newResult("E5", "§4.3: gateway access control life cycle")
+	r := newResult("E5")
 	s := world.NewSeattle(world.SeattleConfig{Seed: 9, NumPCs: 1, WithACL: true})
 	acl := s.GatewayGW.ACL
 	acl.IdleTTL = 5 * time.Minute

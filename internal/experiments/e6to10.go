@@ -20,7 +20,7 @@ import (
 // frame on the same frequency, so a path through n digipeaters costs
 // (n+1)× the airtime and at least (n+1)× the latency.
 func E6(w io.Writer) *Result {
-	r := newResult("E6", "§1: source-routed digipeating, up to 8 hops")
+	r := newResult("E6")
 	t := newTable(w, "E6", "ping A->B via n digipeaters, 200-byte datagrams (single frame), one channel")
 	t.row("digis", "RTT(s)", "vs direct")
 
@@ -98,7 +98,7 @@ func absInt(x int) int {
 // E7 measures the §2.3 ARP path: the cost of the first (cold) contact
 // versus cached resolution, and re-resolution after expiry.
 func E7(w io.Writer) *Result {
-	r := newResult("E7", "§2.3: ARP over AX.25 (cold vs warm)")
+	r := newResult("E7")
 	s := world.NewSeattle(world.SeattleConfig{Seed: 13, NumPCs: 1})
 	pc := s.PCs[0]
 	res := pc.Radio("pr0").Driver.Resolver()
@@ -127,7 +127,7 @@ func E7(w io.Writer) *Result {
 // E8 reproduces §2.4's NET/ROM plan: IP between two radio subnets over
 // the backbone, including how long NODES broadcasts take to converge.
 func E8(w io.Writer) *Result {
-	r := newResult("E8", "§2.4: IP over the NET/ROM backbone")
+	r := newResult("E8")
 	t := newTable(w, "E8", "two-coast world, 1200 bps backbone (SEA-MID-TAC line)")
 	t.row("quantity", "value")
 
@@ -158,7 +158,7 @@ func E8(w io.Writer) *Result {
 // successfully used across the gateway" — all three services, both
 // directions.
 func E9(w io.Writer) *Result {
-	r := newResult("E9", "§2.3/§5: telnet, FTP and SMTP across the gateway")
+	r := newResult("E9")
 	s := world.NewSeattle(world.SeattleConfig{Seed: 19, NumPCs: 1})
 	pc := s.PCs[0]
 	radioCfg := tcp.Config{Mode: tcp.RTOAdaptive, MSS: 216}
@@ -264,7 +264,7 @@ func okFail(ok bool) string {
 // goodput and collision rate versus offered load on a shared
 // p-persistent CSMA channel.
 func E10(w io.Writer) *Result {
-	r := newResult("E10", "substrate: CSMA channel capacity")
+	r := newResult("E10")
 	t := newTable(w, "E10", "6 stations, 120-byte frames, Poisson arrivals, 30 min simulated")
 	t.row("offered load", "goodput", "collision pairs", "deferrals")
 

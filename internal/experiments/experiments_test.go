@@ -183,11 +183,19 @@ func TestE10CSMASaturates(t *testing.T) {
 func TestRunAllProducesReadableReport(t *testing.T) {
 	var sb strings.Builder
 	results := RunAll(&sb)
-	if len(results) != 20 {
-		t.Fatalf("got %d results", len(results))
+	reg := Registry()
+	if len(results) != len(reg) || len(reg) != 19 {
+		t.Fatalf("got %d results from %d registry entries, want 19", len(results), len(reg))
+	}
+	// Each entry's Run must report under the entry's own ID and claim,
+	// so -list, -only and the Result cannot drift apart.
+	for i, e := range reg {
+		if results[i].ID != e.ID || results[i].Claim != e.Claim || e.Claim == "" {
+			t.Fatalf("registry entry %s (%q) ran as %s (%q)", e.ID, e.Claim, results[i].ID, results[i].Claim)
+		}
 	}
 	out := sb.String()
-	for _, id := range []string{"F1", "F2a", "F2b", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18"} {
+	for _, id := range []string{"F1", "F2a", "F2b", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E17", "E18"} {
 		if !strings.Contains(out, "== "+id) {
 			t.Fatalf("report missing section %s", id)
 		}
@@ -283,27 +291,11 @@ func TestE13RSPFBeatsStaticUnderChurn(t *testing.T) {
 	}
 }
 
-func TestE15EventDrivenCSMAWins(t *testing.T) {
-	r := E15(io.Discard)
-	for _, n := range []int{10, 50, 100, 200} {
-		key := fmt.Sprintf("_n%d", n)
-		// The refactor removes events, not physics: both CSMA modes
-		// must deliver exactly the same traffic.
-		if ds, de := r.Get("delivery_per_slot"+key), r.Get("delivery"+key); ds != de {
-			t.Fatalf("N=%d: per-slot delivered %.4f vs event-driven %.4f — modes diverged", n, ds, de)
-		}
-	}
-	// The contended worlds are where per-slot polling burned its
-	// events. Under the auto-ARP default mix the channels run ~80%
-	// utilized rather than drowning in ARP retry storms, so the
-	// carrier-edge saving is smaller than the 3x+ it showed on the
-	// strict-RFC-826 mix — but it must still be clearly present at
-	// N=200 (measured 2.8x; a vanished refactor reads 1.0x).
-	if red := r.Get("csma_event_reduction_n200"); red < 1.3 {
-		t.Fatalf("N=200 event reduction %.2fx, want >= 1.3x", red)
-	}
-	// And the saturation explanation must hold: the loaded worlds run
-	// their channels past the E10 knee while N=10 stays comfortable.
+// The delivery dip E14 shows past N=10 is the network saturating, not
+// the simulator: the loaded worlds run their channels past the E10
+// knee while N=10 stays comfortable.
+func TestE14UtilizationExplainsDeliveryDip(t *testing.T) {
+	r := E14(io.Discard)
 	if u := r.Get("utilization_n200"); u < 0.8 {
 		t.Fatalf("N=200 channel utilization %.2f — the delivery dip is unexplained", u)
 	}

@@ -17,7 +17,7 @@ import (
 // datagram crosses the physical chain, measured end to end in the
 // simulator and broken down analytically per stage.
 func F1(w io.Writer) *Result {
-	r := newResult("F1", "Figure 1: physical hardware path decomposition")
+	r := newResult("F1")
 	const payload = 216 // IP payload bytes -> 236-byte datagram
 
 	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
@@ -70,7 +70,7 @@ func F1(w io.Writer) *Result {
 // overhead table: the bytes each layer of the implementation column
 // adds around one telnet keystroke and one FTP data block.
 func F2(w io.Writer) *Result {
-	r := newResult("F2", "Figure 2: ISO/OSI layering and per-layer overhead")
+	r := newResult("F2")
 
 	layer := func(name string, paperLayer string, add int, running int) []any {
 		return []any{name, paperLayer, add, running}

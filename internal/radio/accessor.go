@@ -63,8 +63,7 @@ type Accessor interface {
 }
 
 // csma is the default accessor: the event-driven p-persistent CSMA of
-// DESIGN.md §3c (with the seed per-slot path behind Params.PerSlotCSMA).
-// One instance serves every transceiver — all its state lives on the
+// DESIGN.md §3c. One instance serves every transceiver — all its state lives on the
 // Transceiver (slot grid, wake event, planned draws) and the Channel
 // (wait-list).
 var csma Accessor = &csmaAccessor{}
@@ -85,9 +84,7 @@ func (csmaAccessor) Detach(t *Transceiver) {
 	// planned losers before now were decided and settle as their slots'
 	// wakes would have; the busy stretch after the last one is not
 	// counted, and the remaining draws stay in the FIFO for the next
-	// channel. (A per-slot contender keeps its scheduled contend
-	// closure, which simply finds t.ch pointing at the new channel — the
-	// seed behaviour.)
+	// channel.
 	if t.wake != nil {
 		t.settleLosers(t.ch.sched.Now(), t.Params.slotTime())
 		t.losers = t.losers[:0]

@@ -64,9 +64,12 @@ func TestOneWayHealExtendsDeferral(t *testing.T) {
 		ch := NewChannel(s, 1200)
 		p := DefaultParams()
 		p.Persist = 1.0
-		p.PerSlotCSMA = perSlot
 		talker := ch.Attach("TLK", p)
 		waiter := ch.Attach("WTR", p)
+		if perSlot {
+			usePerSlot(talker)
+			usePerSlot(waiter)
+		}
 		ch.SetReachable(talker, waiter, false) // starts deaf to talker
 		talker.Send(make([]byte, 1400))        // ~9.7 s carrier, inaudible
 		s.RunFor(time.Second)

@@ -193,8 +193,10 @@ func TestBackoffSequenceInvariantUnderAddedStation(t *testing.T) {
 					ch.SetReachable(o, c, false)
 				}
 			}
-			a.Params.PerSlotCSMA = perSlot
-			b.Params.PerSlotCSMA = perSlot
+			if perSlot {
+				usePerSlot(a)
+				usePerSlot(b)
+			}
 			var trace string
 			// a and b trade frames so a's draws interleave with real
 			// contention; c (when present) keeps its own drumbeat going.

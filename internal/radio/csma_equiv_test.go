@@ -11,8 +11,8 @@ import (
 )
 
 // The channel-level CSMA equivalence regression: identical seeded
-// traffic run once over the seed per-slot polling path and once over
-// the event-driven carrier-edge path must produce the identical trace —
+// traffic run once over the seed's per-slot polling (the perSlotCSMA
+// oracle) and once over the event-driven carrier-edge path must produce the identical trace —
 // every delivery at the identical virtual timestamp with the identical
 // damage flag, slot-exact deferral counters at arbitrary mid-run probe
 // instants, and identical final per-station and channel stats. This is
@@ -30,9 +30,10 @@ func csmaTrace(t *testing.T, perSlot bool, stations int, ber float64, hidden boo
 	var tr strings.Builder
 	rfs := make([]*Transceiver, stations)
 	for i := range rfs {
-		p := DefaultParams()
-		p.PerSlotCSMA = perSlot
-		rf := ch.Attach(fmt.Sprintf("S%d", i), p)
+		rf := ch.Attach(fmt.Sprintf("S%d", i), DefaultParams())
+		if perSlot {
+			usePerSlot(rf)
+		}
 		i := i
 		rf.SetReceiver(func(f []byte, damaged bool) {
 			fmt.Fprintf(&tr, "%v S%d len=%d damaged=%v\n", s.Now(), i, len(f), damaged)
@@ -117,11 +118,12 @@ func TestEventDrivenCSMAFiresFewerEvents(t *testing.T) {
 	count := func(perSlot bool) uint64 {
 		s := sim.NewScheduler(3)
 		ch := NewChannel(s, 1200)
-		p := DefaultParams()
-		p.PerSlotCSMA = perSlot
 		rfs := make([]*Transceiver, 6)
 		for i := range rfs {
-			rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), p)
+			rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), DefaultParams())
+			if perSlot {
+				usePerSlot(rfs[i])
+			}
 		}
 		// Everyone piles on at once: long mutual deferral chains, the
 		// E14 hot spot in miniature.

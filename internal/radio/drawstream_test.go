@@ -31,9 +31,10 @@ func TestPlannedDrawsFollowPerSlotStream(t *testing.T) {
 			ch := NewChannel(s, 1200)
 			rfs := make([]*Transceiver, stations)
 			for i := range rfs {
-				p := DefaultParams()
-				p.PerSlotCSMA = perSlot
-				rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), p)
+				rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), DefaultParams())
+				if perSlot {
+					usePerSlot(rfs[i])
+				}
 			}
 			plan := rand.New(rand.NewSource(seed))
 			for i := 0; i < 16; i++ {

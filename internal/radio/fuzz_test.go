@@ -10,15 +10,16 @@ import (
 )
 
 // FuzzContention cross-checks the event-driven contention engine
-// against the seed per-slot polling path on arbitrary traffic
-// programs, the way FuzzDecoder cross-checks bulk KISS decode against
-// PutByte. The fuzz input is a tiny byte-coded schedule: each triple
-// (station, size, gap) queues one frame, or, with the station byte's
-// high bit set, flips whether that station is heard by another one
-// (the size byte picks which), so reachability changes land under
-// live carriers and planned draws; a header byte picks the station
-// count, bit-error rate and an optional hidden pair. Both modes must
-// produce the identical delivery trace and drain the wait-list.
+// against the seed's per-slot polling (the perSlotCSMA oracle) on
+// arbitrary traffic programs, the way FuzzDecoder cross-checks bulk
+// KISS decode against PutByte. The fuzz input is a tiny byte-coded
+// schedule: each triple (station, size, gap) queues one frame, or,
+// with the station byte's high bit set, flips whether that station is
+// heard by another one (the size byte picks which), so reachability
+// changes land under live carriers and planned draws; a header byte
+// picks the station count, bit-error rate and an optional hidden pair.
+// Both modes must produce the identical delivery trace and drain the
+// wait-list.
 func FuzzContention(f *testing.F) {
 	f.Add(int64(1), []byte{3, 0, 0, 50, 1, 1, 60, 2, 2, 80, 3})
 	f.Add(int64(7), []byte{0x85, 0, 200, 0, 1, 200, 0, 2, 200, 0, 3, 200, 0})
@@ -45,9 +46,10 @@ func FuzzContention(f *testing.F) {
 			var tr strings.Builder
 			rfs := make([]*Transceiver, stations)
 			for i := range rfs {
-				p := DefaultParams()
-				p.PerSlotCSMA = perSlot
-				rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), p)
+				rfs[i] = ch.Attach(fmt.Sprintf("S%d", i), DefaultParams())
+				if perSlot {
+					usePerSlot(rfs[i])
+				}
 				i := i
 				rfs[i].SetReceiver(func(fr []byte, damaged bool) {
 					fmt.Fprintf(&tr, "%v S%d len=%d damaged=%v\n", s.Now(), i, len(fr), damaged)

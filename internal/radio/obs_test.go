@@ -77,7 +77,8 @@ func TestMaxDeferralsGivesUpPerSlot(t *testing.T) {
 	s := sim.NewScheduler(1)
 	ch := NewChannel(s, 1200)
 	jam := ch.Attach("jam", Params{TXDelay: 100 * time.Millisecond, SlotTime: 50 * time.Millisecond, Persist: 1.0, FullDuplex: true})
-	a := ch.Attach("a", Params{TXDelay: 100 * time.Millisecond, SlotTime: 50 * time.Millisecond, Persist: 0.5, PerSlotCSMA: true})
+	a := ch.Attach("a", Params{TXDelay: 100 * time.Millisecond, SlotTime: 50 * time.Millisecond, Persist: 0.5})
+	usePerSlot(a)
 
 	a.MaxDeferrals = 3
 	var drops int

@@ -31,8 +31,8 @@
 // that pass while parked are settled as CSMADeferrals in one step, and
 // every draw is decided in the per-slot order, so the observable
 // outcome — deferral counts, transmit instants, collision windows — is
-// identical to the seed per-slot polling path, which survives behind
-// Params.PerSlotCSMA for the equivalence regression tests.
+// identical to the seed's per-slot polling, which the package's tests
+// keep as an Accessor to check against.
 package radio
 
 import (
@@ -280,12 +280,6 @@ type Params struct {
 	SlotTime   time.Duration // CSMA slot (default 100 ms)
 	Persist    float64       // p-persistence in (0,1] (default 0.25)
 	FullDuplex bool          // transmit without carrier sense
-
-	// PerSlotCSMA reverts channel access to the seed's polling loop —
-	// one scheduler event per SlotTime per deferred transmitter — for
-	// the event-driven-CSMA equivalence regression tests, mirroring
-	// serial.Line.PerByte.
-	PerSlotCSMA bool
 }
 
 // DefaultParams mirror common KISS defaults at 1200 bps.
@@ -668,14 +662,9 @@ func (t *Transceiver) giveUp() bool {
 // begins channel access for the head-of-queue frame.
 func (t *Transceiver) startContention() {
 	t.contending = true
-	now := t.ch.sched.Now()
-	if t.Params.PerSlotCSMA {
-		t.ch.sched.At(now, t.contend)
-		return
-	}
-	t.slot = now
+	t.slot = t.ch.sched.Now()
 	t.ch.addWaiter(t)
-	t.wake = t.ch.sched.At(t.walk(now, 0), t.onSlotFn)
+	t.wake = t.ch.sched.At(t.walk(t.slot, 0), t.onSlotFn)
 }
 
 // stopContention retires the waiter state (the wake event has fired or
@@ -836,63 +825,6 @@ func (t *Transceiver) onSlot() {
 	// can report what this frame waited through.
 	t.transmitFrame(frame, false)
 	t.frameDeferrals = 0
-}
-
-// contend runs one step of the seed per-slot polling CSMA
-// (Params.PerSlotCSMA): one scheduler event per SlotTime while
-// deferred.
-func (t *Transceiver) contend() {
-	if len(t.queue) == 0 {
-		t.contending = false
-		return
-	}
-	p := t.Params
-	if !p.FullDuplex {
-		if t.CarrierSense() {
-			t.Stats.CSMADeferrals++
-			t.frameDeferrals++
-			if t.MaxDeferrals > 0 && t.frameDeferrals >= t.MaxDeferrals {
-				t.contending = false
-				if !t.giveUpPerSlot() {
-					return
-				}
-			}
-			t.ch.sched.After(p.slotTime(), t.contend)
-			return
-		}
-		if t.csmaRng.Float64() >= p.Persist {
-			t.Stats.CSMADeferrals++
-			t.frameDeferrals++
-			if t.MaxDeferrals > 0 && t.frameDeferrals >= t.MaxDeferrals {
-				t.contending = false
-				if !t.giveUpPerSlot() {
-					return
-				}
-			}
-			t.ch.sched.After(p.slotTime(), t.contend)
-			return
-		}
-	}
-	t.contending = false
-	frame := t.popQueue()
-	t.transmitFrame(frame, false)
-	t.frameDeferrals = 0
-}
-
-// giveUpPerSlot is the per-slot path's give-up: drop the head frame and
-// report whether contention should continue for a successor.
-func (t *Transceiver) giveUpPerSlot() bool {
-	frame := t.popQueue()
-	t.Stats.CSMAGiveUps++
-	t.frameDeferrals = 0
-	if t.OnDrop != nil {
-		t.OnDrop("csma give-up", frame)
-	}
-	if len(t.queue) == 0 {
-		return false
-	}
-	t.contending = true
-	return true
 }
 
 // replanWaiters re-plans every waiter from the present after a change

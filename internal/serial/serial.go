@@ -34,8 +34,8 @@
 // Runs split at Write boundaries: the writers in this repository (the
 // driver and the KISS TNC) write exactly one KISS frame per call, so a
 // run never carries two frame terminators whose handlers would need
-// distinct timestamps. The seed per-byte chain is retained behind
-// Line.PerByte for equivalence regression tests.
+// distinct timestamps. The package's tests keep the seed per-byte chain
+// as a wrapper over End and hold the burst path to it.
 package serial
 
 import (
@@ -71,7 +71,6 @@ type End struct {
 	runs    []run
 	runHead int
 
-	draining  bool   // legacy per-byte chain active
 	deliverFn func() // cached bound method, so Write never allocates a closure
 
 	corruptSeed int64
@@ -106,12 +105,6 @@ type Line struct {
 	// it before the first Write; the draw stream is per end, per byte,
 	// in wire order.
 	CorruptRate float64
-
-	// PerByte reverts the line to the seed's one-event-per-byte
-	// delivery chain. It exists for the burst-equivalence regression
-	// tests; set it before the first Write and do not toggle it while
-	// bytes are in flight.
-	PerByte bool
 
 	a, b End
 }
@@ -152,8 +145,8 @@ func (l *Line) ByteTime() time.Duration {
 // Baud reports the line speed.
 func (l *Line) Baud() int { return l.baud }
 
-// Line reports the line this end belongs to (to set CorruptRate or the
-// PerByte regression flag from outside the package).
+// Line reports the line this end belongs to (to set CorruptRate from
+// outside the package).
 func (e *End) Line() *Line { return e.line }
 
 // SetReceiver installs the byte-receive callback ("interrupt handler")
@@ -180,13 +173,6 @@ func (e *End) Write(p []byte) (int, error) {
 		return 0, nil
 	}
 	e.queue = append(e.queue, p...)
-	if e.line.PerByte {
-		if !e.draining {
-			e.draining = true
-			e.line.sched.After(e.line.ByteTime(), e.deliverNext)
-		}
-		return len(p), nil
-	}
 	// The new run starts where the previous one ends (continuous
 	// pacing), or now on an idle line. n sequential per-byte events
 	// each added the same nanosecond-truncated ByteTime, so the run's
@@ -309,40 +295,6 @@ func (e *End) deliverRun() {
 		e.runHead = 0
 		e.queue = e.queue[:0]
 		e.head = 0
-		if e.OnDrain != nil {
-			e.OnDrain()
-		}
-	}
-}
-
-// deliverNext is the seed per-byte interrupt chain, kept verbatim
-// behind Line.PerByte for the equivalence regression tests.
-func (e *End) deliverNext() {
-	if e.head >= len(e.queue) {
-		e.draining = false
-		return
-	}
-	b := e.queue[e.head]
-	e.head++
-	e.BytesSent++
-	if c, hit := e.corrupt(b); hit {
-		b = c
-		e.queue[e.head-1] = c
-		e.peer.Corrupted++
-	}
-	e.peer.BytesReceived++
-	switch {
-	case e.peer.rxRun != nil:
-		e.peer.rxRun(e.queue[e.head-1 : e.head])
-	case e.peer.rx != nil:
-		e.peer.rx(b)
-	}
-	if e.head < len(e.queue) {
-		e.line.sched.After(e.line.ByteTime(), e.deliverNext)
-	} else {
-		e.queue = e.queue[:0]
-		e.head = 0
-		e.draining = false
 		if e.OnDrain != nil {
 			e.OnDrain()
 		}

@@ -278,10 +278,9 @@ func TestOnDrainOrderedAfterDelivery(t *testing.T) {
 func TestPerByteFlagRestoresByteEvents(t *testing.T) {
 	s := sim.NewScheduler(1)
 	a, b := NewLine(s, 1200)
-	a.Line().PerByte = true
 	var times []sim.Time
 	b.SetReceiver(func(byte) { times = append(times, s.Now()) })
-	a.Write(make([]byte, 3))
+	(&perByteEnd{End: a}).Write(make([]byte, 3))
 	s.Run()
 	if len(times) != 3 {
 		t.Fatalf("delivered %d bytes, want 3", len(times))

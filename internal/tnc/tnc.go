@@ -138,9 +138,6 @@ func (t *TNC) applyParams() {
 		SlotTime:   time.Duration(t.params.SlotTime) * 10 * time.Millisecond,
 		Persist:    (float64(t.params.Persist) + 1) / 256,
 		FullDuplex: t.params.FullDuplex,
-		// Channel-access mode is a property of the simulation run, not
-		// a KISS parameter: carry it across parameter updates.
-		PerSlotCSMA: t.rf.Params.PerSlotCSMA,
 	})
 }
 

@@ -35,7 +35,7 @@ func damaWorld(n int, mac MACMode, minutes int) (string, uint64, *Large) {
 }
 
 func TestDAMAWorldBeatsCSMAPastKnee(t *testing.T) {
-	// 30 stations on one 1200 bps channel is past the E10/E15 knee:
+	// 30 stations on one 1200 bps channel is past the E10/E14 knee:
 	// CSMA collapses into collisions, polling must not.
 	const n, minutes = 30, 6
 	_, csmaReplies, csmaLW := damaWorld(n, MACCSMA, minutes)

@@ -86,11 +86,6 @@ type LargeConfig struct {
 	// spread across the interval so the channels do not synchronize.
 	PingInterval time.Duration
 
-	// PerSlotCSMA runs every radio through the seed's one-event-per-
-	// slot contention polling instead of carrier-edge wakeups — the
-	// "before" side of E15's event-count comparison.
-	PerSlotCSMA bool
-
 	// MAC selects the channel-access policy for every station and
 	// gateway (default CSMA). E16 compares the two on one saturated
 	// channel.
@@ -297,7 +292,7 @@ func NewLarge(cfg LargeConfig) *Large {
 		gw := w.Host(fmt.Sprintf("gw%d", c+1))
 		gw.AttachEther(lw.Ether, "qe0", LargeGatewayEtherIP(c), ip.MaskClassB)
 		port := gw.AttachRadio(ch, "pr0", fmt.Sprintf("GW%d", c+1), LargeGatewayRadioIP(c), ip.MaskClassB,
-			RadioConfig{Baud: cfg.Baud, Filter: filter, PerSlotCSMA: cfg.PerSlotCSMA, MAC: cfg.MAC})
+			RadioConfig{Baud: cfg.Baud, Filter: filter, MAC: cfg.MAC})
 		if !cfg.NoAutoARP {
 			port.Driver.EnableAutoARP()
 			port.Driver.AnnounceARP(5 * time.Minute)
@@ -333,7 +328,7 @@ func NewLarge(cfg LargeConfig) *Large {
 		enter(1 + c)
 		st := w.Host(fmt.Sprintf("st%d", i))
 		port := st.AttachRadio(lw.Channels[c], "pr0", fmt.Sprintf("S%d", i), cfg.LargeStationIP(i), ip.MaskClassB,
-			RadioConfig{Baud: cfg.Baud, Filter: filter, PerSlotCSMA: cfg.PerSlotCSMA, MAC: cfg.MAC})
+			RadioConfig{Baud: cfg.Baud, Filter: filter, MAC: cfg.MAC})
 		if !cfg.NoAutoARP {
 			port.Driver.EnableAutoARP()
 		}
