@@ -12,8 +12,8 @@
 // It is also the CI entrypoint for the declarative scenario suite
 // (SCENARIOS.md):
 //
-//	experiments -scenario examples/scenarios            # gate the whole suite
-//	experiments -scenario examples/scenarios/diurnal.toml -workers 4
+//	experiments -scenario examples/scenarios               # gate the whole suite
+//	experiments -scenario examples/scenarios/diurnal.toml -seeds 16
 package main
 
 import (
@@ -33,11 +33,10 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	scenarioFlag := flag.String("scenario", "", "evaluate a scenario file, or every .json/.toml scenario in a directory, against its gates; exit 1 if any gate fails")
 	seeds := flag.Int("seeds", 0, "scenario mode: seeds per scenario (0 = each scenario's gates.seeds)")
-	workers := flag.Int("workers", 0, "scenario mode: engine workers per run (0 = single-loop reference)")
 	flag.Parse()
 
 	if *scenarioFlag != "" {
-		runScenarios(*scenarioFlag, *seeds, *workers)
+		runScenarios(*scenarioFlag, *seeds)
 		return
 	}
 	if *list {
@@ -63,7 +62,7 @@ func main() {
 // runScenarios is the scenario-suite mode: evaluate one file, or every
 // scenario in a directory (sorted by name, so the report order is
 // stable), and exit 1 if any gate fails.
-func runScenarios(path string, seeds, workers int) {
+func runScenarios(path string, seeds int) {
 	info, err := os.Stat(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -98,15 +97,7 @@ func runScenarios(path string, seeds, workers int) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		// The seattle base is single-loop only (one channel — nothing
-		// to shard), so a suite-wide -workers setting falls back to the
-		// reference engine for it rather than failing the whole run.
-		w := workers
-		if sc.Topology.Base == "seattle" && w > 0 {
-			fmt.Printf("# %s: seattle base, falling back to -workers 0\n", sc.Name)
-			w = 0
-		}
-		rep, err := scenario.Evaluate(sc, seeds, w)
+		rep, err := scenario.Evaluate(sc, seeds)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

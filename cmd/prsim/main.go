@@ -154,11 +154,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	quiet := flag.Bool("q", false, "suppress the frame monitor")
 	macFlag := flag.String("mac", "csma", "channel access: csma (p-persistent) or dama (polled)")
-	scenarioFlag := flag.String("scenario", "", "scenario mode: run this declarative scenario file (.json or .toml, see SCENARIOS.md) across -seeds seeds on the -workers engine and check its gates")
+	scenarioFlag := flag.String("scenario", "", "scenario mode: run this declarative scenario file (.json or .toml, see SCENARIOS.md) across -seeds seeds and check its gates")
 	stations := flag.Int("stations", 0, "scale mode: N stations on one channel with a ping-fate ledger (0 = Seattle scenario)")
 	transportFlag := flag.String("transport", "icmp", "scale mode probe transport: icmp, tcp or rdm")
 	channels := flag.Int("channels", 1, "scale mode: radio channels, stations spread round-robin, one gateway each")
-	workersFlag := flag.Int("workers", 0, "scale mode: run on the sharded engine with this many window executors (0 = single-loop reference)")
+	workersFlag := flag.Int("workers", 0, "Monte-Carlo mode: seeds run concurrently (0 = GOMAXPROCS)")
 	seeds := flag.Int("seeds", 0, "Monte-Carlo mode: step the scale world under this many independent seeds and report delivery/RTT percentiles (runs -workers seeds concurrently)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
@@ -216,7 +216,7 @@ func main() {
 	}
 
 	if *scenarioFlag != "" {
-		runScenario(*scenarioFlag, *seeds, *workersFlag, &of)
+		runScenario(*scenarioFlag, *seeds, &of)
 		return
 	}
 	if *seeds > 0 {
@@ -224,7 +224,7 @@ func main() {
 		return
 	}
 	if *stations > 0 {
-		runScale(*stations, *channels, *workersFlag, mac, transport, *seed, *bps, *dur, &of)
+		runScale(*stations, *channels, mac, transport, *seed, *bps, *dur, &of)
 		return
 	}
 
@@ -306,15 +306,10 @@ func main() {
 // reason, or still pending at a named stage. With -transport tcp or rdm the same probe schedule
 // rides a real transport instead, so losses become latency and the
 // summary reports transport counters in place of the fate ledger.
-// With -workers > 0 the world runs on the sharded engine (DESIGN.md
-// §3g) — results, including the fate ledger (whose taps record into
-// per-shard lanes merged by virtual time), are identical, and big
-// worlds step much faster.
-func runScale(n, channels, workers int, mac world.MACMode, transport world.TransportMode, seed int64, bps int, dur time.Duration, of *obsFlags) {
+func runScale(n, channels int, mac world.MACMode, transport world.TransportMode, seed int64, bps int, dur time.Duration, of *obsFlags) {
 	lw := world.NewLarge(world.LargeConfig{
 		Seed: seed, Stations: n, Channels: channels, BitRate: bps,
 		PingInterval: time.Minute, MAC: mac, Transport: transport,
-		Workers: workers,
 	})
 	var ledger *obs.PingLedger
 	if transport == world.TransportICMP {
@@ -325,12 +320,8 @@ func runScale(n, channels, workers int, mac world.MACMode, transport world.Trans
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	engine := "single-loop"
-	if workers > 0 {
-		engine = fmt.Sprintf("sharded (%d shards, %d workers)", len(lw.W.Shards().Shards()), lw.W.Shards().Workers())
-	}
-	fmt.Printf("# scale mode: %d stations, %d x %d bps channels, mac=%v, transport=%v, %s engine, 60 s probe interval\n",
-		n, channels, bps, mac, transport, engine)
+	fmt.Printf("# scale mode: %d stations, %d x %d bps channels, mac=%v, transport=%v, 60 s probe interval\n",
+		n, channels, bps, mac, transport)
 	lw.W.Run(30 * time.Second) // warm-up: ARP, first probe wave, DAMA election
 	lw.W.Run(dur)
 
@@ -343,11 +334,6 @@ func runScale(n, channels, workers int, mac world.MACMode, transport world.Trans
 	}
 	fmt.Printf("# channels: mean utilization=%.1f%% collisions=%d\n",
 		util/float64(len(lw.Channels))*100, coll)
-	if workers > 0 {
-		g := lw.W.Shards()
-		fmt.Printf("# sharded engine: events=%d windows=%d crossings=%d\n",
-			lw.W.EventsFired(), g.Windows(), g.Crossings())
-	}
 	switch transport {
 	case world.TransportICMP:
 		fmt.Println("# ping fates (first thing that went wrong, most common first):")
@@ -368,22 +354,20 @@ func runScale(n, channels, workers int, mac world.MACMode, transport world.Trans
 }
 
 // runScenario is the declarative mode: load a scenario file, sweep it
-// across seeds on the selected engine (-workers picks the engine for
-// every run, not the sweep concurrency — independent seeds always run
-// up to GOMAXPROCS at a time), print the per-seed results and the gate
-// verdicts, and exit 1 if a gate fails. The report is deterministic at
-// any -workers count, so CI diffs the two engines' output byte for
-// byte. With observability flags set the mode switches to a single
-// instrumented run of seed 1 instead (a sweep has no one world to tap)
-// and checks no gates.
-func runScenario(path string, seeds, workers int, of *obsFlags) {
+// across seeds (independent seeds run up to GOMAXPROCS at a time),
+// print the per-seed results and the gate verdicts, and exit 1 if a
+// gate fails. The report is deterministic, so CI diffs two runs' output
+// byte for byte. With observability flags set the mode switches to a
+// single instrumented run of seed 1 instead (a sweep has no one world
+// to tap) and checks no gates.
+func runScenario(path string, seeds int, of *obsFlags) {
 	sc, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if of.netstat || of.pcap != "" || of.trace != "" || of.metrics != "" || of.spans {
-		r, err := scenario.Compile(sc, 1, workers)
+		r, err := scenario.Compile(sc, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -405,7 +389,7 @@ func runScenario(path string, seeds, workers int, of *obsFlags) {
 		finish()
 		return
 	}
-	rep, err := scenario.Evaluate(sc, seeds, workers)
+	rep, err := scenario.Evaluate(sc, seeds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

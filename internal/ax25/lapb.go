@@ -154,17 +154,6 @@ func (c *Conn) setState(s ConnState) {
 	}
 }
 
-func (c *Conn) reversePath() []Addr {
-	if len(c.Path) == 0 {
-		return nil
-	}
-	r := make([]Addr, len(c.Path))
-	for i, a := range c.Path {
-		r[len(c.Path)-1-i] = a
-	}
-	return r
-}
-
 func (c *Conn) send(f *Frame) {
 	if len(c.Path) > 0 {
 		f = f.Via(c.Path...)

@@ -196,25 +196,6 @@ func TestOutputQueueBoundDrops(t *testing.T) {
 	}
 }
 
-func TestCPUModelAddsQueueingDelay(t *testing.T) {
-	s := sim.NewScheduler(1)
-	ch := radio.NewChannel(s, 1200)
-	a := newRig(s, ch, "AAA", "44.24.0.1")
-	b := newRig(s, ch, "BBB", "44.24.0.2")
-	b.drv.PerPacketCPU = 50 * time.Millisecond
-	a.drv.Resolver().AddStatic(ip.MustAddr("44.24.0.2"), ax25.MustAddr("BBB").HW())
-	for i := 0; i < 5; i++ {
-		a.drv.Output(mkIP("44.24.0.1", "44.24.0.2", []byte("q")), ip.MustAddr("44.24.0.2"))
-	}
-	s.RunFor(10 * time.Minute)
-	if len(b.stack.pkts) != 5 {
-		t.Fatalf("delivered %d/5", len(b.stack.pkts))
-	}
-	if b.drv.DStats.CPUBusy < 250*time.Millisecond {
-		t.Fatalf("CPUBusy = %v", b.drv.DStats.CPUBusy)
-	}
-}
-
 func TestMonitorSeesBothDirections(t *testing.T) {
 	s := sim.NewScheduler(1)
 	ch := radio.NewChannel(s, 1200)

@@ -62,7 +62,6 @@ type DriverStats struct {
 	IPQDrops   uint64 // IP input queue overflows
 	TTYQDrops  uint64 // tty queue overflows
 	OutDrops   uint64 // output dropped on serial backlog
-	CPUBusy    time.Duration
 	BytesFed   uint64 // characters fed to the interrupt handler
 	KISSFrames uint64 // completed KISS frames from the TNC
 }
@@ -89,12 +88,6 @@ type PacketRadioIf struct {
 	// The frame is the driver's own and is reused for the next one, so
 	// the callback must not keep it.
 	Monitor func(dir string, f *ax25.Frame)
-
-	// PerByteCPU and PerPacketCPU model the MicroVAX's interrupt and
-	// IP-input costs; they impose queueing delay on the receive path
-	// under load. Zero disables the CPU model.
-	PerByteCPU   time.Duration
-	PerPacketCPU time.Duration
 
 	// OutQueueBytes bounds serial output backlog before the driver
 	// drops (IF_DROP semantics). Default 4096.
@@ -136,7 +129,6 @@ type PacketRadioIf struct {
 	ipq      *netif.Queue[[]byte]
 	ttyq     *netif.Queue[*ax25.Frame]
 	ipqBusy  bool
-	busyTill sim.Time
 	ipIntrFn func() // cached ipIntr, so scheduling it never allocates a closure
 
 	// Driver-owned buffers, reused for every frame: rx is the frame
@@ -240,22 +232,16 @@ func (d *PacketRadioIf) SetPath(nextHop ip.Addr, via ...ax25.Addr) {
 	d.paths[nextHop] = via
 }
 
-// IPQueueLen reports the IP input queue depth (E2's congestion probe).
-func (d *PacketRadioIf) IPQueueLen() int { return d.ipq.Len() }
-
 // --- Receive path -------------------------------------------------------
 
 // interruptRun is the receive handler: one call per burst of serial
 // bytes, replacing the per-character interrupt chain of §3 (the same
 // host-side fix the paper made by pushing KISS framing down — the
-// driver now handles frames' worth of bytes, not characters). The CPU
-// cost model still charges per byte, so E2's load measurements are
-// unchanged.
+// driver now handles frames' worth of bytes, not characters). BytesFed
+// counts every character, which is how E2 measures the load its
+// 600-baud line puts on the gateway.
 func (d *PacketRadioIf) interruptRun(p []byte) {
 	d.DStats.BytesFed += uint64(len(p))
-	if d.PerByteCPU > 0 {
-		d.DStats.CPUBusy += time.Duration(len(p)) * d.PerByteCPU
-	}
 	d.dec.Write(p)
 }
 
@@ -340,25 +326,15 @@ func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 // installed (polling user programs).
 func (d *PacketRadioIf) TTYRead() (*ax25.Frame, bool) { return d.ttyq.Dequeue() }
 
-// scheduleIPIntr models the software-interrupt IP input path with the
-// optional CPU cost model.
+// scheduleIPIntr arms the software-interrupt IP input path: ipIntr
+// hands one queued datagram to the stack per event, at the instant it
+// runs.
 func (d *PacketRadioIf) scheduleIPIntr() {
 	if d.ipqBusy {
 		return
 	}
 	d.ipqBusy = true
-	delay := time.Duration(0)
-	if d.PerPacketCPU > 0 {
-		now := d.sched.Now()
-		start := now
-		if d.busyTill > start {
-			start = d.busyTill
-		}
-		d.busyTill = start.Add(d.PerPacketCPU)
-		d.DStats.CPUBusy += d.PerPacketCPU
-		delay = d.busyTill.Sub(now)
-	}
-	d.sched.After(delay, d.ipIntrFn)
+	d.sched.After(0, d.ipIntrFn)
 }
 
 func (d *PacketRadioIf) ipIntr() {

@@ -73,3 +73,29 @@ func FuzzICMPUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalAuth feeds UnmarshalAuth arbitrary bytes, as the body
+// of a §4.3 gateway-authorization message off the air or the Ethernet
+// may carry: it must return an error or a payload and never panic,
+// and a payload it returns must re-marshal to exactly the body's
+// first 32 bytes (the fixed layout; bytes past it are ignored, and
+// the callsign and password keep every byte but trailing NUL padding).
+func FuzzUnmarshalAuth(f *testing.F) {
+	full := (&AuthPayload{TTLSeconds: 600, Amateur: ip.AddrFrom(44, 24, 0, 9), NonAmateur: ip.AddrFrom(128, 95, 1, 9), Callsign: "N7AKR", Password: "pw"}).Marshal()
+	f.Add(full)
+	f.Add(full[:len(full)-1])
+	f.Add(append(append([]byte(nil), full...), 0xFF, 0x00))
+	f.Add(bytes.Repeat([]byte{0xFF}, 12+CallsignLen+PasswordLen))
+	f.Add(append(make([]byte, 12), "A\x00B\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00C"...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		a, err := UnmarshalAuth(body)
+		if err != nil {
+			return
+		}
+		n := 12 + CallsignLen + PasswordLen
+		if out := a.Marshal(); !bytes.Equal(out, body[:n]) {
+			t.Fatalf("Marshal(UnmarshalAuth(%x)) = %x, want the first %d bytes", body, out, n)
+		}
+	})
+}

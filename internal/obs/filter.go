@@ -79,7 +79,9 @@ func tokenize(s string) []token {
 
 // ParseFilter compiles a filter expression; empty input returns a
 // match-all filter. Errors carry the line and column of the word that
-// broke the parse.
+// broke the parse. An "and" or "or" needs a predicate on both sides: a
+// leading or trailing one, or one right after another, is an error at
+// that word rather than a filter that silently matches less.
 func ParseFilter(s string) (*Filter, error) {
 	f := &Filter{src: s}
 	toks := tokenize(s)
@@ -99,22 +101,27 @@ func ParseFilter(s string) (*Filter, error) {
 	perr := func(tk token, format string, args ...any) error {
 		return fmt.Errorf("obs: filter %q: line %d col %d: %s", s, tk.line, tk.col, fmt.Sprintf(format, args...))
 	}
+	// conn is the connective still waiting for its right-hand
+	// predicate; the start of the input waits for a predicate too.
+	var conn *token
+	waiting := true
 	for {
 		tk, ok := next()
 		if !ok {
 			break
 		}
-		if tk.w == "or" {
-			if len(conj) == 0 {
-				return nil, perr(tk, "dangling %q", "or")
+		if tk.w == "or" || tk.w == "and" {
+			if waiting {
+				return nil, perr(tk, "dangling %q", tk.w)
 			}
-			f.alts = append(f.alts, conj)
-			conj = []pred{}
-			continue
+			conn, waiting = &tk, true
+			if tk.w == "or" {
+				f.alts = append(f.alts, conj)
+				conj = []pred{}
+			}
+			continue // "and" is the default conjunction
 		}
-		if tk.w == "and" {
-			continue // conjunction is the default
-		}
+		waiting = false
 		var p pred
 		for tk.w == "not" { // chained "not"s toggle
 			p.neg = !p.neg
@@ -169,9 +176,10 @@ func ParseFilter(s string) (*Filter, error) {
 		}
 		conj = append(conj, p)
 	}
-	if len(conj) > 0 {
-		f.alts = append(f.alts, conj)
+	if waiting {
+		return nil, perr(*conn, "dangling %q", conn.w)
 	}
+	f.alts = append(f.alts, conj)
 	return f, nil
 }
 

@@ -88,6 +88,11 @@ func TestFilterErrorsCarryPositions(t *testing.T) {
 		{"icmp\nfrobnicate 7", []string{"line 2 col 1", `unknown keyword "frobnicate"`}},
 		{"host nowhere", []string{"line 1 col 6"}},
 		{"or icmp", []string{"line 1 col 1", "dangling"}},
+		{"icmp or", []string{"line 1 col 6", `dangling "or"`}},
+		{"icmp and", []string{"line 1 col 6", `dangling "and"`}},
+		{"and icmp", []string{"line 1 col 1", `dangling "and"`}},
+		{"icmp and or tcp", []string{"line 1 col 10", `dangling "or"`}},
+		{"icmp or and tcp", []string{"line 1 col 9", `dangling "and"`}},
 	}
 	for _, c := range cases {
 		_, err := ParseFilter(c.expr)

@@ -15,7 +15,8 @@ func FuzzParseFilter(f *testing.F) {
 	for _, s := range []string{
 		"", "icmp", "host 44.24.0.28", "src 128.95.1.2 and not port 23",
 		"tcp or udp or rdm", "proto 89 or proto icmp", "not not dst 1.2.3.4",
-		"port 1-2", "or icmp", "icmp or", "icmp\n  port\t23", "host", "proto 256",
+		"port 1-2", "or icmp", "icmp\n  port\t23", "host", "proto 256",
+		"icmp or", "icmp and", "and icmp", "icmp and or tcp", "icmp or and tcp",
 	} {
 		f.Add(s)
 	}

@@ -36,10 +36,9 @@ const (
 // opens the result; the timestamps simply count from the simulation
 // epoch instead of 1970.
 type PcapWriter struct {
-	w        io.Writer
-	err      error
-	count    uint64
-	linkType uint32
+	w     io.Writer
+	err   error
+	count uint64
 }
 
 // NewPcapWriter writes the file header and returns the writer.
@@ -55,11 +54,8 @@ func NewPcapWriter(w io.Writer, linkType uint32) (*PcapWriter, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &PcapWriter{w: w, linkType: linkType}, nil
+	return &PcapWriter{w: w}, nil
 }
-
-// LinkType reports the capture's link type.
-func (pw *PcapWriter) LinkType() uint32 { return pw.linkType }
 
 // Count reports records written.
 func (pw *PcapWriter) Count() uint64 { return pw.count }

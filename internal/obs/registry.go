@@ -18,34 +18,10 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"packetradio/internal/sim"
 )
-
-// Counter is a registry-owned monotonic counter for call sites that
-// have no existing struct field to register. Atomic so auxiliary
-// goroutines (a live dump, a test harness) may read mid-run.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { atomic.AddUint64(&c.v, 1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
-
-// Value reads the count.
-func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
-
-// Gauge is a registry-owned instantaneous value.
-type Gauge struct{ v int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { atomic.StoreInt64(&g.v, v) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
 // Histogram is a fixed-bucket distribution. Bounds are upper edges;
 // one overflow bucket catches everything past the last bound.
@@ -120,14 +96,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// entry is one registered metric: a name plus a way to read it. owned
-// holds the *Counter or *Gauge the registry created for this name, so
-// repeated Counter/Gauge calls return the same instrument.
+// entry is one registered metric: a name plus a way to read it.
 type entry struct {
-	name  string
-	read  func() float64
-	hist  *Histogram
-	owned any
+	name string
+	read func() float64
+	hist *Histogram
 }
 
 // Registry maps hierarchical dotted names (radio.145_01.collisions,
@@ -175,30 +148,6 @@ func (r *Registry) RegisterDuration(name string, p *time.Duration) {
 // RegisterFunc registers a computed metric.
 func (r *Registry) RegisterFunc(name string, f func() float64) {
 	r.add(name, entry{name: name, read: f})
-}
-
-// Counter creates (or returns) a registry-owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	if i, ok := r.names[name]; ok {
-		if c, ok := r.entries[i].owned.(*Counter); ok {
-			return c
-		}
-	}
-	c := &Counter{}
-	r.add(name, entry{name: name, read: func() float64 { return float64(c.Value()) }, owned: c})
-	return c
-}
-
-// Gauge creates (or returns) a registry-owned gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if i, ok := r.names[name]; ok {
-		if g, ok := r.entries[i].owned.(*Gauge); ok {
-			return g
-		}
-	}
-	g := &Gauge{}
-	r.add(name, entry{name: name, read: func() float64 { return float64(g.Value()) }, owned: g})
-	return g
 }
 
 // Histogram creates (or returns) a named fixed-bucket histogram. Its
@@ -401,20 +350,6 @@ func (r *Registry) sampleRow(t sim.Time) {
 		}
 	}
 	r.rows = append(r.rows, row)
-}
-
-// SampleNow appends one time-series row at the current instant without
-// a ticker (experiment harnesses sample at phase boundaries).
-func (r *Registry) SampleNow(sched *sim.Scheduler) { r.ensureCols(); r.sampleRow(sched.Now()) }
-
-func (r *Registry) ensureCols() {
-	if r.cols == nil {
-		snap := r.Snapshot()
-		r.cols = make([]string, len(snap))
-		for i, s := range snap {
-			r.cols[i] = s.Name
-		}
-	}
 }
 
 // WriteCSV writes the sampled time series: a header of t_s plus every

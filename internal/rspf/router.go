@@ -74,7 +74,6 @@ type Stats struct {
 
 // neighbor is one adjacency on one interface.
 type neighbor struct {
-	id        ip.Addr
 	addr      ip.Addr // source address of its hellos (the next hop)
 	ifName    string
 	lastHeard sim.Time
@@ -108,17 +107,6 @@ func (n *neighbor) lossFraction() float64 {
 	default:
 		return 1
 	}
-}
-
-// NeighborInfo is a snapshot of one adjacency for tests and
-// experiments.
-type NeighborInfo struct {
-	ID        ip.Addr
-	Addr      ip.Addr
-	IfName    string
-	TwoWay    bool
-	Cost      uint16
-	LastHeard sim.Time
 }
 
 // Router is one per-stack RSPF daemon.
@@ -178,21 +166,6 @@ func (r *Router) ID() ip.Addr { return r.id }
 
 // Database exposes the LSDB for tests and experiments.
 func (r *Router) Database() *Database { return r.db }
-
-// Neighbors snapshots the adjacencies, sorted by interface then ID.
-func (r *Router) Neighbors() []NeighborInfo {
-	var out []NeighborInfo
-	for _, ifName := range r.ifNames() {
-		for _, id := range r.nbrIDs(ifName) {
-			n := r.nbrs[ifName][id]
-			out = append(out, NeighborInfo{
-				ID: n.id, Addr: n.addr, IfName: n.ifName,
-				TwoWay: n.twoWay, Cost: r.linkCost(n), LastHeard: n.lastHeard,
-			})
-		}
-	}
-	return out
-}
 
 // Start opens the daemon's raw socket (SOCK_RAW, protocol 73 — like
 // the real RSPF daemon, it needs no kernel support beyond raw IP),
@@ -325,7 +298,7 @@ func (r *Router) handleHello(h *Hello, src ip.Addr, ifName string) {
 	}
 	n, ok := m[h.Router]
 	if !ok {
-		n = &neighbor{id: h.Router, ifName: ifName, lastSeq: h.Seq}
+		n = &neighbor{ifName: ifName, lastSeq: h.Seq}
 		m[h.Router] = n
 	} else {
 		// Advance the loss window by the sequence gap; decay it so old

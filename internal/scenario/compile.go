@@ -1,27 +1,22 @@
-// Compiling a validated scenario into a runnable world. Compile is
-// engine-agnostic by construction: everything it schedules lands on
-// the scheduler of the shard that owns the state it touches (a
-// station's probes on the station's shard, a channel's link churn on
-// the channel's shard), which is the sharded engine's safety rule and
-// a no-op on the single-loop engine — so the same scenario produces
-// identical results at every -workers count.
+// Compiling a validated scenario into a runnable world. Every world a
+// scenario builds runs on the single-loop engine, so everything
+// Compile schedules (probes, pair flows, link churn) lands on the
+// world's one scheduler, W.Sched.
 
 package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"packetradio/internal/ip"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
-	"packetradio/internal/sim"
 	"packetradio/internal/world"
 )
 
-// Runner is one compiled (scenario, seed, engine) instance, ready to
-// Run once. The exported fields let callers attach observability
+// Runner is one compiled (scenario, seed) instance, ready to Run
+// once. The exported fields let callers attach observability
 // before running.
 type Runner struct {
 	Scenario *Scenario
@@ -42,39 +37,20 @@ type Runner struct {
 	Tracer *obs.Tracer
 
 	probers []func() // baseline per-station probe, large or seattle
-	slots   []pairSlot
 	ran     bool
 
-	// pairSent/pairReplies/pairRTTs are the pair-flow (and seattle
-	// baseline) totals, rebuilt by mergePairs after every run window.
+	// pairSent, pairReplies and pairRTTs account the pair flows and the
+	// seattle baseline probes; pairRTTs is in arrival order.
 	pairSent, pairReplies uint64
 	pairRTTs              []time.Duration
 }
 
-// pairSlot accumulates one shard's pair-flow (and seattle baseline)
-// probe accounting, mirroring the per-shard slots inside world.Large.
-type pairSlot struct {
-	sent, replies uint64
-	rtts          []pairSample
-}
-
-type pairSample struct {
-	at  sim.Time
-	rtt time.Duration
-}
-
-// Compile builds the scenario's world for one seed. workers selects
-// the engine exactly as LargeConfig.Workers does: 0 is the single-loop
-// reference, positive builds the sharded engine with that many window
-// executors. The scenario must be normalized and valid (Load and
-// Parse guarantee both).
-func Compile(sc *Scenario, seed int64, workers int) (*Runner, error) {
+// Compile builds the scenario's world for one seed. The scenario must
+// be normalized and valid (Load and Parse guarantee both).
+func Compile(sc *Scenario, seed int64) (*Runner, error) {
 	r := &Runner{Scenario: sc, Seed: seed}
 	t := &sc.Topology
 	if t.Base == "seattle" {
-		if workers > 0 {
-			return nil, fmt.Errorf("scenario %s: the seattle base runs on the single-loop engine only (got -workers %d)", sc.Name, workers)
-		}
 		mac, _ := world.ParseMACMode(t.MAC)
 		se := world.NewSeattle(world.SeattleConfig{
 			Seed:          seed,
@@ -87,7 +63,6 @@ func Compile(sc *Scenario, seed int64, workers int) (*Runner, error) {
 		r.W, r.Seattle = se.W, se
 		r.Channels = []*radio.Channel{se.Channel}
 		r.Internet = se.Internet
-		r.slots = make([]pairSlot, 2)
 	} else {
 		mac, _ := world.ParseMACMode(t.MAC)
 		transport, _ := world.ParseTransportMode(sc.Traffic.Transport)
@@ -99,7 +74,6 @@ func Compile(sc *Scenario, seed int64, workers int) (*Runner, error) {
 			Baud:      t.Baud,
 			MAC:       mac,
 			Transport: transport,
-			Workers:   workers,
 			NoAutoARP: t.NoAutoARP,
 			// PingInterval stays 0: the scenario owns the schedule and
 			// drives lw.Probe itself.
@@ -107,16 +81,14 @@ func Compile(sc *Scenario, seed int64, workers int) (*Runner, error) {
 		r.W, r.Large = lw.W, lw
 		r.Channels = lw.Channels
 		r.Internet = lw.Internet
-		r.slots = make([]pairSlot, 1+t.Channels)
 	}
-	r.W.OnRunEnd(r.mergePairs)
 	r.armBaseline()
 	r.scheduleTraffic()
 	r.applyGeometry()
 	if err := r.scheduleFailures(); err != nil {
 		return nil, err
 	}
-	r.tagRegistry(workers)
+	r.tagRegistry()
 	if sc.Gates != nil && len(sc.Gates.SpanLatency) > 0 {
 		r.Tracer = r.W.AttachTracer()
 	}
@@ -126,12 +98,12 @@ func Compile(sc *Scenario, seed int64, workers int) (*Runner, error) {
 // tagRegistry labels the world's metric registry with the run's
 // identity and registers the scenario.* roll-ups, so -metrics and
 // -netstat output from a scenario run is self-describing. The values
-// read the merged totals, which refresh at each W.Run end.
-func (r *Runner) tagRegistry(workers int) {
+// add the live pair-flow counters to the large world's probe totals,
+// which refresh at each W.Run end.
+func (r *Runner) tagRegistry() {
 	reg := r.W.Registry()
 	reg.SetLabel("scenario", r.Scenario.Name)
 	reg.SetLabel("seed", fmt.Sprintf("%d", r.Seed))
-	reg.SetLabel("engine_workers", fmt.Sprintf("%d", workers))
 	sent := func() uint64 {
 		n := r.pairSent
 		if r.Large != nil {
@@ -156,32 +128,12 @@ func (r *Runner) tagRegistry(workers int) {
 	})
 }
 
-// stationSched returns station i's scheduler (its shard on the
-// sharded engine).
-func (r *Runner) stationSched(i int) *sim.Scheduler {
-	if r.Seattle != nil {
-		return r.Seattle.PCs[i].Sched()
-	}
-	return r.Large.Stations[i].Sched()
-}
-
 // stations reports the baseline station count.
 func (r *Runner) stations() int { return r.Scenario.Topology.Stations }
 
-// slotFor returns the accumulator for a probe sourced on the given
-// radio channel (-1 = the Ethernet backbone). The layout matches the
-// large world's: slot 0 is the backbone, 1+c is channel c, and the
-// merge key is (virtual time, slot) — identical on both engines.
-func (r *Runner) slotFor(channel int) *pairSlot {
-	if channel < 0 {
-		return &r.slots[0]
-	}
-	return &r.slots[1+channel]
-}
-
 // armBaseline builds r.probers: on the large base the world's own
 // transport probers (ICMP/TCP/RDM); on seattle, per-PC persistent echo
-// contexts to june, accounted in r.slots.
+// contexts to june, accounted with the pair flows.
 func (r *Runner) armBaseline() {
 	n := r.stations()
 	r.probers = make([]func(), n)
@@ -194,8 +146,7 @@ func (r *Runner) armBaseline() {
 		return
 	}
 	for i, pc := range r.Seattle.PCs {
-		p := &pairProber{slot: &r.slots[0], sched: pc.Sched(), st: pc,
-			dst: world.InternetIP, size: 32}
+		p := &pairProber{r: r, st: pc, dst: world.InternetIP, size: 32}
 		r.probers[i] = p.send
 	}
 }
@@ -207,12 +158,12 @@ func (r *Runner) scheduleTraffic() {
 	sc := r.Scenario
 	tr := &sc.Traffic
 	n := r.stations()
+	sched := r.W.Sched
 
 	if base := tr.ProbeInterval.D(); base > 0 {
 		rateAt := r.diurnalRate()
 		for i := 0; i < n; i++ {
 			probe := r.probers[i]
-			sched := r.stationSched(i)
 			phase := time.Duration(int64(base) * int64(i) / int64(n))
 			var tick func()
 			tick = func() {
@@ -227,7 +178,6 @@ func (r *Runner) scheduleTraffic() {
 		for k := 0; k < f.Stations; k++ {
 			i := f.First + k
 			probe := r.probers[i]
-			sched := r.stationSched(i)
 			start := f.At.D() + time.Duration(k)*f.Stagger.D()
 			for j := 0; j < f.Probes; j++ {
 				sched.After(start+time.Duration(j)*f.Spacing.D(), probe)
@@ -238,27 +188,20 @@ func (r *Runner) scheduleTraffic() {
 	if len(tr.Pairs) > 0 {
 		end := sc.End()
 		for _, pf := range tr.Pairs {
-			src, _ := sc.resolveHost(pf.From)
-			p := &pairProber{
-				slot:  r.slotFor(src.channel),
-				sched: r.W.Host(pf.From).Sched(),
-				st:    r.W.Host(pf.From),
-				dst:   r.hostIP(pf.To),
-				size:  pf.Size,
-			}
+			p := &pairProber{r: r, st: r.W.Host(pf.From), dst: r.hostIP(pf.To), size: pf.Size}
 			interval, stop := pf.Interval.D(), pf.Stop.D()
 			if stop == 0 {
 				stop = end
 			}
 			var tick func()
 			tick = func() {
-				if p.sched.Now().Duration() >= stop {
+				if sched.Now().Duration() >= stop {
 					return
 				}
 				p.send()
-				p.sched.After(interval, tick)
+				sched.After(interval, tick)
 			}
-			p.sched.After(pf.Start.D(), tick)
+			sched.After(pf.Start.D(), tick)
 		}
 	}
 }
@@ -287,14 +230,12 @@ func (r *Runner) applyGeometry() {
 	}
 }
 
-// scheduleFailures turns the failure schedule into events on the
-// owning channel's scheduler.
+// scheduleFailures turns the failure schedule into events.
 func (r *Runner) scheduleFailures() error {
+	sched := r.W.Sched
 	for _, f := range r.Scenario.Failures {
 		switch f.Kind {
 		case "flap":
-			ref, _ := r.Scenario.resolveHost(f.A)
-			sched := r.Channels[ref.channel].Scheduler()
 			a, b := f.A, f.B
 			until := f.Until.D()
 			for t := f.From.D(); t < until; t += f.DownFor.D() + f.UpFor.D() {
@@ -306,9 +247,7 @@ func (r *Runner) scheduleFailures() error {
 				sched.After(heal, func() { r.W.HealLink(a, b) })
 			}
 		case "partition":
-			c := f.Channel - 1
-			sched := r.Channels[c].Scheduler()
-			links := r.gatewayLinks(c)
+			links := r.gatewayLinks(f.Channel - 1)
 			sched.After(f.From.D(), func() {
 				for _, l := range links {
 					r.W.FailLink(l.A, l.B)
@@ -320,10 +259,8 @@ func (r *Runner) scheduleFailures() error {
 				}
 			})
 		case "master_churn":
-			c := f.Channel - 1
-			ch := r.Channels[c]
+			ch := r.Channels[f.Channel-1]
 			ctl := r.W.DAMA(ch)
-			sched := ch.Scheduler()
 			downFor := f.DownFor.D()
 			for t := f.From.D(); t+downFor <= f.Until.D(); t += f.Every.D() {
 				sched.After(t, func() {
@@ -407,11 +344,9 @@ func (r *Runner) hostIP(name string) ip.Addr {
 
 // pairProber keeps one persistent echo context for a pair flow (or a
 // seattle baseline probe), mirroring the large world's icmpProber: the
-// context opens lazily inside the first probe so it is created on the
-// source host's own shard.
+// context opens lazily inside the first probe.
 type pairProber struct {
-	slot   *pairSlot
-	sched  *sim.Scheduler
+	r      *Runner
 	st     *world.Host
 	dst    ip.Addr
 	size   int
@@ -421,49 +356,16 @@ type pairProber struct {
 }
 
 func (p *pairProber) send() {
-	p.slot.sent++
+	r := p.r
+	r.pairSent++
 	if !p.opened {
 		p.opened = true
 		p.id, _ = p.st.Stack.PingOpen(p.dst, p.size, func(_ uint16, rtt time.Duration, _ ip.Addr) {
-			p.slot.replies++
-			p.slot.rtts = append(p.slot.rtts, pairSample{at: p.sched.Now(), rtt: rtt})
+			r.pairReplies++
+			r.pairRTTs = append(r.pairRTTs, rtt)
 		})
 		return
 	}
 	p.seq++
 	p.st.Stack.PingSeq(p.dst, p.id, p.seq, p.size)
-}
-
-// mergePairs rebuilds pairSent, pairReplies and pairRTTs from the
-// slots after every run window, in deterministic (virtual time, shard)
-// order — the same merge the large world applies to its own slots.
-func (r *Runner) mergePairs() {
-	r.pairSent, r.pairReplies = 0, 0
-	total := 0
-	for i := range r.slots {
-		r.pairSent += r.slots[i].sent
-		r.pairReplies += r.slots[i].replies
-		total += len(r.slots[i].rtts)
-	}
-	type tagged struct {
-		at   sim.Time
-		slot int
-		rtt  time.Duration
-	}
-	all := make([]tagged, 0, total)
-	for i := range r.slots {
-		for _, s := range r.slots[i].rtts {
-			all = append(all, tagged{at: s.at, slot: i, rtt: s.rtt})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].slot < all[j].slot
-	})
-	r.pairRTTs = r.pairRTTs[:0]
-	for _, s := range all {
-		r.pairRTTs = append(r.pairRTTs, s.rtt)
-	}
 }

@@ -2,8 +2,7 @@
 // distributional CI check: one deterministic run per seed, aggregated
 // through the same percentile machinery as experiments.Sweep, then
 // compared against the scenario's declared bands. Reports never print
-// wall-clock anything, so the output of two runs (or two engines)
-// diffs clean.
+// wall-clock anything, so the output of two runs diffs clean.
 
 package scenario
 
@@ -25,9 +24,9 @@ type RunStats struct {
 	Sent, Replies uint64
 	Delivery      float64 // Replies/Sent (0 when nothing was sent)
 
-	// RTTs holds every reply's round-trip time in deterministic order
-	// (baseline probes first, then pair flows, each merged by virtual
-	// time and shard).
+	// RTTs holds every reply's round-trip time in deterministic order:
+	// the large world's baseline probes first, by virtual time, then
+	// the pair flows and seattle baseline probes in arrival order.
 	RTTs []time.Duration
 
 	// ControlShare is MAC control airtime over total airtime, summed
@@ -74,7 +73,7 @@ func (r *Runner) Run() RunStats {
 }
 
 // Stats assembles the RunStats for the run so far. Valid only after a
-// W.Run window (the merge hooks fire at run end).
+// W.Run window (the large world merges its probe totals at run end).
 func (r *Runner) Stats() RunStats {
 	st := RunStats{Seed: r.Seed}
 	if lw := r.Large; lw != nil {
@@ -120,7 +119,6 @@ type GateCheck struct {
 // across-seed aggregation, and every gate's verdict.
 type GateReport struct {
 	Scenario *Scenario
-	Workers  int // engine workers each run used
 	Point    experiments.SweepPoint
 	Stats    []RunStats // seed order
 	Checks   []GateCheck
@@ -137,12 +135,11 @@ func (g *GateReport) Pass() bool {
 }
 
 // Evaluate sweeps the scenario across seeds 1..seeds (0 = the
-// scenario's gates.seeds, default 8) and checks its gates. workers
-// selects the engine for every run, exactly as Compile's parameter;
-// runs for different seeds execute concurrently up to GOMAXPROCS, which
-// cannot affect results (each seed is an independent deterministic
-// world and the aggregation is order-free).
-func Evaluate(sc *Scenario, seeds, workers int) (*GateReport, error) {
+// scenario's gates.seeds, default 8) and checks its gates. Runs for
+// different seeds execute concurrently up to GOMAXPROCS, which cannot
+// affect results (each seed is an independent deterministic world and
+// the aggregation is order-free).
+func Evaluate(sc *Scenario, seeds int) (*GateReport, error) {
 	if seeds <= 0 {
 		seeds = 8
 		if sc.Gates != nil && sc.Gates.Seeds > 0 {
@@ -151,12 +148,12 @@ func Evaluate(sc *Scenario, seeds, workers int) (*GateReport, error) {
 	}
 	// Compile once up front so a compile error surfaces as an error,
 	// not a panic inside the sweep goroutines.
-	if _, err := Compile(sc, 1, workers); err != nil {
+	if _, err := Compile(sc, 1); err != nil {
 		return nil, err
 	}
-	rep := &GateReport{Scenario: sc, Workers: workers, Stats: make([]RunStats, seeds)}
+	rep := &GateReport{Scenario: sc, Stats: make([]RunStats, seeds)}
 	rep.Point = experiments.SweepRuns(seeds, runtime.GOMAXPROCS(0), func(seed int64) experiments.RunSample {
-		r, err := Compile(sc, seed, workers)
+		r, err := Compile(sc, seed)
 		if err != nil {
 			panic(err) // seed-independent; the probe above caught it
 		}
@@ -264,11 +261,9 @@ func durPercentile(vs []time.Duration, p int) time.Duration {
 
 // WriteText renders the report: the scenario summary, one line per
 // seed, the aggregates, and each gate's verdict. Deterministic for a
-// given scenario and seed count at any engine worker count — CI diffs
-// the -workers 1 and -workers 4 outputs byte for byte.
+// given scenario and seed count — CI diffs two runs byte for byte.
 func (g *GateReport) WriteText(w io.Writer) {
 	fmt.Fprintln(w, g.Scenario.Summary())
-	fmt.Fprintf(w, "engine: workers=%d, seeds=%d\n", g.Workers, len(g.Stats))
 	fmt.Fprintf(w, "%6s %8s %8s %9s %12s %12s %14s\n",
 		"seed", "sent", "replies", "delivery", "rtt_p50", "rtt_p95", "control_share")
 	for _, st := range g.Stats {

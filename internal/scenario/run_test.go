@@ -34,46 +34,16 @@ const busyScenario = `{
 	"run": {"warmup": "30s", "duration": "120s"}
 }`
 
-// TestDeterminismAcrossEngines is the scenario layer's version of the
-// shard-equivalence gate: the same scenario and seed must produce
-// bit-identical stats on the single-loop engine and on the sharded
-// engine at different worker counts — including the order of the
-// merged RTT series, not just its distribution.
-func TestDeterminismAcrossEngines(t *testing.T) {
-	sc, err := Parse([]byte(busyScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref RunStats
-	for _, workers := range []int{0, 1, 3} {
-		r, err := Compile(sc, 7, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := r.Run()
-		if st.Sent == 0 || st.Replies == 0 {
-			t.Fatalf("workers=%d: no traffic (sent=%d replies=%d)", workers, st.Sent, st.Replies)
-		}
-		if workers == 0 {
-			ref = st
-			continue
-		}
-		if !reflect.DeepEqual(ref, st) {
-			t.Errorf("workers=%d diverges from single-loop:\n  ref: sent=%d replies=%d rtts=%d\n  got: sent=%d replies=%d rtts=%d",
-				workers, ref.Sent, ref.Replies, len(ref.RTTs), st.Sent, st.Replies, len(st.RTTs))
-		}
-	}
-}
-
-// TestDeterminismSameEngine reruns one (scenario, seed, engine) pair
-// and expects identical stats — the basic reproducibility contract.
+// TestDeterminismSameEngine reruns one (scenario, seed) pair and
+// expects identical stats, the order of the RTT series included — the
+// basic reproducibility contract.
 func TestDeterminismSameEngine(t *testing.T) {
 	sc, err := Parse([]byte(busyScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() RunStats {
-		r, err := Compile(sc, 3, 2)
+		r, err := Compile(sc, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +55,7 @@ func TestDeterminismSameEngine(t *testing.T) {
 	}
 }
 
-// TestSeattleCompile runs a seattle-base scenario end to end on the
-// single-loop engine and rejects the sharded one.
+// TestSeattleCompile runs a seattle-base scenario end to end.
 func TestSeattleCompile(t *testing.T) {
 	src := []byte(`{
 		"name": "s",
@@ -98,10 +67,7 @@ func TestSeattleCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(sc, 1, 2); err == nil {
-		t.Fatal("seattle base accepted workers > 0")
-	}
-	r, err := Compile(sc, 1, 0)
+	r, err := Compile(sc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +90,7 @@ func TestEvaluateGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Evaluate(sc, 0, 0)
+	rep, err := Evaluate(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +105,7 @@ func TestEvaluateGates(t *testing.T) {
 	}
 
 	sc.Gates.Delivery.MedianMin = 1.01 // unreachable: delivery is a ratio
-	rep2, err := Evaluate(sc, 0, 0)
+	rep2, err := Evaluate(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +115,9 @@ func TestEvaluateGates(t *testing.T) {
 }
 
 // TestSuiteGates evaluates every committed scenario against its own
-// gates on both engines — the same check CI's scenario job runs, kept
-// in-tree so a band regression fails locally first. The whole suite is
-// sub-second, so this stays in the default test run.
+// gates — the same check CI's scenario job runs, kept in-tree so a
+// band regression fails locally first. The whole suite is sub-second,
+// so this stays in the default test run.
 func TestSuiteGates(t *testing.T) {
 	for _, path := range suiteFiles(t) {
 		sc, err := Load(path)
@@ -162,26 +128,12 @@ func TestSuiteGates(t *testing.T) {
 			t.Errorf("%s: committed scenarios must declare gates", path)
 			continue
 		}
-		workersToTry := []int{0, 4}
-		if sc.Topology.Base == "seattle" {
-			workersToTry = []int{0}
+		rep, err := Evaluate(sc, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ref *GateReport
-		for _, workers := range workersToTry {
-			rep, err := Evaluate(sc, 0, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Pass() {
-				t.Errorf("%s (workers=%d) failed its gates:\n%s", path, workers, rep.Report())
-			}
-			if ref == nil {
-				ref = rep
-				continue
-			}
-			if !reflect.DeepEqual(ref.Stats, rep.Stats) {
-				t.Errorf("%s: per-seed stats differ between engines", path)
-			}
+		if !rep.Pass() {
+			t.Errorf("%s failed its gates:\n%s", path, rep.Report())
 		}
 	}
 }

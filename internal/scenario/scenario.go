@@ -3,14 +3,12 @@
 // SCENARIOS.md for the full format reference) describes a topology,
 // a traffic matrix and a failure schedule; Compile turns it into a
 // world.World through the same LargeConfig/SeattleConfig surfaces the
-// hand-built worlds use, so both the single-loop and the sharded
-// engine (DESIGN.md §3g) run it unchanged, and Evaluate sweeps it
-// across seeds and checks the declared outcome bands — distributional
+// hand-built worlds use, and Evaluate sweeps it across seeds and checks the declared outcome bands — distributional
 // CI gates for workloads where exact event counts are too brittle.
 //
 // The pipeline is parse → validate → compile → run → gate
 // (DESIGN.md §3h): Load parses and validates, Compile builds a Runner
-// for one (seed, engine) pair, Runner.Run steps it and collects
+// for one seed, Runner.Run steps it and collects
 // RunStats, and Evaluate aggregates many seeds through the same
 // percentile machinery as experiments.Sweep before checking Gates.
 package scenario
@@ -71,8 +69,7 @@ type Scenario struct {
 type Topology struct {
 	// Base is the world family: "large" (the default — the generated
 	// N-station, M-channel scale world, world.NewLarge) or "seattle"
-	// (the paper's §2.3 deployment, world.NewSeattle; single-loop
-	// engine only).
+	// (the paper's §2.3 deployment, world.NewSeattle).
 	Base string `json:"base,omitempty"`
 
 	// Stations is the radio station count: "st0".."stN-1" on the

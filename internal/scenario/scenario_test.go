@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the golden files from the commi
 // walk.
 const suiteDir = "../../examples/scenarios"
 
-func suiteFiles(t *testing.T) []string {
+func suiteFiles(t testing.TB) []string {
 	t.Helper()
 	var files []string
 	for _, ext := range []string{"*.json", "*.toml"} {

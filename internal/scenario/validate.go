@@ -350,10 +350,8 @@ func (sc *Scenario) Validate() error {
 }
 
 // checkRadioPair validates that two named hosts exist and share a
-// radio channel — the precondition for cuts and flaps, and (because a
-// shared radio channel means a single shard) what keeps link churn
-// engine-independent: the sharded engine may only mutate reachability
-// from the owning shard.
+// radio channel — the precondition for cuts and flaps, which sever
+// and heal reachability on that channel.
 func (sc *Scenario) checkRadioPair(field, a, b string, bad func(field, format string, args ...any)) {
 	if a == b {
 		bad(field, "a and b are both %q", a)

@@ -14,7 +14,7 @@ func (l *Layer) Datagram(port uint16) (*Socket, error) {
 		typ:      SockDgram,
 		layer:    l,
 		stack:    l.stack,
-		rcvHiwat: l.rcvBuf(),
+		rcvHiwat: DefaultBuf,
 	}
 	ds, err := l.UDP().Bind(port, s.dgramInput)
 	if err != nil {
@@ -101,14 +101,13 @@ func (s *Socket) SendTo(dst ip.Addr, port uint16, payload []byte) error {
 // --- SOCK_RAW -------------------------------------------------------------
 
 // RawIP opens a SOCK_RAW socket receiving and sending datagrams of
-// one IP protocol on the layer's stack, sized by the layer's RcvBuf.
+// one IP protocol on the layer's stack.
 func (l *Layer) RawIP(proto uint8) (*Socket, error) {
 	s, err := NewRaw(l.stack, proto)
 	if err != nil {
 		return nil, err
 	}
 	s.layer = l
-	s.SetBuffers(0, l.rcvBuf())
 	return s, nil
 }
 

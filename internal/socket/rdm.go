@@ -26,7 +26,7 @@ func (l *Layer) newRDMSocket(c *rdm.Conn) *Socket {
 		typ:      SockRDM,
 		layer:    l,
 		stack:    l.stack,
-		rcvHiwat: l.rcvBuf(),
+		rcvHiwat: DefaultBuf,
 	}
 	s.rdmc = c
 	c.OnMessage = func(p []byte, mode rdm.Mode) {

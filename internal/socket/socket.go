@@ -93,12 +93,6 @@ type Layer struct {
 	// rdm.RadioProfile() from world.Host.Sockets().
 	RDMDefaults rdm.Config
 
-	// SndBuf / RcvBuf are the sockbuf high-water marks for new
-	// sockets; zero means DefaultBuf. For stream sockets the receive
-	// sockbuf IS the TCP window, so RcvBuf applies only when
-	// StreamDefaults.WindowBytes (or the DialConfig window) is unset.
-	SndBuf, RcvBuf int
-
 	stack *ipstack.Stack
 	tp    *tcp.Proto
 	um    *udp.Mux
@@ -147,20 +141,6 @@ func (l *Layer) RDM() *rdm.Mux {
 // the first SOCK_RDM socket. Observability uses this so registering
 // metrics never attaches a transport the host wasn't running.
 func (l *Layer) RDMActive() *rdm.Mux { return l.rm }
-
-func (l *Layer) sndBuf() int {
-	if l.SndBuf > 0 {
-		return l.SndBuf
-	}
-	return DefaultBuf
-}
-
-func (l *Layer) rcvBuf() int {
-	if l.RcvBuf > 0 {
-		return l.RcvBuf
-	}
-	return DefaultBuf
-}
 
 // Datagram is one received SOCK_DGRAM, SOCK_RAW or SOCK_RDM message
 // with its metadata — what recvfrom(2) returns.

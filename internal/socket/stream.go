@@ -17,7 +17,6 @@ func (l *Layer) Dial(dst ip.Addr, port uint16) *Socket {
 
 // DialConfig opens a SOCK_STREAM socket with explicit stream tuning.
 func (l *Layer) DialConfig(dst ip.Addr, port uint16, cfg tcp.Config) *Socket {
-	cfg = l.streamConfig(cfg)
 	s := l.newStream(cfg)
 	// The connection's first SYN advertises cfg.WindowBytes; the
 	// socket's receive mark matches it so the advertisement stays
@@ -26,23 +25,13 @@ func (l *Layer) DialConfig(dst ip.Addr, port uint16, cfg tcp.Config) *Socket {
 	return s
 }
 
-// streamConfig folds the layer's RcvBuf into a stream config: the
-// receive sockbuf and the TCP window are the same thing here, so an
-// explicit WindowBytes wins, and RcvBuf fills it in otherwise.
-func (l *Layer) streamConfig(cfg tcp.Config) tcp.Config {
-	if cfg.WindowBytes == 0 && l.RcvBuf > 0 {
-		cfg.WindowBytes = l.RcvBuf
-	}
-	return cfg
-}
-
 func (l *Layer) newStream(cfg tcp.Config) *Socket {
 	eff := cfg.WithDefaults()
 	s := &Socket{
 		typ:      SockStream,
 		layer:    l,
 		stack:    l.stack,
-		sndHiwat: l.sndBuf(),
+		sndHiwat: DefaultBuf,
 		rcvHiwat: eff.WindowBytes,
 	}
 	s.sndLowat = s.sndHiwat / 2
@@ -254,7 +243,7 @@ func (l *Layer) Listen(port uint16, backlog int) (*Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	tl.Config = l.streamConfig(l.StreamDefaults)
+	tl.Config = l.StreamDefaults
 	tl.OnSyn = ln.onSyn
 	tl.OnSynDone = ln.synDone
 	ln.tl = tl

@@ -57,7 +57,6 @@ type ConnStats struct {
 	DupSegments uint64 // received segments wholly or partly already seen
 	DupBytes    uint64 // received payload bytes that were duplicates
 	DupAcks     uint64
-	FastRexmits uint64
 	Persists    uint64 // zero-window probes forced past a closed peer window
 	RTTSamples  uint64
 	LastRTT     time.Duration
@@ -125,7 +124,6 @@ type Conn struct {
 	timedAt  sim.Time
 	rexmt    *sim.Event
 	retries  int
-	dupAcks  int
 
 	// Receive state.
 	irs    uint32
@@ -572,7 +570,6 @@ func (c *Conn) processAck(seg *Segment) {
 		c.sendBuf = c.sendBuf[dataAcked:]
 		c.sndUna = seg.Ack
 		c.retries = 0
-		c.dupAcks = 0
 		if c.timing && seqLT(c.timedSeq, seg.Ack) {
 			if c.cfg.Mode == RTOAdaptive {
 				c.sampleRTT(c.proto.sched.Now().Sub(c.timedAt))
@@ -614,11 +611,6 @@ func (c *Conn) processAck(seg *Segment) {
 	c.sndWnd = int(seg.Window)
 	if len(seg.Payload) == 0 && c.sndUna != c.sndNxt {
 		c.Stats.DupAcks++
-		c.dupAcks++
-		if c.cfg.FastRetransmit && c.dupAcks == 3 {
-			c.Stats.FastRexmits++
-			c.retransmit()
-		}
 	}
 	c.trySend()
 }

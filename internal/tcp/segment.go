@@ -132,9 +132,3 @@ func Unmarshal(src, dst ip.Addr, buf []byte) (*Segment, error) {
 // Sequence-space comparisons (RFC 793 modular arithmetic).
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
-func seqMax(a, b uint32) uint32 {
-	if seqLT(a, b) {
-		return b
-	}
-	return a
-}

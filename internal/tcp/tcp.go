@@ -45,9 +45,6 @@ type Config struct {
 	// MSS forced; 0 derives 536 (RFC 879 default). End hosts on the
 	// radio side set 216 (AX.25 MTU 256 − 40).
 	MSS int
-	// FastRetransmit enables triple-duplicate-ACK recovery (a
-	// then-brand-new Van Jacobson idea; off by default in 1988).
-	FastRetransmit bool
 	// SlowStart enables a Tahoe-style congestion window (ablation
 	// extension; off by default to match pre-VJ stacks).
 	SlowStart bool

@@ -207,10 +207,6 @@ func (t *TNC) pumpHost() {
 	t.host.Write(t.hostBuf)
 }
 
-// HostBacklog reports frames waiting for the serial line — the §3
-// congestion signal.
-func (t *TNC) HostBacklog() int { return t.hostQ.Len() }
-
 // Digipeater is a standalone store-and-forward repeater: a TNC in
 // digipeat mode with no host attached — the "relay stations ... set up
 // in strategic locations" of §1. It repeats frames whose next

@@ -75,12 +75,6 @@ type LargeConfig struct {
 	BitRate int // per-channel signalling rate (default 1200)
 	Baud    int // RS-232 speed per station (default 9600)
 
-	// Promiscuous runs every TNC in promiscuous mode — the §3
-	// pathology E2 measures. Off by default: scale worlds use the
-	// paper's proposed address filter, or every station's serial line
-	// carries every frame on its channel.
-	Promiscuous bool
-
 	// PingInterval, when nonzero, starts background traffic: each
 	// station pings the Internet host on this period, with start times
 	// spread across the interval so the channels do not synchronize.
@@ -99,14 +93,17 @@ type LargeConfig struct {
 	Transport TransportMode
 
 	// Workers selects the engine. 0 (the default) is the single-loop
-	// engine: one scheduler, the reference for every event gate. Any
-	// positive value builds the world on the sharded engine (one shard
-	// per channel plus an Ethernet backbone shard, DESIGN.md §3g) with
-	// up to Workers window executors — capped at GOMAXPROCS, since
-	// extra goroutines on a saturated machine only add scheduling
-	// overhead and the conservative protocol makes results identical at
-	// every worker count anyway. Tests can force more via
-	// W.Shards().SetWorkers.
+	// engine: one scheduler, the reference for every event gate, and
+	// what every tool runs. Any positive value builds the world on the
+	// sharded engine (one shard per channel plus an Ethernet backbone
+	// shard, DESIGN.md §3g) with up to Workers window executors —
+	// capped at GOMAXPROCS, since extra goroutines on a saturated
+	// machine only add scheduling overhead and the conservative
+	// protocol makes results identical at every worker count anyway.
+	// Tests can force more via W.Shards().SetWorkers. The sharded
+	// engine now serves only the regional-1000 benchmarks in bench/,
+	// E18 and the shard-equivalence tests, and goes once those
+	// benchmarks move to the single loop (ROADMAP item 1).
 	Workers int
 
 	// NoAutoARP disables the NOS-style ARP conveniences on the radio
@@ -277,10 +274,10 @@ func NewLarge(cfg LargeConfig) *Large {
 	if shards != nil {
 		lw.Ether.EnableSharding(w.group)
 	}
-	filter := tnc.AddressFilter
-	if cfg.Promiscuous {
-		filter = tnc.Promiscuous
-	}
+	// Every TNC runs the paper's proposed address filter: in
+	// promiscuous mode (the §3 pathology E2 measures) each station's
+	// serial line would carry every frame on its channel.
+	radioCfg := RadioConfig{Baud: cfg.Baud, Filter: tnc.AddressFilter, MAC: cfg.MAC}
 
 	// One gateway per channel, all on the shared Ethernet. The gateway
 	// host lives whole in its channel's shard — its Ethernet NIC is the
@@ -291,8 +288,7 @@ func NewLarge(cfg LargeConfig) *Large {
 		lw.Channels = append(lw.Channels, ch)
 		gw := w.Host(fmt.Sprintf("gw%d", c+1))
 		gw.AttachEther(lw.Ether, "qe0", LargeGatewayEtherIP(c), ip.MaskClassB)
-		port := gw.AttachRadio(ch, "pr0", fmt.Sprintf("GW%d", c+1), LargeGatewayRadioIP(c), ip.MaskClassB,
-			RadioConfig{Baud: cfg.Baud, Filter: filter, MAC: cfg.MAC})
+		port := gw.AttachRadio(ch, "pr0", fmt.Sprintf("GW%d", c+1), LargeGatewayRadioIP(c), ip.MaskClassB, radioCfg)
 		if !cfg.NoAutoARP {
 			port.Driver.EnableAutoARP()
 			port.Driver.AnnounceARP(5 * time.Minute)
@@ -327,8 +323,7 @@ func NewLarge(cfg LargeConfig) *Large {
 		c := i % cfg.Channels
 		enter(1 + c)
 		st := w.Host(fmt.Sprintf("st%d", i))
-		port := st.AttachRadio(lw.Channels[c], "pr0", fmt.Sprintf("S%d", i), cfg.LargeStationIP(i), ip.MaskClassB,
-			RadioConfig{Baud: cfg.Baud, Filter: filter, MAC: cfg.MAC})
+		port := st.AttachRadio(lw.Channels[c], "pr0", fmt.Sprintf("S%d", i), cfg.LargeStationIP(i), ip.MaskClassB, radioCfg)
 		if !cfg.NoAutoARP {
 			port.Driver.EnableAutoARP()
 		}

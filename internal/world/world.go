@@ -41,11 +41,6 @@ type World struct {
 	// EventsFired for whole-world totals.
 	Sched *sim.Scheduler
 
-	// DAMAConfig tunes the controllers DAMA(ch) creates; set it before
-	// the first DAMA port attaches. The zero value takes the package
-	// defaults.
-	DAMAConfig dama.Config
-
 	hosts    map[string]*Host
 	ethers   map[string]*ether.Segment
 	channels map[string]*radio.Channel
@@ -78,7 +73,7 @@ func (w *World) DAMA(ch *radio.Channel) *dama.Controller {
 	if c, ok := w.dama[ch]; ok {
 		return c
 	}
-	c := dama.New(ch, w.DAMAConfig)
+	c := dama.New(ch, dama.Config{})
 	w.dama[ch] = c
 	return c
 }
