@@ -105,7 +105,7 @@ func E2(w io.Writer) *Result {
 		pc := s.PCs[0]
 		// The PC's own TNC filters in both configurations so the
 		// gateway's TNC mode is the only variable.
-		pc.Radio("pr0").TNC.Filter = tnc.AddressFilter
+		pc.Radio("pr0").TNC.SetFilter(tnc.AddressFilter)
 		// Warm up ARP before loading the channel heavily.
 		pingOnce(s.W, pc, world.InternetIP, 8, 5*time.Minute)
 

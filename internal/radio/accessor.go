@@ -185,6 +185,9 @@ func (t *Transceiver) SetAccessor(a Accessor) {
 		return
 	}
 	if t.ch != nil {
+		// Only a CSMA station is left out of frames (Listen): settle
+		// what it passed by under the old policy.
+		t.fold()
 		t.ch.dropAccessor(t.acc)
 		t.ch.addAccessor(a)
 	}

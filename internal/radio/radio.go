@@ -44,9 +44,12 @@ import (
 
 // ChannelStats aggregates channel-wide accounting.
 type ChannelStats struct {
-	FramesStarted  uint64        // transmissions keyed up (data and control)
-	FramesDamaged  uint64        // receptions lost to collision or noise
-	FramesHeard    uint64        // successful receptions (per receiver)
+	FramesStarted uint64 // transmissions keyed up (data and control)
+	FramesDamaged uint64 // receptions lost to collision or noise
+	// FramesHeard counts successful receptions, per receiver. The raw
+	// field lags: receptions the addressee walk settled in bulk are
+	// counted in only by Channel.FramesHeard, so read that.
+	FramesHeard    uint64
 	Airtime        time.Duration // total transmit airtime (sum over senders)
 	CollisionPairs uint64        // distinct overlapping transmission pairs
 
@@ -93,8 +96,15 @@ type Channel struct {
 	// payload is what the receiver's MAC handed up (DAMA-unwrapped for
 	// data; the raw on-air bytes for half-duplex misses, where no MAC
 	// ran), consumed reports a frame the MAC swallowed as channel-access
-	// control. Purely read-side — a tap must not touch the channel.
+	// control. Purely read-side — a tap must not touch the channel. A
+	// tap sees every receiver, so while one is attached every frame
+	// walks every receiver, Classify or not.
 	Tap func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool)
+
+	// Classify, when non-nil, names the receivers that take each frame
+	// (Classifier), so a frame reaches only those (Listen): the
+	// addressee walk. Nil walks every receiver of every frame.
+	Classify Classifier
 
 	// BitRate is the on-air signalling rate in bits per second.
 	BitRate int
@@ -122,8 +132,10 @@ type Channel struct {
 	waiters []*Transceiver
 
 	// unreachable holds ordered pairs (from,to) that cannot hear each
-	// other. Default (empty) is full mesh.
+	// other. Default (empty) is full mesh. deaf counts its true entries
+	// (SetReachable stores reachable pairs as false).
 	unreachable map[[2]*Transceiver]bool
+	deaf        int
 
 	// accs are the distinct channel-access policies in use by attached
 	// stations (refcounted in accRef), in first-arrival order; carrier
@@ -133,6 +145,20 @@ type Channel struct {
 
 	// memo is the slot the channel's receivers share (Memo).
 	memo any
+
+	// seats gives each station that ever tuned here its index in a
+	// transmission's damage bitset. A seat is never given to another
+	// station, and a station that comes back gets its own again, so
+	// Retune cannot misalign a bitset.
+	seats map[*Transceiver]int
+
+	// The addressee walk (addressees.go): idx is the receiver index,
+	// nil until rebuilt after a change to who listens for what; bulk
+	// counts the frames the walk completed and passed the bystander
+	// receptions it settled in bulk (Channel.FramesHeard).
+	idx    *addressees
+	bulk   uint64
+	passed uint64
 }
 
 // DefaultBitRate is the classic 1200 bps AFSK channel rate of the
@@ -153,6 +179,7 @@ func NewChannel(sched *sim.Scheduler, bitRate int) *Channel {
 		BitRate:     bitRate,
 		DCDDelay:    DefaultDCDDelay,
 		unreachable: make(map[[2]*Transceiver]bool),
+		seats:       make(map[*Transceiver]int),
 	}
 }
 
@@ -167,7 +194,14 @@ func (c *Channel) AirTime(n int) time.Duration {
 // SetReachable declares whether transmissions from a are audible at b
 // (directed). All pairs start reachable.
 func (c *Channel) SetReachable(from, to *Transceiver, ok bool) {
-	c.unreachable[[2]*Transceiver{from, to}] = !ok
+	pair := [2]*Transceiver{from, to}
+	if c.unreachable[pair] {
+		c.deaf--
+	}
+	if !ok {
+		c.deaf++
+	}
+	c.unreachable[pair] = !ok
 	// Audibility is part of the carrier schedule: a waiter deferring to
 	// a transmission it can no longer hear may move its wake earlier
 	// (and one that just started hearing an active carrier, later).
@@ -234,28 +268,42 @@ type transmission struct {
 	control    bool // MAC control frame (poll), for overhead accounting
 	start, end sim.Time
 	done       *sim.Event // delivery at end-of-frame; cancelled by Retune
-	// damagedAt marks receivers whose copy is destroyed by overlap;
-	// nil until the first collision.
-	damagedAt map[*Transceiver]bool
+	// overlapped is set once another transmission overlaps this one:
+	// only then can a receiver's copy be damaged by collision or missed
+	// half duplex.
+	overlapped bool
+	// damagedAt is a bitset over the channel's seats marking receivers
+	// whose copy is destroyed by overlap; nil until the first collision.
+	damagedAt []uint64
 }
 
 func (t *transmission) overlaps(u *transmission) bool {
 	return t.start < u.end && u.start < t.end
 }
 
-// damage marks r's copy of t as destroyed by overlap.
-func (t *transmission) damage(r *Transceiver) {
-	if t.damagedAt == nil {
-		t.damagedAt = make(map[*Transceiver]bool)
+// damage marks the copy of t heard at seat as destroyed by overlap.
+func (t *transmission) damage(seat int) {
+	w := seat / 64
+	for len(t.damagedAt) <= w {
+		t.damagedAt = append(t.damagedAt, 0)
 	}
-	t.damagedAt[r] = true
+	t.damagedAt[w] |= 1 << (seat % 64)
+}
+
+// damaged reports whether the copy of t heard at seat is destroyed.
+func (t *transmission) damaged(seat int) bool {
+	w := seat / 64
+	return w < len(t.damagedAt) && t.damagedAt[w]&(1<<(seat%64)) != 0
 }
 
 // TxStats counts per-transceiver events.
 type TxStats struct {
-	FramesSent     uint64
-	FramesQueued   uint64
-	FramesHeard    uint64 // frames received intact (any destination)
+	FramesSent   uint64
+	FramesQueued uint64
+	// FramesHeard counts frames received intact (any destination). The
+	// raw field lags: frames the addressee walk settled in bulk are
+	// counted in only by Transceiver.FramesHeard, so read that.
+	FramesHeard    uint64
 	FramesDamaged  uint64 // frames received damaged
 	CSMADeferrals  uint64 // slot waits due to busy carrier or persistence
 	HalfDuplexMiss uint64 // receptions lost because we were transmitting
@@ -393,6 +441,21 @@ type Transceiver struct {
 
 	transmitting   bool
 	txStart, txEnd sim.Time
+
+	// seat is t's index in its channel's damage bitsets (Channel.seats).
+	seat int
+
+	// Addressee registration (Listen): keyed receivers take only the
+	// frames classified to key (and to everyone); the rest take all.
+	keyed bool
+	key   uint64
+
+	// Bulk settlement of the frames a listener heard but was never
+	// handed (Passed): of the channel's bulk frames since heardMark,
+	// heardSeen are those t sent or was walked for, and the rest passed
+	// it by. passed holds what earlier folds settled.
+	heardMark, heardSeen uint64
+	passed               uint64
 }
 
 // Attach adds a new transceiver to the channel.
@@ -406,9 +469,23 @@ func (c *Channel) Attach(name string, params Params) *Transceiver {
 		noiseSeed: c.sched.DeriveSeed(),
 	}
 	t.onSlotFn = t.onSlot
-	c.stations = append(c.stations, t)
+	c.join(t)
 	c.addAccessor(t.acc)
 	return t
+}
+
+// join puts t on c's station list in its seat, rebased for bulk
+// settlement on c.
+func (c *Channel) join(t *Transceiver) {
+	seat, ok := c.seats[t]
+	if !ok {
+		seat = len(c.seats)
+		c.seats[t] = seat
+	}
+	t.seat = seat
+	t.heardMark, t.heardSeen = c.bulk, 0
+	c.stations = append(c.stations, t)
+	c.idx = nil
 }
 
 // Stations returns the attached transceivers.
@@ -430,6 +507,7 @@ func (t *Transceiver) Retune(to *Channel) {
 	if old == to || to == nil {
 		return
 	}
+	t.fold()
 	for i, s := range old.stations {
 		if s == t {
 			old.stations = append(old.stations[:i], old.stations[i+1:]...)
@@ -504,14 +582,17 @@ func (t *Transceiver) Retune(to *Channel) {
 	}
 	t.transmitting = false
 	t.txStart, t.txEnd = 0, 0
-	for pair := range old.unreachable {
+	for pair, deaf := range old.unreachable {
 		if pair[0] == t || pair[1] == t {
+			if deaf {
+				old.deaf--
+			}
 			delete(old.unreachable, pair)
 		}
 	}
 	old.dropAccessor(t.acc)
 	t.ch = to
-	to.stations = append(to.stations, t)
+	to.join(t)
 	to.addAccessor(t.acc)
 	if len(t.queue) > 0 && !t.contending {
 		t.acc.Start(t)
@@ -879,12 +960,13 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 			continue
 		}
 		c.Stats.CollisionPairs++
+		tx.overlapped, other.overlapped = true, true
 		for _, r := range c.stations {
 			hearsNew := c.reachable(t, r)
 			hearsOld := c.reachable(other.sender, r)
 			if hearsNew && hearsOld {
-				tx.damage(r)
-				other.damage(r)
+				tx.damage(r.seat)
+				other.damage(r.seat)
 			}
 		}
 	}
@@ -909,12 +991,17 @@ func (c *Channel) complete(tx *transmission) {
 	sender := tx.sender
 	sender.transmitting = false
 
+	if walk, listeners, ok := c.addressed(tx); ok {
+		c.deliverTo(walk, listeners, tx)
+		sender.acc.TxDone(sender)
+		return
+	}
 	// Deliver to every station that can hear the sender.
 	for _, r := range c.stations {
 		if r == sender || !c.reachable(sender, r) {
 			continue
 		}
-		collided := tx.damagedAt[r]
+		collided := tx.damaged(r.seat)
 		damaged := collided
 		// Half duplex: a station whose own transmission overlapped
 		// [tx.start, tx.end) missed the frame entirely — not even a

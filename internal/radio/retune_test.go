@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 
 	"packetradio/internal/sim"
@@ -120,5 +121,40 @@ func TestRetuneMidFrameDamagesOldChannelCopy(t *testing.T) {
 	s.Run()
 	if intact != 0 || damaged != 1 {
 		t.Fatalf("old channel saw intact=%d damaged=%d, want a single damaged copy", intact, damaged)
+	}
+}
+
+// TestRetuneKeepsDamageSeat pins the seats behind a transmission's
+// damage bitset: a receiver that leaves in the middle of a collision
+// and comes back is still the one marked damaged, and a station that
+// arrives meanwhile — in the place the leaver had in the station list —
+// inherits no mark.
+func TestRetuneKeepsDamageSeat(t *testing.T) {
+	s := sim.NewScheduler(5)
+	ch1, ch2 := NewChannel(s, 1200), NewChannel(s, 1200)
+	// Full duplex keys up without carrier sense, so the two collide.
+	a := ch1.Attach("A", Params{FullDuplex: true})
+	b := ch1.Attach("B", Params{FullDuplex: true})
+	c := ch1.Attach("C", Params{})
+	got := map[string][]bool{}
+	rx := func(name string) func([]byte, bool) {
+		return func(_ []byte, damaged bool) { got[name] = append(got[name], damaged) }
+	}
+	c.SetReceiver(rx("C"))
+	a.Send(make([]byte, 100))
+	b.Send(make([]byte, 100))
+	for s.Pending() > 0 && len(ch1.active) < 2 {
+		s.Step()
+	}
+	if len(ch1.active) != 2 {
+		t.Fatal("the two transmissions never overlapped")
+	}
+	c.Retune(ch2)
+	d := ch1.Attach("D", Params{})
+	d.SetReceiver(rx("D"))
+	c.Retune(ch1)
+	s.Run()
+	if want := "map[C:[true true] D:[false false]]"; fmt.Sprint(got) != want {
+		t.Fatalf("receptions %v, want %s", got, want)
 	}
 }

@@ -51,7 +51,7 @@ func newHearingRig(damaMAC bool) *hearingRig {
 	for i, call := range []string{"KA", "KB"} {
 		hostEnd, tncEnd := host()
 		t := tnc.New(r.s, tncEnd, r.ch.Attach(call, params), ax25.MustAddr(call))
-		t.Filter = tnc.FilterMode(i) // KA promiscuous, KB filtered
+		t.SetFilter(tnc.FilterMode(i)) // KA promiscuous, KB filtered
 		r.kiss = append(r.kiss, t)
 		r.s.Every(20*time.Second, func() { r.sendUI(hostEnd, call) })
 	}
@@ -104,11 +104,14 @@ func (r *hearingRig) sendUI(host *serial.End, src string) {
 }
 
 // stats renders every receiver's counters, what reached the hosts, and
-// every transceiver's MAC counters.
+// every transceiver's MAC counters, each counter as its accessor
+// settles it.
 func (r *hearingRig) stats() string {
 	var b strings.Builder
 	for i, t := range r.kiss {
-		fmt.Fprintf(&b, "kiss %s %+v\n", t.Name, t.Stats)
+		st := t.Stats
+		st.Filtered = t.Filtered()
+		fmt.Fprintf(&b, "kiss %s %+v\n", t.Name, st)
 		fmt.Fprintf(&b, "  host %d: %x\n", i, r.hosts[i].Bytes())
 	}
 	fmt.Fprintf(&b, "native %+v\n  user: %q\n", r.native.Stats, r.hosts[2].String())
@@ -119,9 +122,13 @@ func (r *hearingRig) stats() string {
 	fmt.Fprintf(&b, "datagrams %d\n", r.dgrams)
 	fmt.Fprintf(&b, "bbs %+v messages=%d\n", r.board.Stats, len(r.board.Messages()))
 	for _, rf := range r.ch.Stations() {
-		fmt.Fprintf(&b, "rf %s %+v\n", rf.Name, rf.Stats)
+		st := rf.Stats
+		st.FramesHeard = rf.FramesHeard()
+		fmt.Fprintf(&b, "rf %s %+v\n", rf.Name, st)
 	}
-	fmt.Fprintf(&b, "channel %+v\n", r.ch.Stats)
+	cs := r.ch.Stats
+	cs.FramesHeard = r.ch.FramesHeard()
+	fmt.Fprintf(&b, "channel %+v\n", cs)
 	return b.String()
 }
 
@@ -171,7 +178,7 @@ func TestReceiversShareFrames(t *testing.T) {
 			}
 			// The run exercised every receiver, and damaged receptions.
 			r := shared
-			if r.kiss[0].Stats.ToHost == 0 || r.kiss[1].Stats.Filtered == 0 || r.kiss[1].Stats.ToHost == 0 ||
+			if r.kiss[0].Stats.ToHost == 0 || r.kiss[1].Filtered() == 0 || r.kiss[1].Stats.ToHost == 0 ||
 				r.kiss[0].Stats.CRCErrors == 0 || r.digi.Stats.Repeated == 0 || r.board.Stats.Stored != 1 ||
 				r.native.Stats.Connects == 0 || r.nodes[1].Stats.NodesRcvd == 0 || r.dgrams == 0 {
 				t.Fatalf("traffic did not reach every receiver:\n%s", got)

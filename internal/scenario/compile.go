@@ -98,8 +98,8 @@ func Compile(sc *Scenario, seed int64) (*Runner, error) {
 // tagRegistry labels the world's metric registry with the run's
 // identity and registers the scenario.* roll-ups, so -metrics and
 // -netstat output from a scenario run is self-describing. The values
-// add the live pair-flow counters to the large world's probe totals,
-// which refresh at each W.Run end.
+// add the live pair-flow counters to the large world's live probe
+// totals (Large.Totals), so a mid-run sample is current.
 func (r *Runner) tagRegistry() {
 	reg := r.W.Registry()
 	reg.SetLabel("scenario", r.Scenario.Name)
@@ -107,14 +107,16 @@ func (r *Runner) tagRegistry() {
 	sent := func() uint64 {
 		n := r.pairSent
 		if r.Large != nil {
-			n += r.Large.Sent
+			s, _ := r.Large.Totals()
+			n += s
 		}
 		return n
 	}
 	replies := func() uint64 {
 		n := r.pairReplies
 		if r.Large != nil {
-			n += r.Large.Replies
+			_, rp := r.Large.Totals()
+			n += rp
 		}
 		return n
 	}

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"packetradio/internal/sim"
 )
 
 // busyScenario exercises every moving part at once: multi-channel
@@ -74,6 +77,44 @@ func TestSeattleCompile(t *testing.T) {
 	st := r.Run()
 	if st.Sent == 0 || st.Replies == 0 {
 		t.Fatalf("no seattle traffic: %+v", st)
+	}
+}
+
+// TestRegistryRollupsAreLive samples the scenario.* roll-ups in the
+// middle of one W.Run on the large base: probes go out all through the
+// window, so scenario.sent must rise between two samples and agree
+// with the run's totals at its end.
+func TestRegistryRollupsAreLive(t *testing.T) {
+	sc, err := Parse([]byte(`{
+		"name": "live",
+		"topology": {"stations": 4, "channels": 1},
+		"traffic": {"probe_interval": "20s"},
+		"run": {"warmup": "30s", "duration": "120s"}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Compile(sc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := r.W.Registry()
+	var samples []float64
+	for _, at := range []time.Duration{60 * time.Second, 120 * time.Second} {
+		r.W.Sched.At(sim.Time(at), func() {
+			v, _ := reg.Value("scenario.sent")
+			samples = append(samples, v)
+		})
+	}
+	st := r.Run()
+	if len(samples) != 2 || samples[1] <= samples[0] {
+		t.Fatalf("scenario.sent sampled %v at 60 s and 120 s of one run, want it rising", samples)
+	}
+	if v, _ := reg.Value("scenario.sent"); v != float64(st.Sent) {
+		t.Fatalf("scenario.sent reads %v after the run, the run sent %d", v, st.Sent)
+	}
+	if v, _ := reg.Value("scenario.replies"); v != float64(st.Replies) {
+		t.Fatalf("scenario.replies reads %v after the run, the run got %d", v, st.Replies)
 	}
 }
 

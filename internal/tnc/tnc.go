@@ -18,7 +18,9 @@
 // address. We are considering changing the TNC code so that it can
 // selectively pass only those packets destined for the broadcast or
 // local AX.25 addresses." FilterMode selects between the two
-// behaviours; E2 measures the difference.
+// behaviours; E2 measures the difference. A filtering TNC registers its
+// callsign with the radio, so a channel that classifies its frames
+// (Classify) hands it only the frames it passes up (DESIGN.md §3b).
 package tnc
 
 import (
@@ -47,8 +49,11 @@ const (
 
 // Stats counts TNC events.
 type Stats struct {
-	ToHost      uint64 // frames passed up the serial line
-	Filtered    uint64 // frames suppressed by the address filter
+	ToHost uint64 // frames passed up the serial line
+	// Filtered counts frames suppressed by the address filter. The raw
+	// field lags: frames the channel settled in bulk without handing
+	// them over are counted in only by TNC.Filtered, so read that.
+	Filtered    uint64
 	CRCErrors   uint64 // frames dropped for bad FCS (collisions, noise)
 	HostDrops   uint64 // frames dropped because the host queue was full
 	FromHost    uint64 // data frames received from the host
@@ -58,9 +63,10 @@ type Stats struct {
 
 // TNC is a KISS-firmware TNC.
 type TNC struct {
-	Name   string
+	Name string
+	// MyCall is the callsign the address filter passes. SetFilter
+	// registers it with the radio, so set it before that.
 	MyCall ax25.Addr
-	Filter FilterMode
 
 	// HostQueueFrames bounds frames buffered toward the host (the
 	// TNC's scarce on-board RAM). Default 16.
@@ -76,6 +82,7 @@ type TNC struct {
 	sched  *sim.Scheduler
 	host   *serial.End
 	rf     *radio.Transceiver
+	filter FilterMode
 	params kiss.Params
 	dec    kiss.Decoder
 
@@ -91,7 +98,8 @@ type TNC struct {
 }
 
 // New builds a KISS TNC between a host serial end and a radio
-// transceiver. mycall is used only when Filter is AddressFilter.
+// transceiver, in Promiscuous mode. mycall is used only in
+// AddressFilter mode (SetFilter).
 func New(sched *sim.Scheduler, host *serial.End, rf *radio.Transceiver, mycall ax25.Addr) *TNC {
 	t := &TNC{
 		Name:            rf.Name,
@@ -115,6 +123,57 @@ func New(sched *sim.Scheduler, host *serial.End, rf *radio.Transceiver, mycall a
 
 // Params reports the current KISS parameters.
 func (t *TNC) Params() kiss.Params { return t.params }
+
+// SetFilter selects which received frames go up to the host. In
+// AddressFilter mode the TNC listens for MyCall on its transceiver
+// (radio.Transceiver.Listen): a channel that classifies frames with
+// Classify then never hands it a frame for another station, and
+// counts the frame in Filtered instead.
+func (t *TNC) SetFilter(m FilterMode) {
+	t.filter = m
+	if m == AddressFilter {
+		t.rf.Listen(key(t.MyCall))
+	} else {
+		t.rf.ListenAll()
+	}
+}
+
+// Filtered reports the frames the address filter suppressed: those
+// fromRadio dropped (Stats.Filtered) and those the channel settled in
+// bulk without handing them over (radio.Transceiver.Passed).
+func (t *TNC) Filtered() uint64 { return t.Stats.Filtered + t.rf.Passed() }
+
+// Classify is the radio.Classifier of a channel whose receivers filter
+// as an AddressFilter TNC does. It reads the shared receive verdict
+// (ax25.Hear), so it adds no decode, and applies fromRadio's rule: a
+// frame with a bad FCS, one that does not decode, and one for a group
+// address go to everyone; any other goes to the listeners of its link
+// destination.
+func Classify(c *radio.Channel, framed []byte) (uint64, bool) {
+	h := ax25.Hear(c.Memo(), framed)
+	if !h.OK || h.Err != nil || group(h) {
+		return 0, true
+	}
+	return key(h.LinkDst), false
+}
+
+// group reports whether a decoded frame is for a group address — the
+// broadcast address or NODES, as its next hop or its final destination
+// — which every filtering TNC passes up.
+func group(h *ax25.Heard) bool {
+	dst, final := h.LinkDst, h.Frame.Dst
+	return dst == ax25.Broadcast || dst == ax25.Nodes || final == ax25.Broadcast || final == ax25.Nodes
+}
+
+// key packs a callsign into the channel's opaque listener key, one key
+// per address.
+func key(a ax25.Addr) uint64 {
+	k := uint64(a.SSID)
+	for _, c := range a.Call {
+		k = k<<8 | uint64(c)
+	}
+	return k
+}
 
 // SetHostQueueFrames resizes the host-bound frame buffer, discarding
 // anything queued.
@@ -169,16 +228,12 @@ func (t *TNC) fromRadio(framed []byte, damaged bool) {
 		t.Stats.CRCErrors++
 		return
 	}
-	if t.Filter == AddressFilter {
-		// The paper's proposed selective filter: only frames for our
-		// callsign, the broadcast address or NODES go up the line, and
-		// frames that do not parse are noise.
-		dst, final := h.LinkDst, h.Frame.Dst
-		if h.Err != nil || dst != t.MyCall && dst != ax25.Broadcast && dst != ax25.Nodes &&
-			final != ax25.Broadcast && final != ax25.Nodes {
-			t.Stats.Filtered++
-			return
-		}
+	// The paper's proposed selective filter: only frames for our
+	// callsign, the broadcast address or NODES go up the line, and frames
+	// that do not parse are noise.
+	if t.filter == AddressFilter && (h.Err != nil || !group(h) && h.LinkDst != t.MyCall) {
+		t.Stats.Filtered++
+		return
 	}
 	if !t.hostQ.Enqueue(h.Body) {
 		t.Stats.HostDrops++

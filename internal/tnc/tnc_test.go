@@ -96,7 +96,7 @@ func TestAddressFilterSuppressesForeignTraffic(t *testing.T) {
 	ch := radio.NewChannel(s, 1200)
 	a := newStation(s, ch, "AAA", 9600)
 	c := newStation(s, ch, "CCC", 9600)
-	c.tnc.Filter = AddressFilter
+	c.tnc.SetFilter(AddressFilter)
 
 	a.sendUI(t, "BBB", "AAA", ax25.PIDNone, []byte("not for ccc"))
 	a.sendUI(t, "CCC", "AAA", ax25.PIDNone, []byte("for ccc"))
@@ -106,8 +106,8 @@ func TestAddressFilterSuppressesForeignTraffic(t *testing.T) {
 	if len(c.rx) != 2 {
 		t.Fatalf("filtered TNC passed %d frames, want 2 (own + broadcast)", len(c.rx))
 	}
-	if c.tnc.Stats.Filtered != 1 {
-		t.Fatalf("Filtered = %d, want 1", c.tnc.Stats.Filtered)
+	if c.tnc.Filtered() != 1 {
+		t.Fatalf("Filtered = %d, want 1", c.tnc.Filtered())
 	}
 }
 
@@ -116,7 +116,7 @@ func TestAddressFilterPassesDigipeatTarget(t *testing.T) {
 	ch := radio.NewChannel(s, 1200)
 	a := newStation(s, ch, "AAA", 9600)
 	c := newStation(s, ch, "CCC", 9600)
-	c.tnc.Filter = AddressFilter
+	c.tnc.SetFilter(AddressFilter)
 	// Frame for BBB routed via CCC: the filter must pass it up (the
 	// host may be doing software digipeating).
 	a.sendUI(t, "BBB", "AAA", ax25.PIDNone, []byte("via ccc"), "CCC")

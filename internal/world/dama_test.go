@@ -25,11 +25,11 @@ func damaWorld(n int, mac MACMode, minutes int) (string, uint64, *Large) {
 	for i, st := range lw.Stations {
 		p := st.Radio("pr0")
 		tr += fmt.Sprintf("st%d sent=%d heard=%d polled=%d queue=%d\n",
-			i, p.RF.Stats.FramesSent, p.RF.Stats.FramesHeard, p.RF.Stats.PollsHeard, p.RF.QueueLen())
+			i, p.RF.Stats.FramesSent, p.RF.FramesHeard(), p.RF.Stats.PollsHeard, p.RF.QueueLen())
 	}
 	ch := lw.Channels[0]
 	tr += fmt.Sprintf("ch started=%d heard=%d collisions=%d airtime=%v control=%v\n",
-		ch.Stats.FramesStarted, ch.Stats.FramesHeard, ch.Stats.CollisionPairs,
+		ch.Stats.FramesStarted, ch.FramesHeard(), ch.Stats.CollisionPairs,
 		ch.Stats.Airtime, ch.Stats.ControlAirtime)
 	return tr, lw.Replies, lw
 }

@@ -147,9 +147,10 @@ type Large struct {
 	// latency distributions (E16's median) without re-instrumenting the
 	// traffic loop. The probers accumulate into per-channel slots and
 	// these fields are rebuilt after every W.Run, merged in
-	// deterministic (virtual-time, channel) order. Both engines use the
-	// same slot layout and the same merge, so for a given seed the
-	// series is bit-identical — order included — at every worker count.
+	// deterministic (virtual-time, channel) order; Totals reads the
+	// counts live, mid-run. Both engines use the same slot layout and
+	// the same merge, so for a given seed the series is bit-identical —
+	// order included — at every worker count.
 	Sent, Replies uint64
 	RTTs          []time.Duration
 
@@ -190,11 +191,9 @@ func (lw *Large) slot(i int) *probeSlot {
 // land at the same virtual instant (the engines execute those events in
 // different global orders, but the merge key does not care).
 func (lw *Large) mergeProbes() {
-	lw.Sent, lw.Replies = 0, 0
+	lw.Sent, lw.Replies = lw.Totals()
 	total := 0
 	for i := range lw.slots {
-		lw.Sent += lw.slots[i].sent
-		lw.Replies += lw.slots[i].replies
 		total += len(lw.slots[i].rtts)
 	}
 	type tagged struct {
@@ -218,6 +217,18 @@ func (lw *Large) mergeProbes() {
 	for _, s := range all {
 		lw.RTTs = append(lw.RTTs, s.rtt)
 	}
+}
+
+// Totals reports the probes sent and the replies received so far,
+// summed over the per-channel slots the probers update as they go: it
+// is live at any instant, where Sent and Replies refresh only at each
+// W.Run end. On the sharded engine, read it between runs.
+func (lw *Large) Totals() (sent, replies uint64) {
+	for i := range lw.slots {
+		sent += lw.slots[i].sent
+		replies += lw.slots[i].replies
+	}
+	return sent, replies
 }
 
 // LargeInternetIP is the Ethernet host of the generated world.

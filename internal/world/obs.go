@@ -37,6 +37,9 @@ func (w *World) Registry() *obs.Registry {
 	for name, ch := range w.channels {
 		cn := metricName(name)
 		r.RegisterStruct("radio."+cn, &ch.Stats)
+		// Receptions the addressee walk settles in bulk are not in the
+		// raw field (DESIGN.md §3b): read them settled, in place.
+		r.RegisterFunc("radio."+cn+".frames_heard", func() float64 { return float64(ch.FramesHeard()) })
 		r.RegisterFunc("radio."+cn+".utilization", ch.Utilization)
 		if ctl, ok := w.dama[ch]; ok {
 			r.RegisterStruct("dama."+cn, &ctl.Stats)
@@ -70,11 +73,15 @@ func (w *World) Registry() *obs.Registry {
 			r.RegisterStruct(pn+".drv", &p.Driver.DStats)
 			r.RegisterStruct(pn+".tnc", &p.TNC.Stats)
 			r.RegisterStruct(pn+".rf", &p.RF.Stats)
-			// The raw deferral field lags mid-defer by the slots the
-			// pending wake will settle; read the slot-exact count
-			// (DESIGN.md §3c), replacing the raw view in place.
-			rf := p.RF
+			// Raw fields that lag are read settled, replacing the raw
+			// views in place: the deferral field mid-defer, by the slots
+			// the pending wake will settle (DESIGN.md §3c); the heard and
+			// filtered counts, by the frames the channel settled in bulk
+			// without handing them to the TNC (§3b).
+			rf, t := p.RF, p.TNC
 			r.RegisterFunc(pn+".rf.csma_deferrals", func() float64 { return float64(rf.CSMADeferrals()) })
+			r.RegisterFunc(pn+".rf.frames_heard", func() float64 { return float64(rf.FramesHeard()) })
+			r.RegisterFunc(pn+".tnc.filtered", func() float64 { return float64(t.Filtered()) })
 			r.RegisterStruct(pn+".arp", &p.Driver.Resolver().Stats)
 		}
 	}
@@ -88,7 +95,8 @@ func (w *World) Registry() *obs.Registry {
 // percentile summary (count, mean, p50/p95/p99) instead of a raw
 // sample count; the JSON and CSV forms are unchanged.
 func (w *World) Netstat(out io.Writer, prefix string) {
-	snap := w.Registry().Snapshot()
+	reg := w.Registry()
+	snap := reg.Snapshot()
 	width := 0
 	var names []string
 	for _, s := range snap {
@@ -113,14 +121,14 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 			fmt.Fprintln(out)
 		}
 		lastGroup = group
-		if h, ok := w.Registry().HistogramFor(name); ok {
+		if h, ok := reg.HistogramFor(name); ok {
 			fmt.Fprintf(out, "%-*s count=%d mean=%s p50=%s p95=%s p99=%s\n",
 				width, name, h.Count(), obs.FormatValue(h.Mean()),
 				obs.FormatValue(h.Quantile(0.50)), obs.FormatValue(h.Quantile(0.95)),
 				obs.FormatValue(h.Quantile(0.99)))
 			continue
 		}
-		v, _ := w.Registry().Value(name)
+		v, _ := reg.Value(name)
 		fmt.Fprintf(out, "%-*s %v\n", width, name, obs.FormatValue(v))
 	}
 }

@@ -95,6 +95,10 @@ func (w *World) Channel(name string, bitRate int) *radio.Channel {
 		return c
 	}
 	c := radio.NewChannel(w.Sched, bitRate)
+	// A receiver on a world channel either filters as a KISS TNC does
+	// or takes everything, so the channel can hand each unicast frame
+	// to its addressees only.
+	c.Classify = tnc.Classify
 	w.channels[name] = c
 	return c
 }
@@ -248,7 +252,7 @@ func (h *Host) AttachRadio(ch *radio.Channel, ifName string, call string, addr i
 		Persist:  cfg.Persist,
 	})
 	t := tnc.New(h.sched, tncEnd, rf, mycall)
-	t.Filter = cfg.Filter
+	t.SetFilter(cfg.Filter)
 	// MAC selection rides below the TNC: the KISS firmware still owns
 	// TXDELAY/persistence, but admission — when a queued frame may key
 	// up — is the channel-access policy's. Join after tnc.New so the
