@@ -19,12 +19,25 @@
 //	prsim -stations 100 -mac dama        # E16-style scale world: N stations on
 //	                                     # one channel, with a per-layer fate
 //	                                     # ledger explaining every lost ping
+//
+// A file the observers cannot write is reported on stderr, and prsim
+// exits 1.
+//
+// It is also the entry point for the declarative scenario suite
+// (SCENARIOS.md), which CI gates:
+//
+//	prsim -scenario examples/scenarios               # gate every scenario
+//	prsim -scenario examples/scenarios/diurnal.toml -seeds 16
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -49,13 +62,40 @@ type obsFlags struct {
 	trace   string
 	metrics string
 	spans   bool
+
+	// create opens an output file: os.Create, or a fake in tests.
+	create func(name string) (io.WriteCloser, error)
+}
+
+// writeFile writes one output file whole and closes it, returning the
+// first error, named with the file.
+func (o *obsFlags) writeFile(name string, write func(io.Writer) error) error {
+	f, err := o.create(name)
+	if err != nil {
+		return err
+	}
+	return closeFile(name, f, write(f))
+}
+
+// closeFile closes f and returns err, else the close error, naming the
+// file unless the error already does.
+func closeFile(name string, f io.Closer, err error) error {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	var pe *fs.PathError
+	if err != nil && !errors.As(err, &pe) {
+		err = fmt.Errorf("%s: %w", name, err)
+	}
+	return err
 }
 
 // attach wires the requested observers into a built world (gwHost
 // names the host whose pr0 KISS seam the pcap tap watches) and returns
 // a finish func that flushes files and prints the end-of-run reports.
-func (o *obsFlags) attach(w *world.World, gwHost string) (func(), error) {
-	var finishers []func()
+// finish runs every report and returns the first file error.
+func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
+	var finishers []func() error
 	var tr *obs.Tracer
 	if o.spans {
 		tr = w.AttachTracer()
@@ -69,17 +109,21 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func(), error) {
 		flt = f
 	}
 	if o.pcap != "" {
-		f, err := os.Create(o.pcap)
+		f, err := o.create(o.pcap)
 		if err != nil {
 			return nil, err
 		}
 		pw, err := w.CapturePort(gwHost, "pr0", f, flt)
 		if err != nil {
+			f.Close()
 			return nil, err
 		}
-		finishers = append(finishers, func() {
+		finishers = append(finishers, func() error {
+			if err := closeFile(o.pcap, f, pw.Err()); err != nil {
+				return err
+			}
 			fmt.Printf("# pcap: %d frames -> %s\n", pw.Count(), o.pcap)
-			f.Close()
+			return nil
 		})
 	}
 	if o.trace != "" {
@@ -87,33 +131,27 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func(), error) {
 		if tr != nil {
 			fr.SetSpanSource(tr.Spans) // spans join the trace as flow events
 		}
-		finishers = append(finishers, func() {
-			f, err := os.Create(o.trace)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
+		finishers = append(finishers, func() error {
+			if err := o.writeFile(o.trace, fr.WriteTrace); err != nil {
+				return err
 			}
-			fr.WriteTrace(f)
-			f.Close()
 			fmt.Printf("# trace: %d events (%d overwritten) -> %s\n", fr.Len(), fr.Dropped(), o.trace)
+			return nil
 		})
 	}
 	if o.metrics != "" {
 		reg := w.Registry()
 		reg.StartSampling(w.Sched, time.Second)
-		finishers = append(finishers, func() {
-			f, err := os.Create(o.metrics)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
+		finishers = append(finishers, func() error {
+			if err := o.writeFile(o.metrics, reg.WriteCSV); err != nil {
+				return err
 			}
-			reg.WriteCSV(f)
-			f.Close()
 			fmt.Printf("# metrics: %d series -> %s\n", reg.Len(), o.metrics)
+			return nil
 		})
 	}
 	if o.spans {
-		finishers = append(finishers, func() {
+		finishers = append(finishers, func() error {
 			bd := tr.Breakdown()
 			// Fold the per-stage histograms into the registry so a
 			// -netstat alongside -spans summarizes them too.
@@ -129,22 +167,48 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func(), error) {
 				fmt.Printf("%12.6f %12.6f %-10s %-8s%s | %s\n",
 					s.Start.Seconds(), s.End.Seconds(), s.Stage, s.Who, arg, s.ID)
 			}
+			return nil
 		})
 	}
 	if o.netstat {
-		finishers = append(finishers, func() {
+		finishers = append(finishers, func() error {
 			fmt.Println("# netstat -s:")
 			w.Netstat(os.Stdout, "")
+			return nil
 		})
 	}
-	return func() {
+	return func() error {
+		var first error
 		for _, f := range finishers {
-			f()
+			if err := f(); err != nil && first == nil {
+				first = err
+			}
 		}
+		return first
 	}, nil
 }
 
-func main() {
+// fail reports err and returns the exit status for a bad invocation.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, err)
+	return 2
+}
+
+// finished reports a file the observers could not write, and returns
+// the run's exit status.
+func finished(err error) int {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "prsim:", err)
+		return 1
+	}
+	return 0
+}
+
+func main() { os.Exit(run()) }
+
+// run is prsim with its deferred profile writers done before the
+// process exits; it returns the exit status.
+func run() int {
 	bps := flag.Int("bps", 1200, "radio channel bit rate")
 	baud := flag.Int("baud", 9600, "host-TNC serial speed")
 	pcs := flag.Int("pcs", 2, "radio PCs")
@@ -154,7 +218,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	quiet := flag.Bool("q", false, "suppress the frame monitor")
 	macFlag := flag.String("mac", "csma", "channel access: csma (p-persistent) or dama (polled)")
-	scenarioFlag := flag.String("scenario", "", "scenario mode: run this declarative scenario file (.json or .toml, see SCENARIOS.md) across -seeds seeds and check its gates")
+	scenarioFlag := flag.String("scenario", "", "scenario mode: run this declarative scenario file (.json or .toml, see SCENARIOS.md), or every one in this directory, across -seeds seeds and check its gates")
 	stations := flag.Int("stations", 0, "scale mode: N stations on one channel with a ping-fate ledger (0 = Seattle scenario)")
 	transportFlag := flag.String("transport", "icmp", "scale mode probe transport: icmp, tcp or rdm")
 	channels := flag.Int("channels", 1, "scale mode: radio channels, stations spread round-robin, one gateway each")
@@ -162,7 +226,7 @@ func main() {
 	seeds := flag.Int("seeds", 0, "Monte-Carlo mode: step the scale world under this many independent seeds and report delivery/RTT percentiles (runs -workers seeds concurrently)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
-	var of obsFlags
+	of := obsFlags{create: func(name string) (io.WriteCloser, error) { return os.Create(name) }}
 	flag.BoolVar(&of.netstat, "netstat", false, "print every metric in the registry at the end of the run")
 	flag.StringVar(&of.pcap, "pcap", "", "capture the gateway's KISS seam to this pcap file")
 	flag.StringVar(&of.filter, "filter", "", "pcap capture filter, e.g. \"icmp or host 44.24.0.10\"")
@@ -173,25 +237,21 @@ func main() {
 
 	mac, err := world.ParseMACMode(*macFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	transport, err := world.ParseTransportMode(*transportFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -216,16 +276,14 @@ func main() {
 	}
 
 	if *scenarioFlag != "" {
-		runScenario(*scenarioFlag, *seeds, &of)
-		return
+		return runScenario(*scenarioFlag, *seeds, &of)
 	}
 	if *seeds > 0 {
 		runSweep(*seeds, *stations, *channels, *workersFlag, *dur)
-		return
+		return 0
 	}
 	if *stations > 0 {
-		runScale(*stations, *channels, mac, transport, *seed, *bps, *dur, &of)
-		return
+		return runScale(*stations, *channels, mac, transport, *seed, *bps, *dur, &of)
 	}
 
 	s := world.NewSeattle(world.SeattleConfig{
@@ -233,10 +291,8 @@ func main() {
 	})
 	finish, err := of.attach(s.W, "uw-gw")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
-	defer finish()
 
 	if !*quiet {
 		s.Gateway.Radio("pr0").Driver.Monitor = func(dir string, f *ax25.Frame) {
@@ -295,7 +351,7 @@ func main() {
 	if s.GatewayGW.ACL != nil {
 		fmt.Printf("# acl: %+v\n", s.GatewayGW.ACL.Stats)
 	}
-	_ = os.Stdout
+	return finished(finish())
 }
 
 // runScale is the E16-style scale mode: N stations spread over
@@ -306,7 +362,7 @@ func main() {
 // reason, or still pending at a named stage. With -transport tcp or rdm the same probe schedule
 // rides a real transport instead, so losses become latency and the
 // summary reports transport counters in place of the fate ledger.
-func runScale(n, channels int, mac world.MACMode, transport world.TransportMode, seed int64, bps int, dur time.Duration, of *obsFlags) {
+func runScale(n, channels int, mac world.MACMode, transport world.TransportMode, seed int64, bps int, dur time.Duration, of *obsFlags) int {
 	lw := world.NewLarge(world.LargeConfig{
 		Seed: seed, Stations: n, Channels: channels, BitRate: bps,
 		PingInterval: time.Minute, MAC: mac, Transport: transport,
@@ -317,8 +373,7 @@ func runScale(n, channels int, mac world.MACMode, transport world.TransportMode,
 	}
 	finish, err := of.attach(lw.W, "gw1")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 	fmt.Printf("# scale mode: %d stations, %d x %d bps channels, mac=%v, transport=%v, 60 s probe interval\n",
 		n, channels, bps, mac, transport)
@@ -350,54 +405,96 @@ func runScale(n, channels int, mac world.MACMode, transport world.TransportMode,
 				s.Delivered, s.Sent, s.Resent, s.AcksOut, s.NaksOut, s.Failed)
 		}
 	}
-	finish()
+	return finished(finish())
 }
 
 // runScenario is the declarative mode: load a scenario file, sweep it
 // across seeds (independent seeds run up to GOMAXPROCS at a time),
 // print the per-seed results and the gate verdicts, and exit 1 if a
-// gate fails. The report is deterministic, so CI diffs two runs' output
-// byte for byte. With observability flags set the mode switches to a
-// single instrumented run of seed 1 instead (a sweep has no one world
-// to tap) and checks no gates.
-func runScenario(path string, seeds int, of *obsFlags) {
+// gate fails. A directory runs every .json and .toml scenario in it, in
+// name order, with a blank line between reports. The report is
+// deterministic, so CI diffs two runs' output byte for byte. With
+// observability flags set the mode switches to a single instrumented
+// run of seed 1 of one file instead (a sweep has no one world to tap)
+// and checks no gates.
+func runScenario(path string, seeds int, of *obsFlags) int {
+	if of.netstat || of.pcap != "" || of.trace != "" || of.metrics != "" || of.spans {
+		return runInstrumented(path, of)
+	}
+	files, err := scenarioFiles(path)
+	if err != nil {
+		return fail(err)
+	}
+	failed := 0
+	for i, f := range files {
+		if i > 0 {
+			fmt.Println()
+		}
+		sc, err := scenario.Load(f)
+		if err != nil {
+			return fail(err)
+		}
+		rep, err := scenario.Evaluate(sc, seeds)
+		if err != nil {
+			return fail(err)
+		}
+		rep.WriteText(os.Stdout)
+		if !rep.Pass() {
+			failed++
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "prsim: %d of %d scenarios failed their gates\n", failed, len(files))
+		return 1
+	}
+	return 0
+}
+
+// scenarioFiles lists the scenarios at path: every .json and .toml file
+// of a directory, in name order, or else path itself, which Load then
+// reads or reports.
+func scenarioFiles(path string) ([]string, error) {
+	entries, err := os.ReadDir(path)
+	if err != nil {
+		return []string{path}, nil
+	}
+	var files []string
+	for _, e := range entries {
+		if ext := filepath.Ext(e.Name()); !e.IsDir() && (ext == ".json" || ext == ".toml") {
+			files = append(files, filepath.Join(path, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("prsim: no .json or .toml scenarios in %s", path)
+	}
+	return files, nil
+}
+
+// runInstrumented runs seed 1 of one scenario file with the
+// observability flags attached.
+func runInstrumented(path string, of *obsFlags) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
-	if of.netstat || of.pcap != "" || of.trace != "" || of.metrics != "" || of.spans {
-		r, err := scenario.Compile(sc, 1)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		gwHost := "gw1"
-		if sc.Topology.Base == "seattle" {
-			gwHost = "uw-gw"
-		}
-		finish, err := of.attach(r.W, gwHost)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(sc.Summary())
-		fmt.Println("# single instrumented run (seed 1); gates not checked")
-		st := r.Run()
-		fmt.Printf("# probes: sent=%d replies=%d delivery=%.3f rtt_p50=%s rtt_p95=%s control_share=%.3f\n",
-			st.Sent, st.Replies, st.Delivery, st.RTTPercentile(50), st.RTTPercentile(95), st.ControlShare)
-		finish()
-		return
-	}
-	rep, err := scenario.Evaluate(sc, seeds)
+	r, err := scenario.Compile(sc, 1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
-	rep.WriteText(os.Stdout)
-	if !rep.Pass() {
-		os.Exit(1)
+	gwHost := "gw1"
+	if sc.Topology.Base == "seattle" {
+		gwHost = "uw-gw"
 	}
+	finish, err := of.attach(r.W, gwHost)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Println(sc.Summary())
+	fmt.Println("# single instrumented run (seed 1); gates not checked")
+	st := r.Run()
+	fmt.Printf("# probes: sent=%d replies=%d delivery=%.3f rtt_p50=%s rtt_p95=%s control_share=%.3f\n",
+		st.Sent, st.Replies, st.Delivery, st.RTTPercentile(50), st.RTTPercentile(95), st.ControlShare)
+	return finished(finish())
 }
 
 // runSweep is the Monte-Carlo mode: the same scale world stepped under

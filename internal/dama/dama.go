@@ -21,11 +21,11 @@
 //   - The master serves stations with reported demand round-robin
 //     (staying in the ring until drained is what makes the rotation
 //     demand-weighted), interleaving one discovery poll per
-//     DiscoverEvery demand polls so new demand is found even under
+//     discoverEvery demand polls so new demand is found even under
 //     load. An idle channel paces discovery with IdleGap so polling
 //     does not consume the channel it arbitrates.
 //   - A poll that goes unanswered times out after the worst-case
-//     response airtime; MaxMisses consecutive timeouts idle the
+//     response airtime; maxMisses consecutive timeouts idle the
 //     station's demand so a dead or one-way link cannot wedge the poll
 //     list (it keeps getting discovery polls, so a healed link
 //     recovers).
@@ -71,16 +71,19 @@ type Config struct {
 	// obeys the same cap so a busy gateway cannot starve its slaves
 	// (default 4).
 	Burst int
-	// DiscoverEvery interleaves one discovery poll per this many
-	// demand polls under load (default 4).
-	DiscoverEvery int
 	// MaxFrame bounds one wrapped data frame's length and therefore
 	// the poll-response timeout (default 360 bytes).
 	MaxFrame int
-	// MaxMisses is how many consecutive unanswered polls idle a
-	// station's demand (default 3).
-	MaxMisses int
 }
+
+const (
+	// discoverEvery interleaves one discovery poll per this many demand
+	// polls under load.
+	discoverEvery = 4
+	// maxMisses is how many consecutive unanswered polls idle a
+	// station's demand.
+	maxMisses = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.ElectionTimeout <= 0 {
@@ -95,14 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.Burst <= 0 {
 		c.Burst = 4
 	}
-	if c.DiscoverEvery <= 0 {
-		c.DiscoverEvery = 4
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = 360
-	}
-	if c.MaxMisses <= 0 {
-		c.MaxMisses = 3
 	}
 	return c
 }
@@ -111,7 +108,7 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Elections   uint64 // stations assuming mastership (incl. takeovers)
 	Abdications uint64 // masters yielding to a lower station ID
-	Demotions   uint64 // demand idled after MaxMisses poll timeouts
+	Demotions   uint64 // demand idled after maxMisses poll timeouts
 }
 
 // masterState is where a master sits in its poll cycle.
@@ -389,7 +386,7 @@ func (c *Controller) step(m *member) {
 		m.rf.SetAccessPending(false)
 	}
 	dem := c.nextDemand(m)
-	if dem != nil && m.sinceDisc < c.cfg.DiscoverEvery {
+	if dem != nil && m.sinceDisc < discoverEvery {
 		m.sinceDisc++
 		c.sendPoll(m, dem)
 		return
@@ -441,7 +438,7 @@ func (c *Controller) nextDemand(m *member) *member {
 	for k := 1; k <= n; k++ {
 		i := (m.rr + k) % n
 		s := c.members[i]
-		if s == m || s.demand == 0 || s.misses >= c.cfg.MaxMisses {
+		if s == m || s.demand == 0 || s.misses >= maxMisses {
 			continue
 		}
 		m.rr = i
@@ -458,7 +455,7 @@ func (c *Controller) nextDiscovery(m *member) *member {
 	for k := 1; k <= n; k++ {
 		i := (m.disc + k) % n
 		s := c.members[i]
-		if s == m || (s.demand > 0 && s.misses < c.cfg.MaxMisses) {
+		if s == m || (s.demand > 0 && s.misses < maxMisses) {
 			continue
 		}
 		m.disc = i
@@ -500,7 +497,7 @@ func (c *Controller) pollTimeout(m *member) {
 	if s := m.polled; s != nil {
 		c.trace("poll-timeout", s.rf.Name)
 		s.misses++
-		if s.misses == c.cfg.MaxMisses && s.demand > 0 {
+		if s.misses == maxMisses && s.demand > 0 {
 			s.demand = 0
 			c.Stats.Demotions++
 			c.trace("demote", s.rf.Name)

@@ -222,11 +222,8 @@ func TestSegmentSetReachableCutsPair(t *testing.T) {
 
 	ping := func() bool {
 		ok := false
-		a.stack.Ping(ip.MustAddr("128.95.1.2"), 56, func(_ uint16, _ time.Duration, _ ip.Addr) {
-			ok = true
-			s.Halt()
-		})
-		s.RunFor(10 * time.Second)
+		a.stack.Ping(ip.MustAddr("128.95.1.2"), 56, func(_ uint16, _ time.Duration, _ ip.Addr) { ok = true })
+		s.RunUntilDone(s.Now().Add(10*time.Second), func() bool { return ok })
 		return ok
 	}
 	if !ping() {

@@ -19,7 +19,7 @@ import (
 
 // e11HelloInterval is the (aggressive) hello period used by the
 // failover experiments so reconvergence fits in minutes of simulated
-// time; DeadInterval defaults to 4× this.
+// time; a neighbor is declared dead after 4× this.
 const e11HelloInterval = 10 * time.Second
 
 func e11Config() rspf.Config {

@@ -73,22 +73,14 @@ func sec(d time.Duration) string {
 }
 
 // pingOnce sends one echo and runs the world until the reply (or the
-// deadline), returning the RTT and whether it arrived. The reply
-// callback is disarmed on return, so a reply that lands after the
-// deadline cannot halt a later run.
+// deadline), returning the RTT and whether it arrived. The stop is
+// scoped to this run, so a reply that lands after the deadline cannot
+// cut a later run short.
 func pingOnce(w *world.World, from *world.Host, dst ip.Addr, size int, deadline time.Duration) (time.Duration, bool) {
 	var rtt time.Duration
-	got, armed := false, true
-	from.Stack.Ping(dst, size, func(_ uint16, d time.Duration, _ ip.Addr) {
-		if !armed {
-			return
-		}
-		rtt = d
-		got = true
-		w.Sched.Halt()
-	})
-	w.Sched.RunUntil(w.Sched.Now().Add(deadline))
-	armed = false
+	got := false
+	from.Stack.Ping(dst, size, func(_ uint16, d time.Duration, _ ip.Addr) { rtt, got = d, true })
+	w.Sched.RunUntilDone(w.Sched.Now().Add(deadline), func() bool { return got })
 	return rtt, got
 }
 

@@ -71,13 +71,13 @@ type reassEntry struct {
 	deadline time.Duration // sim time by which reassembly must finish
 }
 
+// ReassemblyTimeout is how long a partly reassembled datagram waits
+// for its missing fragments: the classic ip_reass TTL.
+const ReassemblyTimeout = 30 * time.Second
+
 // Reassembler reassembles fragmented datagrams. It is clock-agnostic:
 // callers pass the current simulation time to Add and Expire.
 type Reassembler struct {
-	// Timeout is the reassembly lifetime (default 30 s, the classic
-	// ip_reass TTL).
-	Timeout time.Duration
-
 	pending map[reassKey]*reassEntry
 
 	// Stats.
@@ -86,9 +86,9 @@ type Reassembler struct {
 	Fragments   uint64
 }
 
-// NewReassembler returns a reassembler with the default timeout.
+// NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{Timeout: 30 * time.Second, pending: make(map[reassKey]*reassEntry)}
+	return &Reassembler{pending: make(map[reassKey]*reassEntry)}
 }
 
 // Add offers one fragment. When the datagram is complete, it is
@@ -101,7 +101,7 @@ func (r *Reassembler) Add(p *Packet, now time.Duration) *Packet {
 	key := reassKey{p.Src, p.Dst, p.Proto, p.ID}
 	e := r.pending[key]
 	if e == nil {
-		e = &reassEntry{deadline: now + r.Timeout}
+		e = &reassEntry{deadline: now + ReassemblyTimeout}
 		r.pending[key] = e
 	}
 	e.frags = append(e.frags, p)

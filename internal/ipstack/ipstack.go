@@ -332,7 +332,7 @@ func (s *Stack) scheduleReassemblyExpiry() {
 	if s.reassTick != nil && !s.reassTick.Cancelled() {
 		return
 	}
-	s.reassTick = s.Sched.After(s.reass.Timeout, func() {
+	s.reassTick = s.Sched.After(ip.ReassemblyTimeout, func() {
 		// Clear the handle unconditionally: the scheduler recycles
 		// fired events, so holding the stale pointer would alias
 		// whatever timer reuses it and block rescheduling forever.

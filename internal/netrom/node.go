@@ -30,23 +30,26 @@ type NodeStats struct {
 	CRCErrors     uint64
 }
 
+// Route-quality rules of the node firmware.
+const (
+	// neighborQuality is the quality assumed for directly heard
+	// neighbors (192/255 ≈ 0.75).
+	neighborQuality = 192
+	// minQuality filters out garbage routes.
+	minQuality = 50
+	// initialObsolescence is an entry's lifetime in broadcast rounds.
+	initialObsolescence = 6
+)
+
 // Node is one NET/ROM network node attached to a radio channel. Real
 // nodes were dedicated TNC2 boxes on backbone frequencies.
 type Node struct {
 	Call  ax25.Addr
 	Alias string
 
-	// NeighborQuality is the quality assumed for directly heard
-	// neighbors (the firmware default 192/255 ≈ 0.75).
-	NeighborQuality uint8
-	// MinQuality filters out garbage routes (default 50).
-	MinQuality uint8
 	// BroadcastInterval spaces NODES broadcasts (default 60 s here;
 	// the firmware used 30-60 min on real channels).
 	BroadcastInterval time.Duration
-	// InitialObsolescence is the entry lifetime in broadcast rounds
-	// (default 6).
-	InitialObsolescence int
 
 	// OnDatagram receives datagrams addressed to this node:
 	// (origin node, protocol byte, payload).
@@ -67,16 +70,13 @@ type Node struct {
 // NewNode attaches a node to a channel.
 func NewNode(sched *sim.Scheduler, ch *radio.Channel, call, alias string) *Node {
 	n := &Node{
-		Call:                ax25.MustAddr(call),
-		Alias:               alias,
-		NeighborQuality:     192,
-		MinQuality:          50,
-		BroadcastInterval:   60 * time.Second,
-		InitialObsolescence: 6,
-		sched:               sched,
-		rf:                  ch.Attach(call, radio.DefaultParams()),
-		routes:              make(map[ax25.Addr]*RouteEntry),
-		circuits:            make(map[uint16]*Circuit),
+		Call:              ax25.MustAddr(call),
+		Alias:             alias,
+		BroadcastInterval: 60 * time.Second,
+		sched:             sched,
+		rf:                ch.Attach(call, radio.DefaultParams()),
+		routes:            make(map[ax25.Addr]*RouteEntry),
+		circuits:          make(map[uint16]*Circuit),
 	}
 	n.rf.SetReceiver(n.fromRadio)
 	return n
@@ -172,7 +172,7 @@ func (n *Node) nodesInput(f *ax25.Frame) {
 	n.Stats.NodesRcvd++
 	neighbor := f.Src
 	// The neighbor itself is reachable directly.
-	n.merge(RouteEntry{Dest: neighbor, Alias: b.Mnemonic, BestNeighbor: neighbor, Quality: n.NeighborQuality})
+	n.merge(RouteEntry{Dest: neighbor, Alias: b.Mnemonic, BestNeighbor: neighbor, Quality: neighborQuality})
 	for _, e := range b.Entries {
 		if e.Dest == n.Call {
 			continue // routes back to ourselves are useless
@@ -180,8 +180,8 @@ func (n *Node) nodesInput(f *ax25.Frame) {
 		if e.BestNeighbor == n.Call {
 			continue // poisoned reverse: the neighbor routes it via us
 		}
-		q := uint8(uint16(e.Quality) * uint16(n.NeighborQuality) / 256)
-		if q < n.MinQuality {
+		q := uint8(uint16(e.Quality) * neighborQuality / 256)
+		if q < minQuality {
 			continue
 		}
 		n.merge(RouteEntry{Dest: e.Dest, Alias: e.Alias, BestNeighbor: neighbor, Quality: q})
@@ -189,7 +189,7 @@ func (n *Node) nodesInput(f *ax25.Frame) {
 }
 
 func (n *Node) merge(e RouteEntry) {
-	e.Obsolescence = n.InitialObsolescence
+	e.Obsolescence = initialObsolescence
 	old, ok := n.routes[e.Dest]
 	if !ok || e.Quality > old.Quality ||
 		(old.BestNeighbor == e.BestNeighbor) {

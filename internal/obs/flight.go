@@ -59,14 +59,9 @@ func (fr *FlightRecorder) Record(t sim.Time, cat, name, arg string) {
 }
 
 // SchedHook adapts the recorder to sim.Scheduler.EventHook: every
-// fired event becomes a "sched" entry (named events keep their name).
-func (fr *FlightRecorder) SchedHook() func(t sim.Time, name string) {
-	return func(t sim.Time, name string) {
-		if name == "" {
-			name = "event"
-		}
-		fr.Record(t, "sched", name, "")
-	}
+// fired event becomes a "sched" entry named "event".
+func (fr *FlightRecorder) SchedHook() func(t sim.Time) {
+	return func(t sim.Time) { fr.Record(t, "sched", "event", "") }
 }
 
 // Len reports how many events are held.

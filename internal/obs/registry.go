@@ -295,24 +295,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText dumps a snapshot as aligned "name value" lines, optionally
-// restricted to names with the given prefix.
-func (r *Registry) WriteText(w io.Writer, prefix string) {
-	snap := r.Snapshot()
-	width := 0
-	for _, s := range snap {
-		if strings.HasPrefix(s.Name, prefix) && len(s.Name) > width {
-			width = len(s.Name)
-		}
-	}
-	for _, s := range snap {
-		if !strings.HasPrefix(s.Name, prefix) {
-			continue
-		}
-		fmt.Fprintf(w, "%-*s %v\n", width, s.Name, trimFloat(s.Value))
-	}
-}
-
 // trimFloat prints integers without a trailing ".000000".
 func trimFloat(v float64) string {
 	if v == float64(int64(v)) {
@@ -321,9 +303,9 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%.6g", v)
 }
 
-// FormatValue renders a metric value the way WriteText does: integral
-// values without a fractional part, everything else to six significant
-// digits.
+// FormatValue renders a metric value for a text view such as
+// World.Netstat, as WriteCSV does: integral values without a
+// fractional part, everything else to six significant digits.
 func FormatValue(v float64) string { return trimFloat(v) }
 
 // StartSampling snapshots every metric each period of virtual time,

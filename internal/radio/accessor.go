@@ -129,7 +129,7 @@ func (csmaAccessor) KeyUp(c *Channel, sender *Transceiver) {
 	// planned losers before cut and re-plans the slots from cut on,
 	// which the new carrier may have turned busy (so the wake never
 	// moves earlier, and the settled-deferral invariant holds).
-	cut := c.sched.Now().Add(c.DCDDelay)
+	cut := c.sched.Now().Add(dcdDelay)
 	for _, u := range c.waiters {
 		if u == sender || u.wake == nil {
 			continue

@@ -65,13 +65,13 @@ func TestPlannedDrawsFollowPerSlotStream(t *testing.T) {
 			for i, rf := range rfs {
 				for len(rf.losers) > 0 && rf.losers[0] < s.Now() {
 					rf.losers = rf.losers[1:]
-					rf.draw()
+					nextDraw(rf)
 				}
 				if len(rf.draws) > 0 {
 					ahead++
 				}
 				for k := range next[i] {
-					next[i][k] = rf.draw()
+					next[i][k] = nextDraw(rf)
 				}
 			}
 			return next
@@ -89,4 +89,15 @@ func TestPlannedDrawsFollowPerSlotStream(t *testing.T) {
 	if ahead == 0 {
 		t.Fatal("no stop found a draw taken ahead; the test is vacuous")
 	}
+}
+
+// nextDraw returns rf's next persistence draw: the oldest one taken
+// ahead, else a fresh one from its stream.
+func nextDraw(rf *Transceiver) float64 {
+	if len(rf.draws) == 0 {
+		return rf.csmaRng.Float64()
+	}
+	d := rf.draws[0]
+	rf.draws = rf.draws[1:]
+	return d
 }

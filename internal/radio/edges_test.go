@@ -18,11 +18,11 @@ var update = flag.Bool("update", false, "rewrite the golden CSMA edge trace")
 
 // The per-slot oracle (TestCSMAModeEquivalence, FuzzContention) cannot
 // check the contention edges where the event-driven path defines its
-// own behaviour: MaxDeferrals give-ups, SetParams and Retune while a
-// station defers or transmits, and reachability flips under a carrier.
+// own behaviour: SetParams and Retune while a station defers or
+// transmits, and reachability flips under a carrier.
 // TestCSMAEdgesGolden pins what the event-driven path does there: a
-// table of seeded programs, each traced in full (deliveries, drops,
-// final stats, and mid-run probes of CSMADeferrals, QueueLen and
+// table of seeded programs, each traced in full (deliveries, final
+// stats, and mid-run probes of CSMADeferrals, QueueLen and
 // CarrierSense at instants off every slot grid), compared with
 // testdata/csma_edges.golden.
 //
@@ -31,7 +31,7 @@ var update = flag.Bool("update", false, "rewrite the golden CSMA edge trace")
 // edgeKind selects which contention edges a program exercises.
 type edgeKind struct {
 	name      string
-	giveUps   bool // MaxDeferrals patience on every station, bursty traffic
+	bursts    bool // traffic that piles several frames onto one queue
 	setParams bool // SetParams mid-defer
 	retunes   bool // Retune mid-defer and mid-frame
 	flips     bool // SetReachable flips under a carrier
@@ -39,17 +39,16 @@ type edgeKind struct {
 }
 
 var edgeKinds = []edgeKind{
-	{name: "giveup", giveUps: true},
 	{name: "params", setParams: true},
 	{name: "retune", retunes: true},
 	{name: "flip", flips: true},
-	{name: "mixed", giveUps: true, setParams: true, retunes: true, flips: true, noisy: true},
+	{name: "mixed", bursts: true, setParams: true, retunes: true, flips: true, noisy: true},
 }
 
 // edgeCoverage counts the program ops that met the edge they aimed at,
 // so the table can be checked for vacuity.
 type edgeCoverage struct {
-	giveUps, paramsMidDefer, retuneMidDefer, retuneMidFrame, flipsUnderCarrier int
+	paramsMidDefer, retuneMidDefer, retuneMidFrame, flipsUnderCarrier int
 }
 
 // edgeProbeOffset puts every probe 12.345679 ms past a whole 100 ms,
@@ -78,12 +77,6 @@ func edgeTrace(k edgeKind, seed int64, cov *edgeCoverage) string {
 	var rfs []*Transceiver
 	attach := func(ch *Channel, name string) {
 		rf := ch.Attach(name, DefaultParams())
-		if k.giveUps {
-			rf.MaxDeferrals = uint64(1 + plan.Intn(7))
-			if plan.Intn(2) == 0 {
-				rf.MaxQueue = 2 + plan.Intn(3)
-			}
-		}
 		rf.SetReceiver(func(f []byte, damaged bool) {
 			// One line per transmission: its receivers in delivery
 			// order, "!" marking a damaged copy.
@@ -97,13 +90,6 @@ func edgeTrace(k edgeKind, seed int64, cov *edgeCoverage) string {
 				tr.WriteByte('!')
 			}
 		})
-		rf.OnDrop = func(reason string, f []byte) {
-			if reason == "csma give-up" {
-				cov.giveUps++
-			}
-			endRx()
-			fmt.Fprintf(&tr, "%v drop %s %s %d\n", s.Now(), name, reason, len(f))
-		}
 		rfs = append(rfs, rf)
 	}
 	nA := 3 + plan.Intn(3)
@@ -129,12 +115,12 @@ func edgeTrace(k edgeKind, seed int64, cov *edgeCoverage) string {
 	}
 	deferring := func(rf *Transceiver) bool { return rf.AccessPending() && !rf.Transmitting() }
 
-	// Traffic: single frames, and with give-ups in play bursts that
-	// pile several frames onto one queue.
+	// Traffic: single frames, and in bursty programs several frames
+	// piled onto one queue.
 	for i := 0; i < 30; i++ {
 		rf := rfs[plan.Intn(len(rfs))]
 		n := 1
-		if k.giveUps && plan.Intn(3) == 0 {
+		if k.bursts && plan.Intn(3) == 0 {
 			n = 2 + plan.Intn(4)
 		}
 		size := 16 + plan.Intn(240)
@@ -244,7 +230,7 @@ func TestCSMAEdgesGolden(t *testing.T) {
 			got.WriteString(edgeTrace(k, seed, &cov))
 		}
 	}
-	if cov.giveUps == 0 || cov.paramsMidDefer == 0 || cov.retuneMidDefer == 0 ||
+	if cov.paramsMidDefer == 0 || cov.retuneMidDefer == 0 ||
 		cov.retuneMidFrame == 0 || cov.flipsUnderCarrier == 0 {
 		t.Fatalf("the program table misses an edge: %+v", cov)
 	}

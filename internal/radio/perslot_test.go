@@ -46,8 +46,8 @@ func (*perSlotCSMA) KeyUp(*Channel, *Transceiver) {}
 func (*perSlotCSMA) CarrierChanged(*Channel) {}
 
 // contend is one slot of the polling loop: transmit on an idle slot
-// whose draw wins, else count a deferral (giving the head frame up at
-// MaxDeferrals) and poll again one SlotTime later.
+// whose draw wins, else count a deferral and poll again one SlotTime
+// later.
 func (a *perSlotCSMA) contend(t *Transceiver) {
 	if len(t.queue) == 0 {
 		t.contending = false
@@ -57,19 +57,6 @@ func (a *perSlotCSMA) contend(t *Transceiver) {
 	if !p.FullDuplex && (t.CarrierSense() || t.csmaRng.Float64() >= p.Persist) {
 		t.Stats.CSMADeferrals++
 		t.frameDeferrals++
-		if t.MaxDeferrals > 0 && t.frameDeferrals >= t.MaxDeferrals {
-			t.contending = false
-			frame := t.popQueue()
-			t.Stats.CSMAGiveUps++
-			t.frameDeferrals = 0
-			if t.OnDrop != nil {
-				t.OnDrop("csma give-up", frame)
-			}
-			if len(t.queue) == 0 {
-				return
-			}
-			t.contending = true
-		}
 		t.ch.sched.After(p.slotTime(), func() { a.contend(t) })
 		return
 	}

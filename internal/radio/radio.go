@@ -25,14 +25,13 @@
 // slot grid past the stretches the currently scheduled transmissions
 // keep busy, takes the persistence draws for the idle slots ahead of
 // time from its private RNG, and parks on the channel's wait-list with
-// one wake event at the first slot whose draw wins (or where its
-// MaxDeferrals patience runs out). It is re-planned on carrier edges
-// (key-up, and early release via Retune). Busy slots and lost draws
-// that pass while parked are settled as CSMADeferrals in one step, and
-// every draw is decided in the per-slot order, so the observable
-// outcome — deferral counts, transmit instants, collision windows — is
-// identical to the seed's per-slot polling, which the package's tests
-// keep as an Accessor to check against.
+// one wake event at the first slot whose draw wins. It is re-planned on
+// carrier edges (key-up, and early release via Retune). Busy slots and
+// lost draws that pass while parked are settled as CSMADeferrals in one
+// step, and every draw is decided in the per-slot order, so the
+// observable outcome — deferral counts, transmit instants, collision
+// windows — is identical to the seed's per-slot polling, which the
+// package's tests keep as an Accessor to check against.
 package radio
 
 import (
@@ -113,13 +112,6 @@ type Channel struct {
 	// damage; a frame survives with probability (1-BER)^bits.
 	BitErrorRate float64
 
-	// DCDDelay is the data-carrier-detect latency: a transmission is
-	// invisible to other stations' carrier sense until DCDDelay after
-	// key-up. This is CSMA's vulnerable window; without it, colocated
-	// stations in a zero-propagation-delay simulation would never
-	// collide. Defaults to DefaultDCDDelay.
-	DCDDelay time.Duration
-
 	Stats ChannelStats
 
 	stations []*Transceiver
@@ -165,9 +157,12 @@ type Channel struct {
 // paper's network ("the link speed is only 1200 bits per second").
 const DefaultBitRate = 1200
 
-// DefaultDCDDelay is the default carrier-detect latency, typical of
-// 1200 bps AFSK demodulator squelch circuits.
-const DefaultDCDDelay = 20 * time.Millisecond
+// dcdDelay is the data-carrier-detect latency, typical of 1200 bps
+// AFSK demodulator squelch circuits: a transmission is invisible to
+// other stations' carrier sense until dcdDelay after key-up. This is
+// CSMA's vulnerable window; without it, colocated stations in a
+// zero-propagation-delay simulation would never collide.
+const dcdDelay = 20 * time.Millisecond
 
 // NewChannel creates a channel on the given scheduler.
 func NewChannel(sched *sim.Scheduler, bitRate int) *Channel {
@@ -177,7 +172,6 @@ func NewChannel(sched *sim.Scheduler, bitRate int) *Channel {
 	return &Channel{
 		sched:       sched,
 		BitRate:     bitRate,
-		DCDDelay:    DefaultDCDDelay,
 		unreachable: make(map[[2]*Transceiver]bool),
 		seats:       make(map[*Transceiver]int),
 	}
@@ -233,9 +227,9 @@ func (c *Channel) Utilization() float64 {
 }
 
 // AirtimeShare reports the fraction of elapsed time this transceiver
-// spent transmitting (data and MAC control) — the per-station fairness
-// figure E16 reads without reaching into MAC internals. Shares across
-// a channel's stations sum to its Utilization.
+// spent transmitting (data and MAC control) — a per-station fairness
+// figure that needs no MAC internals (the DAMA tests read it). Shares
+// across a channel's stations sum to its Utilization.
 func (t *Transceiver) AirtimeShare() float64 {
 	now := t.ch.sched.Now()
 	if now == 0 {
@@ -307,8 +301,6 @@ type TxStats struct {
 	FramesDamaged  uint64 // frames received damaged
 	CSMADeferrals  uint64 // slot waits due to busy carrier or persistence
 	HalfDuplexMiss uint64 // receptions lost because we were transmitting
-	QueueDrops     uint64 // frames refused by a full transmit queue (MaxQueue)
-	CSMAGiveUps    uint64 // frames abandoned after MaxDeferrals slot waits
 
 	// Fairness accounting, exported so experiments read shares without
 	// reaching into MAC internals. Airtime is this station's transmit
@@ -367,23 +359,6 @@ type Transceiver struct {
 	Params Params
 	Stats  TxStats
 
-	// MaxQueue, when positive, bounds the transmit queue: Send refuses
-	// further frames (Stats.QueueDrops) once that many are waiting —
-	// the kernel's IF_QFULL behavior the seed left unbounded. Zero
-	// keeps the unbounded queue.
-	MaxQueue int
-
-	// MaxDeferrals, when positive, is the per-frame CSMA patience: a
-	// head-of-queue frame that burns this many slot waits without
-	// winning the channel is dropped (Stats.CSMAGiveUps) so saturation
-	// sheds load instead of queueing it forever. Zero never gives up.
-	MaxDeferrals uint64
-
-	// OnDrop, when non-nil, observes frames this transceiver discards
-	// (queue overflow, CSMA give-up) with the reason. The callback must
-	// not retain the slice.
-	OnDrop func(reason string, frame []byte)
-
 	// TraceMAC, when non-nil, observes the MAC seam for the packet
 	// tracer: "queue" as Send accepts a frame, "tx-start" as the
 	// transmitter keys up with one (deferrals = slot waits the frame
@@ -397,7 +372,7 @@ type Transceiver struct {
 	acc Accessor // channel-access policy; csma unless SetAccessor replaced it
 
 	// frameDeferrals counts slot waits burned by the current head-of-
-	// queue frame, reset when a frame keys up or is given up on.
+	// queue frame, reset when a frame keys up.
 	frameDeferrals uint64
 
 	// csmaRng draws p-persistence decisions, noiseRng the BER survival
@@ -635,7 +610,7 @@ func (t *Transceiver) CarrierSense() bool {
 
 // busyUntil reports whether an already-keyed transmission makes the
 // carrier busy for t at instant x — audible (reachable, past the
-// DCDDelay lock-in) and still on the air — and if so, until when the
+// dcdDelay lock-in) and still on the air — and if so, until when the
 // carrier is known to stay busy from x.
 func (t *Transceiver) busyUntil(x sim.Time) (sim.Time, bool) {
 	c := t.ch
@@ -645,7 +620,7 @@ func (t *Transceiver) busyUntil(x sim.Time) (sim.Time, bool) {
 		if tx.sender == t || !c.reachable(tx.sender, t) {
 			continue
 		}
-		if tx.start.Add(c.DCDDelay) <= x && x < tx.end {
+		if tx.start.Add(dcdDelay) <= x && x < tx.end {
 			busy = true
 			if tx.end > until {
 				until = tx.end
@@ -687,13 +662,6 @@ func (t *Transceiver) CSMADeferrals() uint64 {
 // CSMA transmission. The slice is copied: the copy is the on-air frame
 // every receiver will share, so the caller may reuse its buffer.
 func (t *Transceiver) Send(frame []byte) {
-	if t.MaxQueue > 0 && len(t.queue) >= t.MaxQueue {
-		t.Stats.QueueDrops++
-		if t.OnDrop != nil {
-			t.OnDrop("mac queue overflow", frame)
-		}
-		return
-	}
 	t.queue = append(t.queue, append([]byte(nil), frame...))
 	t.Stats.FramesQueued++
 	if t.TraceMAC != nil {
@@ -713,30 +681,6 @@ func (t *Transceiver) popQueue() []byte {
 	t.queue[n] = nil
 	t.queue = t.queue[:n]
 	return f
-}
-
-// spent reports whether n slot waits exhaust the MaxDeferrals
-// patience budget.
-func (t *Transceiver) spent(n uint64) bool { return t.MaxDeferrals > 0 && n >= t.MaxDeferrals }
-
-// giveUp drops the head-of-queue frame once it has exhausted the
-// MaxDeferrals patience budget. It reports true when contention should
-// stop because the queue drained.
-func (t *Transceiver) giveUp() bool {
-	if !t.spent(t.frameDeferrals) || len(t.queue) == 0 {
-		return false
-	}
-	frame := t.popQueue()
-	t.Stats.CSMAGiveUps++
-	t.frameDeferrals = 0
-	if t.OnDrop != nil {
-		t.OnDrop("csma give-up", frame)
-	}
-	if len(t.queue) == 0 {
-		t.stopContention()
-		return true
-	}
-	return false // keep contending for the next frame
 }
 
 // startContention anchors a fresh slot grid at the current instant and
@@ -779,11 +723,9 @@ func (t *Transceiver) firstIdleSlot(from sim.Time) sim.Time {
 // planned losers (those before from), and returns the wake instant. It
 // skips busy stretches with firstIdleSlot and decides each idle slot
 // with the next draw in the FIFO, taking a fresh one from csmaRng when
-// the FIFO runs out. It stops at the first idle slot whose draw wins or
-// where the per-slot path would give the head frame up (MaxDeferrals
-// reached before the draw, or by losing it); every idle slot before
-// that is a planned loser. Full duplex never defers, so it takes no
-// draw and wakes at from.
+// the FIFO runs out. It stops at the first idle slot whose draw wins;
+// every idle slot before that is a planned loser. Full duplex never
+// defers, so it takes no draw and wakes at from.
 func (t *Transceiver) walk(from sim.Time, kept int) sim.Time {
 	t.losers = t.losers[:kept]
 	if t.Params.FullDuplex {
@@ -792,17 +734,11 @@ func (t *Transceiver) walk(from sim.Time, kept int) sim.Time {
 	slotTime := t.Params.slotTime()
 	for slot := from; ; slot = slot.Add(slotTime) {
 		slot = t.firstIdleSlot(slot)
-		// Every grid slot in [t.slot, slot) is a deferral by the time
-		// the frame reaches this one.
-		n := t.frameDeferrals + uint64(slot.Sub(t.slot)/slotTime)
-		if t.spent(n) {
-			return slot
-		}
 		i := len(t.losers)
 		if i == len(t.draws) {
 			t.draws = append(t.draws, t.csmaRng.Float64())
 		}
-		if t.draws[i] < t.Params.Persist || t.spent(n+1) {
+		if t.draws[i] < t.Params.Persist {
 			return slot
 		}
 		t.losers = append(t.losers, slot)
@@ -855,50 +791,27 @@ func (t *Transceiver) settleLosers(now sim.Time, slotTime time.Duration) {
 	}
 }
 
-// draw returns the persistence draw for the slot being decided: the
-// oldest one taken ahead, else a fresh one.
-func (t *Transceiver) draw() float64 {
-	if len(t.draws) == 0 {
-		return t.csmaRng.Float64()
-	}
-	d := t.draws[0]
-	t.draws = t.draws[:copy(t.draws, t.draws[1:])]
-	return d
-}
-
 // onSlot is the single contention decision point of the event-driven
 // path, firing at the slot walk planned: one wake per transmission
 // attempt.
 func (t *Transceiver) onSlot() {
 	t.wake = nil // one-shot pointer discipline: the event is spent
-	now := t.ch.sched.Now()
-	slotTime := t.Params.slotTime()
 	// Settle the stretch the wake skipped: every grid slot in
 	// [t.slot, now) was carrier-busy or lost its planned draw (key-ups
 	// re-plan only what lies ahead of the new carrier, and early
 	// release re-plans from the present), so each is one deferral the
 	// per-slot path would have burned an event on.
-	t.settle(now, slotTime, len(t.losers))
+	t.settle(t.ch.sched.Now(), t.Params.slotTime(), len(t.losers))
 	if len(t.queue) == 0 {
 		t.stopContention()
 		return
 	}
-	if t.giveUp() {
-		return
-	}
-	p := t.Params
-	// A carrier keyed up at this very instant (zero DCDDelay) before
-	// our wake ran defers without a draw; the planned one stays at the
-	// front of the FIFO for the next idle slot.
-	if !p.FullDuplex && (t.CarrierSense() || t.draw() >= p.Persist) {
-		t.Stats.CSMADeferrals++
-		t.frameDeferrals++
-		if t.giveUp() {
-			return
-		}
-		t.slot = t.slot.Add(slotTime)
-		t.wake = t.ch.sched.At(t.walk(t.slot, 0), t.onSlotFn)
-		return
+	// The wake sits on an idle slot whose draw wins: a carrier keyed up
+	// since it was planned is not audible before dcdDelay, and every
+	// other change to the carrier schedule or the parameters re-planned
+	// it. The winning draw (full duplex takes none) leaves the FIFO.
+	if !t.Params.FullDuplex {
+		t.draws = t.draws[:copy(t.draws, t.draws[1:])]
 	}
 	t.stopContention()
 	frame := t.popQueue()

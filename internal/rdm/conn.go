@@ -461,7 +461,7 @@ func (c *Conn) receiveData(h Header, payload []byte) {
 		c.noteAckPending()
 		return
 	}
-	if h.Seq-c.rcvNxt >= uint16(c.cfg.RecvWindow) {
+	if h.Seq-c.rcvNxt >= recvWindow {
 		c.mux.Stats.OutOfWindow++
 		return
 	}

@@ -30,6 +30,9 @@ var (
 	ErrTooBig = errors.New("rdm: message exceeds maximum size")
 )
 
+// recvWindow bounds the receive-side reorder buffer, in messages.
+const recvWindow = 64
+
 // Config tunes a host's RDM layer. The zero value takes defaults
 // suited to fast links; RadioProfile returns the multi-second-RTT
 // tuning the paper's §4.1 would demand for the 1200 bps channel.
@@ -67,11 +70,9 @@ type Config struct {
 
 	// Window bounds reliable messages in flight; SndBuf bounds the
 	// bytes queued behind a full window before Send returns
-	// ErrWouldBlock. RecvWindow bounds the receive-side reorder
-	// buffer in messages.
-	Window     int // default 16
-	SndBuf     int // default 8192 bytes
-	RecvWindow int // default 64
+	// ErrWouldBlock.
+	Window int // default 16
+	SndBuf int // default 8192 bytes
 
 	// MaxMessage bounds one message's payload (IP fragmentation
 	// carries larger-than-MTU messages, so the bound is reassembly
@@ -111,9 +112,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SndBuf == 0 {
 		c.SndBuf = 8192
-	}
-	if c.RecvWindow == 0 {
-		c.RecvWindow = 64
 	}
 	if c.MaxMessage == 0 {
 		c.MaxMessage = 8192

@@ -18,44 +18,39 @@ const DefaultOwner = "rspf"
 // 1200 bps channel: timers are long because every hello costs ~0.4 s
 // of airtime there, and a chatty routing protocol would eat the very
 // capacity it is supposed to manage (E12 quantifies this).
+//
+// The neighbor dead interval (4× hello) and the LSA lifetime (3×
+// refresh) follow from the two intervals.
 type Config struct {
 	HelloInterval   time.Duration // adjacency probe period (default 30 s)
-	DeadInterval    time.Duration // silence before a neighbor is dead (default 4× hello)
 	RefreshInterval time.Duration // periodic LSA re-origination (default 10 min)
-	MaxAge          time.Duration // LSA lifetime without refresh (default 3× refresh)
-	SPFHold         time.Duration // batching delay before SPF / re-origination (default 1 s)
-	FloodJitter     time.Duration // max random delay before each flood send (default 2 s)
-	RefBitRate      int           // bit rate that costs 1 (default 10 Mb/s, Ethernet)
 	Owner           string        // routing-table owner tag (default "rspf")
 }
+
+const (
+	spfHold     = time.Second     // batching delay before SPF / re-origination
+	floodJitter = 2 * time.Second // max random delay before each flood send
+	refBitRate  = 10_000_000      // bit rate that costs 1 (10 Mb/s, Ethernet)
+)
 
 func (c Config) withDefaults() Config {
 	if c.HelloInterval <= 0 {
 		c.HelloInterval = 30 * time.Second
 	}
-	if c.DeadInterval <= 0 {
-		c.DeadInterval = c.HelloInterval * 4
-	}
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 10 * time.Minute
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 3 * c.RefreshInterval
-	}
-	if c.SPFHold <= 0 {
-		c.SPFHold = time.Second
-	}
-	if c.FloodJitter <= 0 {
-		c.FloodJitter = 2 * time.Second
-	}
-	if c.RefBitRate <= 0 {
-		c.RefBitRate = 10_000_000
 	}
 	if c.Owner == "" {
 		c.Owner = DefaultOwner
 	}
 	return c
 }
+
+// deadInterval is the silence after which a neighbor is dead.
+func (c Config) deadInterval() time.Duration { return 4 * c.HelloInterval }
+
+// maxAge is an LSA's lifetime without refresh.
+func (c Config) maxAge() time.Duration { return 3 * c.RefreshInterval }
 
 // Stats counts daemon events.
 type Stats struct {
@@ -153,7 +148,7 @@ func New(st *ipstack.Stack, cfg Config) *Router {
 }
 
 // SetBitRate declares the channel bit rate behind an interface, from
-// which the base link cost is derived (RefBitRate/bps). Interfaces
+// which the base link cost is derived (refBitRate/bps). Interfaces
 // without a declared rate cost 1, appropriate for Ethernet.
 func (r *Router) SetBitRate(ifName string, bps int) {
 	if bps > 0 {
@@ -228,7 +223,7 @@ func (r *Router) scheduleRefresh() {
 		if !r.running {
 			return
 		}
-		r.db.Purge(r.sched.Now().Add(-r.Cfg.MaxAge), r.id)
+		r.db.Purge(r.sched.Now().Add(-r.Cfg.maxAge()), r.id)
 		r.originate()
 		r.scheduleRefresh()
 	})
@@ -254,7 +249,7 @@ func (r *Router) sendHellos() {
 	for _, ifName := range r.ifNames() {
 		var heard []ip.Addr
 		for _, id := range r.nbrIDs(ifName) {
-			if now.Sub(r.nbrs[ifName][id].lastHeard) <= r.Cfg.DeadInterval {
+			if now.Sub(r.nbrs[ifName][id].lastHeard) <= r.Cfg.deadInterval() {
 				heard = append(heard, id)
 			}
 		}
@@ -374,7 +369,7 @@ func (r *Router) deadScan() {
 	for _, ifName := range r.ifNames() {
 		for _, id := range r.nbrIDs(ifName) {
 			n := r.nbrs[ifName][id]
-			if now.Sub(n.lastHeard) > r.Cfg.DeadInterval {
+			if now.Sub(n.lastHeard) > r.Cfg.deadInterval() {
 				delete(r.nbrs[ifName], id)
 				if n.twoWay {
 					r.Stats.AdjDown++
@@ -390,7 +385,7 @@ func (r *Router) deadScan() {
 
 // --- Costs --------------------------------------------------------------
 
-// ifCost is the loss-free cost of an interface: RefBitRate divided by
+// ifCost is the loss-free cost of an interface: refBitRate divided by
 // the channel bit rate, so a 10 Mb/s Ethernet hop costs 1 and a 1200
 // bps radio hop costs ~8333 — Dijkstra then prefers any Ethernet
 // detour over an extra radio hop, which is exactly right at these
@@ -400,7 +395,7 @@ func (r *Router) ifCost(ifName string) uint16 {
 	if !ok {
 		return 1
 	}
-	c := r.Cfg.RefBitRate / bps
+	c := refBitRate / bps
 	if c < 1 {
 		c = 1
 	}
@@ -431,7 +426,7 @@ func (r *Router) scheduleOriginate() {
 		return
 	}
 	r.originPending = true
-	r.sched.After(r.Cfg.SPFHold, func() {
+	r.sched.After(spfHold, func() {
 		r.originPending = false
 		if r.running {
 			r.originate()
@@ -490,7 +485,7 @@ func (r *Router) flood(l *LSA) {
 	buf := l.Marshal()
 	for _, name := range r.ifNames() {
 		ifName := name
-		d := time.Duration(r.sched.Rand().Float64() * float64(r.Cfg.FloodJitter))
+		d := time.Duration(r.sched.Rand().Float64() * float64(floodJitter))
 		r.sched.After(d, func() {
 			if r.running {
 				r.send(ifName, buf)
@@ -526,7 +521,7 @@ func (r *Router) handleLSA(l *LSA, ifName string) {
 		// re-saturates the channel that delayed them.
 		now := r.sched.Now()
 		if stored, ok := r.db.Get(l.Router); ok && stored.Seq > l.Seq+1 {
-			if last, seen := r.staleResp[l.Router]; !seen || now.Sub(last) > r.Cfg.DeadInterval {
+			if last, seen := r.staleResp[l.Router]; !seen || now.Sub(last) > r.Cfg.deadInterval() {
 				r.staleResp[l.Router] = now
 				r.flood(stored)
 			}
@@ -545,7 +540,7 @@ func (r *Router) scheduleSPF() {
 		return
 	}
 	r.spfPending = true
-	r.sched.After(r.Cfg.SPFHold, func() {
+	r.sched.After(spfHold, func() {
 		r.spfPending = false
 		if r.running {
 			r.runSPF()

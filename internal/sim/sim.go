@@ -51,7 +51,6 @@ type Event struct {
 	when  Time
 	index int // heap index, -1 when not queued
 	fn    func()
-	name  string
 }
 
 // When reports the virtual time at which the event fires.
@@ -157,12 +156,11 @@ func (q *eventQueue) remove(i int) *Event {
 // single-threaded inside the event loop, which is what makes runs
 // deterministic.
 type Scheduler struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
-	halted bool
+	now   Time
+	queue eventQueue
+	seq   uint64
+	rng   *rand.Rand
+	fired uint64
 
 	// free is the pool of fired/cancelled events awaiting reuse, which
 	// keeps the hot After+Step path allocation-free (the per-byte→burst
@@ -180,11 +178,10 @@ type Scheduler struct {
 	deriveFn func() int64
 
 	// EventHook, when non-nil, observes every fired event (after the
-	// clock advances, before the callback runs). The name is the one
-	// given to NamedAfter, or "" for anonymous events. It must not
-	// schedule or cancel events: it is a flight-recorder tap, and the
-	// nil check is the only cost when unset.
-	EventHook func(now Time, name string)
+	// clock advances, before the callback runs). It must not schedule
+	// or cancel events: it is a flight-recorder tap, and the nil check
+	// is the only cost when unset.
+	EventHook func(now Time)
 }
 
 // NewScheduler returns a Scheduler with its clock at time zero and a
@@ -258,14 +255,6 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now.Add(d), fn)
 }
 
-// NamedAfter is After with a diagnostic name attached to the event,
-// useful when debugging stuck simulations.
-func (s *Scheduler) NamedAfter(d time.Duration, name string, fn func()) *Event {
-	e := s.After(d, fn)
-	e.name = name
-	return e
-}
-
 // Reschedule moves a still-pending event to fire at t instead, keeping
 // the same callback. Times in the past clamp to now. The event is
 // re-sequenced as if freshly scheduled, so among same-instant events it
@@ -298,7 +287,6 @@ func (s *Scheduler) Cancel(e *Event) bool {
 	}
 	s.queue.remove(e.index)
 	e.fn = nil
-	e.name = ""
 	s.free = append(s.free, e)
 	return true
 }
@@ -313,37 +301,43 @@ func (s *Scheduler) Step() bool {
 	s.now = e.when
 	s.fired++
 	if s.EventHook != nil {
-		s.EventHook(s.now, e.name)
+		s.EventHook(s.now)
 	}
 	fn := e.fn
 	e.fn = nil
 	fn()
 	// Recycle only after the callback returns, so code running inside
 	// the callback may still Cancel or inspect the firing event safely.
-	e.name = ""
 	s.free = append(s.free, e)
 	return true
 }
 
-// Run executes events until the queue is empty or Halt is called.
-// It returns the number of events executed.
+// Run executes events until the queue is empty. It returns the number
+// of events executed.
 func (s *Scheduler) Run() uint64 {
 	start := s.fired
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 	return s.fired - start
 }
 
 // RunUntil executes events with deadlines <= t, then advances the clock
 // to exactly t (even if the queue still holds later events).
-func (s *Scheduler) RunUntil(t Time) uint64 {
+func (s *Scheduler) RunUntil(t Time) uint64 { return s.RunUntilDone(t, nil) }
+
+// RunUntilDone is RunUntil that also returns, with the clock left at
+// the last event executed, as soon as done (when non-nil) reports true
+// after an event. The stop belongs to this one call: nothing a callback
+// does can cut a later run short.
+func (s *Scheduler) RunUntilDone(t Time, done func() bool) uint64 {
 	start := s.fired
-	s.halted = false
-	for !s.halted && len(s.queue) > 0 && s.queue[0].when <= t {
+	for len(s.queue) > 0 && s.queue[0].when <= t {
 		s.Step()
+		if done != nil && done() {
+			return s.fired - start
+		}
 	}
-	if !s.halted && s.now < t {
+	if s.now < t {
 		s.now = t
 	}
 	return s.fired - start
@@ -358,8 +352,7 @@ func (s *Scheduler) RunUntil(t Time) uint64 {
 // reads the head of the queue, not the clock).
 func (s *Scheduler) RunBefore(t Time) uint64 {
 	start := s.fired
-	s.halted = false
-	for !s.halted && len(s.queue) > 0 && s.queue[0].when < t {
+	for len(s.queue) > 0 && s.queue[0].when < t {
 		s.Step()
 	}
 	return s.fired - start
@@ -369,10 +362,6 @@ func (s *Scheduler) RunBefore(t Time) uint64 {
 func (s *Scheduler) RunFor(d time.Duration) uint64 {
 	return s.RunUntil(s.now.Add(d))
 }
-
-// Halt stops Run/RunUntil/RunFor after the currently executing event
-// returns. Intended to be called from inside an event callback.
-func (s *Scheduler) Halt() { s.halted = true }
 
 // Ticker invokes fn every period until the returned stop function is
 // called. The first invocation happens one period from now.

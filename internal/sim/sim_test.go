@@ -129,23 +129,25 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
+// TestRunUntilDoneStopsRun: the run returns right after the event that
+// makes done true, with the clock there, and the stop ends with it —
+// the next run goes on to its own target.
+func TestRunUntilDoneStopsRun(t *testing.T) {
 	s := NewScheduler(1)
 	var count int
 	for i := 1; i <= 10; i++ {
-		s.After(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
+		s.After(time.Duration(i)*time.Second, func() { count++ })
 	}
-	s.Run()
+	s.RunUntilDone(Time(time.Minute), func() bool { return count == 3 })
 	if count != 3 {
-		t.Fatalf("executed %d events after Halt, want 3", count)
+		t.Fatalf("executed %d events before the stop, want 3", count)
 	}
-	if s.Pending() != 7 {
-		t.Fatalf("Pending() = %d, want 7", s.Pending())
+	if s.Pending() != 7 || s.Now() != Time(3*time.Second) {
+		t.Fatalf("Pending() = %d at %v, want 7 at 3s", s.Pending(), s.Now())
+	}
+	s.RunUntil(Time(time.Minute))
+	if count != 10 || s.Now() != Time(time.Minute) {
+		t.Fatalf("the next run stopped at %v after %d events, want 1m0s and 10", s.Now(), count)
 	}
 }
 

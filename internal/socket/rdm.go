@@ -33,7 +33,7 @@ func (l *Layer) newRDMSocket(c *rdm.Conn) *Socket {
 		// Reliable messages were acknowledged before the application
 		// saw them, so unlike SOCK_DGRAM the receive queue must not
 		// drop against the high-water mark — it only signals. The
-		// transport's RecvWindow bounds what can land here at once.
+		// transport's receive window bounds what can land here at once.
 		s.enqueueRDM(Datagram{Src: c.RemoteAddr(), SrcPort: c.RemotePort(), Mode: mode, Data: p})
 	}
 	c.OnWritable = func() { s.signalWritable() }

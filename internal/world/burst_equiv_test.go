@@ -80,12 +80,8 @@ func seattleTrace(t *testing.T) string {
 	ping := func(from *Host, dst ip.Addr, size int) {
 		var rtt time.Duration
 		got := false
-		from.Stack.Ping(dst, size, func(_ uint16, d time.Duration, _ ip.Addr) {
-			rtt = d
-			got = true
-			s.W.Sched.Halt()
-		})
-		s.W.Sched.RunUntil(s.W.Sched.Now().Add(5 * time.Minute))
+		from.Stack.Ping(dst, size, func(_ uint16, d time.Duration, _ ip.Addr) { rtt, got = d, true })
+		s.W.Sched.RunUntilDone(s.W.Sched.Now().Add(5*time.Minute), func() bool { return got })
 		if !got {
 			t.Fatalf("ping %s -> %v lost", from.Name, dst)
 		}

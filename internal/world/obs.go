@@ -194,7 +194,7 @@ func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 // seams returns the world's seam recorder, installing it on first use:
 // exactly one hook at every packet seam of every host and channel
 // built so far — stack, ARP hold queue, KISS line, MAC, the air, and
-// the driver, TNC and transceiver queue drops. Each hook records into
+// the driver and TNC queue drops. Each hook records into
 // the lane of the shard it runs on, so recording needs no locks and
 // every view of the recorder is bit-identical at any worker count. The
 // recorder owns those hook slots; hosts and channels added later are
@@ -224,7 +224,7 @@ func (w *World) seams() *obs.Recorder {
 		for ifName, p := range h.radios {
 			p.Driver.Tap = ln.KISSTap(name, ifName)
 			p.Driver.Resolver().Trace = ln.ARPTap(name)
-			p.Driver.OnDrop, p.TNC.OnDrop, p.RF.OnDrop = drop, drop, drop
+			p.Driver.OnDrop, p.TNC.OnDrop = drop, drop
 			rf := p.RF
 			rf.TraceMAC = func(event string, frame []byte, deferrals uint64) {
 				ln.MAC(rf.Name, event, frame, w.macWaitCause(rf, event, deferrals))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"packetradio/internal/ip"
 	"packetradio/internal/obs"
 )
 
@@ -77,6 +78,57 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 	}
 }
 
+// TestCaptureIPRecordsPingAtTheStack captures pc1's IP layer during
+// one Seattle ping: the echo request leaves at 0 s, the reply arrives
+// at the RTT, and nothing else crosses pc1's stack, as DLT_RAW records.
+// A second capture whose filter matches nothing writes no record.
+func TestCaptureIPRecordsPingAtTheStack(t *testing.T) {
+	s := NewSeattle(SeattleConfig{Seed: 1, NumPCs: 1})
+	var all, none bytes.Buffer
+	if _, err := s.W.CaptureIP("pc1", &all, nil); err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := obs.ParseFilter("tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := s.W.CaptureIP("pc1", &none, tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rtt time.Duration
+	s.PCs[0].Stack.Ping(InternetIP, 64, func(_ uint16, d time.Duration, _ ip.Addr) { rtt = d })
+	s.W.Run(time.Minute)
+	if rtt == 0 {
+		t.Fatal("the ping got no reply")
+	}
+
+	lt, pkts, err := obs.ReadPcap(&all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lt != obs.LinkTypeRaw || len(pkts) != 2 {
+		t.Fatalf("link type %d with %d records, want %d with the request and the reply", lt, len(pkts), obs.LinkTypeRaw)
+	}
+	want := []struct {
+		at       time.Duration
+		src, dst ip.Addr
+	}{{0, PCIP(0), InternetIP}, {rtt.Truncate(time.Microsecond), InternetIP, PCIP(0)}}
+	for i, w := range want {
+		p, err := ip.Unmarshal(pkts[i].Data)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if pkts[i].T != w.at || p.Src != w.src || p.Dst != w.dst || p.Proto != ip.ProtoICMP {
+			t.Errorf("record %d: %v at %v, want ICMP %v -> %v at %v", i, p, pkts[i].T, w.src, w.dst, w.at)
+		}
+	}
+
+	if _, pkts, err := obs.ReadPcap(&none); err != nil || len(pkts) != 0 || pw.Count() != 0 {
+		t.Fatalf("a filter matching nothing captured %d records (err %v)", len(pkts), err)
+	}
+}
+
 // TestRegistryCoversEveryLayer sweeps a built world and checks the
 // hierarchical names land for every layer the issue's netstat view
 // promises: channel, MAC controller, and per-host ip/driver/tnc/rf/arp.
@@ -98,7 +150,7 @@ func TestRegistryCoversEveryLayer(t *testing.T) {
 		"host.gw1.pr0.rf.frames_sent",
 		"host.gw1.pr0.rf.polls_sent",
 		"host.gw1.pr0.arp.learned",
-		"host.st1.pr0.rf.csma_give_ups",
+		"host.st1.pr0.rf.csma_deferrals",
 	} {
 		if _, ok := r.Value(name); !ok {
 			t.Errorf("registry missing %q", name)

@@ -20,21 +20,10 @@ func fastRSPF() rspf.Config {
 
 // pingOK retries an echo every 20 simulated seconds until one reply
 // arrives or the deadline passes — a lost frame on the collision-prone
-// channel must not masquerade as a routing failure. The callback is
-// disarmed on return: an echo still queued in the serial line when
-// this phase ends can complete its round trip during a later phase,
-// and a stale Halt would silently truncate that phase's run.
+// channel must not masquerade as a routing failure.
 func pingOK(w *World, from *Host, dst ip.Addr, deadline time.Duration) bool {
 	ok := false
-	armed := true
-	defer func() { armed = false }()
-	id, _ := from.Stack.PingOpen(dst, 56, func(_ uint16, _ time.Duration, _ ip.Addr) {
-		if !armed {
-			return
-		}
-		ok = true
-		w.Sched.Halt()
-	})
+	id, _ := from.Stack.PingOpen(dst, 56, func(uint16, time.Duration, ip.Addr) { ok = true })
 	defer from.Stack.ClosePing(id)
 	seq := uint16(0)
 	tick := w.Sched.Every(20*time.Second, func() {
@@ -42,7 +31,7 @@ func pingOK(w *World, from *Host, dst ip.Addr, deadline time.Duration) bool {
 		from.Stack.PingSeq(dst, id, seq, 56)
 	})
 	defer tick.Stop()
-	w.Sched.RunFor(deadline)
+	w.Sched.RunUntilDone(w.Sched.Now().Add(deadline), func() bool { return ok })
 	return ok
 }
 
@@ -227,8 +216,8 @@ func TestRSPFDeterministicConvergence(t *testing.T) {
 func TestRSPFRestartRecoversSequence(t *testing.T) {
 	// A restarted daemon re-announces from seq 1 while peers hold its
 	// old high-seq LSA. Peers must flood their stored copy back so it
-	// jumps past its old sequence instead of being ignored until
-	// MaxAge.
+	// jumps past its old sequence instead of being ignored until it
+	// ages out.
 	s := NewSeattle(SeattleConfig{Seed: 21, NumPCs: 1, SecondGateway: true, NoStaticRoutes: true})
 	s.EnableRSPF(fastRSPF())
 	s.W.Run(3 * time.Minute)

@@ -263,7 +263,8 @@ type (
 	// RSPFRouter is a per-host link-state routing daemon; start one
 	// with Host.EnableRSPF.
 	RSPFRouter = rspf.Router
-	// RSPFConfig tunes the daemon's timers and cost reference.
+	// RSPFConfig tunes the daemon's hello and refresh timers and its
+	// route owner tag.
 	RSPFConfig = rspf.Config
 	// RSPFDatabase is a link-state database (exposed for inspection
 	// and for driving SPF directly in benchmarks).
