@@ -31,6 +31,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -67,10 +68,36 @@ type obsFlags struct {
 	create func(name string) (io.WriteCloser, error)
 }
 
+// open creates an output file behind a write buffer. The writers make
+// many small writes (a CSV field, a pcap record header), and each
+// would otherwise be a system call.
+func (o *obsFlags) open(name string) (io.WriteCloser, error) {
+	f, err := o.create(name)
+	if err != nil {
+		return nil, err
+	}
+	return bufferedFile{bufio.NewWriter(f), f}, nil
+}
+
+// bufferedFile is an output file behind a write buffer. Close flushes
+// the buffer, then closes the file, and returns the first error.
+type bufferedFile struct {
+	*bufio.Writer
+	f io.Closer
+}
+
+func (b bufferedFile) Close() error {
+	err := b.Flush()
+	if cerr := b.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeFile writes one output file whole and closes it, returning the
 // first error, named with the file.
 func (o *obsFlags) writeFile(name string, write func(io.Writer) error) error {
-	f, err := o.create(name)
+	f, err := o.open(name)
 	if err != nil {
 		return err
 	}
@@ -109,7 +136,7 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
 		flt = f
 	}
 	if o.pcap != "" {
-		f, err := o.create(o.pcap)
+		f, err := o.open(o.pcap)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,6 @@ package ether
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"packetradio/internal/arp"
@@ -66,11 +65,12 @@ type Segment struct {
 	// blocked holds ordered NIC pairs (from,to) whose frames are
 	// suppressed — a cut cable or failed transceiver tap, used by the
 	// topology-churn experiments. Default (empty) is full connectivity.
-	// In sharded mode it must not be mutated while the world runs.
+	// In sharded mode it must not be mutated while the world runs: the
+	// shards run each window in turn, so a change made at one shard's
+	// clock would reach another shard's earlier events.
 	blocked map[[2]*NIC]bool
 
-	// Stats. Updated atomically: in sharded mode NICs on different
-	// shards transmit concurrently.
+	// Stats.
 	Frames uint64
 	Bytes  uint64
 }
@@ -241,8 +241,8 @@ func (n *NIC) transmit(dst MAC, etherType uint16, frame []byte) {
 	frame[13] = byte(etherType)
 
 	g := n.seg
-	atomic.AddUint64(&g.Frames, 1)
-	atomic.AddUint64(&g.Bytes, uint64(len(frame)))
+	g.Frames++
+	g.Bytes += uint64(len(frame))
 	// The receive filter is the DEQNA's hardware address match, so a
 	// unicast frame is scheduled only at the owner of its destination
 	// MAC — any other NIC would discard it on reception — and a
@@ -253,25 +253,22 @@ func (n *NIC) transmit(dst MAC, etherType uint16, frame []byte) {
 		if o == nil || o == n || g.blocked[[2]*NIC{n, o}] {
 			return
 		}
-		n.deliverAt(o, at, frame, false)
+		n.deliverAt(o, at, frame)
 		return
 	}
 	for _, other := range g.nics {
 		if other == n || g.blocked[[2]*NIC{n, other}] {
 			continue
 		}
-		n.deliverAt(other, at, frame, true)
+		n.deliverAt(other, at, frame)
 	}
 }
 
 // deliverAt schedules one reception at o. On the single-loop engine
 // every NIC shares the segment's scheduler. On the sharded engine the
-// reception lands in o's shard. A frame shared by several receivers
-// (a broadcast) is copied for each one on another shard: shards run
-// concurrently, and the receive path hands the payload slice to the
-// IP input queue. A unicast frame crosses as it is, because its one
-// receiver owns it and the sender never touches it again.
-func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte, shared bool) {
+// reception lands in o's shard. Every receiver of a broadcast gets the
+// same frame on either engine: receivers only read it.
+func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte) {
 	g := n.seg
 	switch {
 	case g.group == nil:
@@ -279,9 +276,6 @@ func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte, shared bool) {
 	case o.sched == n.sched:
 		n.sched.At(at, func() { o.receive(frame) })
 	default:
-		if shared {
-			frame = append([]byte(nil), frame...)
-		}
 		g.group.Send(n.sched, o.sched, at, func() { o.receive(frame) })
 	}
 }

@@ -23,29 +23,13 @@ type ScalePoint struct {
 	Utilization   float64 // deterministic: mean channel airtime share over the run
 }
 
-// scaleMemo caches ScaleRun results per n within one process: E14, the
-// bench writer and the CI event gate all step the same deterministic
-// worlds, so repeat invocations would only re-derive identical numbers
-// (SimSPerWallS keeps the first run's wall reading — it is
-// machine-relative and never asserted).
-var scaleMemo = map[int]ScalePoint{}
-
 // ScaleRun steps the standard scale world — N stations round-robin
 // over N/25 channels, each channel behind its own gateway, every
 // station pinging the Internet host once a minute — for three
 // simulated minutes after a 30 s warm-up. E14 reports it, and the CI
 // event gate recomputes the event counts and holds them to
-// BENCH_simcore.json exactly. Results are memoized per process.
+// BENCH_simcore.json exactly.
 func ScaleRun(n int) ScalePoint {
-	if pt, ok := scaleMemo[n]; ok {
-		return pt
-	}
-	pt := scaleRunFresh(n)
-	scaleMemo[n] = pt
-	return pt
-}
-
-func scaleRunFresh(n int) ScalePoint {
 	lw := world.NewLarge(world.LargeConfig{
 		Seed:         1,
 		Stations:     n,

@@ -37,13 +37,6 @@ type MACPoint struct {
 	Fates map[string]int
 }
 
-// macMemo mirrors scaleMemo: E16, the bench writer and the CI event
-// gate all step the same deterministic worlds.
-var macMemo = map[struct {
-	n   int
-	mac world.MACMode
-}]MACPoint{}
-
 // MACRun steps the E16 world — N stations on ONE 1200 bps channel
 // behind one gateway, every station pinging the Internet host once a
 // minute — for three simulated minutes after a 30 s warm-up, under the
@@ -51,19 +44,6 @@ var macMemo = map[struct {
 // sweeps stations-per-channel straight through the CSMA saturation
 // knee, which is exactly where polled access must keep delivering.
 func MACRun(n int, mac world.MACMode) MACPoint {
-	memoKey := struct {
-		n   int
-		mac world.MACMode
-	}{n, mac}
-	if pt, ok := macMemo[memoKey]; ok {
-		return pt
-	}
-	pt := macRunFresh(n, mac)
-	macMemo[memoKey] = pt
-	return pt
-}
-
-func macRunFresh(n int, mac world.MACMode) MACPoint {
 	lw := world.NewLarge(world.LargeConfig{
 		Seed:         1,
 		Stations:     n,
@@ -131,10 +111,14 @@ func E16(w io.Writer) *Result {
 	t := newTable(w, "E16", "N stations, ONE 1200 bps channel, 60 s ping interval, 3 simulated minutes per cell")
 	t.row("stations", "mac", "delivered", "replies", "median rtt", "ev/sim-s", "collisions", "overhead")
 
+	var at100 [2]MACPoint // the knee cell, whose fates are listed below
 	for _, n := range []int{10, 50, 100, 200} {
 		key := fmt.Sprintf("_n%d", n)
 		c := MACRun(n, world.MACCSMA)
 		d := MACRun(n, world.MACDAMA)
+		if n == 100 {
+			at100 = [2]MACPoint{c, d}
+		}
 		r.set("replies_csma"+key, float64(c.Replies))
 		r.set("replies_dama"+key, float64(d.Replies))
 		r.set("delivery_csma"+key, c.Delivery)
@@ -169,7 +153,7 @@ func E16(w io.Writer) *Result {
 	for _, mp := range []struct {
 		mac string
 		pt  MACPoint
-	}{{"csma", MACRun(100, world.MACCSMA)}, {"dama", MACRun(100, world.MACDAMA)}} {
+	}{{"csma", at100[0]}, {"dama", at100[1]}} {
 		fmt.Fprintf(w, "     %s: %d sent, %d delivered, %d undelivered\n",
 			mp.mac, mp.pt.Sent, mp.pt.Replies, mp.pt.Sent-mp.pt.Replies)
 		for _, fc := range sortedFates(mp.pt.Fates) {

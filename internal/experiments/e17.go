@@ -32,32 +32,12 @@ const (
 	e17MsgBytes = 512 // rdm: 2 KB as 4 ReliableOrdered messages
 )
 
-// xferMemo mirrors macMemo: E17, the socket bench rows and the CI
-// event gate all step the same deterministic worlds.
-var xferMemo = map[struct {
-	transport string
-	mtu       int
-}]TransferPoint{}
-
 // TransferRun steps the E17 world: the Seattle scenario (seed 1, one
 // PC) with every radio port at the given MTU, one transfer of 2 KB
 // from the Internet host to the PC over the named transport. The clock
 // starts at the first write — like the TCP bench, the handshake (or
 // its absence) is part of what is being measured.
 func TransferRun(transport string, mtu int) TransferPoint {
-	key := struct {
-		transport string
-		mtu       int
-	}{transport, mtu}
-	if pt, ok := xferMemo[key]; ok {
-		return pt
-	}
-	pt := transferFresh(transport, mtu)
-	xferMemo[key] = pt
-	return pt
-}
-
-func transferFresh(transport string, mtu int) TransferPoint {
 	s := world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1, RadioMTU: mtu})
 	inetSL := s.Internet.Sockets()
 	pcSL := s.PCs[0].Sockets()

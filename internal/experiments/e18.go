@@ -18,7 +18,6 @@ import (
 type ParallelPoint struct {
 	Stations int
 	Channels int
-	Workers  int
 
 	SeqSimSPerWallS   float64 // wall-dependent: never asserted or gated
 	ShardSimSPerWallS float64 // wall-dependent: never asserted or gated
@@ -43,28 +42,12 @@ type ParallelPoint struct {
 	Bound2W          float64
 }
 
-// parallelMemo caches ParallelRun results per cell within one process
-// (E18, the bench writer and the CI event gate all step the same
-// deterministic worlds).
-var parallelMemo = map[[3]int]ParallelPoint{}
-
 // ParallelRun steps the standard scale world (N stations round-robin
 // over the given channel count, one gateway per channel, one ping per
 // station per minute) twice with the same seed: on the single-loop
-// engine and on the sharded engine with the given worker count — 30 s
-// warm-up untimed, 3 simulated minutes timed, exactly the E14
-// protocol. Results are memoized per process.
-func ParallelRun(n, channels, workers int) ParallelPoint {
-	key := [3]int{n, channels, workers}
-	if pt, ok := parallelMemo[key]; ok {
-		return pt
-	}
-	pt := parallelRunFresh(n, channels, workers)
-	parallelMemo[key] = pt
-	return pt
-}
-
-func parallelRunFresh(n, channels, workers int) ParallelPoint {
+// engine and on the sharded engine — 30 s warm-up untimed, 3 simulated
+// minutes timed, exactly the E14 protocol.
+func ParallelRun(n, channels int) ParallelPoint {
 	const simWindow = 3 * time.Minute
 	var multiBusy, span2, events uint64 // the sharded run's, over the timed window
 	step := func(w int) (*world.Large, float64, float64) {
@@ -95,11 +78,10 @@ func parallelRunFresh(n, channels, workers int) ParallelPoint {
 	}
 
 	seq, seqRate, seqEv := step(0)
-	shd, shdRate, shdEv := step(workers)
-	pt := ParallelPoint{
+	shd, shdRate, shdEv := step(1)
+	return ParallelPoint{
 		Stations:           n,
 		Channels:           channels,
-		Workers:            workers,
 		SeqSimSPerWallS:    seqRate,
 		ShardSimSPerWallS:  shdRate,
 		Speedup:            shdRate / seqRate,
@@ -114,46 +96,46 @@ func parallelRunFresh(n, channels, workers int) ParallelPoint {
 		MultiBusyWindows:   multiBusy,
 		Bound2W:            float64(events) / float64(span2),
 	}
-	return pt
 }
 
-// E18Cells exposes the E18 sweep to the bench writer and the event
-// gate, so all three agree on the cell list.
-func E18Cells() [][3]int { return e18Cells }
+// E18Cells exposes the E18 sweep to the event gate, so both agree on
+// the cell list.
+func E18Cells() [][2]int { return e18Cells }
 
-// e18Cells is the sweep E18, the bench writer and the event gate all
+// e18Cells is the (stations, channels) sweep E18 and the event gate
 // share: the N=200 world across widening channel counts (the
 // near-linear-in-channels claim), plus the N=500 and N=1000 worlds at
 // their default channel widths (the ≥1 sim-s/wall-s gate at N=1000).
-var e18Cells = [][3]int{
-	{200, 8, 4},
-	{200, 25, 4},
-	{200, 50, 4},
-	{200, 100, 4},
-	{500, 50, 4},
-	{1000, 40, 4},
+var e18Cells = [][2]int{
+	{200, 8},
+	{200, 25},
+	{200, 50},
+	{200, 100},
+	{500, 50},
+	{1000, 40},
 }
 
-// E18 measures the sharded parallel engine (DESIGN.md §3g) against the
+// E18 measures the sharded engine (DESIGN.md §3g) against the
 // single-loop reference. Both engines route Ethernet frames by
 // destination MAC, so they fire the same events (the reduction column
-// reads 1.0x; deterministic, gated) and any speedup is parallelism
-// alone: on multi-core hosts the windows execute shards concurrently
-// (the workers knob; wall-clock only), against the cost of the
-// conservative windows themselves. The last two columns bound that
-// speedup from the event schedule alone (deterministic, gated): how
-// many timed windows had two or more busy shards, and bound_2w, the
-// speedup two workers could reach if every event cost the same and
-// coordination were free. Delivery is identical on both engines by the
-// construction-order seed argument in world.NewLarge — the table marks
-// any divergence loudly, and the event gate pins it.
+// reads 1.0x; deterministic, gated). The sharded engine runs its
+// windows on one goroutine, so the speedup column (wall-clock only)
+// is the cost of the conservative window loop against the single
+// loop. The last two columns bound what running a window's shards on
+// two workers could ever gain, from the event schedule alone
+// (deterministic, gated): how many timed windows had two or more busy
+// shards, and bound_2w, the speedup two workers could reach if every
+// event cost the same and coordination were free. Delivery is
+// identical on both engines by the construction-order seed argument in
+// world.NewLarge — the table marks any divergence loudly, and the
+// event gate pins it.
 func E18(w io.Writer) *Result {
 	r := newResult("E18")
 	t := newTable(w, "E18", "same seeded worlds on both engines, 3 simulated minutes per cell")
-	t.row("stations", "channels", "workers", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings", "multi-busy", "bound 2w")
+	t.row("stations", "channels", "sim-s/wall-s seq", "sim-s/wall-s shard", "speedup", "ev/sim-s seq", "ev/sim-s shard", "reduction", "delivered", "crossings", "multi-busy", "bound 2w")
 
 	for _, cell := range e18Cells {
-		pt := ParallelRun(cell[0], cell[1], cell[2])
+		pt := ParallelRun(cell[0], cell[1])
 		key := fmt.Sprintf("_n%d_c%d", pt.Stations, pt.Channels)
 		r.set("speedup"+key, pt.Speedup)
 		r.set("sim_s_per_wall_s"+key, pt.ShardSimSPerWallS)
@@ -170,7 +152,7 @@ func E18(w io.Writer) *Result {
 		if pt.ShardReplies != pt.SeqReplies || pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
 			mark = " ENGINES-DIVERGE" // equivalence broken: make it loud
 		}
-		t.row(pt.Stations, pt.Channels, pt.Workers,
+		t.row(pt.Stations, pt.Channels,
 			fmt.Sprintf("%.0f", pt.SeqSimSPerWallS),
 			fmt.Sprintf("%.0f", pt.ShardSimSPerWallS),
 			fmt.Sprintf("%.2fx", pt.Speedup),
@@ -185,8 +167,8 @@ func E18(w io.Writer) *Result {
 	t.flush()
 	fmt.Fprintln(w, "   (delivery and event counts are identical on both engines — both route")
 	fmt.Fprintln(w, "    Ethernet frames by MAC, and sharding moves events between schedulers,")
-	fmt.Fprintln(w, "    not physics; the speedup column is parallelism alone, net of the")
-	fmt.Fprintln(w, "    window synchronization cost; bound 2w is the most two workers could")
+	fmt.Fprintln(w, "    not physics; the speedup column is the window loop against the single")
+	fmt.Fprintln(w, "    loop, both on one goroutine; bound 2w is the most two workers could")
 	fmt.Fprintln(w, "    reach over the timed windows at equal cost per event and free")
 	fmt.Fprintln(w, "    coordination)")
 	return r

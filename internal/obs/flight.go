@@ -116,9 +116,9 @@ type traceEvent struct {
 
 // MultiRecorder aggregates per-lane flight recorders into one
 // instrument — one lane per shard, each written only by its shard's
-// goroutine, so recording needs no locks (the single-loop engine has
-// one lane). Reading merges the lanes ordered by virtual time, as the
-// seam recorder's readers do; call only with no run in flight.
+// events (the single-loop engine has one lane). Reading merges the
+// lanes ordered by virtual time, as the seam recorder's readers do;
+// call only with no run in flight.
 type MultiRecorder struct {
 	lanes lanes[FlightRecorder]
 
@@ -166,7 +166,7 @@ func (m *MultiRecorder) Dropped() uint64 {
 // lane (named via process_name metadata, so a sharded run renders one
 // swimlane group per shard), one thread per category within it, every
 // event stamped with virtual-time microseconds since the simulation
-// epoch and ordered by virtual time — a parallel run's trace reads
+// epoch and ordered by virtual time — a sharded run's trace reads
 // exactly like a sequential one's.
 func (m *MultiRecorder) WriteTrace(w io.Writer) error {
 	out := struct {

@@ -8,14 +8,16 @@
 // The span tracer and the ping fate ledger are views over the merged
 // crossings; pcap captures are subscribers.
 //
-// Determinism: each shard records into its own lane (no locks, no
-// cross-shard writes), and reads merge the lanes stable-sorted by
-// (virtual time, lane). Same-instant crossings of one journey always
-// land in one lane — a causal chain within a shard runs in program
-// order, and a cross-shard hop advances virtual time by at least the
-// seam's lookahead — so a journey's crossing order, and everything
-// derived from it (the span stream, the fate table), is identical on
-// the single-loop and sharded engines at any worker count.
+// Determinism: each shard records into its own lane, and reads merge
+// the lanes stable-sorted by (virtual time, lane). The sharded engine
+// runs a whole window of one shard before the next shard starts, so a
+// single buffer would hold crossings in shard order; the merge puts
+// them back in virtual-time order. Same-instant crossings of one
+// journey always land in one lane — a causal chain within a shard runs
+// in program order, and a cross-shard hop advances virtual time by at
+// least the seam's lookahead — so a journey's crossing order, and
+// everything derived from it (the span stream, the fate table), is
+// identical on the single-loop and sharded engines.
 
 package obs
 
@@ -191,8 +193,8 @@ func (r *Recorder) SetHostAddrs(host string, addrs ...ip.Addr) {
 	}
 }
 
-// Subscribe adds fn to every stack and KISS seam event, called on the
-// recording shard's goroutine with that shard's clock. Subscribe
+// Subscribe adds fn to every stack and KISS seam event, called as the
+// crossing is recorded, with the recording shard's clock. Subscribe
 // before the run.
 func (r *Recorder) Subscribe(fn func(t sim.Time, ev SeamEvent)) {
 	r.subs = append(r.subs, fn)
@@ -255,7 +257,7 @@ func (r *Recorder) journeys() []Trace {
 }
 
 // Lane is one shard's crossing buffer. Hooks derived from a lane run
-// inside that shard's event loop only, so appends need no locks.
+// inside that shard's event loop only.
 type Lane struct {
 	rec *Recorder
 	now func() sim.Time

@@ -1,5 +1,5 @@
-// The sharded parallel engine: several Schedulers advancing in
-// lockstep windows under conservative lookahead (DESIGN.md §3g).
+// The sharded engine: several Schedulers advancing in lockstep
+// windows under conservative lookahead (DESIGN.md §3g).
 //
 // A Group partitions a simulation into shards, each owning one
 // Scheduler and the components attached to it. Shards only influence
@@ -12,13 +12,13 @@
 //
 //	H = min over shards of (earliest pending event + shard lookahead)
 //
-// and every shard runs its events strictly before H, in parallel on a
-// worker pool or inline. Cross-shard deliveries travel as timestamped
-// messages into the destination shard's inbox and are injected at the
-// next window boundary in a deterministic order — (time, source shard,
-// source sequence) — so results are bit-identical regardless of how
-// many workers execute the windows, and a run is a pure function of
-// the seed exactly as on the single-loop engine.
+// and every busy shard runs its events strictly before H, one shard
+// after another in shard order on the calling goroutine. Cross-shard
+// deliveries travel as timestamped messages into the destination
+// shard's inbox and are injected at the next window boundary in a
+// deterministic order — (time, source shard, source sequence) — so a
+// run is a pure function of the seed exactly as on the single-loop
+// engine.
 //
 // Progress is guaranteed: the globally earliest event at time m sits in
 // some shard j, and H >= m + lookahead(j) > m, so every window fires at
@@ -30,36 +30,12 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // timeInf is an unreachable horizon (no bound).
 const timeInf = Time(1<<63 - 1)
-
-// The pool's claim word packs one published window into a uint64: its
-// busy-shard count in the high half and the index of the next
-// unclaimed busy shard in the low half. A claimant takes a slot with
-// one compare-and-swap of the word it loaded, and only then reads the
-// window's busy list and bound. A helper holding a word from a
-// finished window cannot take a stale slot: the coordinator rewrites
-// busy and h only once every slot is claimed and run, so a swap that
-// succeeds always takes an unclaimed slot of the current window.
-const (
-	countShift = 32
-	claimMask  = 1<<countShift - 1
-)
-
-// poolSpin is how many times a pool goroutine polls before it blocks:
-// a helper parks after poolSpin empty polls of the claim word, and the
-// coordinator, waiting for shards helpers took, yields its P once
-// every poolSpin polls. On a 2-vCPU VM the 1000-station world ran
-// fastest at 10 to 100 polls; at 1,000 and more a spinning helper took
-// CPU from the coordinator, which runs most windows' shards itself.
-const poolSpin = 100
 
 // xmsg is one cross-shard delivery: fn runs at virtual time at in the
 // destination shard. src/seq make same-instant merges deterministic.
@@ -84,24 +60,12 @@ type Shard struct {
 	// another shard before t + lookahead. Sends below the bound panic.
 	lookahead time.Duration
 
-	// sent numbers this shard's outgoing messages. Only the goroutine
-	// executing the shard's window touches it; the coordinator reads it
-	// between windows (ordered by the executor barrier).
+	// sent numbers this shard's outgoing messages.
 	sent uint64
 
-	// ran is how many events the shard fired in the last window it was
-	// busy in, written by whichever goroutine ran it and read by the
-	// coordinator after the barrier.
-	ran uint64
-
-	mu    sync.Mutex
+	// inbox holds the messages sent to this shard since the last
+	// window boundary.
 	inbox []xmsg
-	// inboxN mirrors len(inbox) so the coordinator's between-window
-	// sweep can skip empty inboxes with one atomic load instead of a
-	// mutex round-trip per shard per window — most shards receive
-	// nothing in most windows, and the sweep runs O(shards × windows)
-	// times.
-	inboxN atomic.Int32
 
 	// delivered counts cross-shard messages injected into this shard —
 	// a per-shard observability counter (deterministic).
@@ -117,16 +81,14 @@ func (sh *Shard) Delivered() uint64 { return sh.delivered }
 
 // Group coordinates a set of shards. Create one with NewGroup, add
 // shards with NewShard, attach components to each shard's Scheduler,
-// then drive virtual time with RunFor/RunUntil. Not safe for use while
-// a window is executing; all methods are coordinator-side.
+// then drive virtual time with RunFor/RunUntil.
 type Group struct {
 	seed    int64
 	derived uint64 // the shared DeriveSeed counter (see Scheduler.deriveFn)
 
-	shards  []*Shard
-	byShed  map[*Scheduler]*Shard
-	now     Time
-	workers int
+	shards []*Shard
+	byShed map[*Scheduler]*Shard
+	now    Time
 
 	// Deterministic run statistics.
 	windows   uint64
@@ -137,37 +99,6 @@ type Group struct {
 	// busy is runWindow's scratch list of shards with work below the
 	// bound, reused across windows (a long run executes millions).
 	busy []*Shard
-
-	// The worker pool. Helpers run only while RunUntil is on the
-	// stack: the first window with two or more busy shards starts
-	// workers-1 of them and RunUntil joins them before it returns.
-	// The coordinator writes h and busy, then publishes the window in
-	// claim; a helper reads h and busy only after a compare-and-swap
-	// on claim succeeds, and the coordinator rewrites them only once
-	// pending reaches zero.
-	h       Time     // bound of the published window
-	helpers []helper // one parking spot per helper goroutine
-	pooled  bool     // helpers are running
-	joined  sync.WaitGroup
-
-	// The words helpers poll sit on cache lines of their own, so a
-	// spinning helper does not turn every counter update above into a
-	// cache miss for the coordinator.
-	_        [64]byte
-	claim    atomic.Uint64 // (count, next) of the published window
-	pending  atomic.Int32  // published shards not yet run to h
-	stopping atomic.Bool   // RunUntil is returning: helpers exit
-	_        [64]byte
-}
-
-// helper is one pool goroutine's parking spot. A helper with nothing
-// to claim sets sleeping, checks the claim word once more, and blocks
-// on wake; whoever clears sleeping from true to false owes it exactly
-// one token on wake, so the channel never holds more than one and no
-// wake-up is lost.
-type helper struct {
-	sleeping atomic.Bool
-	wake     chan struct{}
 }
 
 // NewGroup creates an empty shard group. seed plays the role the
@@ -177,7 +108,7 @@ type helper struct {
 // and the same construction order consumes, which is what keeps the
 // two engines' per-component RNGs identical.
 func NewGroup(seed int64) *Group {
-	return &Group{seed: seed, byShed: make(map[*Scheduler]*Shard), workers: 1}
+	return &Group{seed: seed, byShed: make(map[*Scheduler]*Shard)}
 }
 
 // deriveSeed is Scheduler.DeriveSeed's splitmix64, over the group-wide
@@ -230,29 +161,6 @@ func (g *Group) Shards() []*Shard { return g.shards }
 // ShardOf maps a scheduler back to its shard (nil if foreign).
 func (g *Group) ShardOf(s *Scheduler) *Shard { return g.byShed[s] }
 
-// SetWorkers sets how many goroutines execute each window's busy
-// shards. 1 (the default) runs shards inline on the coordinator in
-// shard order — on a single-core host that is also the fastest
-// configuration. At k > 1 a window with two or more busy shards runs
-// on a worker pool: the coordinator plus k-1 helper goroutines that
-// live for one RunUntil and claim the window's shards one at a time.
-// Between windows a helper spins briefly, then parks, and a parked
-// helper is woken only for a window with more than two busy shards.
-// Windows with one busy shard still run inline. The deterministic
-// merge order makes results identical at every worker count, so this
-// is purely a throughput knob. Counts above GOMAXPROCS stay correct,
-// but helpers then share Ps with the coordinator; NewLarge caps its
-// worlds' counts there.
-func (g *Group) SetWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	g.workers = k
-}
-
-// Workers reports the executor count.
-func (g *Group) Workers() int { return g.workers }
-
 // Now reports the group's virtual time: the point every shard has been
 // advanced to by the last RunUntil/RunFor.
 func (g *Group) Now() Time { return g.now }
@@ -286,15 +194,6 @@ func (g *Group) Fired() uint64 {
 	return n
 }
 
-// Pending sums queued events across all shards.
-func (g *Group) Pending() int {
-	n := 0
-	for _, sh := range g.shards {
-		n += sh.Sched.Pending()
-	}
-	return n
-}
-
 // Send schedules fn to run at virtual time at in the shard owning dst.
 // src identifies the sending shard's scheduler; the pair (src shard,
 // per-shard sequence) orders same-instant arrivals deterministically.
@@ -316,28 +215,18 @@ func (g *Group) Send(src, dst *Scheduler, at Time, fn func()) {
 			from.Name, d, from.lookahead))
 	}
 	from.sent++
-	m := xmsg{at: at, src: from.ID, seq: from.sent, fn: fn}
-	to.mu.Lock()
-	to.inbox = append(to.inbox, m)
-	to.mu.Unlock()
-	to.inboxN.Add(1)
+	to.inbox = append(to.inbox, xmsg{at: at, src: from.ID, seq: from.sent, fn: fn})
 }
 
 // drain injects every queued inbox message into the shard's scheduler,
 // in (time, source shard, source sequence) order. Called only between
-// windows, on the coordinator.
+// windows.
 func (sh *Shard) drain() {
-	if sh.inboxN.Load() == 0 {
-		return
-	}
-	sh.mu.Lock()
 	msgs := sh.inbox
-	sh.inbox = nil
-	sh.mu.Unlock()
-	sh.inboxN.Add(-int32(len(msgs)))
 	if len(msgs) == 0 {
 		return
 	}
+	sh.inbox = nil
 	sort.Slice(msgs, func(i, j int) bool {
 		if msgs[i].at != msgs[j].at {
 			return msgs[i].at < msgs[j].at
@@ -384,7 +273,6 @@ func (g *Group) horizon() (h, next Time) {
 // beyond target stay queued; afterwards every shard clock (and the
 // group clock) reads target, matching Scheduler.RunUntil semantics.
 func (g *Group) RunUntil(target Time) {
-	defer g.stopPool()
 	for {
 		for _, sh := range g.shards {
 			sh.drain()
@@ -413,8 +301,8 @@ func (g *Group) RunUntil(target Time) {
 // RunFor advances the group d beyond its current time.
 func (g *Group) RunFor(d time.Duration) { g.RunUntil(g.now.Add(d)) }
 
-// runWindow executes every busy shard up to (exclusive) bound h, then
-// adds the window to the two-worker bound.
+// runWindow runs every busy shard up to (exclusive) bound h, in shard
+// order, then adds the window to the two-worker bound.
 func (g *Group) runWindow(h Time) {
 	busy := g.busy[:0]
 	for _, sh := range g.shards {
@@ -423,136 +311,14 @@ func (g *Group) runWindow(h Time) {
 		}
 	}
 	g.busy = busy
-	if g.workers > 1 && len(busy) > 1 {
-		g.dispatch(h)
-	} else {
-		for _, sh := range busy {
-			sh.ran = sh.Sched.RunBefore(h)
-		}
-	}
 	var sum, most uint64
 	for _, sh := range busy {
-		sum += sh.ran
-		most = max(most, sh.ran)
+		ran := sh.Sched.RunBefore(h)
+		sum += ran
+		most = max(most, ran)
 	}
 	if len(busy) > 1 {
 		g.multiBusy++
 	}
 	g.span2 += max(most, (sum+1)/2)
-}
-
-// dispatch runs the busy shards of window h on the pool: it publishes
-// the window, wakes parked helpers, claims shards itself alongside
-// them, and returns once every shard has run.
-func (g *Group) dispatch(h Time) {
-	if !g.pooled {
-		g.startPool()
-	}
-	n := len(g.busy)
-	g.h = h
-	g.pending.Store(int32(n))
-	g.claim.Store(uint64(n) << countShift)
-	// Parked helpers are woken only for the shards beyond the first
-	// two. A woken helper is readied onto the coordinator's P, and the
-	// runtime lets an idle P take it from there only after a back-off
-	// of a few microseconds: about as long as the coordinator takes to
-	// run two shards' windows on the regional worlds, where 75% of pool
-	// windows have exactly two busy shards (DESIGN.md §3g). A spinning
-	// helper still takes any shard.
-	for i, woken := 0, 2; i < len(g.helpers) && woken < n; i++ {
-		if g.rouse(&g.helpers[i]) {
-			woken++
-		}
-	}
-	for g.claimShard() {
-	}
-	for spins := 1; g.pending.Load() != 0; spins++ {
-		if spins%poolSpin == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// claimShard takes the next unclaimed shard of the published window
-// and runs it to the window's bound. It reports false when no shard is
-// left to claim.
-func (g *Group) claimShard() bool {
-	for {
-		w := g.claim.Load()
-		if !unclaimed(w) {
-			return false
-		}
-		if g.claim.CompareAndSwap(w, w+1) {
-			sh := g.busy[w&claimMask]
-			sh.ran = sh.Sched.RunBefore(g.h)
-			g.pending.Add(-1)
-			return true
-		}
-	}
-}
-
-// unclaimed reports whether claim word w has a shard left to take.
-func unclaimed(w uint64) bool { return w&claimMask < w>>countShift }
-
-// rouse wakes helper p if it is parked, reporting whether it was.
-func (g *Group) rouse(p *helper) bool {
-	if !p.sleeping.CompareAndSwap(true, false) {
-		return false
-	}
-	p.wake <- struct{}{}
-	return true
-}
-
-// help is one helper goroutine's loop: claim shards from published
-// windows until the run ends, spinning between windows and then
-// parking.
-func (g *Group) help(p *helper) {
-	defer g.joined.Done()
-	for spins := 0; ; {
-		if g.claimShard() {
-			spins = 0
-			continue
-		}
-		if g.stopping.Load() {
-			return
-		}
-		if spins++; spins < poolSpin {
-			continue
-		}
-		spins = 0
-		p.sleeping.Store(true)
-		if (unclaimed(g.claim.Load()) || g.stopping.Load()) && p.sleeping.CompareAndSwap(true, false) {
-			continue
-		}
-		<-p.wake
-	}
-}
-
-// startPool starts workers-1 helper goroutines for the current run.
-func (g *Group) startPool() {
-	if len(g.helpers) != g.workers-1 {
-		g.helpers = make([]helper, g.workers-1)
-		for i := range g.helpers {
-			g.helpers[i].wake = make(chan struct{}, 1)
-		}
-	}
-	g.pooled = true
-	g.joined.Add(len(g.helpers))
-	for i := range g.helpers {
-		go g.help(&g.helpers[i])
-	}
-}
-
-// stopPool ends the run's helpers, if any started, and waits for them.
-func (g *Group) stopPool() {
-	if !g.pooled {
-		return
-	}
-	g.stopping.Store(true)
-	for i := range g.helpers {
-		g.rouse(&g.helpers[i])
-	}
-	g.joined.Wait()
-	g.stopping.Store(false)
-	g.pooled = false
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -18,14 +17,13 @@ type traceEntry struct {
 // pingPong wires a toy two-shard topology: each side fires an event
 // every period and sends a message to the other at now+latency, where
 // latency >= the declared lookahead. Each shard records its executions
-// in its own trace (shards run concurrently; shared state would race —
-// the same discipline real sharded components follow).
-func buildPingPong(workers int) (*Group, [][]traceEntry) {
+// in its own trace — the same discipline real sharded components
+// follow: a shard touches only its own state.
+func buildPingPong() (*Group, [][]traceEntry) {
 	g := NewGroup(42)
 	la := 10 * time.Millisecond
 	a := g.NewShard("a", la)
 	b := g.NewShard("b", la)
-	g.SetWorkers(workers)
 	traces := make([][]traceEntry, 2)
 
 	var tick func(sh *Shard, peer *Shard, n int)
@@ -51,7 +49,7 @@ func buildPingPong(workers int) (*Group, [][]traceEntry) {
 // Rand, at least the lookahead. A receiver folds the payload into its
 // state, so any change in which events ran, when, or in what order
 // shows up in the traces.
-func buildRing(n, workers int) (*Group, [][]traceEntry) {
+func buildRing(n int) (*Group, [][]traceEntry) {
 	const (
 		la     = 2 * time.Millisecond
 		period = time.Millisecond
@@ -61,7 +59,6 @@ func buildRing(n, workers int) (*Group, [][]traceEntry) {
 	for i := range shards {
 		shards[i] = g.NewShard(fmt.Sprintf("r%d", i), la)
 	}
-	g.SetWorkers(workers)
 	traces := make([][]traceEntry, n)
 	state := make([]uint64, n)
 	record := func(sh *Shard, x uint64) {
@@ -95,23 +92,31 @@ func countersOf(g *Group) groupCounters {
 }
 
 // TestGroupDeterministicAcrossWorkers pins the conservative protocol's
-// promise at the sim layer: each shard's execution trace (what ran, at
-// which virtual time, in which order) is identical for any worker
-// count, as are the group counters. The ring keeps nearly every window
-// on the worker pool; forcing four workers onto one P covers the
-// oversubscribed pool that tests reach through SetWorkers.
+// promise at the sim layer: a run is a pure function of its build.
+// Two builds of each topology give identical shard execution traces
+// (what ran, at which virtual time, in which order) and identical
+// group counters. The rings keep most windows multi-busy, so the
+// window loop's busy list and the two-worker bound see real work.
+//
+// The variants are named after the worker counts the windows once ran
+// on. Each now rebuilds the topology and drives the same second in
+// legs: w2 in two RunFor calls, w4 in four, and w4-procs1 in four
+// under GOMAXPROCS(1), which a run that starts no goroutine cannot
+// notice. A leg's end cuts a window short, which can move the window
+// counters (the rings' two-worker span does move), but the traces, the
+// events fired and the crossings must not.
 func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 	topologies := []struct {
 		name  string
-		build func(workers int) (*Group, [][]traceEntry)
+		build func() (*Group, [][]traceEntry)
 	}{
 		{"pingpong", buildPingPong},
-		{"ring4", func(w int) (*Group, [][]traceEntry) { return buildRing(4, w) }},
-		{"ring6", func(w int) (*Group, [][]traceEntry) { return buildRing(6, w) }},
+		{"ring4", func() (*Group, [][]traceEntry) { return buildRing(4) }},
+		{"ring6", func() (*Group, [][]traceEntry) { return buildRing(6) }},
 	}
 	runs := []struct {
 		name       string
-		workers    int
+		legs       int
 		gomaxprocs int // 0 leaves GOMAXPROCS alone
 	}{
 		{"w2", 2, 0},
@@ -120,7 +125,7 @@ func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, topo := range topologies {
 		t.Run(topo.name, func(t *testing.T) {
-			g1, t1 := topo.build(1)
+			g1, t1 := topo.build()
 			g1.RunFor(time.Second)
 			want := countersOf(g1)
 			for sh := range t1 {
@@ -131,25 +136,25 @@ func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 			if topo.name != "pingpong" && 2*want.multiBusy < want.windows {
 				t.Fatalf("only %d of %d windows had two or more busy shards", want.multiBusy, want.windows)
 			}
+			g2, t2 := topo.build()
+			g2.RunFor(time.Second)
+			sameTraces(t, t1, t2, "rebuild")
+			if got := countersOf(g2); got != want {
+				t.Fatalf("group counters differ: %+v vs %+v", want, got)
+			}
 			for _, run := range runs {
 				t.Run(run.name, func(t *testing.T) {
 					if run.gomaxprocs > 0 {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.gomaxprocs))
 					}
-					g, tr := topo.build(run.workers)
-					g.RunFor(time.Second)
-					for sh := range t1 {
-						if len(t1[sh]) != len(tr[sh]) {
-							t.Fatalf("shard %d trace lengths differ: w1 %d, %s %d", sh, len(t1[sh]), run.name, len(tr[sh]))
-						}
-						for i := range t1[sh] {
-							if t1[sh][i] != tr[sh][i] {
-								t.Fatalf("shard %d trace diverges at %d: w1 %v, %s %v", sh, i, t1[sh][i], run.name, tr[sh][i])
-							}
-						}
+					g, tr := topo.build()
+					for i := 0; i < run.legs; i++ {
+						g.RunFor(time.Second / time.Duration(run.legs))
 					}
-					if got := countersOf(g); got != want {
-						t.Fatalf("group counters differ: w1 %+v, %s %+v", want, run.name, got)
+					sameTraces(t, t1, tr, run.name)
+					got := countersOf(g)
+					if got.fired != want.fired || got.crossings != want.crossings {
+						t.Fatalf("group counters: one leg %+v, %s %+v", want, run.name, got)
 					}
 				})
 			}
@@ -157,49 +162,25 @@ func TestGroupDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGroupPoolStopsWithRun: the worker pool lives for one RunUntil.
-// Every helper a run starts is joined before RunFor returns, so no
-// goroutine is left in the helper loop afterwards. The check reads the
-// helpers' own stacks rather than the process's goroutine count, which
-// other tests' goroutines can still be leaving.
-func TestGroupPoolStopsWithRun(t *testing.T) {
-	g, _ := buildRing(4, 4)
-	for i := 0; i < 3; i++ {
-		g.RunFor(100 * time.Millisecond)
-		// A joined helper can still be unwinding its last frame for a
-		// moment after the join; one that outlives the run never goes.
-		n := helpersAlive()
-		for deadline := time.Now().Add(time.Second); n > 0 && time.Now().Before(deadline); n = helpersAlive() {
-			runtime.Gosched()
+// sameTraces fails t unless got, a run labelled run, repeats the
+// reference traces want entry for entry.
+func sameTraces(t *testing.T, want, got [][]traceEntry, run string) {
+	t.Helper()
+	for sh := range want {
+		if len(want[sh]) != len(got[sh]) {
+			t.Fatalf("shard %d trace lengths differ: reference %d, %s %d", sh, len(want[sh]), run, len(got[sh]))
 		}
-		if n > 0 {
-			t.Fatalf("run %d: %d pool helpers outlived RunFor", i, n)
+		for i := range want[sh] {
+			if want[sh][i] != got[sh][i] {
+				t.Fatalf("shard %d trace diverges at %d: reference %v, %s %v", sh, i, want[sh][i], run, got[sh][i])
+			}
 		}
-	}
-	if g.MultiBusyWindows() == 0 {
-		t.Fatal("no window reached the pool")
 	}
 }
 
-// helpersAlive counts goroutines inside the pool's helper loop.
-func helpersAlive() int {
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("sim.(*Group).help("))
-}
-
-// poolStartAllocs bounds the heap objects one run's pool start
-// allocates per helper: the closure its go statement captures and,
-// when no exited goroutine is at hand to reuse, the goroutine itself.
-const poolStartAllocs = 2
-
-// TestGroupWindowAllocs is the window loop's allocation gate: at two
-// workers every window of a tick-only ring goes to the pool, and a
-// run's allocations must not grow with its length — only the pool's
-// start-up objects remain, however many windows it dispatches.
-// AllocsPerRun measures on one P, which keeps the runtime's own
-// goroutine and wait-queue caches in one place, so the count is
-// exact.
+// TestGroupWindowAllocs is the window loop's allocation gate: on a
+// tick-only ring whose windows mostly hold several busy shards, a run
+// allocates nothing, however many windows it runs.
 func TestGroupWindowAllocs(t *testing.T) {
 	g := NewGroup(3)
 	for i := 0; i < 4; i++ {
@@ -208,8 +189,6 @@ func TestGroupWindowAllocs(t *testing.T) {
 			sh.Sched.Every(time.Millisecond, func() {})
 		})
 	}
-	g.SetWorkers(2)
-	limit := float64(poolStartAllocs * (g.Workers() - 1))
 	for _, d := range []time.Duration{10 * time.Millisecond, 4 * time.Second} {
 		w0 := g.MultiBusyWindows()
 		allocs := testing.AllocsPerRun(5, func() { g.RunFor(d) })
@@ -217,9 +196,8 @@ func TestGroupWindowAllocs(t *testing.T) {
 		if d > time.Second && windows < 1000 {
 			t.Fatalf("RunFor(%v) ran %d multi-busy windows, want >= 1000", d, windows)
 		}
-		if allocs > limit {
-			t.Errorf("RunFor(%v) over %d multi-busy windows allocated %.0f objects, want <= %.0f",
-				d, windows, allocs, limit)
+		if allocs != 0 {
+			t.Errorf("RunFor(%v) over %d multi-busy windows allocated %.0f objects, want 0", d, windows, allocs)
 		}
 	}
 }
@@ -365,7 +343,7 @@ func TestGroupDeriveSeedSharedStream(t *testing.T) {
 // takes many windows (bounded lookahead), and crossings count every
 // seam message.
 func TestGroupLookaheadProgress(t *testing.T) {
-	g, _ := buildPingPong(1)
+	g, _ := buildPingPong()
 	g.RunFor(time.Second)
 	if g.Windows() == 0 {
 		t.Fatal("no windows executed")

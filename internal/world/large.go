@@ -12,7 +12,6 @@ package world
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -96,13 +95,10 @@ type LargeConfig struct {
 	// engine: one scheduler, the reference for every event gate, and
 	// what every tool runs. Any positive value builds the world on the
 	// sharded engine (one shard per channel plus an Ethernet backbone
-	// shard, DESIGN.md §3g) with up to Workers window executors —
-	// capped at GOMAXPROCS, since extra goroutines on a saturated
-	// machine only add scheduling overhead and the conservative
-	// protocol makes results identical at every worker count anyway.
-	// Tests can force more via W.Shards().SetWorkers. The sharded
-	// engine now serves only the regional-1000 benchmarks in bench/,
-	// E18 and the shard-equivalence tests, and goes once those
+	// shard, DESIGN.md §3g), which runs its windows on the calling
+	// goroutine; the value selects the engine and nothing else. The
+	// sharded engine now serves only the regional-1000 benchmarks in
+	// bench/, E18 and the shard-equivalence tests, and goes once those
 	// benchmarks move to the single loop (ROADMAP item 1).
 	Workers int
 
@@ -150,7 +146,7 @@ type Large struct {
 	// deterministic (virtual-time, channel) order; Totals reads the
 	// counts live, mid-run. Both engines use the same slot layout and
 	// the same merge, so for a given seed the series is bit-identical —
-	// order included — at every worker count.
+	// order included — on both engines.
 	Sent, Replies uint64
 	RTTs          []time.Duration
 
@@ -167,7 +163,7 @@ type Large struct {
 }
 
 // probeSlot is one shard's probe accounting. Only events running in
-// that shard touch it, so the sharded engine needs no locks here.
+// that shard touch it.
 type probeSlot struct {
 	sent, replies uint64
 	rtts          []rttSample
@@ -222,7 +218,8 @@ func (lw *Large) mergeProbes() {
 // Totals reports the probes sent and the replies received so far,
 // summed over the per-channel slots the probers update as they go: it
 // is live at any instant, where Sent and Replies refresh only at each
-// W.Run end. On the sharded engine, read it between runs.
+// W.Run end. On the sharded engine, read it between runs: mid-window
+// the shards stand at different virtual times.
 func (lw *Large) Totals() (sent, replies uint64) {
 	for i := range lw.slots {
 		sent += lw.slots[i].sent
@@ -265,11 +262,6 @@ func NewLarge(cfg LargeConfig) *Large {
 	var shards []*sim.Shard
 	if cfg.Workers > 0 {
 		w, shards = newSharded(cfg.Seed, cfg.Channels)
-		workers := cfg.Workers
-		if procs := runtime.GOMAXPROCS(0); workers > procs {
-			workers = procs
-		}
-		w.group.SetWorkers(workers)
 	} else {
 		w = New(cfg.Seed)
 	}

@@ -152,8 +152,8 @@ func (w *World) laneName(s *sim.Scheduler) string {
 // controller's Trace, so enable it after the topology is built. On the
 // single-loop engine the recorder has one lane ("world"); on the
 // sharded engine one lane per shard, each written only by its shard's
-// goroutine — WriteTrace merges them ordered by virtual time, so a
-// parallel run's trace reads like a sequential one's. The hooks add no
+// events — WriteTrace merges them ordered by virtual time, so a
+// sharded run's trace reads like a sequential one's. The hooks add no
 // events and no allocations, but gated runs (the CI event counter)
 // should leave them off all the same.
 func (w *World) EnableFlightRecorder(capacity int) *obs.MultiRecorder {
@@ -194,9 +194,9 @@ func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 // seams returns the world's seam recorder, installing it on first use:
 // exactly one hook at every packet seam of every host and channel
 // built so far — stack, ARP hold queue, KISS line, MAC, the air, and
-// the driver and TNC queue drops. Each hook records into
-// the lane of the shard it runs on, so recording needs no locks and
-// every view of the recorder is bit-identical at any worker count. The
+// the driver and TNC queue drops. Each hook records into the lane of
+// the shard it runs on, and reads merge the lanes by virtual time, so
+// every view of the recorder is bit-identical on both engines. The
 // recorder owns those hook slots; hosts and channels added later are
 // not observed.
 func (w *World) seams() *obs.Recorder {

