@@ -115,7 +115,6 @@ func Registry() []Experiment {
 		{"E14", "simulator scaling: N-station worlds per wall second", E14},
 		{"E16", "DAMA vs CSMA: delivery past the saturation knee", E16},
 		{"E17", "SOCK_RDM vs TCP: goodput and airtime on the 1200 bps path", E17},
-		{"E18", "sharded engine: sim-s/wall-s and events/sim-s vs the single-loop reference", E18},
 	}
 }
 

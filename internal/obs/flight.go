@@ -19,14 +19,19 @@ type FlightEvent struct {
 }
 
 // FlightRecorder is a bounded ring of recent events — the post-mortem
-// instrument: always cheap enough to leave running. All methods are
-// nil-safe so call sites can hold a recorder pointer that is nil when
-// recording is off.
+// instrument: always cheap enough to leave running. A world keeps one
+// ring, fed by every scheduler it runs. The recording and reading
+// methods are nil-safe so call sites can hold a recorder pointer that
+// is nil when recording is off.
 type FlightRecorder struct {
 	buf     []FlightEvent
 	next    int
 	full    bool
 	dropped uint64
+
+	// spanSource, when set (SetSpanSource), contributes the packet
+	// tracer's span stream to WriteTrace.
+	spanSource func() []Span
 }
 
 // DefaultFlightCap is the default ring capacity: enough for several
@@ -114,103 +119,51 @@ type traceEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// MultiRecorder aggregates per-lane flight recorders into one
-// instrument — one lane per shard, each written only by its shard's
-// events (the single-loop engine has one lane). Reading merges the
-// lanes ordered by virtual time, as the seam recorder's readers do;
-// call only with no run in flight.
-type MultiRecorder struct {
-	lanes lanes[FlightRecorder]
-
-	// spanSource, when set (SetSpanSource), contributes the packet
-	// tracer's span stream to WriteTrace.
-	spanSource func() []Span
-}
-
 // SetSpanSource attaches a span stream (Tracer.Spans) to the recorder:
 // WriteTrace renders each trace's spans as complete events in a
 // "packet journeys" process, one row per trace, connected by flow
 // events so a journey reads as one arc across the timeline.
-func (m *MultiRecorder) SetSpanSource(fn func() []Span) { m.spanSource = fn }
+func (fr *FlightRecorder) SetSpanSource(fn func() []Span) { fr.spanSource = fn }
 
-// NewMultiRecorder builds an empty recorder; add lanes with Lane.
-func NewMultiRecorder() *MultiRecorder { return &MultiRecorder{} }
-
-// Lane creates (or returns) the named lane's ring with the given
-// capacity (<=0 takes DefaultFlightCap; the capacity of an existing
-// lane is not changed).
-func (m *MultiRecorder) Lane(name string, capacity int) *FlightRecorder {
-	return m.lanes.get(name, func() *FlightRecorder { return NewFlightRecorder(capacity) })
-}
-
-// Len sums held events across lanes.
-func (m *MultiRecorder) Len() int {
-	n := 0
-	for _, fr := range m.lanes.all {
-		n += fr.Len()
-	}
-	return n
-}
-
-// Dropped sums overwritten events across lanes.
-func (m *MultiRecorder) Dropped() uint64 {
-	var n uint64
-	for _, fr := range m.lanes.all {
-		n += fr.Dropped()
-	}
-	return n
-}
-
-// WriteTrace dumps all lanes as one Chrome trace_event JSON timeline
-// (open it at chrome://tracing or ui.perfetto.dev): one process per
-// lane (named via process_name metadata, so a sharded run renders one
-// swimlane group per shard), one thread per category within it, every
-// event stamped with virtual-time microseconds since the simulation
-// epoch and ordered by virtual time — a sharded run's trace reads
-// exactly like a sequential one's.
-func (m *MultiRecorder) WriteTrace(w io.Writer) error {
+// WriteTrace dumps the ring as one Chrome trace_event JSON timeline
+// (open it at chrome://tracing or ui.perfetto.dev): one "world"
+// process with one thread per category, every event stamped with
+// virtual-time microseconds since the simulation epoch, in the order
+// the events were recorded. On the sharded engine that order is shard
+// by shard within each window, each event stamped with its own
+// shard's clock; trace viewers place events by their stamps.
+func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
 	out := struct {
 		TraceEvents []traceEvent `json:"traceEvents"`
 	}{}
-	for i, name := range m.lanes.names {
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "process_name", Phase: "M", PID: i + 1,
-			Args: map[string]string{"name": name},
-		})
-	}
-	perLane := make([][]FlightEvent, len(m.lanes.all))
-	for i, fr := range m.lanes.all {
-		perLane[i] = fr.Events()
-	}
-	type laneCat struct {
-		lane int
-		cat  string
-	}
-	tids := map[laneCat]int{}
-	for _, e := range mergeLanes(perLane, func(e FlightEvent) sim.Time { return e.T }) {
-		key := laneCat{e.lane, e.ev.Cat}
-		tid, ok := tids[key]
+	out.TraceEvents = append(out.TraceEvents, traceEvent{
+		Name: "process_name", Phase: "M", PID: 1,
+		Args: map[string]string{"name": "world"},
+	})
+	tids := map[string]int{}
+	for _, e := range fr.Events() {
+		tid, ok := tids[e.Cat]
 		if !ok {
 			tid = len(tids) + 1
-			tids[key] = tid
+			tids[e.Cat] = tid
 		}
 		te := traceEvent{
-			Name: e.ev.Name, Cat: e.ev.Cat, Phase: "i", Scope: "t",
-			TS:  float64(e.ev.T.Duration().Microseconds()),
-			PID: e.lane + 1, TID: tid,
+			Name: e.Name, Cat: e.Cat, Phase: "i", Scope: "t",
+			TS:  float64(e.T.Duration().Microseconds()),
+			PID: 1, TID: tid,
 		}
-		if e.ev.Arg != "" {
-			te.Args = map[string]string{"arg": e.ev.Arg}
+		if e.Arg != "" {
+			te.Args = map[string]string{"arg": e.Arg}
 		}
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
-	if m.spanSource != nil {
-		spanPID := len(m.lanes.names) + 1
+	if fr.spanSource != nil {
+		const spanPID = 2
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: spanPID,
 			Args: map[string]string{"name": "packet journeys"},
 		})
-		spans := m.spanSource()
+		spans := fr.spanSource()
 		tids := map[TraceID]int{}
 		counts := map[TraceID]int{}
 		for _, s := range spans {

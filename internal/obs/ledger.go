@@ -23,8 +23,8 @@ import (
 // so an E16-style saturation run can say exactly where every lost
 // probe died instead of just reporting a delivery ratio. The journeys
 // are engine-independent (seam.go), so the fate table is identical on
-// the single-loop and sharded engines at any worker count — the
-// equality the shard equivalence suite gates.
+// the single-loop and sharded engines — the equality the shard
+// equivalence suite gates.
 type PingLedger struct{ rec *Recorder }
 
 // PingLedger returns the recorder's fate view and starts buffering

@@ -228,8 +228,7 @@ func TestFilter(t *testing.T) {
 }
 
 func TestFlightRecorder(t *testing.T) {
-	m := NewMultiRecorder()
-	fr := m.Lane("world", 4)
+	fr := NewFlightRecorder(4)
 	for i := 0; i < 6; i++ {
 		fr.Record(sim.Time(i)*sim.Time(time.Second), "sched", "tick", "")
 	}
@@ -245,7 +244,7 @@ func TestFlightRecorder(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := m.WriteTrace(&buf); err != nil {
+	if err := fr.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -258,9 +257,9 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
-	// One process_name metadata record for the lane, then the ring.
+	// One process_name metadata record for the world, then the ring.
 	if len(doc.TraceEvents) != 5 || doc.TraceEvents[0].Ph != "M" {
-		t.Fatalf("trace has %d events, want the lane's metadata + 4", len(doc.TraceEvents))
+		t.Fatalf("trace has %d events, want the world's metadata + 4", len(doc.TraceEvents))
 	}
 	if doc.TraceEvents[1].Ts != 2e6 {
 		t.Fatalf("first ts = %v µs, want 2e6", doc.TraceEvents[1].Ts)

@@ -2,22 +2,23 @@
 // observer in this package is fed from. A world installs exactly one
 // hook at each seam a datagram crosses — stack, ARP hold queue, KISS
 // serial line, MAC, the air, and the queue-drop points — and each hook
-// hands the seam's bytes to the Lane of the shard it runs on. The lane
-// digs the AX.25 frame and the IP datagram out once, appends one typed
-// crossing to its buffer, and passes the decoded event to subscribers.
-// The span tracer and the ping fate ledger are views over the merged
-// crossings; pcap captures are subscribers.
+// hands the seam's bytes to a Lane bound to the clock of the event
+// loop it runs in. The lane digs the AX.25 frame and the IP datagram
+// out once, appends one typed crossing to the recorder's one buffer,
+// and passes the decoded event to subscribers. The span tracer and the
+// ping fate ledger are views over the buffered crossings; pcap
+// captures are subscribers.
 //
-// Determinism: each shard records into its own lane, and reads merge
-// the lanes stable-sorted by (virtual time, lane). The sharded engine
-// runs a whole window of one shard before the next shard starts, so a
-// single buffer would hold crossings in shard order; the merge puts
-// them back in virtual-time order. Same-instant crossings of one
-// journey always land in one lane — a causal chain within a shard runs
-// in program order, and a cross-shard hop advances virtual time by at
-// least the seam's lookahead — so a journey's crossing order, and
-// everything derived from it (the span stream, the fate table), is
-// identical on the single-loop and sharded engines.
+// Determinism: crossings are buffered in the order their events fire,
+// each stamped with its own scheduler's clock. On the single loop that
+// is virtual-time order. The sharded engine runs a whole window of one
+// shard before the next shard starts, so the buffer interleaves shards
+// window by window — but every journey's own crossings still arrive in
+// causal order: within a shard in program order, and across shards
+// because a hop lands in a later window. Journeys are rebuilt per
+// TraceID, so a journey's crossing order, and everything derived from
+// it (the span stream, the fate table), is identical on the
+// single-loop and sharded engines.
 
 package obs
 
@@ -162,12 +163,12 @@ type crossing struct {
 	c  Cross
 }
 
-// Recorder owns the per-shard lanes. Create with NewRecorder, hand
-// each shard a Lane, wire the lane's hooks into that shard's seams,
-// and read through the Tracer and PingLedger views between runs.
+// Recorder owns the world's crossing buffer. Create with NewRecorder,
+// wire a Lane's hooks into each event loop's seams, and read through
+// the Tracer and PingLedger views between runs.
 type Recorder struct {
 	hostAddrs map[string]map[ip.Addr]bool
-	lanes     lanes[Lane]
+	buf       []crossing
 	subs      []func(t sim.Time, ev SeamEvent)
 
 	// keep turns crossing buffering on: set once a Tracer or PingLedger
@@ -175,7 +176,7 @@ type Recorder struct {
 	keep bool
 }
 
-// NewRecorder builds a recorder with no lanes.
+// NewRecorder builds an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{hostAddrs: make(map[string]map[ip.Addr]bool)}
 }
@@ -194,20 +195,20 @@ func (r *Recorder) SetHostAddrs(host string, addrs ...ip.Addr) {
 }
 
 // Subscribe adds fn to every stack and KISS seam event, called as the
-// crossing is recorded, with the recording shard's clock. Subscribe
+// crossing is recorded, with the recording lane's clock. Subscribe
 // before the run.
 func (r *Recorder) Subscribe(fn func(t sim.Time, ev SeamEvent)) {
 	r.subs = append(r.subs, fn)
 }
 
-// Lane creates (or returns) the named lane. now must read the owning
-// shard's scheduler clock.
-func (r *Recorder) Lane(name string, now func() sim.Time) *Lane {
-	return r.lanes.get(name, func() *Lane { return &Lane{rec: r, now: now} })
+// Lane returns a new hook set recording into r. now must read the
+// clock of the scheduler the hooks will run on.
+func (r *Recorder) Lane(now func() sim.Time) *Lane {
+	return &Lane{rec: r, now: now}
 }
 
-// journeys merges the lanes and reconstructs every journey, ordered by
-// TraceID, each one's crossings in causal order on both engines.
+// journeys reconstructs every journey, ordered by TraceID, each one's
+// crossings in causal order on both engines.
 //
 // A TraceID can be reused: an echo context closes when its reply lands
 // and the stack hands the ICMP id to the next Ping, so the same
@@ -217,14 +218,10 @@ func (r *Recorder) Lane(name string, now func() sim.Time) *Lane {
 // current instance of its ID (the first loss wins) and is dropped when
 // there is none.
 func (r *Recorder) journeys() []Trace {
-	perLane := make([][]crossing, len(r.lanes.all))
-	for i, ln := range r.lanes.all {
-		perLane[i] = ln.buf
-	}
 	byID := make(map[TraceID][]*Trace)
 	var order []TraceID
-	for _, lc := range mergeLanes(perLane, func(c crossing) sim.Time { return c.c.T }) {
-		id, c := lc.ev.id, lc.ev.c
+	for _, x := range r.buf {
+		id, c := x.id, x.c
 		insts := byID[id]
 		if c.Point&^ptReply == ptLoss {
 			if n := len(insts); n > 0 && insts[n-1].Loss == "" {
@@ -256,12 +253,11 @@ func (r *Recorder) journeys() []Trace {
 	return out
 }
 
-// Lane is one shard's crossing buffer. Hooks derived from a lane run
-// inside that shard's event loop only.
+// Lane is a set of seam hooks bound to one event loop's clock. Hooks
+// derived from a lane run inside that loop only.
 type Lane struct {
 	rec *Recorder
 	now func() sim.Time
-	buf []crossing
 
 	// A transmission reaches every receiver on the channel in one loop
 	// as the same read-only slice; the last on-air decode is kept,
@@ -283,7 +279,7 @@ func (ln *Lane) add(pkt *ip.Packet, base uint8, who, arg string) {
 	if !ok {
 		return
 	}
-	ln.buf = append(ln.buf, crossing{id: id, c: Cross{T: ln.now(), Point: point(base, reply), Who: who, Arg: arg}})
+	ln.rec.buf = append(ln.rec.buf, crossing{id: id, c: Cross{T: ln.now(), Point: point(base, reply), Who: who, Arg: arg}})
 }
 
 // publish hands a decoded event to the subscribers.
@@ -350,22 +346,28 @@ func (ln *Lane) ARPTap(host string) func(event string, pkt *ip.Packet) {
 }
 
 // KISSTap returns a core.PacketRadioIf.Tap-shaped hook for one radio
-// port: "tx" as the driver frames a datagram onto the KISS line, "rx"
-// as it pulls one off. rec is the KISS record — the command byte, then
-// the bare AX.25 frame for data records (command 0).
-func (ln *Lane) KISSTap(host, ifName string) func(dir string, rec []byte) {
+// port with callsign call: "tx" as the driver frames a datagram onto
+// the KISS line, "rx" as it pulls one off. rec is the KISS record —
+// the command byte, then the bare AX.25 frame for data records
+// (command 0). As at the air seam, only a frame whose link destination
+// is call moves a journey on "rx": a promiscuous TNC hands its host
+// every frame it overhears, and those copies don't cross the
+// journey's path. Subscribers still see every record.
+func (ln *Lane) KISSTap(host, ifName string, call ax25.Addr) func(dir string, rec []byte) {
 	return func(dir string, rec []byte) {
 		var pkt *ip.Packet
+		addressed := false
 		if len(rec) >= 2 && rec[0] == 0 {
 			if f, err := ax25.Decode(rec[1:]); err == nil {
 				pkt, _ = ip.Unmarshal(f.Info)
+				addressed = f.LinkDst() == call
 			}
 		}
 		if pkt != nil {
-			switch dir {
-			case "tx":
+			switch {
+			case dir == "tx":
 				ln.add(pkt, PtKISSTx, host, "")
-			case "rx":
+			case dir == "rx" && addressed:
 				ln.add(pkt, PtKISSRx, host, "")
 			}
 		}
@@ -421,45 +423,4 @@ func (ln *Lane) DropTap(host string) func(reason string, frame []byte) {
 		_, pkt := decode(frame)
 		ln.add(pkt, ptLoss, host, reason)
 	}
-}
-
-// lanes holds one L per shard, in creation order — the order merges
-// break same-instant ties by.
-type lanes[L any] struct {
-	names []string
-	all   []*L
-}
-
-// get returns the named lane, creating it with mk on first use.
-func (ls *lanes[L]) get(name string, mk func() *L) *L {
-	for i, n := range ls.names {
-		if n == name {
-			return ls.all[i]
-		}
-	}
-	l := mk()
-	ls.names = append(ls.names, name)
-	ls.all = append(ls.all, l)
-	return l
-}
-
-// laned tags an event with the index of the lane that recorded it.
-type laned[E any] struct {
-	lane int
-	ev   E
-}
-
-// mergeLanes interleaves per-lane event streams into one ordered by
-// virtual time, ties broken by lane index and then by each lane's own
-// order: the stable sort keeps the lane-major input order among equal
-// times. Call only with no run in flight.
-func mergeLanes[E any](perLane [][]E, at func(E) sim.Time) []laned[E] {
-	var out []laned[E]
-	for i, evs := range perLane {
-		for _, e := range evs {
-			out = append(out, laned[E]{lane: i, ev: e})
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return at(out[a].ev) < at(out[b].ev) })
-	return out
 }

@@ -30,7 +30,7 @@ func TestLedgerIsJourneyProjection(t *testing.T) {
 	rec := NewRecorder()
 	led := rec.PingLedger()
 	var now sim.Time
-	ln := rec.Lane("world", func() sim.Time { return now })
+	ln := rec.Lane(func() sim.Time { return now })
 	step := func(pkt *ip.Packet, pt uint8, arg string) {
 		now += sim.Time(time.Second)
 		ln.add(pkt, pt, "h", arg)
@@ -116,8 +116,8 @@ func TestKISSRecordDecodedBare(t *testing.T) {
 	tr := rec.Tracer()
 	var captured []SeamEvent
 	rec.Subscribe(func(_ sim.Time, ev SeamEvent) { captured = append(captured, ev) })
-	ln := rec.Lane("world", func() sim.Time { return 0 })
-	ln.KISSTap("pc1", "pr0")("tx", append([]byte{0}, enc...))
+	ln := rec.Lane(func() sim.Time { return 0 })
+	ln.KISSTap("pc1", "pr0", ax25.MustAddr("PC1"))("tx", append([]byte{0}, enc...))
 
 	traces := tr.Traces()
 	if len(traces) != 1 || len(traces[0].Crossings) != 1 || traces[0].Crossings[0].Point != PtKISSTx {
@@ -145,7 +145,7 @@ func TestAirDecodeServesEveryReceiver(t *testing.T) {
 	}
 	rec := NewRecorder()
 	tr := rec.Tracer()
-	ln := rec.Lane("world", func() sim.Time { return 0 })
+	ln := rec.Lane(func() sim.Time { return 0 })
 	req := frame("GW", echo(false, 1))
 	for _, rx := range []string{"PC2", "GW", "PC3"} {
 		ln.Air(rx, req, "ok")

@@ -197,14 +197,10 @@ func (r *Recorder) Tracer() *Tracer {
 // recorder — called between a warm-up window and the measured window
 // so the breakdown reflects steady state. Journeys straddling the
 // reset lose their early crossings.
-func (t *Tracer) Reset() {
-	for _, ln := range t.rec.lanes.all {
-		ln.buf = ln.buf[:0]
-	}
-}
+func (t *Tracer) Reset() { t.rec.buf = t.rec.buf[:0] }
 
-// Traces merges the lanes and reconstructs every journey, ordered by
-// TraceID, each one's crossings in causal order on both engines.
+// Traces reconstructs every journey, ordered by TraceID, each one's
+// crossings in causal order on both engines.
 func (t *Tracer) Traces() []Trace { return t.rec.journeys() }
 
 // Spans returns the global span stream: every trace's spans, traces in

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,51 +95,61 @@ func TestTraceTelescoping(t *testing.T) {
 	}
 }
 
-// TestTracerMergeAndReuse drives the lane machinery directly: two
-// lanes merged by (time, lane), and a reused TraceID splitting into
-// one trace instance per origination.
+// TestTracerMergeAndReuse feeds one crossing buffer from two lanes
+// with their own clocks, as the sharded engine does: each shard runs a
+// whole window before the next one starts, so the buffer holds
+// crossings out of virtual-time order across lanes, yet every journey
+// comes out in causal order. A reused TraceID splits into one trace
+// instance per origination.
 func TestTracerMergeAndReuse(t *testing.T) {
 	rec := NewRecorder()
 	trc := rec.Tracer()
 	var nowA, nowB sim.Time
-	la := rec.Lane("a", func() sim.Time { return nowA })
-	lb := rec.Lane("b", func() sim.Time { return nowB })
-	if rec.Lane("a", func() sim.Time { return nowA }) != la {
-		t.Fatal("Lane is not idempotent per name")
+	la := rec.Lane(func() sim.Time { return nowA })
+	lb := rec.Lane(func() sim.Time { return nowB })
+	a := func(at time.Duration, pkt *ip.Packet, pt uint8) { nowA = ts(at); la.add(pkt, pt, "h1", "") }
+	b := func(at time.Duration, pkt *ip.Packet, pt uint8) { nowB = ts(at); lb.add(pkt, pt, "h2", "") }
+	// TCP segments with IP ids 7 and 9 from h1 to h2, and id 8 back.
+	seg := func(src, dst string, id uint16) *ip.Packet {
+		pkt := echoPacket(src, dst, ip.ProtoTCP, []byte{0, 1, 0, 2})
+		pkt.ID = id
+		return pkt
 	}
+	s7, s8, s9 := seg("10.0.0.1", "10.0.0.2", 7), seg("10.0.0.2", "10.0.0.1", 8), seg("10.0.0.1", "10.0.0.2", 9)
 
-	// A TCP segment from 10.0.0.1 to 10.0.0.2, IP id 7.
-	pkt := echoPacket("10.0.0.1", "10.0.0.2", ip.ProtoTCP, []byte{0, 1, 0, 2})
-	pkt.ID = 7
-	// Journey 1: origin on lane a at t=0, arrival on lane b at t=2s.
-	la.add(pkt, PtOrigin, "h1", "")
-	nowB = ts(2 * time.Second)
-	lb.add(pkt, PtArrive, "h2", "")
-	// Journey 2 reuses the ID: origin at t=3s, arrival at t=5s.
-	nowA = ts(3 * time.Second)
-	la.add(pkt, PtOrigin, "h1", "")
-	nowB = ts(5 * time.Second)
-	lb.add(pkt, PtArrive, "h2", "")
+	// One window: lane a runs to 1.5s before lane b starts at 1s.
+	a(0, s7, PtOrigin)
+	a(1500*time.Millisecond, s9, PtOrigin)
+	b(time.Second, s8, PtOrigin)
+	// The next window: every hop lands 2s after it left.
+	a(3*time.Second, s8, PtArrive)
+	b(2*time.Second, s7, PtArrive)
+	b(3500*time.Millisecond, s9, PtArrive)
+	// Journey 7 again, reusing the ID: origin at 4s, arrival at 6s.
+	a(4*time.Second, s7, PtOrigin)
+	b(6*time.Second, s7, PtArrive)
 
 	traces := trc.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want the reused ID split into 2", len(traces))
-	}
+	var ids []uint16
 	for i, tr := range traces {
+		ids = append(ids, tr.ID.ID)
 		if !tr.Complete() || len(tr.Crossings) != 2 {
-			t.Fatalf("instance %d malformed: %+v", i, tr)
+			t.Fatalf("trace %d malformed: %+v", i, tr)
 		}
 		if tr.Elapsed() != 2*time.Second {
-			t.Fatalf("instance %d elapsed %v, want 2s", i, tr.Elapsed())
+			t.Fatalf("trace %d (id %d) elapsed %v, want 2s", i, tr.ID.ID, tr.Elapsed())
 		}
 	}
-	if traces[0].Crossings[0].T != ts(0) || traces[1].Crossings[0].T != ts(3*time.Second) {
+	if !reflect.DeepEqual(ids, []uint16{7, 7, 9, 8}) {
+		t.Fatalf("trace ids %v, want the reused id 7 split in two, then 9 and 8 in TraceID order", ids)
+	}
+	if traces[0].Crossings[0].T != ts(0) || traces[1].Crossings[0].T != ts(4*time.Second) {
 		t.Fatal("instances out of chronological order")
 	}
 
 	bd := trc.Breakdown()
-	if bd.Traces != 2 || bd.Incomplete != 0 {
-		t.Fatalf("breakdown counted %d complete / %d incomplete, want 2/0", bd.Traces, bd.Incomplete)
+	if bd.Traces != 4 || bd.Incomplete != 0 {
+		t.Fatalf("breakdown counted %d complete / %d incomplete, want 4/0", bd.Traces, bd.Incomplete)
 	}
 	if bd.Share(StageBackbone) != 1.0 {
 		t.Fatalf("backbone share %v, want 1.0 (the only stage)", bd.Share(StageBackbone))

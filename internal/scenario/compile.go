@@ -99,7 +99,7 @@ func Compile(sc *Scenario, seed int64) (*Runner, error) {
 // identity and registers the scenario.* roll-ups, so -metrics and
 // -netstat output from a scenario run is self-describing. The values
 // add the live pair-flow counters to the large world's live probe
-// totals (Large.Totals), so a mid-run sample is current.
+// counts, so a mid-run sample is current.
 func (r *Runner) tagRegistry() {
 	reg := r.W.Registry()
 	reg.SetLabel("scenario", r.Scenario.Name)
@@ -107,16 +107,14 @@ func (r *Runner) tagRegistry() {
 	sent := func() uint64 {
 		n := r.pairSent
 		if r.Large != nil {
-			s, _ := r.Large.Totals()
-			n += s
+			n += r.Large.Sent
 		}
 		return n
 	}
 	replies := func() uint64 {
 		n := r.pairReplies
 		if r.Large != nil {
-			_, rp := r.Large.Totals()
-			n += rp
+			n += r.Large.Replies
 		}
 		return n
 	}

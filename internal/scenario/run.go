@@ -25,8 +25,8 @@ type RunStats struct {
 	Delivery      float64 // Replies/Sent (0 when nothing was sent)
 
 	// RTTs holds every reply's round-trip time in deterministic order:
-	// the large world's baseline probes first, by virtual time, then
-	// the pair flows and seattle baseline probes in arrival order.
+	// the large world's baseline probes first, then the pair flows and
+	// seattle baseline probes, each in arrival order.
 	RTTs []time.Duration
 
 	// ControlShare is MAC control airtime over total airtime, summed
@@ -72,8 +72,7 @@ func (r *Runner) Run() RunStats {
 	return r.Stats()
 }
 
-// Stats assembles the RunStats for the run so far. Valid only after a
-// W.Run window (the large world merges its probe totals at run end).
+// Stats assembles the RunStats for the run so far.
 func (r *Runner) Stats() RunStats {
 	st := RunStats{Seed: r.Seed}
 	if lw := r.Large; lw != nil {

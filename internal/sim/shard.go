@@ -15,8 +15,10 @@
 // and every busy shard runs its events strictly before H, one shard
 // after another in shard order on the calling goroutine. Cross-shard
 // deliveries travel as timestamped messages into the destination
-// shard's inbox and are injected at the next window boundary in a
-// deterministic order — (time, source shard, source sequence) — so a
+// shard's inbox and are injected at the next window boundary. Shards
+// run in shard order and each sends in program order, so an inbox
+// fills in (source shard, send order); the scheduler breaks equal-time
+// ties by insertion, so same-instant arrivals fire in that order and a
 // run is a pure function of the seed exactly as on the single-loop
 // engine.
 //
@@ -30,7 +32,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -38,12 +39,10 @@ import (
 const timeInf = Time(1<<63 - 1)
 
 // xmsg is one cross-shard delivery: fn runs at virtual time at in the
-// destination shard. src/seq make same-instant merges deterministic.
+// destination shard.
 type xmsg struct {
-	at  Time
-	src int
-	seq uint64
-	fn  func()
+	at Time
+	fn func()
 }
 
 // Shard is one partition: a Scheduler plus the seam bookkeeping the
@@ -60,24 +59,10 @@ type Shard struct {
 	// another shard before t + lookahead. Sends below the bound panic.
 	lookahead time.Duration
 
-	// sent numbers this shard's outgoing messages.
-	sent uint64
-
 	// inbox holds the messages sent to this shard since the last
-	// window boundary.
+	// window boundary, in arrival order.
 	inbox []xmsg
-
-	// delivered counts cross-shard messages injected into this shard —
-	// a per-shard observability counter (deterministic).
-	delivered uint64
 }
-
-// Lookahead reports the shard's declared outbound seam bound.
-func (sh *Shard) Lookahead() time.Duration { return sh.lookahead }
-
-// Delivered reports how many cross-shard messages this shard has
-// received (deterministic for a given seed).
-func (sh *Shard) Delivered() uint64 { return sh.delivered }
 
 // Group coordinates a set of shards. Create one with NewGroup, add
 // shards with NewShard, attach components to each shard's Scheduler,
@@ -93,12 +78,6 @@ type Group struct {
 	// Deterministic run statistics.
 	windows   uint64
 	crossings uint64
-	multiBusy uint64 // windows with two or more busy shards
-	span2     uint64 // see TwoWorkerSpan
-
-	// busy is runWindow's scratch list of shards with work below the
-	// bound, reused across windows (a long run executes millions).
-	busy []*Shard
 }
 
 // NewGroup creates an empty shard group. seed plays the role the
@@ -158,9 +137,6 @@ func (g *Group) NewShard(name string, lookahead time.Duration) *Shard {
 // Shards lists the group's shards in creation order.
 func (g *Group) Shards() []*Shard { return g.shards }
 
-// ShardOf maps a scheduler back to its shard (nil if foreign).
-func (g *Group) ShardOf(s *Scheduler) *Shard { return g.byShed[s] }
-
 // Now reports the group's virtual time: the point every shard has been
 // advanced to by the last RunUntil/RunFor.
 func (g *Group) Now() Time { return g.now }
@@ -173,18 +149,6 @@ func (g *Group) Windows() uint64 { return g.windows }
 // (deterministic for a given seed).
 func (g *Group) Crossings() uint64 { return g.crossings }
 
-// MultiBusyWindows reports how many windows had two or more busy
-// shards — the only windows a second worker can shorten
-// (deterministic).
-func (g *Group) MultiBusyWindows() uint64 { return g.multiBusy }
-
-// TwoWorkerSpan sums, over every window, the events the busier of two
-// workers must fire in it at best: the larger of the busiest shard's
-// events and half the window's events, rounded up. Fired events over
-// it is the speedup two workers could reach if every event cost the
-// same and coordination were free (deterministic).
-func (g *Group) TwoWorkerSpan() uint64 { return g.span2 }
-
 // Fired sums events executed across all shards.
 func (g *Group) Fired() uint64 {
 	var n uint64
@@ -195,11 +159,10 @@ func (g *Group) Fired() uint64 {
 }
 
 // Send schedules fn to run at virtual time at in the shard owning dst.
-// src identifies the sending shard's scheduler; the pair (src shard,
-// per-shard sequence) orders same-instant arrivals deterministically.
-// Send enforces the conservative contract: at must lie at least the
-// sending shard's declared lookahead beyond its clock. Same-shard
-// sends degenerate to a plain At.
+// src identifies the sending shard's scheduler. Send enforces the
+// conservative contract: at must lie at least the sending shard's
+// declared lookahead beyond its clock. Same-shard sends degenerate to
+// a plain At.
 func (g *Group) Send(src, dst *Scheduler, at Time, fn func()) {
 	if src == dst {
 		src.At(at, fn)
@@ -214,35 +177,24 @@ func (g *Group) Send(src, dst *Scheduler, at Time, fn func()) {
 		panic(fmt.Sprintf("sim: shard %q sent a message %v ahead, below its declared lookahead %v",
 			from.Name, d, from.lookahead))
 	}
-	from.sent++
-	to.inbox = append(to.inbox, xmsg{at: at, src: from.ID, seq: from.sent, fn: fn})
+	to.inbox = append(to.inbox, xmsg{at: at, fn: fn})
 }
 
-// drain injects every queued inbox message into the shard's scheduler,
-// in (time, source shard, source sequence) order. Called only between
-// windows.
+// drain injects every queued inbox message into the shard's scheduler
+// in arrival order: the scheduler orders them by time, and same-instant
+// ones by that order. Called only between windows.
 func (sh *Shard) drain() {
 	msgs := sh.inbox
 	if len(msgs) == 0 {
 		return
 	}
 	sh.inbox = nil
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].at != msgs[j].at {
-			return msgs[i].at < msgs[j].at
-		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
-		}
-		return msgs[i].seq < msgs[j].seq
-	})
 	for _, m := range msgs {
 		if m.at < sh.Sched.now {
 			panic(fmt.Sprintf("sim: shard %q received a message for %v with its clock at %v — lookahead violated",
 				sh.Name, m.at, sh.Sched.now))
 		}
 		sh.Sched.At(m.at, m.fn)
-		sh.delivered++
 	}
 	sh.group.crossings += uint64(len(msgs))
 }
@@ -301,24 +253,10 @@ func (g *Group) RunUntil(target Time) {
 // RunFor advances the group d beyond its current time.
 func (g *Group) RunFor(d time.Duration) { g.RunUntil(g.now.Add(d)) }
 
-// runWindow runs every busy shard up to (exclusive) bound h, in shard
-// order, then adds the window to the two-worker bound.
+// runWindow runs every shard up to (exclusive) bound h, in shard
+// order; a shard with nothing below the bound runs nothing.
 func (g *Group) runWindow(h Time) {
-	busy := g.busy[:0]
 	for _, sh := range g.shards {
-		if q := sh.Sched.queue; len(q) > 0 && q[0].when < h {
-			busy = append(busy, sh)
-		}
+		sh.Sched.RunBefore(h)
 	}
-	g.busy = busy
-	var sum, most uint64
-	for _, sh := range busy {
-		ran := sh.Sched.RunBefore(h)
-		sum += ran
-		most = max(most, ran)
-	}
-	if len(busy) > 1 {
-		g.multiBusy++
-	}
-	g.span2 += max(most, (sum+1)/2)
 }

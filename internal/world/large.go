@@ -12,7 +12,6 @@ package world
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"packetradio/internal/ether"
@@ -98,7 +97,7 @@ type LargeConfig struct {
 	// shard, DESIGN.md §3g), which runs its windows on the calling
 	// goroutine; the value selects the engine and nothing else. The
 	// sharded engine now serves only the regional-1000 benchmarks in
-	// bench/, E18 and the shard-equivalence tests, and goes once those
+	// bench/ and the shard-equivalence tests, and goes once those
 	// benchmarks move to the single loop (ROADMAP item 1).
 	Workers int
 
@@ -137,24 +136,17 @@ type Large struct {
 	Channels []*radio.Channel
 	Stations []*Host
 
-	// Replies counts ping replies received per station when
-	// PingInterval traffic is running; Sent counts requests. RTTs
-	// collects every reply's round-trip time, so experiments can report
-	// latency distributions (E16's median) without re-instrumenting the
-	// traffic loop. The probers accumulate into per-channel slots and
-	// these fields are rebuilt after every W.Run, merged in
-	// deterministic (virtual-time, channel) order; Totals reads the
-	// counts live, mid-run. Both engines use the same slot layout and
-	// the same merge, so for a given seed the series is bit-identical —
-	// order included — on both engines.
+	// Sent counts the probes the PingInterval traffic (or Probe) has
+	// sent, Replies the replies received, and RTTs every reply's
+	// round-trip time in the order the replies landed, so experiments
+	// can report latency distributions (E16's median) without
+	// re-instrumenting the traffic loop. The probers count into them as
+	// they go, so they are live at any instant; on the sharded engine,
+	// read them between runs, when every shard stands at the same time.
+	// Both engines send and answer the same probes, so the counts and
+	// the RTT multiset agree across engines.
 	Sent, Replies uint64
 	RTTs          []time.Duration
-
-	// slots holds per-channel probe accumulators: index 1+c for channel
-	// c (index 0, the Ethernet backbone, originates no probes). On the
-	// sharded engine each slot is touched only by its own shard's
-	// events.
-	slots []probeSlot
 
 	// probers holds one probe func per station, built by ArmProbers:
 	// calling probers[i] fires one probe from station i on the
@@ -162,70 +154,10 @@ type Large struct {
 	probers []func()
 }
 
-// probeSlot is one shard's probe accounting. Only events running in
-// that shard touch it.
-type probeSlot struct {
-	sent, replies uint64
-	rtts          []rttSample
-}
-
-type rttSample struct {
-	at  sim.Time
-	rtt time.Duration
-}
-
-// slot returns station i's accumulator.
-func (lw *Large) slot(i int) *probeSlot {
-	return &lw.slots[1+i%lw.Cfg.Channels]
-}
-
-// mergeProbes rebuilds the public Sent/Replies/RTTs fields from the
-// slots: a deterministic merge — samples ordered by (virtual time,
-// channel), ties within a channel keeping arrival order. Both engines
-// run the identical merge over identically-filled slots, which is what
-// makes the series equal across engines even when two channels' replies
-// land at the same virtual instant (the engines execute those events in
-// different global orders, but the merge key does not care).
-func (lw *Large) mergeProbes() {
-	lw.Sent, lw.Replies = lw.Totals()
-	total := 0
-	for i := range lw.slots {
-		total += len(lw.slots[i].rtts)
-	}
-	type tagged struct {
-		at   sim.Time
-		slot int
-		rtt  time.Duration
-	}
-	all := make([]tagged, 0, total)
-	for i := range lw.slots {
-		for _, s := range lw.slots[i].rtts {
-			all = append(all, tagged{at: s.at, slot: i, rtt: s.rtt})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		return all[i].slot < all[j].slot
-	})
-	lw.RTTs = lw.RTTs[:0]
-	for _, s := range all {
-		lw.RTTs = append(lw.RTTs, s.rtt)
-	}
-}
-
-// Totals reports the probes sent and the replies received so far,
-// summed over the per-channel slots the probers update as they go: it
-// is live at any instant, where Sent and Replies refresh only at each
-// W.Run end. On the sharded engine, read it between runs: mid-window
-// the shards stand at different virtual times.
-func (lw *Large) Totals() (sent, replies uint64) {
-	for i := range lw.slots {
-		sent += lw.slots[i].sent
-		replies += lw.slots[i].replies
-	}
-	return sent, replies
+// reply accounts one probe's reply.
+func (lw *Large) reply(rtt time.Duration) {
+	lw.Replies++
+	lw.RTTs = append(lw.RTTs, rtt)
 }
 
 // LargeInternetIP is the Ethernet host of the generated world.
@@ -255,7 +187,7 @@ func (cfg LargeConfig) LargeStationIP(i int) ip.Addr {
 // build consumes it — every transceiver's CSMA/noise RNG and every
 // serial line's corruption seed come out identical, which is why the
 // two engines deliver the same traffic (the shard equivalence tests
-// and the event gate hold them to it).
+// hold them to it).
 func NewLarge(cfg LargeConfig) *Large {
 	cfg = cfg.withDefaults()
 	var w *World
@@ -335,8 +267,6 @@ func NewLarge(cfg LargeConfig) *Large {
 	}
 	enter(0)
 
-	lw.slots = make([]probeSlot, 1+cfg.Channels)
-	w.OnRunEnd(lw.mergeProbes)
 	if cfg.PingInterval > 0 {
 		lw.startTraffic()
 	}
@@ -406,15 +336,14 @@ func (lw *Large) Probe(i int) {
 // probe, so it is created on the station's own shard.
 func (lw *Large) armPingProbers() {
 	for i, st := range lw.Stations {
-		p := &icmpProber{slot: lw.slot(i), sched: st.Sched(), st: st}
+		p := &icmpProber{lw: lw, st: st}
 		lw.probers[i] = p.send
 	}
 }
 
 // icmpProber keeps one station's persistent echo context.
 type icmpProber struct {
-	slot   *probeSlot
-	sched  *sim.Scheduler // the station's shard
+	lw     *Large
 	st     *Host
 	opened bool
 	id     uint16
@@ -422,12 +351,11 @@ type icmpProber struct {
 }
 
 func (p *icmpProber) send() {
-	p.slot.sent++
+	p.lw.Sent++
 	if !p.opened {
 		p.opened = true
 		p.id, _ = p.st.Stack.PingOpen(LargeInternetIP, 32, func(_ uint16, rtt time.Duration, _ ip.Addr) {
-			p.slot.replies++
-			p.slot.rtts = append(p.slot.rtts, rttSample{at: p.sched.Now(), rtt: rtt})
+			p.lw.reply(rtt)
 		})
 		return
 	}
@@ -469,7 +397,7 @@ func (lw *Large) armTCPProbers() {
 		socket.Pump(s, func(p []byte) { w.Write(append([]byte(nil), p...)) }, nil)
 	})
 	for i, st := range lw.Stations {
-		p := &tcpProber{slot: lw.slot(i), sched: st.Sched(), sl: st.Sockets()}
+		p := &tcpProber{lw: lw, sched: st.Sched(), sl: st.Sockets()}
 		lw.probers[i] = p.send
 	}
 }
@@ -504,7 +432,7 @@ func (lw *Large) armRDMProbers() {
 		drain()
 	})
 	for i, st := range lw.Stations {
-		p := &rdmProber{slot: lw.slot(i), sched: st.Sched(), sl: st.Sockets()}
+		p := &rdmProber{lw: lw, sched: st.Sched(), sl: st.Sockets()}
 		lw.probers[i] = p.send
 	}
 }
@@ -513,7 +441,7 @@ func (lw *Large) armRDMProbers() {
 // probes queue FIFO; a dead stream forfeits them (they stay counted as
 // sent) and redials before the next probe.
 type tcpProber struct {
-	slot  *probeSlot
+	lw    *Large
 	sched *sim.Scheduler // the station's shard
 	sl    *socket.Layer
 	sock  *socket.Socket
@@ -536,9 +464,7 @@ func (p *tcpProber) recv(b []byte) {
 	p.got += len(b)
 	for p.got >= probeBytes && len(p.sent) > 0 {
 		p.got -= probeBytes
-		now := p.sched.Now()
-		p.slot.replies++
-		p.slot.rtts = append(p.slot.rtts, rttSample{at: now, rtt: now.Sub(p.sent[0])})
+		p.lw.reply(p.sched.Now().Sub(p.sent[0]))
 		p.sent = p.sent[1:]
 	}
 }
@@ -547,7 +473,7 @@ func (p *tcpProber) send() {
 	if p.sock == nil || p.dead {
 		p.redial()
 	}
-	p.slot.sent++
+	p.lw.Sent++
 	p.sent = append(p.sent, p.sched.Now())
 	p.wr.Write(make([]byte, probeBytes))
 }
@@ -556,7 +482,7 @@ func (p *tcpProber) send() {
 // matches echoes back to send times by the seq stamped into the
 // payload's first two bytes.
 type rdmProber struct {
-	slot  *probeSlot
+	lw    *Large
 	sched *sim.Scheduler // the station's shard
 	sl    *socket.Layer
 	sock  *socket.Socket
@@ -592,9 +518,7 @@ func (p *rdmProber) drain() {
 			continue
 		}
 		delete(p.sent, seq)
-		now := p.sched.Now()
-		p.slot.replies++
-		p.slot.rtts = append(p.slot.rtts, rttSample{at: now, rtt: now.Sub(at)})
+		p.lw.reply(p.sched.Now().Sub(at))
 	}
 }
 
@@ -602,7 +526,7 @@ func (p *rdmProber) send() {
 	if p.sock == nil || p.sock.Err() != nil || p.sock.Closed() {
 		p.redial()
 	}
-	p.slot.sent++
+	p.lw.Sent++
 	p.seq++
 	buf := make([]byte, probeBytes)
 	buf[0], buf[1] = byte(p.seq>>8), byte(p.seq)

@@ -46,17 +46,6 @@ func (w *World) Registry() *obs.Registry {
 			r.RegisterDuration("dama."+cn+".control_airtime", &ch.Stats.ControlAirtime)
 		}
 	}
-	if w.group != nil {
-		g := w.group
-		r.RegisterFunc("sim.windows", func() float64 { return float64(g.Windows()) })
-		r.RegisterFunc("sim.crossings", func() float64 { return float64(g.Crossings()) })
-		for _, sh := range g.Shards() {
-			sh := sh
-			sn := "sim.shard_" + metricName(sh.Name)
-			r.RegisterFunc(sn+".events", func() float64 { return float64(sh.Sched.Fired()) })
-			r.RegisterFunc(sn+".delivered", func() float64 { return float64(sh.Delivered()) })
-		}
-	}
 	for hname, h := range w.hosts {
 		hn := "host." + metricName(hname)
 		r.RegisterStruct(hn+".ip", &h.Stack.Stats)
@@ -133,48 +122,26 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 	}
 }
 
-// laneName names the observation lane a scheduler's hooks record
-// into: its shard on the sharded engine, "world" on the single loop.
-// The flight recorder and the seam recorder share the naming, so both
-// split a run the same way.
-func (w *World) laneName(s *sim.Scheduler) string {
-	if w.group != nil {
-		if sh := w.group.ShardOf(s); sh != nil {
-			return sh.Name
-		}
-	}
-	return "world"
-}
-
-// EnableFlightRecorder starts a bounded ring of scheduler events and
-// MAC protocol transitions (capacity <= 0 takes the per-lane default).
-// It installs the scheduler's EventHook and every existing DAMA
-// controller's Trace, so enable it after the topology is built. On the
-// single-loop engine the recorder has one lane ("world"); on the
-// sharded engine one lane per shard, each written only by its shard's
-// events — WriteTrace merges them ordered by virtual time, so a
-// sharded run's trace reads like a sequential one's. The hooks add no
-// events and no allocations, but gated runs (the CI event counter)
-// should leave them off all the same.
-func (w *World) EnableFlightRecorder(capacity int) *obs.MultiRecorder {
-	m := obs.NewMultiRecorder()
-	lane := func(s *sim.Scheduler) *obs.FlightRecorder { return m.Lane(w.laneName(s), capacity) }
-	if w.group == nil {
-		w.Sched.EventHook = lane(w.Sched).SchedHook()
-	} else {
-		for _, sh := range w.group.Shards() {
-			sh.Sched.EventHook = lane(sh.Sched).SchedHook()
-		}
+// EnableFlightRecorder starts one bounded ring of scheduler events and
+// MAC protocol transitions for the whole world (capacity <= 0 takes
+// the default). It installs every scheduler's EventHook and every
+// existing DAMA controller's Trace, so enable it after the topology is
+// built. Each hook stamps its entries with the clock of the scheduler
+// it runs on. The hooks add no events and no allocations, but gated
+// runs (the CI event counter) should leave them off all the same.
+func (w *World) EnableFlightRecorder(capacity int) *obs.FlightRecorder {
+	fr := obs.NewFlightRecorder(capacity)
+	for _, s := range w.schedulers() {
+		s.EventHook = fr.SchedHook()
 	}
 	for ch, ctl := range w.dama {
 		cn := metricName(w.ChannelName(ch))
 		sched := ch.Scheduler()
-		fr := lane(sched) // the channel's shard lane on the sharded engine
 		ctl.Trace = func(event, who string) {
 			fr.Record(sched.Now(), "dama", cn+" "+event, who)
 		}
 	}
-	return m
+	return fr
 }
 
 // ChannelName reverse-maps a channel to the name it was created under
@@ -194,26 +161,25 @@ func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 // seams returns the world's seam recorder, installing it on first use:
 // exactly one hook at every packet seam of every host and channel
 // built so far — stack, ARP hold queue, KISS line, MAC, the air, and
-// the driver and TNC queue drops. Each hook records into the lane of
-// the shard it runs on, and reads merge the lanes by virtual time, so
-// every view of the recorder is bit-identical on both engines. The
-// recorder owns those hook slots; hosts and channels added later are
-// not observed.
+// the driver and TNC queue drops. Each hook stamps its crossings with
+// the clock of the scheduler it runs on, and journeys are rebuilt per
+// packet, so every view of the recorder is bit-identical on both
+// engines. The recorder owns those hook slots; hosts and channels
+// added later are not observed.
 func (w *World) seams() *obs.Recorder {
 	if w.rec != nil {
 		return w.rec
 	}
 	r := obs.NewRecorder()
 	w.rec = r
-	lane := func(s *sim.Scheduler) *obs.Lane { return r.Lane(w.laneName(s), s.Now) }
 	for _, ch := range w.channels {
-		ln := lane(ch.Scheduler())
+		ln := r.Lane(ch.Scheduler().Now)
 		ch.Tap = func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
 			ln.Air(receiver.Name, payload, outcome.String())
 		}
 	}
 	for name, h := range w.hosts {
-		ln := lane(h.Sched())
+		ln := r.Lane(h.Sched().Now)
 		h.Stack.Tap = ln.StackTap(name)
 		for _, ifName := range h.Stack.IfNames() {
 			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
@@ -222,7 +188,7 @@ func (w *World) seams() *obs.Recorder {
 		}
 		drop := ln.DropTap(name)
 		for ifName, p := range h.radios {
-			p.Driver.Tap = ln.KISSTap(name, ifName)
+			p.Driver.Tap = ln.KISSTap(name, ifName, p.Driver.MyCall)
 			p.Driver.Resolver().Trace = ln.ARPTap(name)
 			p.Driver.OnDrop, p.TNC.OnDrop = drop, drop
 			rf := p.RF

@@ -2,6 +2,7 @@ package world
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,6 +71,79 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 	}
 	if !bytes.Equal(got.pcap, ref.pcap) {
 		t.Fatalf("sharded engine: capture differs from the single loop (%d vs %d bytes)", len(got.pcap), len(ref.pcap))
+	}
+}
+
+// TestFlightRecorderTrace pins the world's one flight ring as a Chrome
+// trace: on a DAMA world with the tracer as its span source, WriteTrace
+// emits one "world" process holding scheduler and DAMA entries, then
+// the packet journeys, where every trace of two or more spans is one
+// row of complete events joined by one flow arc: exactly one start and
+// one finish.
+func TestFlightRecorderTrace(t *testing.T) {
+	lw := NewLarge(LargeConfig{
+		Seed: 1, Stations: 6, Channels: 1, PingInterval: time.Minute, MAC: MACDAMA,
+	})
+	tr := lw.W.AttachTracer()
+	fr := lw.W.EnableFlightRecorder(0)
+	fr.SetSpanSource(tr.Spans)
+	lw.W.Run(3 * time.Minute)
+	var buf bytes.Buffer
+	if err := fr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat  string            `json:"cat"`
+			Ph   string            `json:"ph"`
+			PID  int               `json:"pid"`
+			TID  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace JSON invalid: %v", err)
+	}
+	procs := map[int]string{}
+	cats := map[string]int{}
+	rowOf := map[string]int{}          // trace name -> its row
+	phases := map[int]map[string]int{} // row -> span event phases
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "M":
+			procs[e.PID] = e.Args["name"]
+		case e.Cat == "span":
+			if phases[e.TID] == nil {
+				phases[e.TID] = map[string]int{}
+			}
+			phases[e.TID][e.Ph]++
+			if e.Ph == "X" {
+				rowOf[e.Args["trace"]] = e.TID
+			}
+		case e.PID == 1:
+			cats[e.Cat]++
+		}
+	}
+	if want := map[int]string{1: "world", 2: "packet journeys"}; !reflect.DeepEqual(procs, want) {
+		t.Fatalf("processes %v, want %v", procs, want)
+	}
+	if cats["sched"] == 0 || cats["dama"] == 0 {
+		t.Fatalf("world process entries by category %v, want sched and dama", cats)
+	}
+	multi := 0
+	for _, trc := range tr.Traces() {
+		n := len(trc.Spans())
+		if n < 2 {
+			continue
+		}
+		multi++
+		ph := phases[rowOf[trc.ID.String()]]
+		if ph["X"] != n || ph["s"] != 1 || ph["f"] != 1 {
+			t.Fatalf("trace %v: %d spans, trace row phases %v; want %d X, one s and one f", trc.ID, n, ph, n)
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no journey had two or more spans")
 	}
 }
 

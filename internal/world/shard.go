@@ -17,7 +17,6 @@ package world
 
 import (
 	"fmt"
-	"time"
 
 	"packetradio/internal/dama"
 	"packetradio/internal/ether"
@@ -39,11 +38,18 @@ func (w *World) EventsFired() uint64 {
 	return w.Sched.Fired()
 }
 
-// OnRunEnd registers fn to run after every World.Run window completes.
-// Sharded worlds register their per-shard accumulator merges here;
-// hooks run with no window in flight, so they may touch any shard's
-// state.
-func (w *World) OnRunEnd(fn func()) { w.onRunEnd = append(w.onRunEnd, fn) }
+// schedulers lists every scheduler the world runs: one per shard on
+// the sharded engine, else Sched alone.
+func (w *World) schedulers() []*sim.Scheduler {
+	if w.group == nil {
+		return []*sim.Scheduler{w.Sched}
+	}
+	var out []*sim.Scheduler
+	for _, sh := range w.group.Shards() {
+		out = append(out, sh.Sched)
+	}
+	return out
+}
 
 // newSharded builds the World shell for the sharded engine: a
 // sim.Group with one backbone shard (which will own the Ethernet
@@ -76,13 +82,10 @@ func newSharded(seed int64, channels int) (*World, []*sim.Shard) {
 	return w, shards
 }
 
-// ShardStats is one shard's deterministic run counters, for E18 and
-// the metrics registry.
+// ShardStats is one shard's deterministic run counters.
 type ShardStats struct {
-	Name      string
-	Events    uint64
-	Delivered uint64 // cross-shard messages received
-	Lookahead time.Duration
+	Name   string
+	Events uint64
 }
 
 // ShardStats reports per-shard counters (nil on the single-loop
@@ -93,12 +96,7 @@ func (w *World) ShardStats() []ShardStats {
 	}
 	out := make([]ShardStats, 0, len(w.group.Shards()))
 	for _, sh := range w.group.Shards() {
-		out = append(out, ShardStats{
-			Name:      sh.Name,
-			Events:    sh.Sched.Fired(),
-			Delivered: sh.Delivered(),
-			Lookahead: sh.Lookahead(),
-		})
+		out = append(out, ShardStats{Name: sh.Name, Events: sh.Sched.Fired()})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -29,9 +30,10 @@ func largeRun(t *testing.T, workers, stations, channels int) *Large {
 
 // TestShardedMatchesSequential is the engine-equivalence regression:
 // the same seed on the single-loop and sharded engines must produce the
-// same traffic — equal probes sent, equal replies, and the identical
-// multiset of RTTs. The construction-order derive trick (NewLarge doc)
-// is what makes this exact rather than statistical.
+// same traffic — equal probes sent, equal replies, equal events fired,
+// and the identical multiset of RTTs. The construction-order derive
+// trick (NewLarge doc) is what makes this exact rather than
+// statistical.
 func TestShardedMatchesSequential(t *testing.T) {
 	seq := largeRun(t, 0, 60, 6)
 	shd := largeRun(t, 1, 60, 6)
@@ -39,6 +41,10 @@ func TestShardedMatchesSequential(t *testing.T) {
 	if seq.Sent != shd.Sent || seq.Replies != shd.Replies {
 		t.Fatalf("engines disagree: sequential sent=%d replies=%d, sharded sent=%d replies=%d",
 			seq.Sent, seq.Replies, shd.Sent, shd.Replies)
+	}
+	if seq.W.EventsFired() != shd.W.EventsFired() {
+		t.Fatalf("engines fired different event counts: sequential %d, sharded %d",
+			seq.W.EventsFired(), shd.W.EventsFired())
 	}
 	if seq.Replies == 0 {
 		t.Fatal("no replies delivered — the scenario is not exercising the network")
@@ -66,9 +72,45 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnScaleCells runs six scale worlds on both engines —
+// the 200-station world across widening channel counts, the
+// 500-station world on 50 channels and the 1000-station world on 40 —
+// with seed 1, a 30 s warm-up, then 3 timed minutes. The engines must
+// deliver the same replies and fire the same events in the timed
+// window: both route Ethernet frames by MAC, so a partition moves
+// events between schedulers but never adds or drops one.
+func TestEnginesAgreeOnScaleCells(t *testing.T) {
+	cells := []struct{ stations, channels int }{
+		{200, 8}, {200, 25}, {200, 50}, {200, 100}, {500, 50}, {1000, 40},
+	}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("n%d_c%d", c.stations, c.channels), func(t *testing.T) {
+			run := func(workers int) (replies, events uint64) {
+				lw := NewLarge(LargeConfig{
+					Seed: 1, Stations: c.stations, Channels: c.channels,
+					PingInterval: time.Minute, Workers: workers,
+				})
+				lw.W.Run(30 * time.Second)
+				before := lw.W.EventsFired()
+				lw.W.Run(3 * time.Minute)
+				return lw.Replies, lw.W.EventsFired() - before
+			}
+			seqReplies, seqEvents := run(0)
+			shdReplies, shdEvents := run(1)
+			if seqReplies == 0 {
+				t.Fatal("no replies delivered")
+			}
+			if shdReplies != seqReplies || shdEvents != seqEvents {
+				t.Fatalf("engines disagree: sequential %d replies, %d timed events; sharded %d replies, %d timed events",
+					seqReplies, seqEvents, shdReplies, shdEvents)
+			}
+		})
+	}
+}
+
 // TestShardedWorkerInvariance pins that LargeConfig.Workers only
 // selects the engine: a sharded world built at 1 and at 4 workers is
-// bit-identical — same counts AND the same merge order, so the
+// bit-identical — same counts AND the same arrival order, so the
 // unsorted RTT sequence matches element for element, as do the event
 // totals and the per-shard counters. bench/ builds its sharded worlds
 // at 2, the tests at 1.
@@ -103,8 +145,9 @@ func TestShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestShardedLedgerMatchesSequential pins the ping fate ledger's
-// engine independence: the per-shard lanes merge into the same fate
-// table — and the same rendered report — on both engines.
+// engine independence: one crossing buffer fed by every shard yields
+// the same fate table — and the same rendered report — on both
+// engines.
 func TestShardedLedgerMatchesSequential(t *testing.T) {
 	run := func(workers int) *obs.PingLedger {
 		lw := NewLarge(LargeConfig{
@@ -200,7 +243,7 @@ func TestRetuneMidTransmissionAcrossEngines(t *testing.T) {
 
 // TestShardedRerunDeterminism pins that a sharded run is a pure
 // function of the seed: build twice, compare exactly — the same counts
-// and the same merge order, so the unsorted RTT sequence matches
+// and the same arrival order, so the unsorted RTT sequence matches
 // element for element, as do the event totals and per-shard counters.
 func TestShardedRerunDeterminism(t *testing.T) {
 	a := largeRun(t, 1, 50, 5)

@@ -96,9 +96,9 @@ func TestTraceBreakdownAccountsRTT(t *testing.T) {
 	}
 }
 
-// TestTraceSpansEngineInvariance pins the tentpole's determinism
-// claim: the merged span stream — order, stages, endpoints, arguments
-// — is identical on the single-loop engine and on the sharded engine.
+// TestTraceSpansEngineInvariance pins the tracer's determinism claim:
+// the span stream — order, stages, endpoints, arguments — is
+// identical on the single-loop engine and on the sharded engine.
 func TestTraceSpansEngineInvariance(t *testing.T) {
 	tr0, _ := tracedRun(t, 0)
 	ref := tr0.Spans()
@@ -150,5 +150,50 @@ func TestTracerMatchesSSIDStations(t *testing.T) {
 	if !reflect.DeepEqual(ssid, plain) {
 		t.Fatalf("SSID world's spans differ from the plain world's:\n-- plain --\n%s\n-- ssid --\n%s",
 			strings.Join(plain, "\n"), strings.Join(ssid, "\n"))
+	}
+}
+
+// TestBystandersStayOutOfJourneys: Seattle's PCs run promiscuous TNCs,
+// so every PC's driver pulls every frame on the channel off its serial
+// line. Only the addressee's copy crosses a journey's path, so each
+// radio hop of pc1's pings gets exactly one rx-serial span, and no span
+// names a bystander PC.
+func TestBystandersStayOutOfJourneys(t *testing.T) {
+	s := NewSeattle(SeattleConfig{Seed: 1, NumPCs: 4})
+	tr := s.W.AttachTracer()
+	for i := 0; i < 3; i++ {
+		s.W.Sched.After(time.Duration(i)*time.Minute, func() {
+			s.PCs[0].Stack.Ping(InternetIP, 32, func(uint16, time.Duration, ip.Addr) {})
+		})
+	}
+	s.W.Run(4 * time.Minute)
+	bystanders := map[string]bool{}
+	for i, pc := range s.PCs[1:] {
+		bystanders[pc.Name] = true
+		bystanders[PCCall(i+1)] = true
+	}
+	complete := 0
+	for _, trc := range tr.Traces() {
+		if trc.Complete() {
+			complete++
+		}
+		hops, rx := 0, 0
+		for _, sp := range trc.Spans() {
+			if bystanders[sp.Who] {
+				t.Fatalf("trace %v: %s span names bystander %s", trc.ID, sp.Stage, sp.Who)
+			}
+			switch sp.Stage {
+			case obs.StageAirtime:
+				hops++
+			case obs.StageRxSerial:
+				rx++
+			}
+		}
+		if rx != hops {
+			t.Fatalf("trace %v: %d rx-serial spans over %d radio hops, want one per hop", trc.ID, rx, hops)
+		}
+	}
+	if complete == 0 {
+		t.Fatal("no ping completed its round trip")
 	}
 }

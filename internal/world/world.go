@@ -48,8 +48,7 @@ type World struct {
 
 	// group is the sharded engine, nil on the single-loop engine (see
 	// shard.go).
-	group    *sim.Group
-	onRunEnd []func()
+	group *sim.Group
 
 	reg    *obs.Registry // lazily built by Registry(); see obs.go
 	rec    *obs.Recorder // the seam recorder, installed by seams(); see obs.go
@@ -404,16 +403,12 @@ func (w *World) Digipeater(ch *radio.Channel, call string) *tnc.Digipeater {
 }
 
 // Run advances the world d of simulated time — the whole shard group
-// on the sharded engine — then fires any registered run-end hooks
-// (sharded worlds merge per-shard accumulators there).
+// on the sharded engine.
 func (w *World) Run(d time.Duration) {
 	if w.group != nil {
 		w.group.RunFor(d)
 	} else {
 		w.Sched.RunFor(d)
-	}
-	for _, fn := range w.onRunEnd {
-		fn()
 	}
 }
 

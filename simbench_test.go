@@ -141,8 +141,9 @@ var simCoreReport = sync.OnceValues(buildSimCoreReport)
 // BENCH_simcore.json is written from, whatever the committed file
 // says: the hot scheduler loop does not allocate, DAMA lifts the CSMA
 // knee with a collision-free channel, a lossless RDM transfer resends
-// nothing, both engines agree in every E18 cell, and the tracer leaves
-// the event schedule alone. The event savings of the burst datapath
+// nothing, and the tracer leaves the event schedule alone. (The two
+// engines' agreement is checked in internal/world's shard-equivalence
+// suite.) The event savings of the burst datapath
 // and carrier-edge CSMA over the seed's per-byte and per-slot chains
 // are asserted against those chains' test oracles in internal/serial
 // and internal/radio.
@@ -213,33 +214,6 @@ func buildSimCoreReport() (report map[string]any, faults []string) {
 		}
 	}
 
-	// E18: the sharded engine against the single-loop reference. Only
-	// the deterministic half is recorded (wall speedups are prbench's):
-	// identical replies and identical event counts on both engines for
-	// every cell — both route Ethernet frames by MAC, so a partition
-	// moves events between schedulers but never adds or removes one,
-	// and the engines must agree run for run, not just match a
-	// committed number — and the two-worker bound.
-	par := map[string]any{}
-	for _, cell := range experiments.E18Cells() {
-		pt := experiments.ParallelRun(cell[0], cell[1])
-		if pt.ShardReplies != pt.SeqReplies || pt.ShardEventsPerSimS != pt.SeqEventsPerSimS {
-			fault("N=%d c=%d: engines disagree — sequential %d replies at %.1f events/sim-s, sharded %d at %.1f",
-				cell[0], cell[1], pt.SeqReplies, pt.SeqEventsPerSimS, pt.ShardReplies, pt.ShardEventsPerSimS)
-		}
-		par[fmt.Sprintf("n%d_c%d", cell[0], cell[1])] = map[string]float64{
-			"events_per_sim_s":     pt.ShardEventsPerSimS,
-			"events_per_sim_s_seq": pt.SeqEventsPerSimS,
-			"event_reduction":      pt.EventReduction,
-			"replies":              float64(pt.ShardReplies),
-			"delivery_ratio":       pt.Delivery,
-			"crossings":            float64(pt.Crossings),
-			"windows":              float64(pt.Windows),
-			"multi_busy_windows":   float64(pt.MultiBusyWindows),
-			"bound_2w":             pt.Bound2W,
-		}
-	}
-
 	// Tracing overhead at the widest E14 point: attaching the packet
 	// tracer must not add, remove or reorder a single event — a tracer
 	// hook that schedules anything of its own fails here.
@@ -261,7 +235,6 @@ func buildSimCoreReport() (report map[string]any, faults []string) {
 		"e14_scaling":  scaling,
 		"e16_mac":      mac,
 		"e17_transfer": xfer,
-		"e18_parallel": par,
 	}
 	return report, faults
 }
