@@ -245,7 +245,7 @@ func BenchmarkSchedulerEventLoop(b *testing.B) {
 // BenchmarkSeattlePing measures simulator throughput end to end: one
 // full ping through the complete Figure-1 chain per iteration.
 func BenchmarkSeattlePing(b *testing.B) {
-	_, ping := warmSeattle() // ARP warm outside the loop
+	_, ping := warmSeattle(false) // ARP warm outside the loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -124,8 +124,10 @@ func closeFile(name string, f io.Closer, err error) error {
 func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
 	var finishers []func() error
 	var tr *obs.Tracer
+	var journeys func() []obs.Trace // every journey, in TraceID order
 	if o.spans {
 		tr = w.AttachTracer()
+		journeys = tr.Collect()
 	}
 	var flt *obs.Filter
 	if o.filter != "" {
@@ -156,7 +158,7 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
 	if o.trace != "" {
 		fr := w.EnableFlightRecorder(0)
 		if tr != nil {
-			fr.SetSpanSource(tr.Spans) // spans join the trace as flow events
+			fr.SetJourneySource(journeys) // spans join the trace as flow events
 		}
 		finishers = append(finishers, func() error {
 			if err := o.writeFile(o.trace, fr.WriteTrace); err != nil {
@@ -186,13 +188,15 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
 			fmt.Printf("# packet journeys: %d traced, %d incomplete\n", bd.Traces, bd.Incomplete)
 			bd.WriteText(os.Stdout)
 			fmt.Println("# span stream:")
-			for _, s := range tr.Spans() {
-				arg := ""
-				if s.Arg != "" {
-					arg = " [" + s.Arg + "]"
+			for _, j := range journeys() {
+				for _, s := range j.Spans() {
+					arg := ""
+					if s.Arg != "" {
+						arg = " [" + s.Arg + "]"
+					}
+					fmt.Printf("%12.6f %12.6f %-10s %-8s%s | %s\n",
+						s.Start.Seconds(), s.End.Seconds(), s.Stage, s.Who, arg, s.ID)
 				}
-				fmt.Printf("%12.6f %12.6f %-10s %-8s%s | %s\n",
-					s.Start.Seconds(), s.End.Seconds(), s.Stage, s.Who, arg, s.ID)
 			}
 			return nil
 		})

@@ -166,8 +166,11 @@ type Resolver struct {
 	Deliver func(pkt *ip.Packet, dstHW []byte)
 	// Trace, when non-nil, observes the hold queue for the packet
 	// tracer: "hold" as a datagram parks awaiting resolution, "flush"
-	// as resolution arrives and it re-enters the transmit path. pkt is
-	// valid only for the call.
+	// as resolution arrives and it re-enters the transmit path, and
+	// one event per held datagram dropped (each counted in HeldDrops):
+	// "overflow" when a newer hold evicts it, "unresolved" when the
+	// requests go unanswered and the hold is given up. pkt is valid
+	// only for the call.
 	Trace func(event string, pkt *ip.Packet)
 
 	Stats ResolverStats
@@ -244,8 +247,8 @@ func (r *Resolver) Enqueue(pkt *ip.Packet, nextHop ip.Addr) {
 	}
 	if len(pe.held) >= max {
 		drop := len(pe.held) - max + 1
+		r.dropHeld("overflow", pe.held[:drop])
 		pe.held = pe.held[drop:]
-		r.Stats.HeldDrops += uint64(drop)
 	}
 	pkt = pkt.Clone()
 	pe.held = append(pe.held, pkt)
@@ -268,12 +271,23 @@ func (r *Resolver) sendRequest(target ip.Addr, pe *pendingEntry) {
 			return
 		}
 		if pe.tries >= r.MaxRequests {
-			r.Stats.HeldDrops += uint64(len(pe.held))
 			delete(r.pending, target)
+			r.dropHeld("unresolved", pe.held)
 			return
 		}
 		r.sendRequest(target, pe)
 	})
+}
+
+// dropHeld counts held datagrams dropped for the reason event names,
+// and reports each to Trace.
+func (r *Resolver) dropHeld(event string, held []*ip.Packet) {
+	r.Stats.HeldDrops += uint64(len(held))
+	if r.Trace != nil {
+		for _, pkt := range held {
+			r.Trace(event, pkt)
+		}
+	}
 }
 
 // Input processes a received ARP packet, learning the sender mapping

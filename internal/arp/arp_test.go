@@ -2,6 +2,8 @@ package arp
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,5 +304,33 @@ func TestPacketString(t *testing.T) {
 	p := &Packet{Op: OpRequest, SPA: ip.MustAddr("1.1.1.1"), TPA: ip.MustAddr("2.2.2.2")}
 	if p.String() != "arp request who-has 2.2.2.2 tell 1.1.1.1" {
 		t.Fatalf("String() = %q", p.String())
+	}
+}
+
+// TestHeldDropsAreTraced: each datagram the hold queue drops reaches
+// Trace, named by why it died — evicted by a newer hold ("overflow"),
+// or given up with its unanswered requests ("unresolved") — so every
+// HeldDrops count has a traced datagram behind it.
+func TestHeldDropsAreTraced(t *testing.T) {
+	h := newResolverHarness(t)
+	h.lossy = true
+	h.a.MaxHold = 2
+	var events []string
+	h.a.Trace = func(event string, pkt *ip.Packet) {
+		events = append(events, fmt.Sprintf("%s %d", event, pkt.ID))
+	}
+	for id := uint16(1); id <= 4; id++ {
+		h.a.Enqueue(testPkt(id), ip.MustAddr("10.0.0.9"))
+	}
+	h.sched.RunFor(time.Minute)
+	want := []string{
+		"hold 1", "hold 2", "overflow 1", "hold 3", "overflow 2", "hold 4",
+		"unresolved 3", "unresolved 4",
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("traced %v, want %v", events, want)
+	}
+	if h.a.Stats.HeldDrops != 4 {
+		t.Fatalf("HeldDrops = %d, want 4", h.a.Stats.HeldDrops)
 	}
 }

@@ -29,9 +29,9 @@ type FlightRecorder struct {
 	full    bool
 	dropped uint64
 
-	// spanSource, when set (SetSpanSource), contributes the packet
-	// tracer's span stream to WriteTrace.
-	spanSource func() []Span
+	// journeys, when set (SetJourneySource), contributes the packet
+	// tracer's journeys to WriteTrace.
+	journeys func() []Trace
 }
 
 // DefaultFlightCap is the default ring capacity: enough for several
@@ -119,11 +119,12 @@ type traceEvent struct {
 	Args  map[string]string `json:"args,omitempty"`
 }
 
-// SetSpanSource attaches a span stream (Tracer.Spans) to the recorder:
-// WriteTrace renders each trace's spans as complete events in a
-// "packet journeys" process, one row per trace, connected by flow
-// events so a journey reads as one arc across the timeline.
-func (fr *FlightRecorder) SetSpanSource(fn func() []Span) { fr.spanSource = fn }
+// SetJourneySource attaches a journey source (Tracer.Collect's reader)
+// to the recorder: WriteTrace renders each journey's spans as complete
+// events in a "packet journeys" process, one row per journey, connected
+// by flow events so a journey reads as one arc across the timeline.
+// Journeys that reuse a TraceID get a row each.
+func (fr *FlightRecorder) SetJourneySource(fn func() []Trace) { fr.journeys = fn }
 
 // WriteTrace dumps the ring as one Chrome trace_event JSON timeline
 // (open it at chrome://tracing or ui.perfetto.dev): one "world"
@@ -157,54 +158,49 @@ func (fr *FlightRecorder) WriteTrace(w io.Writer) error {
 		}
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
-	if fr.spanSource != nil {
+	if fr.journeys != nil {
 		const spanPID = 2
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "process_name", Phase: "M", PID: spanPID,
 			Args: map[string]string{"name": "packet journeys"},
 		})
-		spans := fr.spanSource()
-		tids := map[TraceID]int{}
-		counts := map[TraceID]int{}
-		for _, s := range spans {
-			counts[s.ID]++
-		}
-		seen := map[TraceID]int{}
-		for _, s := range spans {
-			tid, ok := tids[s.ID]
-			if !ok {
-				tid = len(tids) + 1
-				tids[s.ID] = tid
+		tid := 0
+		for _, tr := range fr.journeys() {
+			spans := tr.Spans()
+			if len(spans) == 0 {
+				continue
 			}
+			tid++
 			id := fmt.Sprintf("trace-%d", tid)
-			args := map[string]string{"trace": s.ID.String(), "who": s.Who}
-			if s.Arg != "" {
-				args["arg"] = s.Arg
+			for i, s := range spans {
+				args := map[string]string{"trace": s.ID.String(), "who": s.Who}
+				if s.Arg != "" {
+					args["arg"] = s.Arg
+				}
+				out.TraceEvents = append(out.TraceEvents, traceEvent{
+					Name: s.Stage, Cat: "span", Phase: "X",
+					TS:  float64(s.Start.Duration().Microseconds()),
+					Dur: float64(s.Duration().Microseconds()),
+					PID: spanPID, TID: tid, Args: args,
+				})
+				// The flow arc: start at the first span, step through
+				// the middle ones, finish (binding to the enclosing
+				// slice) at the last.
+				fe := traceEvent{
+					Name: "journey", Cat: "span", Phase: "t",
+					TS:  float64(s.Start.Duration().Microseconds()),
+					PID: spanPID, TID: tid, ID: id,
+				}
+				switch i {
+				case 0:
+					fe.Phase = "s"
+				case len(spans) - 1:
+					fe.Phase = "f"
+					fe.BP = "e"
+					fe.TS = float64(s.End.Duration().Microseconds())
+				}
+				out.TraceEvents = append(out.TraceEvents, fe)
 			}
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: s.Stage, Cat: "span", Phase: "X",
-				TS:  float64(s.Start.Duration().Microseconds()),
-				Dur: float64(s.Duration().Microseconds()),
-				PID: spanPID, TID: tid, Args: args,
-			})
-			// The flow arc: start at the first span, step through the
-			// middle ones, finish (binding to the enclosing slice) at
-			// the last.
-			seen[s.ID]++
-			fe := traceEvent{
-				Name: "journey", Cat: "span", Phase: "t",
-				TS:  float64(s.Start.Duration().Microseconds()),
-				PID: spanPID, TID: tid, ID: id,
-			}
-			switch seen[s.ID] {
-			case 1:
-				fe.Phase = "s"
-			case counts[s.ID]:
-				fe.Phase = "f"
-				fe.BP = "e"
-				fe.TS = float64(s.End.Duration().Microseconds())
-			}
-			out.TraceEvents = append(out.TraceEvents, fe)
 		}
 	}
 	buf, err := json.Marshal(out)

@@ -4,27 +4,30 @@
 // serial line, MAC, the air, and the queue-drop points — and each hook
 // hands the seam's bytes to a Lane bound to the clock of the event
 // loop it runs in. The lane digs the AX.25 frame and the IP datagram
-// out once, appends one typed crossing to the recorder's one buffer,
-// and passes the decoded event to subscribers. The span tracer and the
-// ping fate ledger are views over the buffered crossings; pcap
-// captures are subscribers.
+// out once, into storage it owns, adds one typed crossing to the
+// datagram's journey, and passes the decoded event to subscribers.
+// The recorder keeps only the journeys in flight. A journey closes at
+// its final arrival, at its first pinned loss, or when its TraceID
+// originates again; it then folds into the ping fate ledger's counts
+// and the span tracer's breakdown, goes to the tracer's collection if
+// one was asked for, and is dropped. pcap captures are subscribers.
 //
-// Determinism: crossings are buffered in the order their events fire,
-// each stamped with its own scheduler's clock. On the single loop that
-// is virtual-time order. The sharded engine runs a whole window of one
-// shard before the next shard starts, so the buffer interleaves shards
+// Determinism: crossings arrive in the order their events fire, each
+// stamped with its own scheduler's clock. On the single loop that is
+// virtual-time order. The sharded engine runs a whole window of one
+// shard before the next shard starts, so crossings interleave shards
 // window by window — but every journey's own crossings still arrive in
 // causal order: within a shard in program order, and across shards
-// because a hop lands in a later window. Journeys are rebuilt per
-// TraceID, so a journey's crossing order, and everything derived from
-// it (the span stream, the fate table), is identical on the
-// single-loop and sharded engines.
+// because a hop lands in a later window. Journeys are kept per
+// TraceID, so a journey's crossings, and everything derived from them
+// (the span stream, the fate table, the breakdown), are identical on
+// the single-loop and sharded engines.
 
 package obs
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"packetradio/internal/ax25"
 	"packetradio/internal/dama"
@@ -137,6 +140,16 @@ func point(base uint8, reply bool) uint8 {
 	return base
 }
 
+// final reports whether a crossing at point p ends journey id: the
+// reply's arrival back at the pinging station for an ICMP echo, the
+// datagram's arrival at its destination stack for anything else.
+func final(id TraceID, p uint8) bool {
+	if id.Proto == ip.ProtoICMP {
+		return p == PtArrive|ptReply
+	}
+	return p == PtArrive
+}
+
 // Seam names the boundary a SeamEvent was observed at.
 type Seam uint8
 
@@ -154,44 +167,29 @@ type SeamEvent struct {
 	If   string     // the interface
 	Dir  string     // see the Seam constants
 	Raw  []byte     // the KISS record (nil at the stack); do not retain
-	Pkt  *ip.Packet // the datagram, nil if none; do not modify
+	Pkt  *ip.Packet // the datagram, nil if none; do not modify or retain
 }
 
-// crossing is one buffered crossing (or loss) of a journey.
-type crossing struct {
-	id TraceID
-	c  Cross
-}
-
-// Recorder owns the world's crossing buffer. Create with NewRecorder,
-// wire a Lane's hooks into each event loop's seams, and read through
-// the Tracer and PingLedger views between runs.
+// Recorder keeps the world's journeys in flight. Create with
+// NewRecorder, wire a Lane's hooks into each event loop's seams, and
+// read through the Tracer and PingLedger views between runs.
 type Recorder struct {
-	hostAddrs map[string]map[ip.Addr]bool
-	buf       []crossing
-	subs      []func(t sim.Time, ev SeamEvent)
+	subs []func(t sim.Time, ev SeamEvent)
 
-	// keep turns crossing buffering on: set once a Tracer or PingLedger
-	// view exists. A recorder feeding only subscribers buffers nothing.
-	keep bool
+	// open holds the journeys in flight by TraceID, spare the storage
+	// of closed ones for the next journeys to reuse. Nothing is kept
+	// until a Tracer or PingLedger view exists: a recorder feeding only
+	// subscribers records no crossing.
+	open  map[TraceID]*Trace
+	spare []*Trace
+
+	ledger *PingLedger
+	tracer *Tracer
 }
 
 // NewRecorder builds an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{hostAddrs: make(map[string]map[ip.Addr]bool)}
-}
-
-// SetHostAddrs registers the addresses a host owns, so the stack hook
-// can tell origination and final arrival apart from transit.
-func (r *Recorder) SetHostAddrs(host string, addrs ...ip.Addr) {
-	m := r.hostAddrs[host]
-	if m == nil {
-		m = make(map[ip.Addr]bool)
-		r.hostAddrs[host] = m
-	}
-	for _, a := range addrs {
-		m[a] = true
-	}
+	return &Recorder{open: make(map[TraceID]*Trace)}
 }
 
 // Subscribe adds fn to every stack and KISS seam event, called as the
@@ -204,53 +202,85 @@ func (r *Recorder) Subscribe(fn func(t sim.Time, ev SeamEvent)) {
 // Lane returns a new hook set recording into r. now must read the
 // clock of the scheduler the hooks will run on.
 func (r *Recorder) Lane(now func() sim.Time) *Lane {
-	return &Lane{rec: r, now: now}
+	ln := &Lane{rec: r, now: now}
+	ln.frame.Digi = ln.digi[:0]
+	return ln
 }
 
-// journeys reconstructs every journey, ordered by TraceID, each one's
-// crossings in causal order on both engines.
+// cross adds one crossing, or pins one loss, to journey id, and closes
+// the journey when that ends it.
 //
 // A TraceID can be reused: an echo context closes when its reply lands
 // and the stack hands the ICMP id to the next Ping, so the same
 // (proto, pair, id, seq) names several journeys over a long run. Every
-// non-reply origination therefore starts a fresh instance; instances
-// of one ID stay in chronological order. A loss pins its reason on the
-// current instance of its ID (the first loss wins) and is dropped when
-// there is none.
-func (r *Recorder) journeys() []Trace {
-	byID := make(map[TraceID][]*Trace)
-	var order []TraceID
-	for _, x := range r.buf {
-		id, c := x.id, x.c
-		insts := byID[id]
-		if c.Point&^ptReply == ptLoss {
-			if n := len(insts); n > 0 && insts[n-1].Loss == "" {
-				side := "req: "
-				if c.Point&ptReply != 0 {
-					side = "rep: "
-				}
-				insts[n-1].Loss = side + c.Arg
+// non-reply origination therefore closes the open journey of its ID
+// and opens a fresh one. A loss pins its reason on the open journey of
+// its ID and closes it (so the first loss wins), and is dropped when
+// none is open. Any other crossing of an ID with no open journey opens
+// one that never left a station: it was sent before the recording
+// started, or it outlived its journey's close.
+func (r *Recorder) cross(id TraceID, c Cross) {
+	tr := r.open[id]
+	if c.Point&^ptReply == ptLoss {
+		if tr != nil {
+			side := "req: "
+			if c.Point&ptReply != 0 {
+				side = "rep: "
 			}
-			continue
+			tr.Loss = side + c.Arg
+			r.close(tr)
 		}
-		if len(insts) == 0 {
-			order = append(order, id)
-		}
-		if len(insts) == 0 || c.Point == PtOrigin {
-			insts = append(insts, &Trace{ID: id})
-			byID[id] = insts
-		}
-		tr := insts[len(insts)-1]
-		tr.Crossings = append(tr.Crossings, c)
+		return
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
-	var out []Trace
-	for _, id := range order {
-		for _, tr := range byID[id] {
-			out = append(out, *tr)
-		}
+	if tr != nil && c.Point == PtOrigin {
+		r.close(tr)
+		tr = nil
 	}
-	return out
+	if tr == nil {
+		if n := len(r.spare); n > 0 {
+			tr, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			tr = &Trace{}
+		}
+		tr.ID = id
+		r.open[id] = tr
+	}
+	tr.Crossings = append(tr.Crossings, c)
+	if final(id, c.Point) {
+		r.close(tr)
+	}
+}
+
+// close folds a finished journey into the views and keeps its storage
+// for reuse.
+func (r *Recorder) close(tr *Trace) {
+	delete(r.open, tr.ID)
+	if r.ledger != nil {
+		r.ledger.fold(tr)
+	}
+	if r.tracer != nil {
+		r.tracer.fold(tr)
+	}
+	r.release(tr)
+}
+
+func (r *Recorder) release(tr *Trace) {
+	tr.Crossings, tr.Loss = tr.Crossings[:0], ""
+	r.spare = append(r.spare, tr)
+}
+
+// reset drops the journeys in flight and every view's aggregates.
+func (r *Recorder) reset() {
+	for _, tr := range r.open {
+		r.release(tr)
+	}
+	clear(r.open)
+	if r.ledger != nil {
+		r.ledger.reset()
+	}
+	if r.tracer != nil {
+		r.tracer.reset()
+	}
 }
 
 // Lane is a set of seam hooks bound to one event loop's clock. Hooks
@@ -259,27 +289,32 @@ type Lane struct {
 	rec *Recorder
 	now func() sim.Time
 
+	// The lane decodes into storage it owns: frame, with its
+	// digipeater path in digi, and pkt hold the last decode until the
+	// next one.
+	frame ax25.Frame
+	digi  [ax25.MaxDigis]ax25.Digi
+	pkt   ip.Packet
+
 	// A transmission reaches every receiver on the channel in one loop
-	// as the same read-only slice; the last on-air decode is kept,
-	// keyed by that slice, so it serves them all. airDst is its link
-	// destination as AX.25 prints it, SSID included.
-	airB   []byte
+	// as the same read-only slice. While the storage above holds its
+	// decode, air is that slice, so one decode serves every receiver.
+	air    []byte
 	airF   *ax25.Frame
 	airPkt *ip.Packet
-	airDst string
 }
 
-// add buffers one crossing of the datagram at the lane's current
+// add records one crossing of the datagram at the lane's current
 // virtual time; datagrams outside any journey are ignored.
 func (ln *Lane) add(pkt *ip.Packet, base uint8, who, arg string) {
-	if !ln.rec.keep {
+	if ln.rec.ledger == nil && ln.rec.tracer == nil {
 		return
 	}
 	id, reply, ok := traceFrom(pkt)
 	if !ok {
 		return
 	}
-	ln.rec.buf = append(ln.rec.buf, crossing{id: id, c: Cross{T: ln.now(), Point: point(base, reply), Who: who, Arg: arg}})
+	ln.rec.cross(id, Cross{T: ln.now(), Point: point(base, reply), Who: who, Arg: arg})
 }
 
 // publish hands a decoded event to the subscribers.
@@ -293,47 +328,63 @@ func (ln *Lane) publish(ev SeamEvent) {
 	}
 }
 
-// decode digs the AX.25 frame and the IP datagram out of a frame as it
-// appears below the KISS line: DAMA-wrapped on-air bytes, FCS-suffixed
-// TNC output, or a bare frame. pkt is nil when the frame carries no
+// decodeBare digs the AX.25 frame and the IP datagram out of a bare
+// frame into the lane's storage. pkt is nil when the frame carries no
 // datagram; f is nil when the bytes are not AX.25 at all.
-func decode(b []byte) (f *ax25.Frame, pkt *ip.Packet) {
+func (ln *Lane) decodeBare(b []byte) (f *ax25.Frame, pkt *ip.Packet) {
+	ln.air = nil
+	if ln.frame.Decode(b) != nil {
+		return nil, nil
+	}
+	if ln.pkt.Parse(ln.frame.Info) != nil {
+		return &ln.frame, nil
+	}
+	return &ln.frame, &ln.pkt
+}
+
+// decode is decodeBare for a frame as it appears below the KISS line:
+// DAMA-wrapped on-air bytes, FCS-suffixed TNC output, or a bare frame.
+func (ln *Lane) decode(b []byte) (*ax25.Frame, *ip.Packet) {
 	if inner, wrapped := dama.Unwrap(b); wrapped {
 		b = inner
 	}
 	if body, fcsOK := ax25.CheckFCS(b); fcsOK {
 		b = body
 	}
-	f, err := ax25.Decode(b)
-	if err != nil {
-		return nil, nil
-	}
-	if pkt, err = ip.Unmarshal(f.Info); err != nil {
-		return f, nil
-	}
-	return f, pkt
+	return ln.decodeBare(b)
 }
 
 // StackTap returns an ipstack.Stack.Tap-shaped hook for the named
-// host: origination, per-hop forwarding, and final arrival.
-func (ln *Lane) StackTap(host string) func(dir string, pkt *ip.Packet, ifName string) {
+// host, which owns addrs: origination, per-hop forwarding, and final
+// arrival.
+func (ln *Lane) StackTap(host string, addrs ...ip.Addr) func(dir string, pkt *ip.Packet, ifName string) {
+	mine := func(a ip.Addr) bool {
+		for _, m := range addrs {
+			if m == a {
+				return true
+			}
+		}
+		return false
+	}
 	return func(dir string, pkt *ip.Packet, ifName string) {
-		mine := ln.rec.hostAddrs[host]
 		switch {
-		case dir == "out" && mine[pkt.Src]:
+		case dir == "out" && mine(pkt.Src):
 			ln.add(pkt, PtOrigin, host, "")
 		case dir == "fwd":
 			ln.add(pkt, PtFwd, host, "if "+ifName)
-		case dir == "in" && mine[pkt.Dst]:
+		case dir == "in" && mine(pkt.Dst):
 			ln.add(pkt, PtArrive, host, "")
 		}
 		ln.publish(SeamEvent{Seam: SeamStack, Who: host, If: ifName, Dir: dir, Pkt: pkt})
 	}
 }
 
-// ARPTap returns an arp.Resolver.Trace-shaped hook: hold ("a datagram
-// parked awaiting resolution") and flush ("resolution arrived; the
-// hold queue drains") at the named host.
+// ARPTap returns an arp.Resolver.Trace-shaped hook at the named host:
+// hold ("a datagram parked awaiting resolution") and flush
+// ("resolution arrived; the hold queue drains") are crossings, and the
+// hold queue's two drops, an older hold evicted by a newer one
+// ("overflow") and a hold given up with its unanswered requests
+// ("unresolved"), are losses.
 func (ln *Lane) ARPTap(host string) func(event string, pkt *ip.Packet) {
 	return func(event string, pkt *ip.Packet) {
 		switch event {
@@ -341,6 +392,10 @@ func (ln *Lane) ARPTap(host string) func(event string, pkt *ip.Packet) {
 			ln.add(pkt, PtARPHold, host, "")
 		case "flush":
 			ln.add(pkt, PtARPFlush, host, "")
+		case "overflow":
+			ln.add(pkt, ptLoss, host, "arp hold overflow")
+		case "unresolved":
+			ln.add(pkt, ptLoss, host, "arp unresolved")
 		}
 	}
 }
@@ -358,8 +413,8 @@ func (ln *Lane) KISSTap(host, ifName string, call ax25.Addr) func(dir string, re
 		var pkt *ip.Packet
 		addressed := false
 		if len(rec) >= 2 && rec[0] == 0 {
-			if f, err := ax25.Decode(rec[1:]); err == nil {
-				pkt, _ = ip.Unmarshal(f.Info)
+			var f *ax25.Frame
+			if f, pkt = ln.decodeBare(rec[1:]); f != nil {
 				addressed = f.LinkDst() == call
 			}
 		}
@@ -380,7 +435,7 @@ func (ln *Lane) KISSTap(host, ifName string, call ax25.Addr) func(dir string, re
 // policy detail — "deferrals=N" under CSMA, "master=CALL" under DAMA —
 // so mac-wait spans name what they waited on.
 func (ln *Lane) MAC(who, event string, frame []byte, arg string) {
-	_, pkt := decode(frame)
+	_, pkt := ln.decode(frame)
 	switch event {
 	case "queue":
 		ln.add(pkt, PtMACQueue, who, "")
@@ -397,22 +452,36 @@ func (ln *Lane) MAC(who, event string, frame []byte, arg string) {
 // bystanders, including stations that share the callsign under another
 // SSID, don't cross the journey's path.
 func (ln *Lane) Air(receiverCall string, frame []byte, outcome string) {
-	if len(frame) == 0 || len(frame) != len(ln.airB) || &frame[0] != &ln.airB[0] {
-		ln.airB = frame
-		ln.airF, ln.airPkt = decode(frame)
-		ln.airDst = ""
-		if ln.airF != nil {
-			ln.airDst = ln.airF.LinkDst().String()
-		}
+	if len(frame) == 0 || len(frame) != len(ln.air) || &frame[0] != &ln.air[0] {
+		ln.airF, ln.airPkt = ln.decode(frame)
+		ln.air = frame
 	}
-	f, pkt := ln.airF, ln.airPkt
-	if f != nil && ln.airDst == receiverCall {
+	if f := ln.airF; f != nil && printsAs(f.LinkDst(), receiverCall) {
 		if outcome == "ok" {
-			ln.add(pkt, PtAirRx, receiverCall, "")
+			ln.add(ln.airPkt, PtAirRx, receiverCall, "")
 		} else {
-			ln.add(pkt, ptLoss, receiverCall, outcome)
+			ln.add(ln.airPkt, ptLoss, receiverCall, outcome)
 		}
 	}
+}
+
+// printsAs reports whether a prints as s (a.String() == s) without
+// building the string.
+func printsAs(a ax25.Addr, s string) bool {
+	n := len(a.Call)
+	for n > 0 && a.Call[n-1] == ' ' {
+		n--
+	}
+	if len(s) < n || s[:n] != string(a.Call[:n]) {
+		return false
+	}
+	rest := s[n:]
+	if a.SSID == 0 {
+		return rest == ""
+	}
+	var buf [3]byte
+	ssid := strconv.AppendUint(buf[:0], uint64(a.SSID), 10)
+	return len(rest) == 1+len(ssid) && rest[0] == '-' && rest[1:] == string(ssid)
 }
 
 // DropTap returns a drop-hook-shaped function for the named host's
@@ -420,7 +489,7 @@ func (ln *Lane) Air(receiverCall string, frame []byte, outcome string) {
 // in whatever dress that seam uses, died for reason.
 func (ln *Lane) DropTap(host string) func(reason string, frame []byte) {
 	return func(reason string, frame []byte) {
-		_, pkt := decode(frame)
+		_, pkt := ln.decode(frame)
 		ln.add(pkt, ptLoss, host, reason)
 	}
 }

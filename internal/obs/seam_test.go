@@ -22,13 +22,14 @@ func echo(reply bool, seq byte) *ip.Packet {
 }
 
 // TestLedgerIsJourneyProjection pins the fate rules the ping ledger
-// reads off the recorded journeys: the reply's arrival is delivery
-// (whatever was lost on the way), else the first pinned loss, else the
-// last ladder rung reached; journeys never seen leaving a station are
-// not pings, and a loss before a ping exists pins nothing.
+// reads off the recorded journeys: the reply's arrival is delivery,
+// else the first pinned loss, which ends the journey, else the last
+// ladder rung reached; journeys never seen leaving a station are not
+// pings, and a loss before a ping exists pins nothing.
 func TestLedgerIsJourneyProjection(t *testing.T) {
 	rec := NewRecorder()
 	led := rec.PingLedger()
+	journeys := rec.Tracer().Collect()
 	var now sim.Time
 	ln := rec.Lane(func() sim.Time { return now })
 	step := func(pkt *ip.Packet, pt uint8, arg string) {
@@ -54,7 +55,9 @@ func TestLedgerIsJourneyProjection(t *testing.T) {
 	for _, c := range full[:6] {
 		step(echo(c.reply, 3), c.pt, "")
 	}
-	// seq 4: a reply-leg loss pinned, then the reply arrives anyway.
+	// seq 4: a reply-leg loss pinned, then the reply arrives anyway:
+	// the loss ended the ping's journey, and the late arrival is a
+	// journey of its own that never left a station.
 	step(echo(false, 4), PtOrigin, "")
 	step(echo(true, 4), ptLoss, "ipq overflow")
 	step(echo(true, 4), PtArrive, "")
@@ -65,20 +68,21 @@ func TestLedgerIsJourneyProjection(t *testing.T) {
 	step(echo(false, 6), PtAirRx, "")
 
 	want := map[string]int{
-		"delivered":                     2,
+		"delivered":                     1,
 		"req: collision":                1,
+		"rep: ipq overflow":             1,
 		"pending: rep to gateway":       1,
 		"pending: req in station queue": 1,
 	}
 	if got := led.Fates(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fates = %v, want %v", got, want)
 	}
-	if led.Sent() != 5 || led.Delivered() != 2 {
-		t.Fatalf("sent/delivered = %d/%d, want 5/2", led.Sent(), led.Delivered())
+	if led.Sent() != 5 || led.Delivered() != 1 {
+		t.Fatalf("sent/delivered = %d/%d, want 5/1", led.Sent(), led.Delivered())
 	}
 	// The tracer reads the same journeys; losses are pinned, never
 	// crossings.
-	for _, tr := range rec.Tracer().Traces() {
+	for _, tr := range journeys() {
 		for _, c := range tr.Crossings {
 			if c.Point&^ptReply == ptLoss {
 				t.Fatalf("trace %v holds a loss as a crossing", tr.ID)
@@ -87,6 +91,18 @@ func TestLedgerIsJourneyProjection(t *testing.T) {
 		if tr.ID.Seq == 2 && tr.Loss != "req: collision" {
 			t.Fatalf("seq 2 loss = %q, want the first one", tr.Loss)
 		}
+	}
+	// seq 4 is two journeys: the ping, ended by its loss, and the late
+	// arrival, which the ledger does not count.
+	var seq4 []Trace
+	for _, tr := range journeys() {
+		if tr.ID.Seq == 4 {
+			seq4 = append(seq4, tr)
+		}
+	}
+	if len(seq4) != 2 || seq4[0].Loss != "rep: ipq overflow" || len(seq4[1].Crossings) != 1 ||
+		seq4[1].Crossings[0].Point != PtArrive|ptReply {
+		t.Fatalf("seq 4 journeys %+v, want the lost ping and then the late arrival alone", seq4)
 	}
 }
 
@@ -113,13 +129,13 @@ func TestKISSRecordDecodedBare(t *testing.T) {
 	}
 
 	rec := NewRecorder()
-	tr := rec.Tracer()
+	journeys := rec.Tracer().Collect()
 	var captured []SeamEvent
 	rec.Subscribe(func(_ sim.Time, ev SeamEvent) { captured = append(captured, ev) })
 	ln := rec.Lane(func() sim.Time { return 0 })
 	ln.KISSTap("pc1", "pr0", ax25.MustAddr("PC1"))("tx", append([]byte{0}, enc...))
 
-	traces := tr.Traces()
+	traces := journeys()
 	if len(traces) != 1 || len(traces[0].Crossings) != 1 || traces[0].Crossings[0].Point != PtKISSTx {
 		t.Fatalf("KISS crossing not recorded: %+v", traces)
 	}
@@ -144,7 +160,7 @@ func TestAirDecodeServesEveryReceiver(t *testing.T) {
 		return ax25.AppendFCS(enc)
 	}
 	rec := NewRecorder()
-	tr := rec.Tracer()
+	journeys := rec.Tracer().Collect()
 	ln := rec.Lane(func() sim.Time { return 0 })
 	req := frame("GW", echo(false, 1))
 	for _, rx := range []string{"PC2", "GW", "PC3"} {
@@ -152,7 +168,7 @@ func TestAirDecodeServesEveryReceiver(t *testing.T) {
 	}
 	ln.Air("GW", frame("GW", echo(false, 2)), "collision")
 
-	traces := tr.Traces()
+	traces := journeys()
 	if len(traces) != 1 || traces[0].ID.Seq != 1 || len(traces[0].Crossings) != 1 ||
 		traces[0].Crossings[0].Point != PtAirRx || traces[0].Crossings[0].Who != "GW" {
 		t.Fatalf("want one air arrival at GW for seq 1, got %+v", traces)

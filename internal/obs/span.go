@@ -6,12 +6,13 @@
 //
 // The design is crossing-based rather than begin/end-based: every seam
 // a traced datagram crosses records one timestamped crossing point in
-// the seam recorder (seam.go), and spans are reconstructed afterwards
-// as the intervals between consecutive crossings of one journey.
-// Because a journey's crossings telescope, the stage spans sum to
-// exactly the end-to-end latency — the property E19 gates at >= 99%.
-// The global span stream orders traces by TraceID, making it
-// reflect.DeepEqual-comparable across engines.
+// the seam recorder (seam.go), and spans are the intervals between
+// consecutive crossings of one journey. Because a journey's crossings
+// telescope, the stage spans sum to exactly the end-to-end latency —
+// the property E19 gates at >= 99%. The tracer folds each journey into
+// its Breakdown as the journey closes; a reader that wants the
+// journeys themselves collects them (Collect), in TraceID order, which
+// makes the span stream reflect.DeepEqual-comparable across engines.
 //
 // Tracing costs nothing when disabled: the seam hooks are only
 // installed by World.AttachTracer (or another recorder view), and an
@@ -27,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"packetradio/internal/ip"
 	"packetradio/internal/sim"
 )
 
@@ -47,42 +47,78 @@ const (
 	StageTurnaround = "turnaround" // destination host turning an echo around
 )
 
+// Stage indexes, in journey order; stUnknown indexes a crossing pair
+// outside the vocabulary.
+const (
+	stIPOut = iota
+	stARPWait
+	stDrvOut
+	stSerialTx
+	stMACWait
+	stAirtime
+	stRxSerial
+	stIPRx
+	stBackbone
+	stTurnaround
+	stUnknown
+
+	nStages = stUnknown // the vocabulary proper
+)
+
+// stageNames names the stages by index.
+var stageNames = [...]string{
+	stIPOut: StageIPOut, stARPWait: StageARPWait, stDrvOut: StageDrvOut,
+	stSerialTx: StageSerialTx, stMACWait: StageMACWait, stAirtime: StageAirtime,
+	stRxSerial: StageRxSerial, stIPRx: StageIPRx, stBackbone: StageBackbone,
+	stTurnaround: StageTurnaround, stUnknown: "unknown",
+}
+
 // SpanStages lists every stage name the tracer can emit, in journey
 // order — the vocabulary scenario span_latency gates validate against.
-func SpanStages() []string {
-	return []string{
-		StageIPOut, StageARPWait, StageDrvOut, StageSerialTx, StageMACWait,
-		StageAirtime, StageRxSerial, StageIPRx, StageBackbone, StageTurnaround,
+func SpanStages() []string { return append([]string(nil), stageNames[:nStages]...) }
+
+// stageOf indexes the stage of the span ending at crossing cur, having
+// started at crossing prev.
+func stageOf(prev, cur uint8) int {
+	switch cur &^ ptReply {
+	case PtOrigin:
+		return stTurnaround // reply-leg origin: the echo turned around
+	case PtARPHold:
+		return stIPOut
+	case PtARPFlush:
+		return stARPWait
+	case PtKISSTx:
+		return stDrvOut
+	case PtMACQueue:
+		return stSerialTx
+	case PtTxStart:
+		return stMACWait
+	case PtAirRx:
+		return stAirtime
+	case PtKISSRx:
+		return stRxSerial
+	case PtFwd, PtArrive:
+		if prev&^ptReply == PtKISSRx {
+			return stIPRx
+		}
+		return stBackbone
 	}
+	return stUnknown
 }
 
 // stageName names the span ending at crossing cur, having started at
 // crossing prev.
-func stageName(prev, cur uint8) string {
-	switch cur &^ ptReply {
-	case PtOrigin:
-		return StageTurnaround // reply-leg origin: the echo turned around
-	case PtARPHold:
-		return StageIPOut
-	case PtARPFlush:
-		return StageARPWait
-	case PtKISSTx:
-		return StageDrvOut
-	case PtMACQueue:
-		return StageSerialTx
-	case PtTxStart:
-		return StageMACWait
-	case PtAirRx:
-		return StageAirtime
-	case PtKISSRx:
-		return StageRxSerial
-	case PtFwd, PtArrive:
-		if prev&^ptReply == PtKISSRx {
-			return StageIPRx
+func stageName(prev, cur uint8) string { return stageNames[stageOf(prev, cur)] }
+
+// stageIndex indexes a stage name in stageNames; a name outside the
+// vocabulary reads the unknown stage.
+func stageIndex(stage string) int {
+	for i, s := range stageNames[:nStages] {
+		if s == stage {
+			return i
 		}
-		return StageBackbone
 	}
-	return "unknown"
+	return stUnknown
 }
 
 // Cross is one recorded seam crossing.
@@ -105,8 +141,8 @@ type Span struct {
 // Duration reports the span's width.
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// Trace is one journey's crossings in causal order, as reconstructed
-// by Tracer.Traces.
+// Trace is one journey's crossings in causal order, as Tracer.Collect
+// returns it.
 type Trace struct {
 	ID        TraceID
 	Crossings []Cross
@@ -120,14 +156,7 @@ type Trace struct {
 // trace its datagram's arrival at the destination stack.
 func (tr Trace) Complete() bool {
 	n := len(tr.Crossings)
-	if n < 2 || tr.Crossings[0].Point != PtOrigin {
-		return false
-	}
-	last := tr.Crossings[n-1].Point
-	if tr.ID.Proto == ip.ProtoICMP {
-		return last == PtArrive|ptReply
-	}
-	return last == PtArrive
+	return n >= 2 && tr.Crossings[0].Point == PtOrigin && final(tr.ID, tr.Crossings[n-1].Point)
 }
 
 // Elapsed is the end-to-end latency: last crossing minus first. For a
@@ -182,50 +211,93 @@ func (tr Trace) WriteWaterfall(w io.Writer) {
 	}
 }
 
-// Tracer is the span view over a seam recorder: read Traces, Spans and
-// Breakdown between runs.
-type Tracer struct{ rec *Recorder }
+// Tracer is the span view over a seam recorder: read Breakdown between
+// runs, and the journeys themselves through Collect.
+type Tracer struct {
+	rec *Recorder
+	bd  Breakdown // over the closed journeys
 
-// Tracer returns the recorder's span view and starts buffering
-// crossings.
-func (r *Recorder) Tracer() *Tracer {
-	r.keep = true
-	return &Tracer{rec: r}
+	// done holds a copy of every journey closed since Collect was
+	// called (collect) or the last Reset since.
+	collect bool
+	done    []Trace
 }
 
-// Reset discards every recorded crossing — for every view of the
-// recorder — called between a warm-up window and the measured window
-// so the breakdown reflects steady state. Journeys straddling the
-// reset lose their early crossings.
-func (t *Tracer) Reset() { t.rec.buf = t.rec.buf[:0] }
-
-// Traces reconstructs every journey, ordered by TraceID, each one's
-// crossings in causal order on both engines.
-func (t *Tracer) Traces() []Trace { return t.rec.journeys() }
-
-// Spans returns the global span stream: every trace's spans, traces in
-// TraceID order — the reflect.DeepEqual surface the cross-engine tests
-// and the CI scenario diff compare.
-func (t *Tracer) Spans() []Span {
-	var out []Span
-	for _, tr := range t.Traces() {
-		out = append(out, tr.Spans()...)
+// Tracer returns the recorder's span view and starts recording
+// journeys.
+func (r *Recorder) Tracer() *Tracer {
+	if r.tracer == nil {
+		r.tracer = &Tracer{rec: r}
 	}
+	return r.tracer
+}
+
+// Reset discards the journeys in flight and everything folded so far
+// — for every view of the recorder — called between a warm-up window
+// and the measured window so the breakdown reflects steady state.
+// Journeys straddling the reset lose their early crossings.
+func (t *Tracer) Reset() { t.rec.reset() }
+
+func (t *Tracer) reset() { t.bd, t.done = Breakdown{}, nil }
+
+// fold aggregates a journey as it closes — at its final arrival, at
+// its first pinned loss, or when its TraceID originates again — and
+// keeps a copy of it once Collect has asked for them.
+func (t *Tracer) fold(tr *Trace) {
+	if tr.Complete() {
+		t.bd.observe(tr)
+	} else {
+		t.bd.Incomplete++
+	}
+	if t.collect {
+		t.done = append(t.done, tr.clone())
+	}
+}
+
+// Open returns a copy of every journey still in flight, in TraceID
+// order.
+func (t *Tracer) Open() []Trace {
+	out := make([]Trace, 0, len(t.rec.open))
+	for _, tr := range t.rec.open {
+		out = append(out, tr.clone())
+	}
+	sortTraces(out)
 	return out
 }
 
-// Breakdown aggregates the complete traces into the per-stage latency
-// attribution.
-func (t *Tracer) Breakdown() *Breakdown {
-	b := newBreakdown()
-	for _, tr := range t.Traces() {
-		if !tr.Complete() {
-			b.Incomplete++
-			continue
-		}
-		b.observe(tr)
+// Collect keeps a copy of every journey the tracer closes from now on
+// (Reset discards them with the rest), and returns their reader: the
+// journeys kept so far and those still in flight, in TraceID order,
+// the journeys of one reused ID oldest first. That order makes the
+// span stream — every journey's spans in turn — the reflect.DeepEqual
+// surface the cross-engine tests and the CI scenario diff compare.
+func (t *Tracer) Collect() func() []Trace {
+	t.collect = true
+	return func() []Trace {
+		out := append(append([]Trace(nil), t.done...), t.Open()...)
+		sortTraces(out)
+		return out
 	}
-	return b
+}
+
+// clone copies tr out of the recorder's storage.
+func (tr *Trace) clone() Trace {
+	return Trace{ID: tr.ID, Crossings: append([]Cross(nil), tr.Crossings...), Loss: tr.Loss}
+}
+
+// sortTraces orders journeys by TraceID, stably, so the journeys of
+// one reused ID keep their order.
+func sortTraces(trs []Trace) {
+	sort.SliceStable(trs, func(i, j int) bool { return trs[i].ID.less(trs[j].ID) })
+}
+
+// Breakdown returns the per-stage latency attribution over the
+// journeys closed complete so far; the journeys still in flight count
+// as incomplete.
+func (t *Tracer) Breakdown() *Breakdown {
+	b := t.bd
+	b.Incomplete += len(t.rec.open)
+	return &b
 }
 
 // SpanBounds is the histogram bucket ladder for stage durations, in
@@ -246,71 +318,65 @@ type Breakdown struct {
 	Incomplete int           // journeys still mid-flight (or lost)
 	Total      time.Duration // summed end-to-end latency
 
-	totals map[string]time.Duration
-	counts map[string]int
-	durs   map[string][]time.Duration // every span's width, per stage
-	shares map[string][]float64       // per complete trace: stage share of its RTT
+	// Per stage, indexed as stageNames.
+	totals [len(stageNames)]time.Duration
+	counts [len(stageNames)]int
+	durs   [len(stageNames)][]time.Duration // every span's width
+	shares [len(stageNames)][]float64       // per complete trace: the stage's share of its latency
 }
 
-func newBreakdown() *Breakdown {
-	return &Breakdown{
-		totals: make(map[string]time.Duration),
-		counts: make(map[string]int),
-		durs:   make(map[string][]time.Duration),
-		shares: make(map[string][]float64),
-	}
-}
-
-func (b *Breakdown) observe(tr Trace) {
+func (b *Breakdown) observe(tr *Trace) {
 	elapsed := tr.Elapsed()
 	b.Traces++
 	b.Total += elapsed
-	per := make(map[string]time.Duration)
-	for _, s := range tr.Spans() {
-		d := s.Duration()
-		b.totals[s.Stage] += d
-		b.counts[s.Stage]++
-		b.durs[s.Stage] = append(b.durs[s.Stage], d)
-		per[s.Stage] += d
+	var per [len(stageNames)]time.Duration
+	for i := 1; i < len(tr.Crossings); i++ {
+		prev, cur := &tr.Crossings[i-1], &tr.Crossings[i]
+		st := stageOf(prev.Point, cur.Point)
+		d := cur.T.Sub(prev.T)
+		b.totals[st] += d
+		b.counts[st]++
+		b.durs[st] = append(b.durs[st], d)
+		per[st] += d
 	}
 	// Every known stage gets a share sample per trace — zero when the
 	// trace skipped the stage — so share percentiles describe the
 	// population, not just the traces that hit the stage.
-	for _, stage := range SpanStages() {
+	for st := 0; st < nStages; st++ {
 		share := 0.0
 		if elapsed > 0 {
-			share = float64(per[stage]) / float64(elapsed)
+			share = float64(per[st]) / float64(elapsed)
 		}
-		b.shares[stage] = append(b.shares[stage], share)
+		b.shares[st] = append(b.shares[st], share)
 	}
 }
 
 // Stages lists the stages that actually occurred, in journey order.
 func (b *Breakdown) Stages() []string {
 	var out []string
-	for _, s := range SpanStages() {
-		if b.counts[s] > 0 {
-			out = append(out, s)
+	for st := 0; st < nStages; st++ {
+		if b.counts[st] > 0 {
+			out = append(out, stageNames[st])
 		}
 	}
 	return out
 }
 
 // Count reports how many spans of the stage occurred.
-func (b *Breakdown) Count(stage string) int { return b.counts[stage] }
+func (b *Breakdown) Count(stage string) int { return b.counts[stageIndex(stage)] }
 
 // Share reports the stage's fraction of all end-to-end latency.
 func (b *Breakdown) Share(stage string) float64 {
 	if b.Total == 0 {
 		return 0
 	}
-	return float64(b.totals[stage]) / float64(b.Total)
+	return float64(b.totals[stageIndex(stage)]) / float64(b.Total)
 }
 
 // DurationQuantile reports the q-quantile (0..1) of the stage's span
 // widths.
 func (b *Breakdown) DurationQuantile(stage string, q float64) time.Duration {
-	samples := append([]time.Duration(nil), b.durs[stage]...)
+	samples := b.DurationSamples(stage)
 	if len(samples) == 0 {
 		return 0
 	}
@@ -323,25 +389,29 @@ func (b *Breakdown) DurationQuantile(stage string, q float64) time.Duration {
 }
 
 // ShareSamples returns the per-trace share samples for the stage, in
-// trace order — the pool the scenario gates aggregate across seeds.
+// the order the traces closed — the pool the scenario gates aggregate
+// across seeds.
 func (b *Breakdown) ShareSamples(stage string) []float64 {
-	return append([]float64(nil), b.shares[stage]...)
+	return append([]float64(nil), b.shares[stageIndex(stage)]...)
 }
 
-// DurationSamples returns every span width of the stage, in trace
-// order.
+// DurationSamples returns every span width of the stage, in the order
+// the traces closed.
 func (b *Breakdown) DurationSamples(stage string) []time.Duration {
-	return append([]time.Duration(nil), b.durs[stage]...)
+	return append([]time.Duration(nil), b.durs[stageIndex(stage)]...)
 }
 
 // Register publishes the stage histograms into a metrics registry
 // under prefix (e.g. "trace."), refreshing on re-registration, so
 // Netstat's percentile summaries cover them.
 func (b *Breakdown) Register(reg *Registry, prefix string) {
-	for _, stage := range b.Stages() {
-		h := reg.Histogram(prefix+stage+"_seconds", SpanBounds())
+	for st := 0; st < nStages; st++ {
+		if b.counts[st] == 0 {
+			continue
+		}
+		h := reg.Histogram(prefix+stageNames[st]+"_seconds", SpanBounds())
 		h.Reset()
-		for _, d := range b.durs[stage] {
+		for _, d := range b.durs[st] {
 			h.Observe(d.Seconds())
 		}
 	}
@@ -356,7 +426,7 @@ func (b *Breakdown) WriteText(w io.Writer) {
 		"stage", "spans", "total", "share", "p50", "p95", "p99")
 	for _, stage := range b.Stages() {
 		fmt.Fprintf(w, "%-12s %8d %14v %6.1f%% %12v %12v %12v\n",
-			stage, b.counts[stage], b.totals[stage], 100*b.Share(stage),
+			stage, b.Count(stage), b.totals[stageIndex(stage)], 100*b.Share(stage),
 			b.DurationQuantile(stage, 0.50), b.DurationQuantile(stage, 0.95),
 			b.DurationQuantile(stage, 0.99))
 	}

@@ -95,15 +95,16 @@ func TestTraceTelescoping(t *testing.T) {
 	}
 }
 
-// TestTracerMergeAndReuse feeds one crossing buffer from two lanes
-// with their own clocks, as the sharded engine does: each shard runs a
-// whole window before the next one starts, so the buffer holds
-// crossings out of virtual-time order across lanes, yet every journey
-// comes out in causal order. A reused TraceID splits into one trace
-// instance per origination.
+// TestTracerMergeAndReuse feeds one recorder from two lanes with their
+// own clocks, as the sharded engine does: each shard runs a whole
+// window before the next one starts, so crossings arrive out of
+// virtual-time order across lanes, yet every journey comes out in
+// causal order. A reused TraceID splits into one trace instance per
+// origination.
 func TestTracerMergeAndReuse(t *testing.T) {
 	rec := NewRecorder()
 	trc := rec.Tracer()
+	journeys := trc.Collect()
 	var nowA, nowB sim.Time
 	la := rec.Lane(func() sim.Time { return nowA })
 	lb := rec.Lane(func() sim.Time { return nowB })
@@ -129,7 +130,7 @@ func TestTracerMergeAndReuse(t *testing.T) {
 	a(4*time.Second, s7, PtOrigin)
 	b(6*time.Second, s7, PtArrive)
 
-	traces := trc.Traces()
+	traces := journeys()
 	var ids []uint16
 	for i, tr := range traces {
 		ids = append(ids, tr.ID.ID)
@@ -156,7 +157,7 @@ func TestTracerMergeAndReuse(t *testing.T) {
 	}
 
 	trc.Reset()
-	if got := trc.Traces(); len(got) != 0 {
+	if got := journeys(); len(got) != 0 {
 		t.Fatalf("Reset left %d traces behind", len(got))
 	}
 }
@@ -166,8 +167,8 @@ func TestTracerMergeAndReuse(t *testing.T) {
 // plus -netstat takes.
 func TestBreakdownRegister(t *testing.T) {
 	id := TraceID{Proto: ip.ProtoTCP, ID: 1}
-	bd := newBreakdown()
-	bd.observe(Trace{ID: id, Crossings: []Cross{
+	bd := &Breakdown{}
+	bd.observe(&Trace{ID: id, Crossings: []Cross{
 		{T: ts(0), Point: PtOrigin},
 		{T: ts(time.Second), Point: PtArrive},
 	}})

@@ -15,7 +15,10 @@ import (
 // world runs twice, once with a Classify on its channels and once
 // without (every frame walks every receiver), and both runs must give
 // the same delivery trace — receiver, instant, damage, tap outcome —
-// and the same settled counters.
+// and the same settled counters. The trace leaves out the tap lines
+// for frames a listener's receive callback discards as filtered: the
+// addressee walk never hands a listener those frames, so its tap never
+// sees them.
 //
 // A frame's first byte is its destination key, 0xFF for everyone, and
 // its second is 0xCC for a poll the consuming accessor swallows. The
@@ -139,6 +142,12 @@ func addressedWorld(seed int64, n int, header byte, ops []byte, classify bool) (
 		chs[0].SetReachable(sts[0].rf, sts[2].rf, false)
 	}
 	tap := func(sender, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, consumed bool) {
+		for _, st := range sts {
+			if st.rf == receiver && st.listening && outcome == radio.TapOK && !consumed &&
+				payload[0] != 0xFF && uint64(payload[0]) != st.key {
+				return // filtered: the receive callback discards it
+			}
+		}
 		fmt.Fprintf(&tr, "%v tap %s->%s %v consumed=%v\n", s.Now(), sender.Name, receiver.Name, outcome, consumed)
 	}
 	at := time.Duration(0)

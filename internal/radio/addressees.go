@@ -108,13 +108,13 @@ func (c *Channel) index() *addressees {
 
 // addressed returns the receivers tx goes to, and how many listeners
 // the channel has, when the addressee walk can stand in for the full
-// one. It returns false when it cannot: with a tap attached (it sees
-// every receiver), a bit-error rate (every receiver draws from its own
-// noise stream), a pair that cannot hear the other, an overlap (some
-// copies collided or were missed half duplex), no listener, or a frame
-// for everyone. Then the full walk runs, as without a Classify.
+// one. It returns false when it cannot: with a bit-error rate (every
+// receiver draws from its own noise stream), a pair that cannot hear
+// the other, an overlap (some copies collided or were missed half
+// duplex), no listener, or a frame for everyone. Then the full walk
+// runs, as without a Classify.
 func (c *Channel) addressed(tx *transmission) (walk []*Transceiver, listeners int, ok bool) {
-	if c.Classify == nil || c.Tap != nil || c.BitErrorRate > 0 || c.deaf > 0 || tx.overlapped {
+	if c.Classify == nil || c.BitErrorRate > 0 || c.deaf > 0 || tx.overlapped {
 		return nil, 0, false
 	}
 	x := c.index()
@@ -133,9 +133,10 @@ func (c *Channel) addressed(tx *transmission) (walk []*Transceiver, listeners in
 
 // deliverTo is the addressee walk: every receiver tx reaches hears it
 // intact, walk's in station order as the full walk would hand it over,
-// and every other listener's reception is settled in bulk. The
-// settlement is done before the first callback, so a callback that
-// changes a registration folds a settled count.
+// and tapped as it is handed the frame; every other listener's
+// reception is settled in bulk, untapped. The settlement is done
+// before the first callback, so a callback that changes a registration
+// folds a settled count.
 func (c *Channel) deliverTo(walk []*Transceiver, listeners int, tx *transmission) {
 	sender := tx.sender
 	c.bulk++
@@ -156,6 +157,9 @@ func (c *Channel) deliverTo(walk []*Transceiver, listeners int, tx *transmission
 			continue
 		}
 		payload, consumed := r.acc.Deliver(r, tx.frame, false)
+		if c.Tap != nil {
+			c.Tap(sender, r, payload, TapOK, consumed)
+		}
 		if consumed {
 			continue
 		}

@@ -91,13 +91,14 @@ func (o TapOutcome) String() string {
 type Channel struct {
 	sched *sim.Scheduler
 
-	// Tap, when non-nil, observes every per-receiver delivery outcome:
-	// payload is what the receiver's MAC handed up (DAMA-unwrapped for
-	// data; the raw on-air bytes for half-duplex misses, where no MAC
-	// ran), consumed reports a frame the MAC swallowed as channel-access
-	// control. Purely read-side — a tap must not touch the channel. A
-	// tap sees every receiver, so while one is attached every frame
-	// walks every receiver, Classify or not.
+	// Tap, when non-nil, observes the delivery outcome at every
+	// receiver the channel hands a frame to: payload is what the
+	// receiver's MAC handed up (DAMA-unwrapped for data; the raw on-air
+	// bytes for half-duplex misses, where no MAC ran), consumed reports
+	// a frame the MAC swallowed as channel-access control. A receiver
+	// the addressee walk settles in bulk (Listen) is never handed the
+	// frame, so it is not tapped either; every receiver that takes the
+	// frame is. Purely read-side — a tap must not touch the channel.
 	Tap func(sender, receiver *Transceiver, payload []byte, outcome TapOutcome, consumed bool)
 
 	// Classify, when non-nil, names the receivers that take each frame

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
+	"packetradio/internal/ip"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
 	"packetradio/internal/sim"
@@ -162,10 +164,13 @@ func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 // exactly one hook at every packet seam of every host and channel
 // built so far — stack, ARP hold queue, KISS line, MAC, the air, and
 // the driver and TNC queue drops. Each hook stamps its crossings with
-// the clock of the scheduler it runs on, and journeys are rebuilt per
+// the clock of the scheduler it runs on, and journeys are kept per
 // packet, so every view of the recorder is bit-identical on both
 // engines. The recorder owns those hook slots; hosts and channels
-// added later are not observed.
+// added later are not observed. The air hook sees only the receivers
+// the channel hands a frame to (radio.Channel.Tap): every station that
+// takes the frame, the link-layer addressee among them, which is the
+// one copy a journey crosses.
 func (w *World) seams() *obs.Recorder {
 	if w.rec != nil {
 		return w.rec
@@ -180,12 +185,13 @@ func (w *World) seams() *obs.Recorder {
 	}
 	for name, h := range w.hosts {
 		ln := r.Lane(h.Sched().Now)
-		h.Stack.Tap = ln.StackTap(name)
+		var addrs []ip.Addr
 		for _, ifName := range h.Stack.IfNames() {
 			if addr, _, ok := h.Stack.IfAddr(ifName); ok {
-				r.SetHostAddrs(name, addr)
+				addrs = append(addrs, addr)
 			}
 		}
+		h.Stack.Tap = ln.StackTap(name, addrs...)
 		drop := ln.DropTap(name)
 		for ifName, p := range h.radios {
 			p.Driver.Tap = ln.KISSTap(name, ifName, p.Driver.MyCall)
@@ -214,15 +220,28 @@ func (w *World) macWaitCause(rf *radio.Transceiver, event string, deferrals uint
 		}
 		return "election"
 	}
-	return fmt.Sprintf("deferrals=%d", deferrals)
+	if deferrals < uint64(len(deferralArgs)) {
+		return deferralArgs[deferrals]
+	}
+	return "deferrals=" + strconv.FormatUint(deferrals, 10)
 }
+
+// deferralArgs holds the mac-wait arguments of the common deferral
+// counts, built once, so a traced key-up allocates none.
+var deferralArgs = func() (args [64]string) {
+	for n := range args {
+		args[n] = "deferrals=" + strconv.Itoa(n)
+	}
+	return args
+}()
 
 // AttachTracer wires an obs.Tracer into every seam of the world (see
 // seams): stack origination/forwarding/arrival, the ARP hold-queue
 // wait, the KISS serial seam, MAC queue/key-up (with the CSMA deferral
 // count or the DAMA master's name), and the on-air arrival at the
 // addressee. Attach after the topology is built and before traffic
-// starts; read Spans/Breakdown between runs. Idempotent — a second
+// starts; read Breakdown between runs, and the journeys through
+// Tracer.Collect. Idempotent — a second
 // call returns the same tracer. A world that never attaches a
 // recorder view installs none of these hooks and pays nothing — the
 // contract TestTracingDisabledAddsNoAllocs gates.

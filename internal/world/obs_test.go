@@ -29,13 +29,13 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 			Seed: 7, Stations: 60, Channels: 6, PingInterval: time.Minute, Workers: workers,
 		})
 		var led *obs.PingLedger
-		var tr *obs.Tracer
+		var journeys func() []obs.Trace
 		var buf bytes.Buffer
 		if ledger {
 			led = lw.W.AttachPingLedger()
 		}
 		if tracer {
-			tr = lw.W.AttachTracer()
+			journeys = lw.W.AttachTracer().Collect()
 		}
 		if capture {
 			if _, err := lw.W.CapturePort("gw1", "pr0", &buf, nil); err != nil {
@@ -47,8 +47,8 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 		if led != nil {
 			v.fates = led.Fates()
 		}
-		if tr != nil {
-			v.spans = tr.Spans()
+		if journeys != nil {
+			v.spans = spanStream(journeys())
 		}
 		return v
 	}
@@ -74,20 +74,11 @@ func TestSeamViewsShareOneRecorder(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderTrace pins the world's one flight ring as a Chrome
-// trace: on a DAMA world with the tracer as its span source, WriteTrace
-// emits one "world" process holding scheduler and DAMA entries, then
-// the packet journeys, where every trace of two or more spans is one
-// row of complete events joined by one flow arc: exactly one start and
-// one finish.
-func TestFlightRecorderTrace(t *testing.T) {
-	lw := NewLarge(LargeConfig{
-		Seed: 1, Stations: 6, Channels: 1, PingInterval: time.Minute, MAC: MACDAMA,
-	})
-	tr := lw.W.AttachTracer()
-	fr := lw.W.EnableFlightRecorder(0)
-	fr.SetSpanSource(tr.Spans)
-	lw.W.Run(3 * time.Minute)
+// traceRows reads a WriteTrace timeline back: the "world" and "packet
+// journeys" process names, the world process's entries by category,
+// and each journey row's span event phases and trace names, by row.
+func traceRows(t *testing.T, fr *obs.FlightRecorder) (procs map[int]string, cats map[string]int, phases map[int]map[string]int, names map[int]map[string]bool) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := fr.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -104,46 +95,109 @@ func TestFlightRecorderTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace JSON invalid: %v", err)
 	}
-	procs := map[int]string{}
-	cats := map[string]int{}
-	rowOf := map[string]int{}          // trace name -> its row
-	phases := map[int]map[string]int{} // row -> span event phases
+	procs, cats = map[int]string{}, map[string]int{}
+	phases, names = map[int]map[string]int{}, map[int]map[string]bool{}
 	for _, e := range doc.TraceEvents {
 		switch {
 		case e.Ph == "M":
 			procs[e.PID] = e.Args["name"]
 		case e.Cat == "span":
 			if phases[e.TID] == nil {
-				phases[e.TID] = map[string]int{}
+				phases[e.TID], names[e.TID] = map[string]int{}, map[string]bool{}
 			}
 			phases[e.TID][e.Ph]++
 			if e.Ph == "X" {
-				rowOf[e.Args["trace"]] = e.TID
+				names[e.TID][e.Args["trace"]] = true
 			}
 		case e.PID == 1:
 			cats[e.Cat]++
 		}
 	}
+	return procs, cats, phases, names
+}
+
+// TestFlightRecorderTrace pins the world's one flight ring as a Chrome
+// trace: on a DAMA world with the tracer's journeys as its source,
+// WriteTrace emits one "world" process holding scheduler and DAMA
+// entries, then the packet journeys, where every journey of two or
+// more spans is one row of complete events joined by one flow arc:
+// exactly one start and one finish. Journeys that reuse a TraceID —
+// a PC's one-shot pings, which recycle the echo id and seq — get a
+// row and an arc each.
+func TestFlightRecorderTrace(t *testing.T) {
+	lw := NewLarge(LargeConfig{
+		Seed: 1, Stations: 6, Channels: 1, PingInterval: time.Minute, MAC: MACDAMA,
+	})
+	journeys := lw.W.AttachTracer().Collect()
+	fr := lw.W.EnableFlightRecorder(0)
+	fr.SetJourneySource(journeys)
+	lw.W.Run(3 * time.Minute)
+	procs, cats, phases, names := traceRows(t, fr)
 	if want := map[int]string{1: "world", 2: "packet journeys"}; !reflect.DeepEqual(procs, want) {
 		t.Fatalf("processes %v, want %v", procs, want)
 	}
 	if cats["sched"] == 0 || cats["dama"] == 0 {
 		t.Fatalf("world process entries by category %v, want sched and dama", cats)
 	}
-	multi := 0
-	for _, trc := range tr.Traces() {
+	multi, row := 0, 0
+	for _, trc := range journeys() {
 		n := len(trc.Spans())
+		if n == 0 {
+			continue
+		}
+		row++
+		if !names[row][trc.ID.String()] || len(names[row]) != 1 {
+			t.Fatalf("row %d holds traces %v, want only %v", row, names[row], trc.ID)
+		}
 		if n < 2 {
 			continue
 		}
 		multi++
-		ph := phases[rowOf[trc.ID.String()]]
-		if ph["X"] != n || ph["s"] != 1 || ph["f"] != 1 {
+		if ph := phases[row]; ph["X"] != n || ph["s"] != 1 || ph["f"] != 1 {
 			t.Fatalf("trace %v: %d spans, trace row phases %v; want %d X, one s and one f", trc.ID, n, ph, n)
 		}
 	}
 	if multi == 0 {
 		t.Fatal("no journey had two or more spans")
+	}
+	if len(phases) != row {
+		t.Fatalf("%d journey rows, want one per journey with spans (%d)", len(phases), row)
+	}
+
+	// A PC pings three times, one-shot, each ping after the last one's
+	// reply: the three journeys share one TraceID and get three rows.
+	s := NewSeattle(SeattleConfig{Seed: 1, NumPCs: 1, MAC: MACDAMA})
+	journeys = s.W.AttachTracer().Collect()
+	fr = s.W.EnableFlightRecorder(0)
+	fr.SetJourneySource(journeys)
+	replies := 0
+	var ping func()
+	ping = func() {
+		s.PCs[0].Stack.Ping(InternetIP, 32, func(uint16, time.Duration, ip.Addr) {
+			if replies++; replies < 3 {
+				ping()
+			}
+		})
+	}
+	ping()
+	s.W.Run(10 * time.Minute)
+	if replies != 3 {
+		t.Fatalf("%d of 3 pings answered", replies)
+	}
+	_, _, phases, names = traceRows(t, fr)
+	id := "icmp 44.24.0.10>128.95.1.2 id 1 seq 0"
+	rows := 0
+	for tid, ph := range phases {
+		if !names[tid][id] {
+			continue
+		}
+		rows++
+		if ph["s"] != 1 || ph["f"] != 1 {
+			t.Errorf("row %d of %s: phases %v, want one s and one f", tid, id, ph)
+		}
+	}
+	if rows != 3 {
+		t.Fatalf("%s renders as %d rows, want one per ping (3)", id, rows)
 	}
 }
 

@@ -145,7 +145,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestShardedLedgerMatchesSequential pins the ping fate ledger's
-// engine independence: one crossing buffer fed by every shard yields
+// engine independence: one seam recorder fed by every shard yields
 // the same fate table — and the same rendered report — on both
 // engines.
 func TestShardedLedgerMatchesSequential(t *testing.T) {

@@ -13,10 +13,21 @@ import (
 	"packetradio/internal/obs"
 )
 
+// spanStream is the global span stream: every journey's spans, the
+// journeys in the order given.
+func spanStream(journeys []obs.Trace) []obs.Span {
+	var out []obs.Span
+	for _, j := range journeys {
+		out = append(out, j.Spans()...)
+	}
+	return out
+}
+
 // tracedRun builds the E19 world — 100 stations on polled 1200 bps
 // channels — with a tracer attached, and runs the standard 3-minute
-// probe schedule.
-func tracedRun(t *testing.T, workers int) (*obs.Tracer, *Large) {
+// probe schedule. It returns the tracer and every journey, in TraceID
+// order.
+func tracedRun(t *testing.T, workers int) (*obs.Tracer, []obs.Trace, *Large) {
 	t.Helper()
 	lw := NewLarge(LargeConfig{
 		Seed:         5,
@@ -28,8 +39,9 @@ func tracedRun(t *testing.T, workers int) (*obs.Tracer, *Large) {
 		Workers:      workers,
 	})
 	tr := lw.W.AttachTracer()
+	journeys := tr.Collect()
 	lw.W.Run(3 * time.Minute)
-	return tr, lw
+	return tr, journeys(), lw
 }
 
 // TestTraceBreakdownAccountsRTT is E19's core claim: the per-stage
@@ -39,8 +51,7 @@ func tracedRun(t *testing.T, workers int) (*obs.Tracer, *Large) {
 // trace, not in aggregate — and the set of completed echo traces
 // reproduces the world's own RTT multiset.
 func TestTraceBreakdownAccountsRTT(t *testing.T) {
-	tr, lw := tracedRun(t, 0)
-	traces := tr.Traces()
+	tr, traces, lw := tracedRun(t, 0)
 	if len(traces) == 0 {
 		t.Fatal("no traces recorded")
 	}
@@ -85,7 +96,7 @@ func TestTraceBreakdownAccountsRTT(t *testing.T) {
 		t.Fatal("no mac-wait spans in a polled world")
 	}
 	named := false
-	for _, sp := range tr.Spans() {
+	for _, sp := range spanStream(traces) {
 		if sp.Stage == obs.StageMACWait && strings.HasPrefix(sp.Arg, "master=") {
 			named = true
 			break
@@ -100,13 +111,13 @@ func TestTraceBreakdownAccountsRTT(t *testing.T) {
 // the span stream — order, stages, endpoints, arguments — is
 // identical on the single-loop engine and on the sharded engine.
 func TestTraceSpansEngineInvariance(t *testing.T) {
-	tr0, _ := tracedRun(t, 0)
-	ref := tr0.Spans()
+	_, journeys0, _ := tracedRun(t, 0)
+	ref := spanStream(journeys0)
 	if len(ref) == 0 {
 		t.Fatal("no spans recorded")
 	}
-	tr1, _ := tracedRun(t, 1)
-	if got := tr1.Spans(); !reflect.DeepEqual(ref, got) {
+	_, journeys1, _ := tracedRun(t, 1)
+	if got := spanStream(journeys1); !reflect.DeepEqual(ref, got) {
 		i := 0
 		for i < len(ref) && i < len(got) && ref[i] == got[i] {
 			i++
@@ -133,11 +144,11 @@ func TestTracerMatchesSSIDStations(t *testing.T) {
 		w.Host("c").AttachRadio(ch, "pr0", bystander, ip.MustAddr("44.24.0.3"), ip.MaskClassA, RadioConfig{})
 		a.Radio("pr0").Driver.Resolver().AddStatic(ip.MustAddr("44.24.0.2"), ax25.MustAddr(callB).HW())
 		b.Radio("pr0").Driver.Resolver().AddStatic(ip.MustAddr("44.24.0.1"), ax25.MustAddr(callA).HW())
-		tr := w.AttachTracer()
+		journeys := w.AttachTracer().Collect()
 		a.Stack.Ping(ip.MustAddr("44.24.0.2"), 64, func(uint16, time.Duration, ip.Addr) {})
 		w.Run(time.Minute)
 		var out []string
-		for _, sp := range tr.Spans() {
+		for _, sp := range spanStream(journeys()) {
 			out = append(out, fmt.Sprintf("%s %v-%v", sp.Stage, sp.Start, sp.End))
 		}
 		return out
@@ -160,7 +171,7 @@ func TestTracerMatchesSSIDStations(t *testing.T) {
 // names a bystander PC.
 func TestBystandersStayOutOfJourneys(t *testing.T) {
 	s := NewSeattle(SeattleConfig{Seed: 1, NumPCs: 4})
-	tr := s.W.AttachTracer()
+	journeys := s.W.AttachTracer().Collect()
 	for i := 0; i < 3; i++ {
 		s.W.Sched.After(time.Duration(i)*time.Minute, func() {
 			s.PCs[0].Stack.Ping(InternetIP, 32, func(uint16, time.Duration, ip.Addr) {})
@@ -173,7 +184,7 @@ func TestBystandersStayOutOfJourneys(t *testing.T) {
 		bystanders[PCCall(i+1)] = true
 	}
 	complete := 0
-	for _, trc := range tr.Traces() {
+	for _, trc := range journeys() {
 		if trc.Complete() {
 			complete++
 		}

@@ -43,12 +43,17 @@ func macCell(n int, mac world.MACMode) map[string]float64 {
 // changing it moves the committed baseline.
 const seattlePingIters = 20000
 
-// warmSeattle builds the one-PC Figure-1 world and warms the PC's ARP
+// warmSeattle builds the one-PC Figure-1 world, with the ping ledger
+// and the span tracer attached when traced, and warms the PC's ARP
 // entry for the gateway with one small ping. It returns a function
 // that sends one warm 64-byte ping through the full chain and runs the
 // world for a simulated minute, reporting whether the reply came back.
-func warmSeattle() (s *world.Seattle, ping func() bool) {
+func warmSeattle(traced bool) (s *world.Seattle, ping func() bool) {
 	s = world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
+	if traced {
+		s.W.AttachPingLedger()
+		s.W.AttachTracer()
+	}
 	ok := false
 	reply := func(uint16, time.Duration, ip.Addr) { ok = true }
 	s.PCs[0].Stack.Ping(world.GatewayIP, 8, reply)
@@ -67,7 +72,7 @@ func warmSeattle() (s *world.Seattle, ping func() bool) {
 // seattlePing returns the scheduler events one warm ping fires through
 // the full chain, averaged over iters pings.
 func seattlePing(iters int) (eventsPerOp float64) {
-	s, ping := warmSeattle()
+	s, ping := warmSeattle(false)
 	firedBefore := s.W.Sched.Fired()
 	for i := 0; i < iters; i++ {
 		if !ping() {
@@ -91,14 +96,38 @@ const maxSeattlePingAllocs = 10
 // warm ping that allocates more than maxSeattlePingAllocs objects has
 // grown a per-hop copy or a per-frame closure back.
 func TestSeattlePingAllocs(t *testing.T) {
-	_, ping := warmSeattle()
-	allocs := testing.AllocsPerRun(1000, func() {
+	if allocs := pingAllocs(t, false); allocs > maxSeattlePingAllocs {
+		t.Fatalf("a warm 64-byte ping allocates %.0f objects, want <= %d", allocs, maxSeattlePingAllocs)
+	}
+}
+
+// pingAllocs reports the heap objects one warm Seattle ping allocates,
+// with the ping ledger and the span tracer attached when traced.
+func pingAllocs(t *testing.T, traced bool) float64 {
+	_, ping := warmSeattle(traced)
+	return testing.AllocsPerRun(1000, func() {
 		if !ping() {
 			t.Fatal("ping lost")
 		}
 	})
-	if allocs > maxSeattlePingAllocs {
-		t.Fatalf("a warm 64-byte ping allocates %.0f objects, want <= %d", allocs, maxSeattlePingAllocs)
+}
+
+// maxTracedPingExtraAllocs bounds what the ping ledger and the span
+// tracer add to a warm ping's allocations. The seam hooks decode into
+// storage each lane owns, a journey reuses a closed one's storage, and
+// the folds index arrays by stage and crossing point, so what is left
+// is the breakdown's growing sample slices, amortized over the pings.
+const maxTracedPingExtraAllocs = 2
+
+// TestTracedPingAllocs is the allocation gate on the obs taps: with
+// the ledger and the tracer attached, a warm ping allocates at most
+// maxTracedPingExtraAllocs objects more than an untraced one.
+func TestTracedPingAllocs(t *testing.T) {
+	plain, traced := pingAllocs(t, false), pingAllocs(t, true)
+	t.Logf("a warm ping allocates %.0f objects, %.0f traced", plain, traced)
+	if traced > plain+maxTracedPingExtraAllocs {
+		t.Fatalf("a warm traced ping allocates %.0f objects, an untraced one %.0f: want at most %d more",
+			traced, plain, maxTracedPingExtraAllocs)
 	}
 }
 
