@@ -19,6 +19,7 @@ import (
 	"packetradio/internal/rspf"
 	"packetradio/internal/sim"
 	"packetradio/internal/tcp"
+	"packetradio/internal/world"
 )
 
 func reportMetrics(b *testing.B, r *experiments.Result, keys ...string) {
@@ -245,7 +246,7 @@ func BenchmarkSchedulerEventLoop(b *testing.B) {
 // BenchmarkSeattlePing measures simulator throughput end to end: one
 // full ping through the complete Figure-1 chain per iteration.
 func BenchmarkSeattlePing(b *testing.B) {
-	_, ping := warmSeattle(false) // ARP warm outside the loop
+	_, ping := warmSeattle(world.MACCSMA, false) // ARP warm outside the loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

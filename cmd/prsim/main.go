@@ -1,14 +1,30 @@
-// Prsim runs the paper's Seattle deployment interactively: it builds
-// the gateway, Ethernet and radio channel, runs a scripted workload,
-// and prints a frame-level monitor trace — the closest thing to
-// sitting at the MicroVAX console in 1988.
+// Prsim runs the paper's Seattle deployment at the console, or a
+// scenario.
 //
-// Usage:
+// The console, the default, builds the gateway, Ethernet and radio
+// channel, runs a scripted workload, and prints a frame-level monitor
+// trace — the closest thing to sitting at the MicroVAX console in 1988:
 //
-//	prsim                          # default: pings + a telnet session
+//	prsim                          # pings + a telnet session
 //	prsim -bps 9600 -pcs 4 -acl    # faster channel, more PCs, §4.3 ACL
 //	prsim -load 60                 # add 60% background channel load
 //	prsim -mac dama -pcs 8         # polled access instead of CSMA
+//
+// A scenario (SCENARIOS.md) is a JSON file, or a directory of them,
+// given to -scenario, or the regional world the scale flags describe:
+// -stations N, with -channels, -bps, -baud, -mac, -transport and -dur,
+// is N stations each probing the Internet host once a minute after a
+// 30 s warm-up. A scenario is swept across seeds by scenario.Evaluate
+// (a per-seed table, the across-seed delivery and RTT percentiles, the
+// gate verdicts) or run once at -seed with the observers attached.
+// Files are swept unless an observer flag is set; the flag-built
+// scenario is swept only when -seeds is set without one.
+//
+//	prsim -scenario examples/scenarios         # gate every scenario
+//	prsim -scenario examples/scenarios/diurnal.json -seeds 16
+//	prsim -stations 100 -mac dama              # E16-style world, with a fate
+//	                                           # ledger for every lost ping
+//	prsim -stations 200 -channels 8 -seeds 8   # delivery and RTT across seeds
 //
 // The observability layer (internal/obs) hangs off flags that work in
 // both modes:
@@ -16,18 +32,11 @@
 //	prsim -pcap gw.pcap -filter "icmp"   # capture the gateway's KISS seam
 //	prsim -trace run.json                # scheduler flight recorder -> Chrome trace
 //	prsim -metrics run.csv -netstat      # 1 Hz metric samples + final netstat -s
-//	prsim -stations 100 -mac dama        # E16-style scale world: N stations on
-//	                                     # one channel, with a per-layer fate
-//	                                     # ledger explaining every lost ping
+//	prsim -stations 200 -spans           # every packet's journey, stage by stage
 //
 // A file the observers cannot write is reported on stderr, and prsim
-// exits 1.
-//
-// It is also the entry point for the declarative scenario suite
-// (SCENARIOS.md), which CI gates:
-//
-//	prsim -scenario examples/scenarios               # gate every scenario
-//	prsim -scenario examples/scenarios/diurnal.toml -seeds 16
+// exits 1; so does a sweep that misses a scenario's gates. A bad
+// invocation or scenario exits 2.
 package main
 
 import (
@@ -54,8 +63,8 @@ import (
 	"packetradio/internal/world"
 )
 
-// obsFlags are the observability attachments shared by the Seattle and
-// scale modes.
+// obsFlags are the observability attachments shared by the Seattle
+// console and a scenario's single run.
 type obsFlags struct {
 	netstat bool
 	pcap    string
@@ -235,28 +244,32 @@ func finished(err error) int {
 	return 0
 }
 
+// The run's flags, apart from the observers' (obsFlags). They live at
+// package level so a test can parse a command line into them.
+var (
+	bps           = flag.Int("bps", 1200, "radio channel bit rate")
+	baud          = flag.Int("baud", 9600, "host-TNC serial speed")
+	pcs           = flag.Int("pcs", 2, "radio PCs")
+	acl           = flag.Bool("acl", false, "enable the §4.3 access-control table")
+	load          = flag.Int("load", 0, "background channel load percent")
+	dur           = flag.Duration("dur", 10*time.Minute, "simulated duration")
+	seed          = flag.Int64("seed", 1, "simulation seed")
+	quiet         = flag.Bool("q", false, "suppress the frame monitor")
+	macFlag       = flag.String("mac", "csma", "channel access: csma (p-persistent) or dama (polled)")
+	scenarioFlag  = flag.String("scenario", "", "run this scenario file (JSON, see SCENARIOS.md), or every one in this directory: swept across its seeds against its gates, or once with an observer flag")
+	stations      = flag.Int("stations", 0, "run the scenario of N regional stations that -channels, -bps, -baud, -mac, -transport and -dur describe, each probing the Internet host once a minute (0 = the Seattle console)")
+	transportFlag = flag.String("transport", "icmp", "-stations probe transport: icmp, tcp or rdm")
+	channels      = flag.Int("channels", 1, "-stations radio channels, stations spread round-robin, one gateway each")
+	seeds         = flag.Int("seeds", 0, "sweep the scenario across seeds 1..N, up to GOMAXPROCS at once, and report delivery/RTT percentiles (with -scenario, default: the file's gates.seeds)")
+	cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile    = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
+)
+
 func main() { os.Exit(run()) }
 
 // run is prsim with its deferred profile writers done before the
 // process exits; it returns the exit status.
 func run() int {
-	bps := flag.Int("bps", 1200, "radio channel bit rate")
-	baud := flag.Int("baud", 9600, "host-TNC serial speed")
-	pcs := flag.Int("pcs", 2, "radio PCs")
-	acl := flag.Bool("acl", false, "enable the §4.3 access-control table")
-	load := flag.Int("load", 0, "background channel load percent")
-	dur := flag.Duration("dur", 10*time.Minute, "simulated duration")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	quiet := flag.Bool("q", false, "suppress the frame monitor")
-	macFlag := flag.String("mac", "csma", "channel access: csma (p-persistent) or dama (polled)")
-	scenarioFlag := flag.String("scenario", "", "scenario mode: run this declarative scenario file (.json or .toml, see SCENARIOS.md), or every one in this directory, across -seeds seeds and check its gates")
-	stations := flag.Int("stations", 0, "scale mode: N stations on one channel with a ping-fate ledger (0 = Seattle scenario)")
-	transportFlag := flag.String("transport", "icmp", "scale mode probe transport: icmp, tcp or rdm")
-	channels := flag.Int("channels", 1, "scale mode: radio channels, stations spread round-robin, one gateway each")
-	workersFlag := flag.Int("workers", 0, "Monte-Carlo mode: seeds run concurrently (0 = GOMAXPROCS)")
-	seeds := flag.Int("seeds", 0, "Monte-Carlo mode: step the scale world under this many independent seeds and report delivery/RTT percentiles (runs -workers seeds concurrently)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	of := obsFlags{create: func(name string) (io.WriteCloser, error) { return os.Create(name) }}
 	flag.BoolVar(&of.netstat, "netstat", false, "print every metric in the registry at the end of the run")
 	flag.StringVar(&of.pcap, "pcap", "", "capture the gateway's KISS seam to this pcap file")
@@ -271,8 +284,7 @@ func run() int {
 		return fail(err)
 	}
 
-	transport, err := world.ParseTransportMode(*transportFlag)
-	if err != nil {
+	if _, err := world.ParseTransportMode(*transportFlag); err != nil {
 		return fail(err)
 	}
 
@@ -306,15 +318,25 @@ func run() int {
 		}()
 	}
 
-	if *scenarioFlag != "" {
-		return runScenario(*scenarioFlag, *seeds, &of)
+	observed := of.netstat || of.pcap != "" || of.trace != "" || of.metrics != "" || of.spans
+	var sc *scenario.Scenario
+	switch {
+	case *scenarioFlag != "" && !observed:
+		return sweepFiles(*scenarioFlag, *seeds)
+	case *scenarioFlag != "":
+		sc, err = scenario.Load(*scenarioFlag)
+	case *stations > 0:
+		sc, err = flagScenario()
+	case *seeds > 0:
+		err = errors.New("prsim: -seeds sweeps a scenario: give -scenario or -stations")
 	}
-	if *seeds > 0 {
-		runSweep(*seeds, *stations, *channels, *workersFlag, *dur)
-		return 0
-	}
-	if *stations > 0 {
-		return runScale(*stations, *channels, mac, transport, *seed, *bps, *dur, &of)
+	switch {
+	case err != nil:
+		return fail(err)
+	case sc != nil && *seeds > 0 && !observed:
+		return sweep([]*scenario.Scenario{sc}, *seeds)
+	case sc != nil:
+		return runOnce(sc, *seed, &of)
 	}
 
 	s := world.NewSeattle(world.SeattleConfig{
@@ -385,85 +407,49 @@ func run() int {
 	return finished(finish())
 }
 
-// runScale is the E16-style scale mode: N stations spread over
-// -channels radio channels (default one), each channel behind its own
-// gateway, each station probing the Internet host once a minute. With
-// the default ICMP transport an obs.PingLedger watches every seam and
-// accounts for every ping ever sent — delivered, lost to a named drop
-// reason, or still pending at a named stage. With -transport tcp or rdm the same probe schedule
-// rides a real transport instead, so losses become latency and the
-// summary reports transport counters in place of the fate ledger.
-func runScale(n, channels int, mac world.MACMode, transport world.TransportMode, seed int64, bps int, dur time.Duration, of *obsFlags) int {
-	lw := world.NewLarge(world.LargeConfig{
-		Seed: seed, Stations: n, Channels: channels, BitRate: bps,
-		PingInterval: time.Minute, MAC: mac, Transport: transport,
-	})
-	var ledger *obs.PingLedger
-	if transport == world.TransportICMP {
-		ledger = lw.W.AttachPingLedger()
+// flagScenario is the scenario the scale flags describe: -stations
+// stations over -channels channels of the large base, each probing the
+// Internet host once a minute, a 30 s warm-up, then -dur timed. It is
+// normalized and validated as a file would be, so it takes the
+// schema's bounds.
+func flagScenario() (*scenario.Scenario, error) {
+	sc := &scenario.Scenario{
+		Name: "scale",
+		Topology: scenario.Topology{
+			Base: "large", Stations: *stations, Channels: *channels, BitRate: *bps, Baud: *baud, MAC: *macFlag,
+		},
+		Traffic: scenario.Traffic{Transport: *transportFlag, ProbeInterval: scenario.Duration(time.Minute)},
+		Run:     scenario.RunSpec{Warmup: scenario.Duration(30 * time.Second), Duration: scenario.Duration(*dur)},
 	}
-	finish, err := of.attach(lw.W, "gw1")
-	if err != nil {
-		return fail(err)
-	}
-	fmt.Printf("# scale mode: %d stations, %d x %d bps channels, mac=%v, transport=%v, 60 s probe interval\n",
-		n, channels, bps, mac, transport)
-	lw.W.Run(30 * time.Second) // warm-up: ARP, first probe wave, DAMA election
-	lw.W.Run(dur)
-
-	fmt.Printf("# probes: sent=%d replies=%d delivery=%.0f%%\n",
-		lw.Sent, lw.Replies, lw.DeliveryRatio()*100)
-	util, coll := 0.0, uint64(0)
-	for _, ch := range lw.Channels {
-		util += ch.Utilization()
-		coll += ch.Stats.CollisionPairs
-	}
-	fmt.Printf("# channels: mean utilization=%.1f%% collisions=%d\n",
-		util/float64(len(lw.Channels))*100, coll)
-	switch transport {
-	case world.TransportICMP:
-		fmt.Println("# ping fates (first thing that went wrong, most common first):")
-		ledger.WriteFates(os.Stdout)
-	case world.TransportTCP:
-		if tp := lw.Internet.Sockets().TCPActive(); tp != nil {
-			fmt.Printf("# inet tcp: segsIn=%d segsOut=%d accepts=%d\n",
-				tp.Stats.SegsIn, tp.Stats.SegsOut, tp.Stats.Accepts)
-		}
-	case world.TransportRDM:
-		if rm := lw.Internet.Sockets().RDMActive(); rm != nil {
-			s := rm.Stats
-			fmt.Printf("# inet rdm: delivered=%d sent=%d resent=%d acksOut=%d naksOut=%d failed=%d\n",
-				s.Delivered, s.Sent, s.Resent, s.AcksOut, s.NaksOut, s.Failed)
-		}
-	}
-	return finished(finish())
+	sc.Normalize()
+	return sc, sc.Validate()
 }
 
-// runScenario is the declarative mode: load a scenario file, sweep it
-// across seeds (independent seeds run up to GOMAXPROCS at a time),
-// print the per-seed results and the gate verdicts, and exit 1 if a
-// gate fails. A directory runs every .json and .toml scenario in it, in
-// name order, with a blank line between reports. The report is
-// deterministic, so CI diffs two runs' output byte for byte. With
-// observability flags set the mode switches to a single instrumented
-// run of seed 1 of one file instead (a sweep has no one world to tap)
-// and checks no gates.
-func runScenario(path string, seeds int, of *obsFlags) int {
-	if of.netstat || of.pcap != "" || of.trace != "" || of.metrics != "" || of.spans {
-		return runInstrumented(path, of)
-	}
+// sweepFiles loads the scenario at path, or every one in that
+// directory, and sweeps them.
+func sweepFiles(path string, seeds int) int {
 	files, err := scenarioFiles(path)
 	if err != nil {
 		return fail(err)
 	}
-	failed := 0
+	scs := make([]*scenario.Scenario, len(files))
 	for i, f := range files {
+		if scs[i], err = scenario.Load(f); err != nil {
+			return fail(err)
+		}
+	}
+	return sweep(scs, seeds)
+}
+
+// sweep evaluates each scenario across seeds (0 = its gates.seeds) and
+// prints the per-seed results and the gate verdicts, with a blank line
+// between reports; it exits 1 if a gate fails. The report is
+// deterministic, so CI diffs two runs' output byte for byte.
+func sweep(scs []*scenario.Scenario, seeds int) int {
+	failed := 0
+	for i, sc := range scs {
 		if i > 0 {
 			fmt.Println()
-		}
-		sc, err := scenario.Load(f)
-		if err != nil {
-			return fail(err)
 		}
 		rep, err := scenario.Evaluate(sc, seeds)
 		if err != nil {
@@ -475,15 +461,15 @@ func runScenario(path string, seeds int, of *obsFlags) int {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "prsim: %d of %d scenarios failed their gates\n", failed, len(files))
+		fmt.Fprintf(os.Stderr, "prsim: %d of %d scenarios failed their gates\n", failed, len(scs))
 		return 1
 	}
 	return 0
 }
 
-// scenarioFiles lists the scenarios at path: every .json and .toml file
-// of a directory, in name order, or else path itself, which Load then
-// reads or reports.
+// scenarioFiles lists the scenarios at path: every .json file of a
+// directory, in name order, or else path itself, which Load then reads
+// or reports.
 func scenarioFiles(path string) ([]string, error) {
 	entries, err := os.ReadDir(path)
 	if err != nil {
@@ -491,29 +477,32 @@ func scenarioFiles(path string) ([]string, error) {
 	}
 	var files []string
 	for _, e := range entries {
-		if ext := filepath.Ext(e.Name()); !e.IsDir() && (ext == ".json" || ext == ".toml") {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
 			files = append(files, filepath.Join(path, e.Name()))
 		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("prsim: no .json or .toml scenarios in %s", path)
+		return nil, fmt.Errorf("prsim: no .json scenarios in %s", path)
 	}
 	return files, nil
 }
 
-// runInstrumented runs seed 1 of one scenario file with the
-// observability flags attached.
-func runInstrumented(path string, of *obsFlags) int {
-	sc, err := scenario.Load(path)
+// runOnce runs one seed of a scenario with the observers attached, and
+// a ping ledger when the probes are ICMP, all before the first event.
+// It prints the probe totals, the channels' mean utilization and
+// collisions, and then the ping fates, or the Internet host's
+// transport counters for TCP and RDM probes. Gates are not checked.
+func runOnce(sc *scenario.Scenario, seed int64, of *obsFlags) int {
+	r, err := scenario.Compile(sc, seed)
 	if err != nil {
 		return fail(err)
 	}
-	r, err := scenario.Compile(sc, 1)
-	if err != nil {
-		return fail(err)
+	var ledger *obs.PingLedger
+	if sc.Traffic.Transport == "icmp" {
+		ledger = r.W.AttachPingLedger()
 	}
 	gwHost := "gw1"
-	if sc.Topology.Base == "seattle" {
+	if r.Seattle != nil {
 		gwHost = "uw-gw"
 	}
 	finish, err := of.attach(r.W, gwHost)
@@ -521,32 +510,33 @@ func runInstrumented(path string, of *obsFlags) int {
 		return fail(err)
 	}
 	fmt.Println(sc.Summary())
-	fmt.Println("# single instrumented run (seed 1); gates not checked")
+	fmt.Printf("# single run (seed %d); gates not checked\n", seed)
 	st := r.Run()
 	fmt.Printf("# probes: sent=%d replies=%d delivery=%.3f rtt_p50=%s rtt_p95=%s control_share=%.3f\n",
 		st.Sent, st.Replies, st.Delivery, st.RTTPercentile(50), st.RTTPercentile(95), st.ControlShare)
+	util, coll := 0.0, uint64(0)
+	for _, ch := range r.Channels {
+		util += ch.Utilization()
+		coll += ch.Stats.CollisionPairs
+	}
+	fmt.Printf("# channels: mean utilization=%.1f%% collisions=%d\n",
+		util/float64(len(r.Channels))*100, coll)
+	if ledger != nil {
+		// A scenario with span gates resets its tracer, and so the
+		// ledger that shares its recorder, at the end of the warm-up.
+		since := ""
+		if r.Tracer != nil {
+			since = " since the warm-up"
+		}
+		fmt.Printf("# ping fates%s (first thing that went wrong, most common first):\n", since)
+		ledger.WriteFates(os.Stdout)
+	} else if sl := r.Internet.Sockets(); sl.TCPActive() != nil {
+		s := sl.TCPActive().Stats
+		fmt.Printf("# inet tcp: segsIn=%d segsOut=%d accepts=%d\n", s.SegsIn, s.SegsOut, s.Accepts)
+	} else if sl.RDMActive() != nil {
+		s := sl.RDMActive().Stats
+		fmt.Printf("# inet rdm: delivered=%d sent=%d resent=%d acksOut=%d naksOut=%d failed=%d\n",
+			s.Delivered, s.Sent, s.Resent, s.AcksOut, s.NaksOut, s.Failed)
+	}
 	return finished(finish())
-}
-
-// runSweep is the Monte-Carlo mode: the same scale world stepped under
-// -seeds independent seeds, up to -workers of them concurrently (each
-// world is itself single-loop — independent seeds are embarrassingly
-// parallel, no conservative protocol needed). Reports the delivery and
-// RTT distributions a single deterministic run cannot show.
-func runSweep(seeds, stations, channels, workers int, dur time.Duration) {
-	if stations <= 0 {
-		stations = 200
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("# monte-carlo: %d seeds x %d stations / %d channels, %d concurrent runs, %v timed\n",
-		seeds, stations, channels, workers, dur)
-	start := time.Now()
-	pt := experiments.Sweep(seeds, stations, channels, workers, dur)
-	fmt.Printf("# delivery: median=%.1f%% p95-worst=%.1f%% min=%.1f%%\n",
-		pt.DeliveryMedian*100, pt.DeliveryP95*100, pt.DeliveryMin*100)
-	fmt.Printf("# rtt:      median=%.2fs p95=%.2fs\n",
-		pt.RTTMedian.Seconds(), pt.RTTP95.Seconds())
-	fmt.Printf("# wall: %.1fs\n", time.Since(start).Seconds())
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"io"
 	"strings"
 	"testing"
@@ -70,5 +71,46 @@ func TestFinishReportsUnwritableFiles(t *testing.T) {
 		if len(wrote) != 2 {
 			t.Errorf("%s %+v: wrote %v, want the other two outputs", tc.name, tc.file, wrote)
 		}
+	}
+}
+
+// TestFlagScenario pins the scenario the scale flags build, with the
+// flags' defaults: prsim -stations 40 -channels 2 -dur 3m -mac dama
+// -transport rdm is this canonical JSON, and 1001 stations break the
+// schema's bound.
+func TestFlagScenario(t *testing.T) {
+	if err := flag.CommandLine.Parse(strings.Fields("-stations 40 -channels 2 -dur 3m -mac dama -transport rdm")); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := flagScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+  "name": "scale",
+  "topology": {
+    "base": "large",
+    "stations": 40,
+    "channels": 2,
+    "bit_rate": 1200,
+    "baud": 9600,
+    "mac": "dama"
+  },
+  "traffic": {
+    "transport": "rdm",
+    "probe_interval": "1m0s"
+  },
+  "run": {
+    "warmup": "30s",
+    "duration": "3m0s"
+  }
+}
+`
+	if got := string(sc.EmitJSON()); got != want {
+		t.Errorf("flag scenario:\n%s\nwant:\n%s", got, want)
+	}
+	*stations = 1001
+	if _, err := flagScenario(); err == nil || !strings.Contains(err.Error(), "out of range 1..1000") {
+		t.Errorf("1001 stations: err %v, want the schema's 1..1000 bound", err)
 	}
 }

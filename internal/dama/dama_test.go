@@ -1,6 +1,7 @@
 package dama
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -207,5 +208,28 @@ func TestMasterDoesNotStarveSlaves(t *testing.T) {
 	}
 	if parse(slaveAt) > parse(lastGwAt) {
 		t.Fatalf("slave served at %v, after the master's whole backlog (%v) — starvation", slaveAt, lastGwAt)
+	}
+}
+
+// TestUnwrapMatchesDecode: Unwrap, which skips the source callsign
+// without copying it, agrees with decode on every prefix of every
+// frame kind.
+func TestUnwrapMatchesDecode(t *testing.T) {
+	for _, b := range [][]byte{
+		encodeData("KB7DZ-4", 3, true, []byte("inner frame")),
+		encodeData("", 0, false, nil),
+		encodePoll("N7AKR", "KB7DZ"),
+		encodeNone("N7AKR"),
+		{0x9C, 0x6E, 0x82, 0xA0},
+	} {
+		for n := 0; n <= len(b); n++ {
+			kind, _, _, _, _, payload, ok := decode(b[:n])
+			want := ok && kind == kData
+			got, wrapped := Unwrap(b[:n])
+			if wrapped != want || want && !bytes.Equal(got, payload) {
+				t.Errorf("Unwrap(% x) = % x, %v; decode gives kind %q payload % x ok %v",
+					b[:n], got, wrapped, kind, payload, ok)
+			}
+		}
 	}
 }

@@ -69,12 +69,17 @@ func dataHdrLen(src string) int { return 3 + 1 + len(src) + 3 }
 // anything that is not DAMA-framed it returns (nil, false). This is
 // the observability seam: a capture tap or ping ledger looking at raw
 // on-air bytes uses it to see the frame a slave's TNC actually queued.
+// It skips the source callsign without copying it, so the taps that
+// call it on every frame allocate nothing.
 func Unwrap(b []byte) ([]byte, bool) {
-	kind, _, _, _, _, payload, ok := decode(b)
-	if !ok || kind != kData {
+	if len(b) < 4 || b[0] != magic0 || b[1] != magic1 || b[2] != kData {
 		return nil, false
 	}
-	return payload, true
+	hdr := 4 + int(b[3]) + 3 // magic, kind, src, demand, flags
+	if len(b) < hdr {
+		return nil, false
+	}
+	return b[hdr:], true
 }
 
 // decode classifies a heard frame. ok is false for anything that is

@@ -25,7 +25,7 @@ import (
 // passed so the transport can see addresses for its pseudo-header.
 //
 // Every *ip.Packet and *icmp.Message the stack passes to a Handler,
-// Filter, ICMPHook, Tap or RegisterProtoError handler, or to an
+// Filter, ICMPHook, Tap, OnDrop or RegisterProtoError handler, or to an
 // interface's Output, is the stack's own scratch and is valid only for
 // that call. A received datagram's Payload bytes (the driver's
 // IP-queue copy, or the Ethernet frame) are never reused and may be
@@ -112,6 +112,11 @@ type Stack struct {
 	// Tap, when non-nil, observes every packet at input, output and
 	// forward time ("in", "out", "fwd").
 	Tap func(dir string, pkt *ip.Packet, ifName string)
+
+	// OnDrop, when non-nil, observes every datagram the stack discards
+	// on its way through, with the reason: "ttl exceeded", "no route",
+	// "filter drop", "filter reject" or "cannot fragment".
+	OnDrop func(reason string, pkt *ip.Packet)
 
 	Stats Stats
 
@@ -344,15 +349,24 @@ func (s *Stack) scheduleReassemblyExpiry() {
 	})
 }
 
+// drop reports a datagram the stack discards to OnDrop.
+func (s *Stack) drop(reason string, pkt *ip.Packet) {
+	if s.OnDrop != nil {
+		s.OnDrop(reason, pkt)
+	}
+}
+
 func (s *Stack) forward(pkt *ip.Packet, inIf string) {
 	if pkt.TTL <= 1 {
 		s.Stats.TTLDrops++
+		s.drop("ttl exceeded", pkt)
 		s.sendICMPError(icmp.TypeTimeExceeded, icmp.CodeTTLExceeded, pkt)
 		return
 	}
 	ent, err := s.Routes.Lookup(pkt.Dst)
 	if err != nil {
 		s.Stats.NoRoute++
+		s.drop("no route", pkt)
 		s.sendICMPError(icmp.TypeDestUnreachable, icmp.CodeNetUnreachable, pkt)
 		return
 	}
@@ -360,9 +374,11 @@ func (s *Stack) forward(pkt *ip.Packet, inIf string) {
 		switch s.Filter(pkt, inIf, ent.IfName) {
 		case VerdictDrop:
 			s.Stats.FilterDrops++
+			s.drop("filter drop", pkt)
 			return
 		case VerdictReject:
 			s.Stats.FilterDrops++
+			s.drop("filter reject", pkt)
 			s.sendICMPError(icmp.TypeDestUnreachable, icmp.CodeAdminProhibited, pkt)
 			return
 		}
@@ -391,6 +407,7 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 	e := s.iface(ent.IfName)
 	if e == nil {
 		s.Stats.NoRoute++
+		s.drop("no route", pkt)
 		return
 	}
 	nextHop := pkt.Dst
@@ -405,6 +422,7 @@ func (s *Stack) transmit(pkt *ip.Packet, ent *route.Entry, dir, ifName string) {
 	frags, err := ip.Fragment(pkt, mtu)
 	if err != nil {
 		s.Stats.FragDrops++
+		s.drop("cannot fragment", pkt)
 		if errors.Is(err, ip.ErrFragmentDF) {
 			s.sendICMPError(icmp.TypeDestUnreachable, icmp.CodeFragNeeded, pkt)
 		}

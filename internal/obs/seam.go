@@ -484,6 +484,12 @@ func printsAs(a ax25.Addr, s string) bool {
 	return len(rest) == 1+len(ssid) && rest[0] == '-' && rest[1:] == string(ssid)
 }
 
+// StackDropTap returns an ipstack.Stack.OnDrop-shaped hook for the
+// named host: the datagram died in its IP layer for reason.
+func (ln *Lane) StackDropTap(host string) func(reason string, pkt *ip.Packet) {
+	return func(reason string, pkt *ip.Packet) { ln.add(pkt, ptLoss, host, reason) }
+}
+
 // DropTap returns a drop-hook-shaped function for the named host's
 // queues (driver ipq, TNC host queue, MAC transmit queue): the frame,
 // in whatever dress that seam uses, died for reason.

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestScenariosDoc extracts every fenced ```json / ```toml block from
+// TestScenariosDoc extracts every fenced ```json block from
 // SCENARIOS.md and the README and runs it through the real parser:
 // the format reference may not drift from the schema. Fragments that
 // are not complete scenarios must use a different fence info string
@@ -27,22 +27,16 @@ func TestScenariosDoc(t *testing.T) {
 	}
 }
 
-// checkDocFences parses each json/toml fence in one document and
-// reports how many it checked.
+// checkDocFences parses each json fence in one document and reports
+// how many it checked.
 func checkDocFences(t *testing.T, doc, src string) int {
 	checked := 0
 	for _, f := range mdFences(src) {
-		name := fmt.Sprintf("%s:%d (```%s)", doc, f.line, f.lang)
-		var sc *Scenario
-		var err error
-		switch f.lang {
-		case "json":
-			sc, err = Parse([]byte(f.body))
-		case "toml":
-			sc, err = ParseTOML([]byte(f.body))
-		default:
+		if f.lang != "json" {
 			continue
 		}
+		name := fmt.Sprintf("%s:%d (```%s)", doc, f.line, f.lang)
+		sc, err := Parse([]byte(f.body))
 		if err != nil {
 			t.Errorf("%s does not parse: %v", name, err)
 			continue

@@ -3,33 +3,28 @@ package scenario
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
-// FuzzScenarioParse feeds arbitrary bytes to Parse (JSON) or ParseTOML,
-// as a hand-edited or truncated scenario file may carry: each call
-// returns a scenario or an error and never panics, and an accepted
-// scenario's canonical JSON must parse again to the same canonical
-// JSON, so what Load accepts is what EmitJSON and the golden files
-// record. Seeded with the committed suite in both spellings.
+// FuzzScenarioParse feeds arbitrary bytes to Parse, as a hand-edited
+// or truncated scenario file may carry: each call returns a scenario
+// or an error and never panics, and an accepted scenario's canonical
+// JSON must parse again to the same canonical JSON, so what Load
+// accepts is what EmitJSON and the golden files record. Seeded with
+// the committed suite.
 func FuzzScenarioParse(f *testing.F) {
 	for _, path := range suiteFiles(f) {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(filepath.Ext(path) == ".toml", raw)
+		f.Add(raw)
 	}
-	f.Add(false, []byte(busyScenario))
-	f.Add(false, []byte(`{"name": "x"} {}`))
-	f.Add(true, []byte("name = \"x\"\n[run]\nduration = \"1m\"\n"))
-	f.Fuzz(func(t *testing.T, toml bool, raw []byte) {
-		parse := Parse
-		if toml {
-			parse = ParseTOML
-		}
-		sc, err := parse(raw)
+	f.Add([]byte(busyScenario))
+	f.Add([]byte(`{"name": "x"} {}`))
+	f.Add([]byte(`{"name": "x", "run": {"duration": "1m"}}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sc, err := Parse(raw)
 		if err != nil {
 			return
 		}

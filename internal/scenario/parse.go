@@ -1,7 +1,6 @@
-// Parsing and re-emitting scenario files. JSON is the canonical
-// format; a TOML subset (see toml.go) is accepted for hand-written
-// files. Unknown fields are errors in both — a typoed "probe_intervl"
-// must not silently become an idle scenario.
+// Parsing and re-emitting scenario files. Scenarios are JSON, decoded
+// strictly: unknown fields are errors — a typoed "probe_intervl" must
+// not silently become an idle scenario.
 
 package scenario
 
@@ -14,22 +13,16 @@ import (
 	"strings"
 )
 
-// Load reads, parses, normalizes and validates a scenario file,
-// choosing the format by extension (".json" or ".toml").
+// Load reads, parses, normalizes and validates a .json scenario file.
 func Load(path string) (*Scenario, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var sc *Scenario
-	switch ext := filepath.Ext(path); ext {
-	case ".json":
-		sc, err = Parse(raw)
-	case ".toml":
-		sc, err = ParseTOML(raw)
-	default:
-		return nil, fmt.Errorf("%s: unknown scenario extension %q (want .json or .toml)", path, ext)
+	if ext := filepath.Ext(path); ext != ".json" {
+		return nil, fmt.Errorf("%s: unknown scenario extension %q (want .json)", path, ext)
 	}
+	sc, err := Parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -55,25 +48,9 @@ func Parse(raw []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-// ParseTOML decodes a scenario in the TOML subset of toml.go by
-// converting it to the equivalent JSON document and running it
-// through the same strict decode, defaulting and validation — one
-// schema, two spellings.
-func ParseTOML(raw []byte) (*Scenario, error) {
-	tree, err := decodeTOML(raw)
-	if err != nil {
-		return nil, fmt.Errorf("parse toml: %w", err)
-	}
-	buf, err := json.Marshal(tree)
-	if err != nil {
-		return nil, fmt.Errorf("parse toml: %w", err)
-	}
-	return Parse(buf)
-}
-
 // EmitJSON renders the scenario as canonical, normalized JSON — what
-// the golden round-trip tests compare and what a TOML scenario
-// converts to. Parse(EmitJSON(sc)) reproduces sc exactly.
+// the golden round-trip tests compare. Parse(EmitJSON(sc)) reproduces
+// sc exactly.
 func (sc *Scenario) EmitJSON() []byte {
 	buf, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {

@@ -1,20 +1,20 @@
 // Running a compiled scenario and gating the results. Evaluate is the
 // distributional CI check: one deterministic run per seed, aggregated
-// through the same percentile machinery as experiments.Sweep, then
-// compared against the scenario's declared bands. Reports never print
-// wall-clock anything, so the output of two runs diffs clean.
+// across the seeds, then compared against the scenario's declared
+// bands. Reports never print wall-clock anything, so the output of two
+// runs diffs clean.
 
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"time"
-
-	"packetradio/internal/experiments"
 )
 
 // RunStats is one seed's outcome: baseline and pair-flow probes
@@ -46,13 +46,7 @@ func (s *RunStats) RTTPercentile(p int) time.Duration {
 	if len(s.RTTs) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), s.RTTs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := len(sorted) * p / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return percentile(s.RTTs, p)
 }
 
 // Run steps the world through warmup plus the timed window and
@@ -115,12 +109,18 @@ type GateCheck struct {
 }
 
 // GateReport is a full scenario evaluation: the per-seed stats, the
-// across-seed aggregation, and every gate's verdict.
+// across-seed aggregates, and every gate's verdict.
 type GateReport struct {
 	Scenario *Scenario
-	Point    experiments.SweepPoint
 	Stats    []RunStats // seed order
 	Checks   []GateCheck
+
+	// The across-seed aggregates: delivery percentiles over the
+	// per-seed ratios, where DeliveryP95 is the tail-worst seed (the
+	// 5th-percentile delivery — "how bad can a bad seed get"), and RTT
+	// percentiles over every seed's replies pooled.
+	DeliveryMedian, DeliveryP95, DeliveryMin float64
+	RTTMedian, RTTP95                        time.Duration
 }
 
 // Pass reports whether every gate held.
@@ -134,10 +134,10 @@ func (g *GateReport) Pass() bool {
 }
 
 // Evaluate sweeps the scenario across seeds 1..seeds (0 = the
-// scenario's gates.seeds, default 8) and checks its gates. Runs for
-// different seeds execute concurrently up to GOMAXPROCS, which cannot
-// affect results (each seed is an independent deterministic world and
-// the aggregation is order-free).
+// scenario's gates.seeds, default 8) and checks its gates. Seeds run
+// concurrently, up to GOMAXPROCS at a time. That cannot affect the
+// report: each seed is an independent deterministic world, its stats
+// land in seed order, and the aggregates sort before they index.
 func Evaluate(sc *Scenario, seeds int) (*GateReport, error) {
 	if seeds <= 0 {
 		seeds = 8
@@ -145,23 +145,51 @@ func Evaluate(sc *Scenario, seeds int) (*GateReport, error) {
 			seeds = sc.Gates.Seeds
 		}
 	}
-	// Compile once up front so a compile error surfaces as an error,
-	// not a panic inside the sweep goroutines.
-	if _, err := Compile(sc, 1); err != nil {
-		return nil, err
-	}
 	rep := &GateReport{Scenario: sc, Stats: make([]RunStats, seeds)}
-	rep.Point = experiments.SweepRuns(seeds, runtime.GOMAXPROCS(0), func(seed int64) experiments.RunSample {
-		r, err := Compile(sc, seed)
+	errs := make([]error, seeds)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range rep.Stats {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			r, err := Compile(sc, int64(i+1))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rep.Stats[i] = r.Run()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			panic(err) // seed-independent; the probe above caught it
+			return nil, err
 		}
-		st := r.Run()
-		rep.Stats[seed-1] = st
-		return experiments.RunSample{Delivery: st.Delivery, RTTs: st.RTTs}
-	})
+	}
+	rep.aggregate()
 	rep.check()
 	return rep, nil
+}
+
+// aggregate computes the across-seed numbers from Stats: the delivery
+// median, tail-worst and minimum are sorted[n/2], sorted[n/20] and
+// sorted[0] of the n per-seed ratios, and the RTT median and p95 are
+// pool[m/2] and pool[m*95/100] of the m pooled replies, sorted.
+func (g *GateReport) aggregate() {
+	delivery := make([]float64, len(g.Stats))
+	var pool []time.Duration
+	for i, st := range g.Stats {
+		delivery[i] = st.Delivery
+		pool = append(pool, st.RTTs...)
+	}
+	g.DeliveryMedian = percentile(delivery, 50)
+	g.DeliveryP95 = percentile(delivery, 5)
+	g.DeliveryMin = percentile(delivery, 0)
+	if len(pool) > 0 {
+		g.RTTMedian, g.RTTP95 = percentile(pool, 50), percentile(pool, 95)
+	}
 }
 
 // check fills Checks from the scenario's gates.
@@ -176,26 +204,26 @@ func (g *GateReport) check() {
 	ratio := func(v float64) string { return fmt.Sprintf("%.3f", v) }
 	if d := gates.Delivery; d != nil {
 		if d.MedianMin > 0 {
-			add("delivery.median", g.Point.DeliveryMedian >= d.MedianMin,
-				ratio(g.Point.DeliveryMedian), ">= "+ratio(d.MedianMin))
+			add("delivery.median", g.DeliveryMedian >= d.MedianMin,
+				ratio(g.DeliveryMedian), ">= "+ratio(d.MedianMin))
 		}
 		if d.P95Min > 0 {
-			add("delivery.p95", g.Point.DeliveryP95 >= d.P95Min,
-				ratio(g.Point.DeliveryP95), ">= "+ratio(d.P95Min))
+			add("delivery.p95", g.DeliveryP95 >= d.P95Min,
+				ratio(g.DeliveryP95), ">= "+ratio(d.P95Min))
 		}
 		if d.MinMin > 0 {
-			add("delivery.min", g.Point.DeliveryMin >= d.MinMin,
-				ratio(g.Point.DeliveryMin), ">= "+ratio(d.MinMin))
+			add("delivery.min", g.DeliveryMin >= d.MinMin,
+				ratio(g.DeliveryMin), ">= "+ratio(d.MinMin))
 		}
 	}
 	if rt := gates.RTT; rt != nil {
 		if rt.MedianMax > 0 {
-			add("rtt.median", g.Point.RTTMedian <= rt.MedianMax.D(),
-				g.Point.RTTMedian.String(), "<= "+rt.MedianMax.String())
+			add("rtt.median", g.RTTMedian <= rt.MedianMax.D(),
+				g.RTTMedian.String(), "<= "+rt.MedianMax.String())
 		}
 		if rt.P95Max > 0 {
-			add("rtt.p95", g.Point.RTTP95 <= rt.P95Max.D(),
-				g.Point.RTTP95.String(), "<= "+rt.P95Max.String())
+			add("rtt.p95", g.RTTP95 <= rt.P95Max.D(),
+				g.RTTP95.String(), "<= "+rt.P95Max.String())
 		}
 	}
 	if max := gates.ControlAirtimeShareMax; max > 0 {
@@ -218,7 +246,7 @@ func (g *GateReport) check() {
 			if len(shares) == 0 {
 				add("span."+sl.Stage+".share_p95", false, "no traces", "<= "+ratio(sl.ShareP95Max))
 			} else {
-				p95 := floatPercentile(shares, 95)
+				p95 := percentile(shares, 95)
 				add("span."+sl.Stage+".share_p95", p95 <= sl.ShareP95Max,
 					ratio(p95), "<= "+ratio(sl.ShareP95Max))
 			}
@@ -227,7 +255,7 @@ func (g *GateReport) check() {
 			if len(durs) == 0 {
 				add("span."+sl.Stage+".p95", false, "no traces", "<= "+sl.P95Max.String())
 			} else {
-				p95 := durPercentile(durs, 95)
+				p95 := percentile(durs, 95)
 				add("span."+sl.Stage+".p95", p95 <= sl.P95Max.D(),
 					p95.String(), "<= "+sl.P95Max.String())
 			}
@@ -235,27 +263,14 @@ func (g *GateReport) check() {
 	}
 }
 
-// floatPercentile reports the p-th percentile of vs by the same
-// index rule RTTPercentile uses, so span gates and RTT gates agree on
-// what "p95" means. vs may arrive unsorted and is not modified.
-func floatPercentile(vs []float64, p int) float64 {
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	i := len(sorted) * p / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-func durPercentile(vs []time.Duration, p int) time.Duration {
-	sorted := append([]time.Duration(nil), vs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := len(sorted) * p / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+// percentile reports the p-th percentile (0..100) of vs by one index
+// rule, sorted[len*p/100], so the RTT, delivery and span numbers agree
+// on what "p95" means. vs must not be empty; it may arrive unsorted
+// and is not modified.
+func percentile[T cmp.Ordered](vs []T, p int) T {
+	sorted := slices.Clone(vs)
+	slices.Sort(sorted)
+	return sorted[min(len(sorted)*p/100, len(sorted)-1)]
 }
 
 // WriteText renders the report: the scenario summary, one line per
@@ -271,8 +286,8 @@ func (g *GateReport) WriteText(w io.Writer) {
 			st.RTTPercentile(50), st.RTTPercentile(95), st.ControlShare)
 	}
 	fmt.Fprintf(w, "across seeds: delivery median=%.3f p95=%.3f min=%.3f, rtt median=%s p95=%s\n",
-		g.Point.DeliveryMedian, g.Point.DeliveryP95, g.Point.DeliveryMin,
-		g.Point.RTTMedian, g.Point.RTTP95)
+		g.DeliveryMedian, g.DeliveryP95, g.DeliveryMin,
+		g.RTTMedian, g.RTTP95)
 	if len(g.Checks) == 0 {
 		fmt.Fprintln(w, "gates: none declared")
 		return

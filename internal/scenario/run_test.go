@@ -155,6 +155,41 @@ func TestEvaluateGates(t *testing.T) {
 	}
 }
 
+// TestAggregateIndexRules pins Evaluate's across-seed numbers on fixed
+// per-seed stats, given in scrambled seed order: the delivery median,
+// tail-worst and minimum are sorted[n/2], sorted[n/20] and sorted[0],
+// and the pooled RTT median and p95 are pool[m/2] and pool[m*95/100]
+// of the m pooled replies. At n = 20 the tail-worst seed is the second
+// worst, not the minimum.
+func TestAggregateIndexRules(t *testing.T) {
+	for _, n := range []int{8, 20} {
+		g := &GateReport{}
+		for i := 0; i < n; i++ {
+			k := (i*7 + 3) % n // a permutation of 0..n-1
+			g.Stats = append(g.Stats, RunStats{
+				Delivery: float64(k+1) / float64(n),
+				RTTs:     []time.Duration{time.Duration(k+1+n) * time.Second, time.Duration(k+1) * time.Second},
+			})
+		}
+		g.aggregate()
+		// Sorted, seed j's delivery is (j+1)/n and pooled reply j's RTT
+		// is j+1 seconds.
+		delivery := func(j int) float64 { return float64(j+1) / float64(n) }
+		if g.DeliveryMedian != delivery(n/2) || g.DeliveryP95 != delivery(n/20) || g.DeliveryMin != delivery(0) {
+			t.Errorf("n=%d: delivery median/p95/min %v/%v/%v, want %v/%v/%v", n,
+				g.DeliveryMedian, g.DeliveryP95, g.DeliveryMin, delivery(n/2), delivery(n/20), delivery(0))
+		}
+		m := 2 * n
+		rtt := func(j int) time.Duration { return time.Duration(j+1) * time.Second }
+		if g.RTTMedian != rtt(m/2) || g.RTTP95 != rtt(m*95/100) {
+			t.Errorf("n=%d: rtt median/p95 %v/%v, want %v/%v", n, g.RTTMedian, g.RTTP95, rtt(m/2), rtt(m*95/100))
+		}
+		if n == 20 && g.DeliveryP95 == g.DeliveryMin {
+			t.Errorf("n=20: the tail-worst seed is the minimum")
+		}
+	}
+}
+
 // TestSuiteGates evaluates every committed scenario against its own
 // gates — the same check CI's scenario job runs, kept in-tree so a
 // band regression fails locally first. The whole suite is sub-second,

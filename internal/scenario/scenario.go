@@ -1,16 +1,18 @@
 // Package scenario is the declarative scenario layer: worlds as data
-// instead of Go code. A scenario file (JSON or a TOML subset — see
-// SCENARIOS.md for the full format reference) describes a topology,
-// a traffic matrix and a failure schedule; Compile turns it into a
+// instead of Go code, and the one description of a generated world. A
+// scenario is JSON (SCENARIOS.md is the format reference) or, in
+// prsim, built from the scale flags; it describes a topology, a
+// traffic matrix and a failure schedule. Compile turns it into a
 // world.World through the same LargeConfig/SeattleConfig surfaces the
-// hand-built worlds use, and Evaluate sweeps it across seeds and checks the declared outcome bands — distributional
-// CI gates for workloads where exact event counts are too brittle.
+// hand-built worlds use, and Evaluate sweeps it across seeds and
+// checks the declared outcome bands — distributional CI gates for
+// workloads where exact event counts are too brittle.
 //
 // The pipeline is parse → validate → compile → run → gate
 // (DESIGN.md §3h): Load parses and validates, Compile builds a Runner
-// for one seed, Runner.Run steps it and collects
-// RunStats, and Evaluate aggregates many seeds through the same
-// percentile machinery as experiments.Sweep before checking Gates.
+// for one seed, Runner.Run steps it and collects RunStats, and
+// Evaluate runs seeds 1..N concurrently and aggregates their stats
+// before checking Gates.
 package scenario
 
 import (

@@ -18,13 +18,9 @@ const suiteDir = "../../examples/scenarios"
 
 func suiteFiles(t testing.TB) []string {
 	t.Helper()
-	var files []string
-	for _, ext := range []string{"*.json", "*.toml"} {
-		m, err := filepath.Glob(filepath.Join(suiteDir, ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, m...)
+	files, err := filepath.Glob(filepath.Join(suiteDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(files) < 4 {
 		t.Fatalf("found %d scenarios in %s, want the committed suite", len(files), suiteDir)
@@ -70,55 +66,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 		if !bytes.Equal(again.EmitJSON(), emitted) {
 			t.Errorf("%s: emit -> parse -> emit is not a fixed point", path)
 		}
-	}
-}
-
-// TestTOMLMatchesJSON checks the two spellings of one scenario
-// normalize identically.
-func TestTOMLMatchesJSON(t *testing.T) {
-	jsonSrc := []byte(`{
-		"name": "spellings",
-		"topology": {"stations": 4, "channels": 1},
-		"traffic": {"probe_interval": "30s", "pairs": [{"from": "st0", "to": "st1", "interval": "45s"}]},
-		"failures": [{"kind": "flap", "a": "gw1", "b": "st0", "from": "40s", "down_for": "5s", "up_for": "10s"}],
-		"run": {"duration": "60s"}
-	}`)
-	tomlSrc := []byte(`
-name = "spellings"
-
-[topology]
-stations = 4
-channels = 1
-
-[traffic]
-probe_interval = "30s"
-
-[[traffic.pairs]]
-from = "st0"
-to = "st1"
-interval = "45s"
-
-[[failures]]
-kind = "flap"
-a = "gw1"
-b = "st0"
-from = "40s"
-down_for = "5s"
-up_for = "10s"
-
-[run]
-duration = "60s"
-`)
-	a, err := Parse(jsonSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseTOML(tomlSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.EmitJSON(), b.EmitJSON()) {
-		t.Fatalf("TOML and JSON spellings normalize differently:\n%s\nvs\n%s", a.EmitJSON(), b.EmitJSON())
 	}
 }
 

@@ -134,6 +134,42 @@ func TestNoJourneyStuckAtARPHold(t *testing.T) {
 	}
 }
 
+// TestStackDropsEndJourneys: a datagram the gateway's IP layer
+// discards is a loss that ends its journey, named for the reason.
+// june's unsolicited ping to pc1 dies at the §4.3 filter, and pc1's
+// ping to a network the gateway has no route to dies at its routing
+// table; the ledger counts each under its reason and no journey stays
+// open.
+func TestStackDropsEndJourneys(t *testing.T) {
+	for _, tc := range []struct {
+		acl  bool
+		ping func(s *Seattle, reply func(uint16, time.Duration, ip.Addr))
+		fate string
+	}{
+		{true, func(s *Seattle, reply func(uint16, time.Duration, ip.Addr)) {
+			s.Internet.Stack.Ping(PCIP(0), 56, reply)
+		}, "req: filter reject"},
+		{false, func(s *Seattle, reply func(uint16, time.Duration, ip.Addr)) {
+			s.PCs[0].Stack.Ping(ip.MustAddr("10.9.9.9"), 56, reply)
+		}, "req: no route"},
+	} {
+		s := NewSeattle(SeattleConfig{Seed: 1, WithACL: tc.acl})
+		ledger, tr := s.W.AttachPingLedger(), s.W.AttachTracer()
+		tc.ping(s, func(uint16, time.Duration, ip.Addr) { t.Errorf("%s: the ping was answered", tc.fate) })
+		s.W.Run(2 * time.Minute)
+		st := s.Gateway.Stack.Stats
+		if st.FilterDrops+st.NoRoute != 1 {
+			t.Errorf("%s: the gateway dropped %d datagrams, want 1", tc.fate, st.FilterDrops+st.NoRoute)
+		}
+		if got := ledger.Fates(); len(got) != 1 || got[tc.fate] != 1 {
+			t.Errorf("ledger fates %v, want 1 %q", got, tc.fate)
+		}
+		if open := tr.Open(); len(open) != 0 {
+			t.Errorf("%s: %d journeys still open, first %v", tc.fate, len(open), open[0].ID)
+		}
+	}
+}
+
 // maxObsHeapPerKProbe bounds the live heap the ping ledger and the
 // span tracer may add per 1,000 probes once a world is warm, in MB.
 // The recorder keeps only the journeys in flight; what still grows is

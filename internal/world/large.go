@@ -25,9 +25,9 @@ import (
 
 // TransportMode selects what the background probe traffic rides on.
 // ICMP is the default (and what every event gate pins); TCP and RDM
-// run the same probe schedule over real transports, so the scale mode
-// can compare delivery ratio and latency across the three on the same
-// channel.
+// run the same probe schedule over real transports, so a scenario
+// (prsim -stations N -transport) can compare delivery ratio and latency
+// across the three on the same channel.
 type TransportMode int
 
 const (

@@ -163,7 +163,7 @@ func (w *World) Channels() map[string]*radio.Channel { return w.channels }
 // seams returns the world's seam recorder, installing it on first use:
 // exactly one hook at every packet seam of every host and channel
 // built so far — stack, ARP hold queue, KISS line, MAC, the air, and
-// the driver and TNC queue drops. Each hook stamps its crossings with
+// the stack, driver and TNC drops. Each hook stamps its crossings with
 // the clock of the scheduler it runs on, and journeys are kept per
 // packet, so every view of the recorder is bit-identical on both
 // engines. The recorder owns those hook slots; hosts and channels
@@ -177,6 +177,7 @@ func (w *World) seams() *obs.Recorder {
 	}
 	r := obs.NewRecorder()
 	w.rec = r
+	w.masterArgs = make(map[*radio.Transceiver]string)
 	for _, ch := range w.channels {
 		ln := r.Lane(ch.Scheduler().Now)
 		ch.Tap = func(_, receiver *radio.Transceiver, payload []byte, outcome radio.TapOutcome, _ bool) {
@@ -192,6 +193,7 @@ func (w *World) seams() *obs.Recorder {
 			}
 		}
 		h.Stack.Tap = ln.StackTap(name, addrs...)
+		h.Stack.OnDrop = ln.StackDropTap(name)
 		drop := ln.DropTap(name)
 		for ifName, p := range h.radios {
 			p.Driver.Tap = ln.KISSTap(name, ifName, p.Driver.MyCall)
@@ -209,16 +211,22 @@ func (w *World) seams() *obs.Recorder {
 // macWaitCause names what a frame keying up waited on, for the
 // mac-wait span's argument: the DAMA master's callsign (or a
 // mid-election marker) on a polled channel, the deferral count under
-// CSMA.
+// CSMA. Each argument is built once, so a traced key-up allocates none.
 func (w *World) macWaitCause(rf *radio.Transceiver, event string, deferrals uint64) string {
 	if event != "tx-start" {
 		return ""
 	}
 	if ctl, ok := w.dama[rf.Channel()]; ok {
-		if m := ctl.Master(); m != nil {
-			return "master=" + m.Name
+		m := ctl.Master()
+		if m == nil {
+			return "election"
 		}
-		return "election"
+		arg, ok := w.masterArgs[m]
+		if !ok {
+			arg = "master=" + m.Name
+			w.masterArgs[m] = arg
+		}
+		return arg
 	}
 	if deferrals < uint64(len(deferralArgs)) {
 		return deferralArgs[deferrals]
@@ -227,7 +235,7 @@ func (w *World) macWaitCause(rf *radio.Transceiver, event string, deferrals uint
 }
 
 // deferralArgs holds the mac-wait arguments of the common deferral
-// counts, built once, so a traced key-up allocates none.
+// counts.
 var deferralArgs = func() (args [64]string) {
 	for n := range args {
 		args[n] = "deferrals=" + strconv.Itoa(n)

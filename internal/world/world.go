@@ -53,6 +53,10 @@ type World struct {
 	reg    *obs.Registry // lazily built by Registry(); see obs.go
 	rec    *obs.Recorder // the seam recorder, installed by seams(); see obs.go
 	tracer *obs.Tracer   // installed by AttachTracer
+
+	// masterArgs holds each DAMA master's mac-wait argument, built
+	// once by macWaitCause for the hooks seams() installs.
+	masterArgs map[*radio.Transceiver]string
 }
 
 // New creates an empty world with a deterministic seed.

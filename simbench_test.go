@@ -43,13 +43,14 @@ func macCell(n int, mac world.MACMode) map[string]float64 {
 // changing it moves the committed baseline.
 const seattlePingIters = 20000
 
-// warmSeattle builds the one-PC Figure-1 world, with the ping ledger
-// and the span tracer attached when traced, and warms the PC's ARP
-// entry for the gateway with one small ping. It returns a function
-// that sends one warm 64-byte ping through the full chain and runs the
-// world for a simulated minute, reporting whether the reply came back.
-func warmSeattle(traced bool) (s *world.Seattle, ping func() bool) {
-	s = world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1})
+// warmSeattle builds the one-PC Figure-1 world on the given MAC, with
+// the ping ledger and the span tracer attached when traced, and warms
+// the PC's ARP entry for the gateway with one small ping. It returns a
+// function that sends one warm 64-byte ping through the full chain and
+// runs the world for a simulated minute, reporting whether the reply
+// came back.
+func warmSeattle(mac world.MACMode, traced bool) (s *world.Seattle, ping func() bool) {
+	s = world.NewSeattle(world.SeattleConfig{Seed: 1, NumPCs: 1, MAC: mac})
 	if traced {
 		s.W.AttachPingLedger()
 		s.W.AttachTracer()
@@ -72,7 +73,7 @@ func warmSeattle(traced bool) (s *world.Seattle, ping func() bool) {
 // seattlePing returns the scheduler events one warm ping fires through
 // the full chain, averaged over iters pings.
 func seattlePing(iters int) (eventsPerOp float64) {
-	s, ping := warmSeattle(false)
+	s, ping := warmSeattle(world.MACCSMA, false)
 	firedBefore := s.W.Sched.Fired()
 	for i := 0; i < iters; i++ {
 		if !ping() {
@@ -96,16 +97,17 @@ const maxSeattlePingAllocs = 10
 // warm ping that allocates more than maxSeattlePingAllocs objects has
 // grown a per-hop copy or a per-frame closure back.
 func TestSeattlePingAllocs(t *testing.T) {
-	if allocs := pingAllocs(t, false); allocs > maxSeattlePingAllocs {
+	if allocs := pingAllocs(t, world.MACCSMA, false, 1000); allocs > maxSeattlePingAllocs {
 		t.Fatalf("a warm 64-byte ping allocates %.0f objects, want <= %d", allocs, maxSeattlePingAllocs)
 	}
 }
 
-// pingAllocs reports the heap objects one warm Seattle ping allocates,
-// with the ping ledger and the span tracer attached when traced.
-func pingAllocs(t *testing.T, traced bool) float64 {
-	_, ping := warmSeattle(traced)
-	return testing.AllocsPerRun(1000, func() {
+// pingAllocs reports the heap objects one warm Seattle ping allocates
+// on the given MAC, averaged over runs pings, with the ping ledger and
+// the span tracer attached when traced.
+func pingAllocs(t *testing.T, mac world.MACMode, traced bool, runs int) float64 {
+	_, ping := warmSeattle(mac, traced)
+	return testing.AllocsPerRun(runs, func() {
 		if !ping() {
 			t.Fatal("ping lost")
 		}
@@ -121,13 +123,20 @@ const maxTracedPingExtraAllocs = 2
 
 // TestTracedPingAllocs is the allocation gate on the obs taps: with
 // the ledger and the tracer attached, a warm ping allocates at most
-// maxTracedPingExtraAllocs objects more than an untraced one.
+// maxTracedPingExtraAllocs objects more than an untraced one, on a
+// CSMA channel and on a polled one, where the minute a ping runs also
+// carries the master's polls and every key-up names the master.
 func TestTracedPingAllocs(t *testing.T) {
-	plain, traced := pingAllocs(t, false), pingAllocs(t, true)
-	t.Logf("a warm ping allocates %.0f objects, %.0f traced", plain, traced)
-	if traced > plain+maxTracedPingExtraAllocs {
-		t.Fatalf("a warm traced ping allocates %.0f objects, an untraced one %.0f: want at most %d more",
-			traced, plain, maxTracedPingExtraAllocs)
+	for _, tc := range []struct {
+		mac  world.MACMode
+		runs int
+	}{{world.MACCSMA, 1000}, {world.MACDAMA, 200}} {
+		plain, traced := pingAllocs(t, tc.mac, false, tc.runs), pingAllocs(t, tc.mac, true, tc.runs)
+		t.Logf("%v: a warm ping allocates %.0f objects, %.0f traced", tc.mac, plain, traced)
+		if traced > plain+maxTracedPingExtraAllocs {
+			t.Errorf("%v: a warm traced ping allocates %.0f objects, an untraced one %.0f: want at most %d more",
+				tc.mac, traced, plain, maxTracedPingExtraAllocs)
+		}
 	}
 }
 
