@@ -394,7 +394,7 @@ func run() int {
 	fmt.Printf("# gateway radio: ipIn=%d notForUs=%d serialBytes=%d tncDrops=%d\n",
 		port.Driver.DStats.IPIn, port.Driver.DStats.NotForUs,
 		port.Driver.DStats.BytesFed, port.TNC.Stats.HostDrops)
-	fmt.Printf("# channel: utilization=%.1f%% collisions=%d\n",
+	fmt.Printf("# channel: offered load=%.1f%% collisions=%d\n",
 		s.Channel.Utilization()*100, s.Channel.Stats.CollisionPairs)
 	if mac == world.MACDAMA {
 		fmt.Printf("# dama: polls=%d timeouts=%d controlAirtime=%v (%.1f%% of airtime)\n",
@@ -489,7 +489,7 @@ func scenarioFiles(path string) ([]string, error) {
 
 // runOnce runs one seed of a scenario with the observers attached, and
 // a ping ledger when the probes are ICMP, all before the first event.
-// It prints the probe totals, the channels' mean utilization and
+// It prints the probe totals, the channels' mean offered load and
 // collisions, and then the ping fates, or the Internet host's
 // transport counters for TCP and RDM probes. Gates are not checked.
 func runOnce(sc *scenario.Scenario, seed int64, of *obsFlags) int {
@@ -519,7 +519,7 @@ func runOnce(sc *scenario.Scenario, seed int64, of *obsFlags) int {
 		util += ch.Utilization()
 		coll += ch.Stats.CollisionPairs
 	}
-	fmt.Printf("# channels: mean utilization=%.1f%% collisions=%d\n",
+	fmt.Printf("# channels: mean offered load=%.1f%% collisions=%d\n",
 		util/float64(len(r.Channels))*100, coll)
 	if ledger != nil {
 		// A scenario with span gates resets its tracer, and so the

@@ -51,15 +51,22 @@ var errShort = errors.New("arp: truncated packet")
 var errBadLen = errors.New("arp: inconsistent address lengths")
 
 // Marshal renders the packet. SHA and THA must be the same length.
-func (p *Packet) Marshal() ([]byte, error) {
+func (p *Packet) Marshal() ([]byte, error) { return p.MarshalTo(nil) }
+
+// MarshalTo appends the packet to dst and returns the extended slice,
+// or dst unchanged and an error. dst grows only when its spare
+// capacity is too small.
+func (p *Packet) MarshalTo(dst []byte) ([]byte, error) {
 	if len(p.SHA) != len(p.THA) {
-		return nil, errBadLen
+		return dst, errBadLen
 	}
 	hlen := len(p.SHA)
 	if hlen == 0 || hlen > 255 {
-		return nil, errBadLen
+		return dst, errBadLen
 	}
-	buf := make([]byte, 8+2*hlen+8)
+	start := len(dst)
+	dst = append(dst, make([]byte, 8+2*hlen+8)...)
+	buf := dst[start:]
 	binary.BigEndian.PutUint16(buf[0:], p.HType)
 	binary.BigEndian.PutUint16(buf[2:], p.PType)
 	buf[4] = byte(hlen)
@@ -73,40 +80,50 @@ func (p *Packet) Marshal() ([]byte, error) {
 	copy(buf[o:], p.THA)
 	o += hlen
 	copy(buf[o:], p.TPA[:])
-	return buf, nil
+	return dst, nil
 }
 
-// Unmarshal parses a wire packet.
+// Unmarshal parses a wire packet into a new Packet.
 func Unmarshal(buf []byte) (*Packet, error) {
-	if len(buf) < 8 {
-		return nil, errShort
+	p := new(Packet)
+	if err := p.Parse(buf); err != nil {
+		return nil, err
 	}
-	p := &Packet{
-		HType: binary.BigEndian.Uint16(buf[0:]),
-		PType: binary.BigEndian.Uint16(buf[2:]),
-		Op:    binary.BigEndian.Uint16(buf[6:]),
+	return p, nil
+}
+
+// Parse parses a wire packet into p, overwriting every field. SHA and
+// THA are copied into p's own storage, reused from its last parse, so
+// a packet parsed into again allocates nothing. On error p is left
+// unchanged.
+func (p *Packet) Parse(buf []byte) error {
+	if len(buf) < 8 {
+		return errShort
 	}
 	hlen := int(buf[4])
 	plen := int(buf[5])
 	if plen != 4 {
-		return nil, fmt.Errorf("arp: unsupported protocol address length %d", plen)
+		return fmt.Errorf("arp: unsupported protocol address length %d", plen)
 	}
 	if hlen == 0 {
-		return nil, errBadLen // Marshal cannot render it either
+		return errBadLen // Marshal cannot render it either
 	}
 	need := 8 + 2*hlen + 8
 	if len(buf) < need {
-		return nil, errShort
+		return errShort
 	}
+	p.HType = binary.BigEndian.Uint16(buf[0:])
+	p.PType = binary.BigEndian.Uint16(buf[2:])
+	p.Op = binary.BigEndian.Uint16(buf[6:])
 	o := 8
-	p.SHA = append([]byte(nil), buf[o:o+hlen]...)
+	p.SHA = append(p.SHA[:0], buf[o:o+hlen]...)
 	o += hlen
 	copy(p.SPA[:], buf[o:])
 	o += 4
-	p.THA = append([]byte(nil), buf[o:o+hlen]...)
+	p.THA = append(p.THA[:0], buf[o:o+hlen]...)
 	o += hlen
 	copy(p.TPA[:], buf[o:])
-	return p, nil
+	return nil
 }
 
 func (p *Packet) String() string {
@@ -178,6 +195,9 @@ type Resolver struct {
 	sched   *sim.Scheduler
 	cache   map[ip.Addr]*Entry
 	pending map[ip.Addr]*pendingEntry
+
+	// in is the packet Receive parses into.
+	in Packet
 }
 
 type pendingEntry struct {
@@ -288,6 +308,16 @@ func (r *Resolver) dropHeld(event string, held []*ip.Packet) {
 			r.Trace(event, pkt)
 		}
 	}
+}
+
+// Receive parses a received wire packet into storage the resolver owns
+// and processes it as Input does. It reports the parse error, if any.
+func (r *Resolver) Receive(buf []byte) error {
+	if err := r.in.Parse(buf); err != nil {
+		return err
+	}
+	r.Input(&r.in)
+	return nil
 }
 
 // Input processes a received ARP packet, learning the sender mapping

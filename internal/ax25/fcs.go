@@ -8,8 +8,8 @@ package ax25
 // this module on both sides of the radio.
 
 // fcsTable[k][b] is the CRC register after byte b followed by k zero
-// bytes, starting from zero: slicing-by-4 folds four bytes per step.
-var fcsTable [4][256]uint16
+// bytes, starting from zero: slicing-by-8 folds eight bytes per step.
+var fcsTable [8][256]uint16
 
 func init() {
 	const poly = 0x8408 // reflected 0x1021
@@ -24,7 +24,7 @@ func init() {
 		}
 		fcsTable[0][i] = crc
 	}
-	for k := 1; k < 4; k++ {
+	for k := 1; k < len(fcsTable); k++ {
 		for i := 0; i < 256; i++ {
 			prev := fcsTable[k-1][i]
 			fcsTable[k][i] = prev>>8 ^ fcsTable[0][byte(prev)]
@@ -32,15 +32,17 @@ func init() {
 	}
 }
 
-// FCS computes the AX.25 frame check sequence over p. Four bytes at a
-// time, the 16-bit register shifts out completely: the first two bytes
-// fold into it and every byte indexes the table for its distance from
-// the end of the group.
+// FCS computes the AX.25 frame check sequence over p. Eight bytes at
+// a time, the 16-bit register shifts out completely: the first two
+// bytes fold into it and every byte indexes the table for its distance
+// from the end of the group.
 func FCS(p []byte) uint16 {
 	crc := uint16(0xFFFF)
-	for ; len(p) >= 4; p = p[4:] {
+	for ; len(p) >= 8; p = p[8:] {
 		crc ^= uint16(p[0]) | uint16(p[1])<<8
-		crc = fcsTable[3][byte(crc)] ^ fcsTable[2][crc>>8] ^ fcsTable[1][p[2]] ^ fcsTable[0][p[3]]
+		crc = fcsTable[7][byte(crc)] ^ fcsTable[6][crc>>8] ^
+			fcsTable[5][p[2]] ^ fcsTable[4][p[3]] ^ fcsTable[3][p[4]] ^
+			fcsTable[2][p[5]] ^ fcsTable[1][p[6]] ^ fcsTable[0][p[7]]
 	}
 	for _, b := range p {
 		crc = crc>>8 ^ fcsTable[0][byte(crc)^b]

@@ -75,7 +75,7 @@ func TestQuickFCSBitErrorDetected(t *testing.T) {
 }
 
 // refFCS is the CRC one byte and one bit at a time, straight from the
-// polynomial: the oracle FuzzFCS holds the slicing-by-4 tables to.
+// polynomial: the oracle FuzzFCS holds the slicing-by-8 tables to.
 func refFCS(p []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range p {
@@ -92,7 +92,7 @@ func refFCS(p []byte) uint16 {
 }
 
 // FuzzFCS checks FCS against refFCS on arbitrary bytes, trimmed by
-// zero to three bytes so that every length mod 4 (the slicing-by-4
+// zero to seven bytes so that every length mod 8 (the slicing-by-8
 // tail) is covered from each input, and checks that the appended FCS
 // verifies.
 func FuzzFCS(f *testing.F) {
@@ -100,7 +100,7 @@ func FuzzFCS(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xC0, 0xDB, 0x00, 0xFF, 0x7E})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		for k := 0; k < 4 && k <= len(p); k++ {
+		for k := 0; k < 8 && k <= len(p); k++ {
 			q := p[k:]
 			if got, want := FCS(q), refFCS(q); got != want {
 				t.Fatalf("FCS(% x) = %#04x, reference %#04x", q, got, want)

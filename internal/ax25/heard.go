@@ -30,10 +30,11 @@ type Heard struct {
 // slice's identity: one FCS check and one decode per transmission
 // however many stations hear it, and no allocation.
 //
-// The verdict is shared: read it, never write it, and do not keep it
-// or its Frame past the receive callback, since the channel's next
-// transmission overwrites both. Frame.Info and Body alias the on-air
-// bytes, which nobody writes, so those may be kept.
+// The verdict is shared: read it, never write it, and do not keep it,
+// its Frame or its bytes past the receive callback. Frame.Info and Body
+// alias the on-air bytes, which the channel reuses for a later frame
+// once the last receiver has returned; the channel calls Forget then,
+// so a frame that lands in the same bytes gets its own verdict.
 func Hear(memo *any, framed []byte) *Heard {
 	h, _ := (*memo).(*Heard)
 	if h == nil {
@@ -47,8 +48,11 @@ func Hear(memo *any, framed []byte) *Heard {
 	return h
 }
 
-// hear computes the verdict on framed. Holding framed keeps its bytes
-// alive, so no later frame can reuse the address Hear keys on.
+// Forget drops the frame the verdict is for, so the next Hear computes
+// a fresh one even for a frame at the same address.
+func (h *Heard) Forget() { h.on = nil }
+
+// hear computes the verdict on framed.
 func (h *Heard) hear(framed []byte) {
 	h.on = framed
 	h.Body, h.OK = CheckFCS(framed)

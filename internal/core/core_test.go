@@ -19,8 +19,9 @@ type stackStub struct {
 	ifs  []string
 }
 
+// Input keeps a copy of buf: the driver lends it for the call only.
 func (s *stackStub) Input(buf []byte, ifName string) {
-	s.pkts = append(s.pkts, buf)
+	s.pkts = append(s.pkts, append([]byte(nil), buf...))
 	s.ifs = append(s.ifs, ifName)
 }
 

@@ -43,6 +43,7 @@ import (
 	"packetradio/internal/ip"
 	"packetradio/internal/kiss"
 	"packetradio/internal/netif"
+	"packetradio/internal/pool"
 	"packetradio/internal/serial"
 	"packetradio/internal/sim"
 )
@@ -136,11 +137,13 @@ type PacketRadioIf struct {
 	// is the UI frame being sent, whose datagram is marshalled into
 	// txIP, encoded into txAX and then KISS-framed into txKISS, which
 	// the serial line copies; tapRec is the record handed to Tap. Only
-	// the IP queue keeps bytes (a copy of Info).
+	// the IP queue keeps bytes: a copy of Info in a buffer from ipBufs,
+	// which goes back when the stack's Input returns.
 	rx, tx             ax25.Frame
 	rxDigi, txDigi     [ax25.MaxDigis]ax25.Digi
 	txIP, txAX, txKISS []byte
 	tapRec             []byte
+	ipBufs             pool.List[[]byte]
 
 	paths map[ip.Addr][]ax25.Addr
 }
@@ -246,7 +249,9 @@ func (d *PacketRadioIf) interruptRun(p []byte) {
 }
 
 // kissFrame fires when the decoder has assembled a complete frame. The
-// payload is lent by the decoder; only the IP queue keeps a copy.
+// payload is lent by the decoder; only the IP queue keeps a copy, in a
+// buffer from the driver's list that goes back when the stack's Input
+// returns.
 func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 	d.DStats.KISSFrames++
 	if d.Tap != nil {
@@ -288,7 +293,8 @@ func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 		if d.AutoARP && len(f.Info) >= ip.HeaderLen {
 			d.res.Learn(ip.AddrFrom(f.Info[12], f.Info[13], f.Info[14], f.Info[15]), f.Src.HW())
 		}
-		if !d.ipq.Enqueue(append([]byte(nil), f.Info...)) {
+		if buf := pool.Copy(&d.ipBufs, f.Info); !d.ipq.Enqueue(buf) {
+			d.ipBufs.Put(buf)
 			d.DStats.IPQDrops++
 			d.stats.Iqdrops++
 			if d.OnDrop != nil {
@@ -300,9 +306,7 @@ func (d *PacketRadioIf) kissFrame(kf kiss.Frame) {
 		d.scheduleIPIntr()
 	case f.Kind == ax25.KindUI && f.PID == ax25.PIDARP:
 		d.DStats.ARPIn++
-		if p, err := arp.Unmarshal(f.Info); err == nil {
-			d.res.Input(p)
-		} else {
+		if d.res.Receive(f.Info) != nil {
 			d.DStats.BadFrames++
 		}
 	default:
@@ -344,6 +348,7 @@ func (d *PacketRadioIf) ipIntr() {
 		return
 	}
 	d.stack.Input(buf, d.name)
+	d.ipBufs.Put(buf)
 	if d.ipq.Len() > 0 {
 		d.scheduleIPIntr()
 	}

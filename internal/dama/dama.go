@@ -156,6 +156,13 @@ type member struct {
 
 	// Slave-side reserved-turn state.
 	budget int // frames remaining in the current polled turn
+
+	// The member's timer callbacks, built once at Join so arming a
+	// timer never builds a closure: the election timer, a deferred
+	// step, the paced discovery poll of gapTarget, and the response
+	// window's timeout.
+	electFn, stepFn, gapFn, timeoutFn func()
+	gapTarget                         *member
 }
 
 // Controller runs DAMA for one radio channel. It implements
@@ -176,6 +183,10 @@ type Controller struct {
 	members []*member // registration order — the poll rotation order
 	byRF    map[*radio.Transceiver]*member
 	names   map[string]*member // callsign index for Deliver's src lookups
+
+	// wire is the scratch every control and wrapped data frame is
+	// encoded into; TransmitMAC copies it before keying up.
+	wire []byte
 }
 
 var _ radio.Accessor = (*Controller)(nil)
@@ -209,7 +220,7 @@ func (c *Controller) Join(t *radio.Transceiver) {
 	if t.AccessPending() {
 		t.Accessor().Detach(t)
 	}
-	m := &member{rf: t}
+	m := c.newMember(t)
 	c.members = append(c.members, m)
 	c.byRF[t] = m
 	c.names[t.Name] = m
@@ -218,6 +229,40 @@ func (c *Controller) Join(t *radio.Transceiver) {
 	if t.QueueLen() > 0 && !t.AccessPending() {
 		c.Start(t)
 	}
+}
+
+// newMember builds t's protocol state with its timer callbacks.
+func (c *Controller) newMember(t *radio.Transceiver) *member {
+	m := &member{rf: t}
+	m.electFn = func() {
+		m.elect = nil
+		c.becomeMaster(m)
+	}
+	m.stepFn = func() {
+		m.act = nil
+		c.step(m)
+	}
+	m.gapFn = func() {
+		m.act = nil
+		disc := m.gapTarget
+		m.gapTarget = nil
+		if !m.master {
+			return
+		}
+		if c.byRF[disc.rf] == disc {
+			c.sendPoll(m, disc)
+		} else {
+			// The captured member left (or left and re-Joined as a
+			// fresh entry) during the gap; re-decide against the
+			// current roster rather than poll an orphan.
+			c.step(m)
+		}
+	}
+	m.timeoutFn = func() {
+		m.act = nil
+		c.pollTimeout(m)
+	}
+	return m
 }
 
 // Master returns the transceiver currently acting as channel master,
@@ -295,10 +340,7 @@ func (c *Controller) resetElect(m *member) {
 		c.sched.Reschedule(m.elect, when)
 		return
 	}
-	m.elect = c.sched.At(when, func() {
-		m.elect = nil
-		c.becomeMaster(m)
-	})
+	m.elect = c.sched.At(when, m.electFn)
 }
 
 func (c *Controller) becomeMaster(m *member) {
@@ -365,18 +407,15 @@ func (c *Controller) step(m *member) {
 		// higher rank always backs off further, hears the lower's next
 		// poll intact, and abdicates — duels cannot persist.
 		m.state = mIdle
-		m.act = c.sched.After(200*time.Millisecond+time.Duration(m.rank)*100*time.Millisecond, func() {
-			m.act = nil
-			c.step(m)
-		})
+		m.act = c.sched.After(200*time.Millisecond+time.Duration(m.rank)*100*time.Millisecond, m.stepFn)
 		return
 	}
 	if m.rf.QueueLen() > 0 && m.ownSent < c.cfg.Burst {
-		if f, ok := m.rf.TakeQueued(); ok {
+		if f, ok := m.rf.Head(); ok {
 			m.ownSent++
 			m.state = mData
-			if !m.rf.TransmitMAC(f, false) {
-				m.rf.RequeueHead(f)
+			if m.rf.TransmitMAC(f, false) {
+				m.rf.DropHead()
 			}
 			return
 		}
@@ -407,27 +446,12 @@ func (c *Controller) step(m *member) {
 		// the channel is idle, pace the scan so arbitration does not
 		// consume the medium it arbitrates.
 		m.state = mIdle
-		m.act = c.sched.After(c.cfg.IdleGap, func() {
-			m.act = nil
-			if !m.master {
-				return
-			}
-			if c.byRF[disc.rf] == disc {
-				c.sendPoll(m, disc)
-			} else {
-				// The captured member left (or left and re-Joined as a
-				// fresh entry) during the gap; re-decide against the
-				// current roster rather than poll an orphan.
-				c.step(m)
-			}
-		})
+		m.gapTarget = disc
+		m.act = c.sched.After(c.cfg.IdleGap, m.gapFn)
 	default:
 		// Alone on the roster: idle until membership or traffic changes.
 		m.state = mIdle
-		m.act = c.sched.After(c.cfg.IdleGap, func() {
-			m.act = nil
-			c.step(m)
-		})
+		m.act = c.sched.After(c.cfg.IdleGap, m.stepFn)
 	}
 }
 
@@ -467,14 +491,12 @@ func (c *Controller) nextDiscovery(m *member) *member {
 func (c *Controller) sendPoll(m, s *member) {
 	m.state = mPollAir
 	m.polled = s
-	if !m.rf.TransmitMAC(encodePoll(m.rf.Name, s.rf.Name), true) {
+	c.wire = encodePoll(c.wire[:0], m.rf.Name, s.rf.Name)
+	if !m.rf.TransmitMAC(c.wire, true) {
 		// Radio busy (a dueling-master overlap): retry after a gap.
 		m.state = mIdle
 		m.polled = nil
-		m.act = c.sched.After(c.cfg.IdleGap, func() {
-			m.act = nil
-			c.step(m)
-		})
+		m.act = c.sched.After(c.cfg.IdleGap, m.stepFn)
 		return
 	}
 	m.rf.Stats.PollsSent++
@@ -510,15 +532,16 @@ func (c *Controller) pollTimeout(m *member) {
 // slaveRespond transmits the next frame of m's reserved turn: wrapped
 // data with piggybacked demand, or NONE when the queue is empty.
 func (c *Controller) slaveRespond(m *member) {
-	f, ok := m.rf.TakeQueued()
+	f, ok := m.rf.Head()
 	if !ok {
 		m.budget = 0
 		m.rf.SetAccessPending(false)
-		m.rf.TransmitMAC(encodeNone(m.rf.Name), true)
+		c.wire = encodeNone(c.wire[:0], m.rf.Name)
+		m.rf.TransmitMAC(c.wire, true)
 		return
 	}
 	m.budget--
-	remaining := m.rf.QueueLen()
+	remaining := m.rf.QueueLen() - 1 // behind the frame going out
 	last := m.budget == 0 || remaining == 0
 	if last {
 		// The turn ends by declaration, not by leftover budget: if the
@@ -531,8 +554,10 @@ func (c *Controller) slaveRespond(m *member) {
 	if d > 0xffff {
 		d = 0xffff
 	}
-	if !m.rf.TransmitMAC(encodeData(m.rf.Name, uint16(d), last, f), false) {
-		m.rf.RequeueHead(f)
+	c.wire = encodeData(c.wire[:0], m.rf.Name, uint16(d), last, f)
+	if m.rf.TransmitMAC(c.wire, false) {
+		m.rf.DropHead()
+	} else {
 		m.budget = 0
 	}
 }
@@ -585,10 +610,7 @@ func (c *Controller) TxDone(t *radio.Transceiver) {
 			// instant (same-instant key-ups are inside the DCD window
 			// and invisible to each other).
 			window := c.respWindow(s) + time.Duration(m.rank)*50*time.Millisecond
-			m.act = c.sched.After(window, func() {
-				m.act = nil
-				c.pollTimeout(m)
-			})
+			m.act = c.sched.After(window, m.timeoutFn)
 		}
 		return
 	}
@@ -698,12 +720,12 @@ func (c *Controller) Deliver(t *radio.Transceiver, frame []byte, damaged bool) (
 	s := c.byName(src)
 	switch kind {
 	case kPoll:
-		if m.master && src < m.rf.Name {
+		if m.master && string(src) < m.rf.Name {
 			c.abdicate(m)
 		}
 		// misses is the acting master's view of this member; only the
 		// master writes it (timeouts up, heard frames down).
-		if dst == t.Name && !m.master {
+		if string(dst) == t.Name && !m.master {
 			t.Stats.PollsHeard++
 			m.budget = c.cfg.Burst
 			c.slaveRespond(m)
@@ -744,5 +766,6 @@ func (c *Controller) Deliver(t *radio.Transceiver, frame []byte, damaged bool) (
 
 // byName resolves a heard callsign; a map, not a roster scan — Deliver
 // runs once per receiver per frame, the simulator's hottest path on
-// the 100+-station single-channel worlds this MAC exists for.
-func (c *Controller) byName(name string) *member { return c.names[name] }
+// the 100+-station single-channel worlds this MAC exists for. The
+// lookup converts name without copying it.
+func (c *Controller) byName(name []byte) *member { return c.names[string(name)] }

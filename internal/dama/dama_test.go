@@ -216,10 +216,10 @@ func TestMasterDoesNotStarveSlaves(t *testing.T) {
 // frame kind.
 func TestUnwrapMatchesDecode(t *testing.T) {
 	for _, b := range [][]byte{
-		encodeData("KB7DZ-4", 3, true, []byte("inner frame")),
-		encodeData("", 0, false, nil),
-		encodePoll("N7AKR", "KB7DZ"),
-		encodeNone("N7AKR"),
+		encodeData(nil, "KB7DZ-4", 3, true, []byte("inner frame")),
+		encodeData(nil, "", 0, false, nil),
+		encodePoll(nil, "N7AKR", "KB7DZ"),
+		encodeNone(nil, "N7AKR"),
 		{0x9C, 0x6E, 0x82, 0xA0},
 	} {
 		for n := 0; n <= len(b); n++ {

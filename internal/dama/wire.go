@@ -36,20 +36,24 @@ func appendName(b []byte, name string) []byte {
 	return append(b, name...)
 }
 
-func encodePoll(src, dst string) []byte {
-	b := append(make([]byte, 0, 8+len(src)+len(dst)), magic0, magic1, kPoll)
+// The encoders append a frame to b, which is the controller's wire
+// scratch: TransmitMAC copies the frame before it keys up, so one
+// buffer serves every frame the controller sends.
+
+func encodePoll(b []byte, src, dst string) []byte {
+	b = append(b, magic0, magic1, kPoll)
 	b = appendName(b, src)
 	return appendName(b, dst)
 }
 
-func encodeNone(src string) []byte {
-	b := append(make([]byte, 0, 8+len(src)), magic0, magic1, kNone)
+func encodeNone(b []byte, src string) []byte {
+	b = append(b, magic0, magic1, kNone)
 	b = appendName(b, src)
 	return append(b, 0, 0)
 }
 
-func encodeData(src string, demand uint16, last bool, payload []byte) []byte {
-	b := append(make([]byte, 0, dataHdrLen(src)+len(payload)), magic0, magic1, kData)
+func encodeData(b []byte, src string, demand uint16, last bool, payload []byte) []byte {
+	b = append(b, magic0, magic1, kData)
 	b = appendName(b, src)
 	b = append(b, byte(demand>>8), byte(demand))
 	var fl byte
@@ -84,38 +88,40 @@ func Unwrap(b []byte) ([]byte, bool) {
 
 // decode classifies a heard frame. ok is false for anything that is
 // not a well-formed DAMA frame (the master's unwrapped data, foreign
-// traffic, or truncation garbage — all passed through untouched).
-func decode(b []byte) (kind byte, src, dst string, demand uint16, last bool, payload []byte, ok bool) {
+// traffic, or truncation garbage — all passed through untouched). src
+// and dst alias b: the callers compare them with callsigns in place,
+// so decoding copies nothing.
+func decode(b []byte) (kind byte, src, dst []byte, demand uint16, last bool, payload []byte, ok bool) {
 	if len(b) < 4 || b[0] != magic0 || b[1] != magic1 {
-		return 0, "", "", 0, false, nil, false
+		return 0, nil, nil, 0, false, nil, false
 	}
 	kind = b[2]
 	n := int(b[3])
 	rest := b[4:]
 	if len(rest) < n {
-		return 0, "", "", 0, false, nil, false
+		return 0, nil, nil, 0, false, nil, false
 	}
-	src, rest = string(rest[:n]), rest[n:]
+	src, rest = rest[:n], rest[n:]
 	switch kind {
 	case kPoll:
 		if len(rest) < 1 || len(rest) < 1+int(rest[0]) {
-			return 0, "", "", 0, false, nil, false
+			return 0, nil, nil, 0, false, nil, false
 		}
-		dst = string(rest[1 : 1+int(rest[0])])
+		dst = rest[1 : 1+int(rest[0])]
 		return kind, src, dst, 0, false, nil, true
 	case kNone:
 		if len(rest) < 2 {
-			return 0, "", "", 0, false, nil, false
+			return 0, nil, nil, 0, false, nil, false
 		}
 		demand = uint16(rest[0])<<8 | uint16(rest[1])
-		return kind, src, "", demand, false, nil, true
+		return kind, src, nil, demand, false, nil, true
 	case kData:
 		if len(rest) < 3 {
-			return 0, "", "", 0, false, nil, false
+			return 0, nil, nil, 0, false, nil, false
 		}
 		demand = uint16(rest[0])<<8 | uint16(rest[1])
 		last = rest[2]&flagLast != 0
-		return kind, src, "", demand, last, rest[3:], true
+		return kind, src, nil, demand, last, rest[3:], true
 	}
-	return 0, "", "", 0, false, nil, false
+	return 0, nil, nil, 0, false, nil, false
 }

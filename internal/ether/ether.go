@@ -18,6 +18,7 @@ import (
 	"packetradio/internal/arp"
 	"packetradio/internal/ip"
 	"packetradio/internal/netif"
+	"packetradio/internal/pool"
 	"packetradio/internal/sim"
 )
 
@@ -70,9 +71,54 @@ type Segment struct {
 	// clock would reach another shard's earlier events.
 	blocked map[[2]*NIC]bool
 
+	// The segment's free lists (DESIGN.md §3b): frames holds sent
+	// frames, each back once its last scheduled reception has run, and
+	// rxs holds finished receptions.
+	frames pool.List[*frame]
+	rxs    pool.List[*reception]
+
 	// Stats.
 	Frames uint64
 	Bytes  uint64
+}
+
+// frame is one frame on the segment: its bytes, shared read-only by
+// every reception scheduled for it, and how many of those have yet to
+// run.
+type frame struct {
+	b    []byte
+	refs int
+}
+
+// reception is one scheduled arrival of a frame at a NIC. Its callback
+// is built once, so scheduling a reception, on either engine, builds no
+// closure.
+type reception struct {
+	nic *NIC
+	f   *frame
+	fn  func()
+}
+
+// newFrame returns a frame from the list with n bytes of header room.
+func (g *Segment) newFrame() *frame {
+	f, ok := g.frames.Get()
+	if !ok {
+		f = new(frame)
+	}
+	f.b = append(f.b[:0], make([]byte, HeaderLen)...)
+	return f
+}
+
+// run delivers the reception, then gives it back, and its frame too
+// once no other reception of it is left.
+func (g *Segment) run(r *reception) {
+	n, f := r.nic, r.f
+	n.receive(f.b)
+	r.nic, r.f = nil, nil
+	g.rxs.Put(r)
+	if f.refs--; f.refs == 0 {
+		g.frames.Put(f)
+	}
 }
 
 // NewSegment creates an Ethernet segment.
@@ -205,34 +251,43 @@ func (n *NIC) deliverIP(pkt *ip.Packet, dstHW []byte) {
 	_ = n.sendIP(dst, pkt) // counted in Oerrors
 }
 
-// sendIP marshals pkt straight into a new frame, behind the header.
-// The frame is the one copy of the datagram: it travels to the
-// receivers, whose stacks may keep slices of it.
+// sendIP marshals pkt straight into a frame from the segment's list,
+// behind the header. The frame is the one copy of the datagram: it
+// travels to the receivers, whose stacks read it for the call only.
 func (n *NIC) sendIP(dst MAC, pkt *ip.Packet) error {
-	frame, err := pkt.MarshalTo(make([]byte, HeaderLen, HeaderLen+pkt.Len()))
+	f := n.seg.newFrame()
+	b, err := pkt.MarshalTo(f.b)
 	if err != nil {
+		n.seg.frames.Put(f)
 		n.stats.Oerrors++
 		return err
 	}
-	n.transmit(dst, TypeIP, frame)
+	f.b = b
+	n.transmit(dst, TypeIP, f)
 	return nil
 }
 
 func (n *NIC) sendARP(p *arp.Packet, dstHW []byte) {
-	buf, err := p.Marshal()
+	f := n.seg.newFrame()
+	b, err := p.MarshalTo(f.b)
 	if err != nil {
+		n.seg.frames.Put(f)
 		return
 	}
+	f.b = b
 	dst := BroadcastMAC
 	if dstHW != nil {
 		copy(dst[:], dstHW)
 	}
-	n.transmit(dst, TypeARP, append(make([]byte, HeaderLen, HeaderLen+len(buf)), buf...))
+	n.transmit(dst, TypeARP, f)
 }
 
-// transmit fills in the header of frame, whose payload follows
-// HeaderLen bytes left for it, and puts the frame on the segment.
-func (n *NIC) transmit(dst MAC, etherType uint16, frame []byte) {
+// transmit fills in the header of f, whose payload follows HeaderLen
+// bytes left for it, and puts the frame on the segment. The frame goes
+// back to the segment's list after its last reception, or now if it
+// reaches no NIC.
+func (n *NIC) transmit(dst MAC, etherType uint16, f *frame) {
+	frame := f.b
 	n.stats.Opackets++
 	n.stats.Obytes += uint64(len(frame) - HeaderLen)
 	copy(frame[0:6], dst[:])
@@ -249,34 +304,44 @@ func (n *NIC) transmit(dst MAC, etherType uint16, frame []byte) {
 	// broadcast at every NIC the sender reaches.
 	at := n.sched.Now().Add(g.txTime(len(frame) - HeaderLen))
 	if dst != BroadcastMAC {
-		o := g.byMAC[dst]
-		if o == nil || o == n || g.blocked[[2]*NIC{n, o}] {
-			return
+		if o := g.byMAC[dst]; o != nil && o != n && !g.blocked[[2]*NIC{n, o}] {
+			n.deliverAt(o, at, f)
 		}
-		n.deliverAt(o, at, frame)
-		return
+	} else {
+		for _, other := range g.nics {
+			if other == n || g.blocked[[2]*NIC{n, other}] {
+				continue
+			}
+			n.deliverAt(other, at, f)
+		}
 	}
-	for _, other := range g.nics {
-		if other == n || g.blocked[[2]*NIC{n, other}] {
-			continue
-		}
-		n.deliverAt(other, at, frame)
+	if f.refs == 0 {
+		g.frames.Put(f)
 	}
 }
 
-// deliverAt schedules one reception at o. On the single-loop engine
-// every NIC shares the segment's scheduler. On the sharded engine the
-// reception lands in o's shard. Every receiver of a broadcast gets the
-// same frame on either engine: receivers only read it.
-func (n *NIC) deliverAt(o *NIC, at sim.Time, frame []byte) {
+// deliverAt schedules one reception of f at o, a record from the
+// segment's list. On the single-loop engine every NIC shares the
+// segment's scheduler. On the sharded engine the reception lands in
+// o's shard, and Group.Send carries its callback. Every receiver of a
+// broadcast gets the same frame on either engine: receivers only read
+// it, and f counts them.
+func (n *NIC) deliverAt(o *NIC, at sim.Time, f *frame) {
 	g := n.seg
+	r, ok := g.rxs.Get()
+	if !ok {
+		r = new(reception)
+		r.fn = func() { g.run(r) }
+	}
+	r.nic, r.f = o, f
+	f.refs++
 	switch {
 	case g.group == nil:
-		g.sched.At(at, func() { o.receive(frame) })
+		g.sched.At(at, r.fn)
 	case o.sched == n.sched:
-		n.sched.At(at, func() { o.receive(frame) })
+		n.sched.At(at, r.fn)
 	default:
-		g.group.Send(n.sched, o.sched, at, func() { o.receive(frame) })
+		g.group.Send(n.sched, o.sched, at, r.fn)
 	}
 }
 
@@ -299,12 +364,9 @@ func (n *NIC) receive(frame []byte) {
 			n.stack.Input(payload, n.name)
 		}
 	case TypeARP:
-		p, err := arp.Unmarshal(payload)
-		if err != nil {
+		if n.res.Receive(payload) != nil {
 			n.stats.Ierrors++
-			return
 		}
-		n.res.Input(p)
 	default:
 		n.stats.NoProto++
 	}

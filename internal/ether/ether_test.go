@@ -269,7 +269,9 @@ func filterSegment(t *testing.T) (*sim.Scheduler, *Segment, []*NIC, []*sink) {
 func receptions(t *testing.T, s *sim.Scheduler, nics []*NIC, dst MAC, etherType uint16, payload []byte) (scheduled int, fired uint64, got []uint64) {
 	t.Helper()
 	before := s.Fired()
-	nics[0].transmit(dst, etherType, append(make([]byte, HeaderLen), payload...))
+	f := nics[0].seg.newFrame()
+	f.b = append(f.b, payload...)
+	nics[0].transmit(dst, etherType, f)
 	scheduled = s.Pending()
 	s.Run()
 	for _, n := range nics {
@@ -337,5 +339,34 @@ func TestUnknownMACSchedulesNothing(t *testing.T) {
 		if n != 0 {
 			t.Errorf("NIC %d took in a frame for an unknown MAC", i)
 		}
+	}
+}
+
+// A broadcast ARP is one frame shared by a reception at every other
+// NIC: it goes back to the segment's list only after the last of them
+// has run, and then exactly once.
+func TestBroadcastFrameReturnsAfterLastReception(t *testing.T) {
+	s, g, nics, _ := filterSegment(t)
+	nics[0].Resolver().Announce()
+	if g.frames.Len() != 0 {
+		t.Fatal("the frame is back on the list before any reception")
+	}
+	for i := 1; i < len(nics); i++ {
+		if !s.Step() {
+			t.Fatalf("only %d receptions ran", i-1)
+		}
+		want := 0
+		if i == len(nics)-1 {
+			want = 1
+		}
+		if g.frames.Len() != want {
+			t.Fatalf("after reception %d of %d the list holds %d frames, want %d", i, len(nics)-1, g.frames.Len(), want)
+		}
+	}
+	if s.Step() {
+		t.Fatal("a reception past the last NIC")
+	}
+	if got := g.rxs.Len(); got != len(nics)-1 {
+		t.Fatalf("%d receptions back on the list, want %d", got, len(nics)-1)
 	}
 }

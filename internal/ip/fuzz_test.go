@@ -76,3 +76,40 @@ func FuzzIPUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// sumWords is the word-at-a-time sum that sum replaced: big-endian
+// 16-bit words, an odd last byte padded with a zero.
+func sumWords(acc uint32, p []byte) uint32 {
+	for len(p) >= 2 {
+		acc += uint32(p[0])<<8 | uint32(p[1])
+		p = p[2:]
+	}
+	if len(p) == 1 {
+		acc += uint32(p[0]) << 8
+	}
+	return acc
+}
+
+// FuzzChecksum holds the 8-bytes-a-step sum to the word-at-a-time one:
+// folded, they must agree on every length and every starting offset,
+// odd ones included, from any running sum, and so must a sum taken in
+// two pieces split at an even offset.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint32(0), uint8(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint32(0xFFFFFFFF), uint8(3))
+	f.Add(bytes.Repeat([]byte{0x12, 0x34, 0x56}, 40), uint32(0x1FFFE), uint8(9))
+	f.Fuzz(func(t *testing.T, p []byte, acc uint32, split uint8) {
+		acc &= 0x00FFFFFF // a running sum of a few hundred words, as PseudoChecksum passes on
+		for k := 0; k < 8 && k <= len(p); k++ {
+			q := p[k:]
+			if got, want := fold(sum(acc, q)), fold(sumWords(acc, q)); got != want {
+				t.Fatalf("fold(sum(%#x, % x)) = %#04x, word-at-a-time %#04x", acc, q, got, want)
+			}
+			if s := int(split) &^ 1; s <= len(q) {
+				if got, want := fold(sum(sum(acc, q[:s]), q[s:])), fold(sumWords(acc, q)); got != want {
+					t.Fatalf("split at %d: %#04x, want %#04x", s, got, want)
+				}
+			}
+		}
+	})
+}

@@ -191,16 +191,30 @@ func PseudoChecksum(src, dst Addr, proto uint8, seg []byte) uint16 {
 }
 
 // sum adds p to acc as big-endian 16-bit words, an odd last byte
-// padded with a zero.
+// padded with a zero. It takes 8 bytes per step: the two 32-bit halves
+// of each 64-bit word are added whole, since 2^16 ≡ 1 modulo 0xFFFF
+// makes a 32-bit half worth the sum of its two 16-bit words in the
+// ones'-complement arithmetic, and so is 2^32 for the final fold back
+// to 32 bits. A nonzero sum stays nonzero, so fold returns exactly what
+// a word-at-a-time sum gives.
 func sum(acc uint32, p []byte) uint32 {
+	s := uint64(acc)
+	for len(p) >= 8 {
+		w := binary.BigEndian.Uint64(p)
+		s += w>>32 + w&0xFFFFFFFF
+		p = p[8:]
+	}
 	for len(p) >= 2 {
-		acc += uint32(p[0])<<8 | uint32(p[1])
+		s += uint64(p[0])<<8 | uint64(p[1])
 		p = p[2:]
 	}
 	if len(p) == 1 {
-		acc += uint32(p[0]) << 8
+		s += uint64(p[0]) << 8
 	}
-	return acc
+	for s>>32 != 0 {
+		s = s&0xFFFFFFFF + s>>32
+	}
+	return uint32(s)
 }
 
 // fold folds the carries of a word sum back in and complements it.

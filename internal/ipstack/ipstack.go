@@ -27,9 +27,10 @@ import (
 // Every *ip.Packet and *icmp.Message the stack passes to a Handler,
 // Filter, ICMPHook, Tap, OnDrop or RegisterProtoError handler, or to an
 // interface's Output, is the stack's own scratch and is valid only for
-// that call. A received datagram's Payload bytes (the driver's
-// IP-queue copy, or the Ethernet frame) are never reused and may be
-// kept; an outgoing one's may not.
+// that call. So are a received datagram's Payload bytes, which lie in
+// the driver's IP-queue buffer or the Ethernet frame, both reused once
+// Input returns: a handler that keeps bytes copies them, as the raw
+// socket does. An outgoing datagram's may not be kept either.
 type Handler func(pkt *ip.Packet, ifName string)
 
 // FilterVerdict is a forwarding filter's decision.
@@ -126,6 +127,7 @@ type Stack struct {
 	protoErrs   map[uint8]func(dst ip.Addr, m *icmp.Message)
 	reass       *ip.Reassembler
 	reassTick   *sim.Event
+	reassFn     func() // expireReassembly, built on first use
 	nextID      uint16
 
 	// free holds the scratch not lent to a call. Calls nest (a
@@ -337,16 +339,21 @@ func (s *Stack) scheduleReassemblyExpiry() {
 	if s.reassTick != nil && !s.reassTick.Cancelled() {
 		return
 	}
-	s.reassTick = s.Sched.After(ip.ReassemblyTimeout, func() {
-		// Clear the handle unconditionally: the scheduler recycles
-		// fired events, so holding the stale pointer would alias
-		// whatever timer reuses it and block rescheduling forever.
-		s.reassTick = nil
-		s.reass.Expire(s.Sched.Now().Duration())
-		if s.reass.PendingCount() > 0 {
-			s.scheduleReassemblyExpiry()
-		}
-	})
+	if s.reassFn == nil {
+		s.reassFn = s.expireReassembly
+	}
+	s.reassTick = s.Sched.After(ip.ReassemblyTimeout, s.reassFn)
+}
+
+func (s *Stack) expireReassembly() {
+	// Clear the handle unconditionally: the scheduler recycles fired
+	// events, so holding the stale pointer would alias whatever timer
+	// reuses it and block rescheduling forever.
+	s.reassTick = nil
+	s.reass.Expire(s.Sched.Now().Duration())
+	if s.reass.PendingCount() > 0 {
+		s.scheduleReassemblyExpiry()
+	}
 }
 
 // drop reports a datagram the stack discards to OnDrop.

@@ -26,6 +26,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 
@@ -298,10 +299,14 @@ type Lane struct {
 
 	// A transmission reaches every receiver on the channel in one loop
 	// as the same read-only slice. While the storage above holds its
-	// decode, air is that slice, so one decode serves every receiver.
-	air    []byte
-	airF   *ax25.Frame
-	airPkt *ip.Packet
+	// decode, air is that slice and airBytes a copy of its bytes, so one
+	// decode serves every receiver. The channel reuses a frame's bytes
+	// for a later frame, which may land at the same address with the
+	// same length, so the copy is what tells the two apart.
+	air      []byte
+	airBytes []byte
+	airF     *ax25.Frame
+	airPkt   *ip.Packet
 }
 
 // add records one crossing of the datagram at the lane's current
@@ -452,9 +457,10 @@ func (ln *Lane) MAC(who, event string, frame []byte, arg string) {
 // bystanders, including stations that share the callsign under another
 // SSID, don't cross the journey's path.
 func (ln *Lane) Air(receiverCall string, frame []byte, outcome string) {
-	if len(frame) == 0 || len(frame) != len(ln.air) || &frame[0] != &ln.air[0] {
+	if len(frame) == 0 || len(frame) != len(ln.air) || &frame[0] != &ln.air[0] || !bytes.Equal(frame, ln.airBytes) {
 		ln.airF, ln.airPkt = ln.decode(frame)
 		ln.air = frame
+		ln.airBytes = append(ln.airBytes[:0], frame...)
 	}
 	if f := ln.airF; f != nil && printsAs(f.LinkDst(), receiverCall) {
 		if outcome == "ok" {

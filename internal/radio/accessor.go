@@ -11,7 +11,10 @@
 
 package radio
 
-import "packetradio/internal/sim"
+import (
+	"packetradio/internal/pool"
+	"packetradio/internal/sim"
+)
 
 // Accessor is one channel-access (MAC) policy. A Transceiver holds
 // exactly one accessor (CSMA by default, installed at Attach); a
@@ -217,38 +220,36 @@ func (t *Transceiver) AccessPending() bool { return t.contending }
 // CSMA accessor manages it through startContention/stopContention).
 func (t *Transceiver) SetAccessPending(b bool) { t.contending = b }
 
-// TakeQueued pops and returns t's head-of-queue frame, for an accessor
-// that transmits it (possibly wrapped in a MAC header) via TransmitMAC.
-func (t *Transceiver) TakeQueued() ([]byte, bool) {
+// Head returns t's head-of-queue frame, for an accessor that
+// transmits it (possibly wrapped in a MAC header) via TransmitMAC. The
+// frame stays queued, and its bytes valid, until DropHead.
+func (t *Transceiver) Head() ([]byte, bool) {
 	if len(t.queue) == 0 {
 		return nil, false
 	}
-	return t.popQueue(), true
+	return t.queue[0], true
 }
 
-// RequeueHead puts a frame taken with TakeQueued back at the head of
-// the queue — the undo for an admission the radio refused.
-func (t *Transceiver) RequeueHead(frame []byte) {
-	t.queue = append(t.queue, nil)
-	copy(t.queue[1:], t.queue)
-	t.queue[0] = frame
-}
+// DropHead retires t's head-of-queue frame once TransmitMAC has keyed
+// up its copy; its buffer goes back to the channel's list.
+func (t *Transceiver) DropHead() { t.ch.frames.Put(t.popQueue()) }
 
 // Transmitting reports whether t currently has a frame keyed up.
 func (t *Transceiver) Transmitting() bool { return t.transmitting }
 
-// TransmitMAC keys up a MAC-originated frame immediately, bypassing
-// admission — the accessor asserts it owns the channel schedule (a
+// TransmitMAC keys up a copy of a MAC-originated frame immediately,
+// bypassing admission — the accessor asserts it owns the channel schedule (a
 // DAMA master's poll, or a polled slave's reserved response slot).
 // control marks pure control frames (polls, no-traffic responses) for
 // the channel's overhead accounting; wrapped data frames pass false so
 // they count as data. Returns false, transmitting nothing, if t is
 // already keyed up — a policy bug or a dueling-masters race, not worth
-// wedging the simulation over.
+// wedging the simulation over. The copy comes from the channel's list,
+// as Send's does, so the caller may reuse its buffer.
 func (t *Transceiver) TransmitMAC(frame []byte, control bool) bool {
 	if t.transmitting {
 		return false
 	}
-	t.transmitFrame(frame, control)
+	t.transmitFrame(pool.Copy(&t.ch.frames, frame), control)
 	return true
 }

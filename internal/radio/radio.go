@@ -38,6 +38,7 @@ import (
 	"math/rand"
 	"time"
 
+	"packetradio/internal/pool"
 	"packetradio/internal/sim"
 )
 
@@ -152,6 +153,13 @@ type Channel struct {
 	idx    *addressees
 	bulk   uint64
 	passed uint64
+
+	// The channel's free lists (DESIGN.md §3b): frames holds on-air
+	// frame buffers, which Send and TransmitMAC fill and the channel
+	// takes back after a transmission's last receiver; txs holds
+	// finished transmissions.
+	frames pool.List[[]byte]
+	txs    pool.List[*transmission]
 }
 
 // DefaultBitRate is the classic 1200 bps AFSK channel rate of the
@@ -209,17 +217,36 @@ func (c *Channel) reachable(from, to *Transceiver) bool {
 	return !c.unreachable[[2]*Transceiver{from, to}]
 }
 
-// Memo returns a slot the channel's receivers share and radio never
-// touches. A transmission reaches every receiver as the same read-only
-// bytes (SetReceiver), so work that depends on the bytes alone — the
-// FCS check and decode of ax25.Hear — is done by the first receiver
-// and kept here for the rest. The slot belongs to the channel, so to
-// the one shard that runs it.
+// Memo returns a slot the channel's receivers share. A transmission
+// reaches every receiver as the same read-only bytes (SetReceiver), so
+// work that depends on the bytes alone — the FCS check and decode of
+// ax25.Hear — is done by the first receiver and kept here for the
+// rest. The slot belongs to the channel, so to the one shard that runs
+// it. The channel reuses a frame's bytes once its last receiver has
+// returned, so as it takes a frame back it calls Forget on a memo that
+// has one, and a later frame in the same bytes is not mistaken for it.
 func (c *Channel) Memo() *any { return &c.memo }
 
-// Utilization reports total transmit airtime divided by elapsed time.
-// Overlapping (colliding) transmissions both count, so values can
-// exceed 1 under heavy collision load.
+// forgetter is a memo that keys on a frame's bytes (Memo).
+type forgetter interface{ Forget() }
+
+// release takes tx back after its last receiver's callback: its frame
+// and the transmission itself return to the channel's lists.
+func (c *Channel) release(tx *transmission) {
+	if m, ok := c.memo.(forgetter); ok {
+		m.Forget()
+	}
+	c.frames.Put(tx.frame)
+	clear(tx.damagedAt)
+	*tx = transmission{damagedAt: tx.damagedAt[:0], doneFn: tx.doneFn}
+	c.txs.Put(tx)
+}
+
+// Utilization reports offered load: the airtime of every transmission,
+// colliding ones included, divided by elapsed time. Overlapping
+// transmissions both count, so it exceeds 1 when more is keyed up than
+// the channel can carry; it is not the share of time the channel was
+// busy.
 func (c *Channel) Utilization() float64 {
 	if c.sched.Now() == 0 {
 		return 0
@@ -230,7 +257,7 @@ func (c *Channel) Utilization() float64 {
 // AirtimeShare reports the fraction of elapsed time this transceiver
 // spent transmitting (data and MAC control) — a per-station fairness
 // figure that needs no MAC internals (the DAMA tests read it). Shares
-// across a channel's stations sum to its Utilization.
+// across a channel's stations sum to its Utilization, the offered load.
 func (t *Transceiver) AirtimeShare() float64 {
 	now := t.ch.sched.Now()
 	if now == 0 {
@@ -263,6 +290,7 @@ type transmission struct {
 	control    bool // MAC control frame (poll), for overhead accounting
 	start, end sim.Time
 	done       *sim.Event // delivery at end-of-frame; cancelled by Retune
+	doneFn     func()     // complete(tx), built once per transmission
 	// overlapped is set once another transmission overlaps this one:
 	// only then can a receiver's copy be damaged by collision or missed
 	// half duplex.
@@ -547,6 +575,7 @@ func (t *Transceiver) Retune(to *Channel) {
 				r.rx(shared(payload), true)
 			}
 		}
+		old.release(tx)
 	}
 	if cut {
 		// Early carrier release: waiters whose wake was computed
@@ -576,9 +605,11 @@ func (t *Transceiver) Retune(to *Channel) {
 }
 
 // SetReceiver installs the frame-delivery callback. Every receiver of
-// a transmission is handed the same bytes: read-only, never reused, and
-// capped at their length, so a receiver's append copies them instead of
-// writing where another receiver reads.
+// a transmission is handed the same bytes: read-only, capped at their
+// length, so a receiver's append copies them instead of writing where
+// another receiver reads, and valid until the callback returns, since
+// the channel then reuses them for a later frame. A receiver that keeps
+// bytes copies them.
 func (t *Transceiver) SetReceiver(rx func(frame []byte, damaged bool)) { t.rx = rx }
 
 // Receiver reports the callback SetReceiver installed.
@@ -660,10 +691,11 @@ func (t *Transceiver) CSMADeferrals() uint64 {
 }
 
 // Send queues one frame (a fully framed byte string, FCS included) for
-// CSMA transmission. The slice is copied: the copy is the on-air frame
-// every receiver will share, so the caller may reuse its buffer.
+// CSMA transmission. The slice is copied into a buffer from the
+// channel's list: the copy is the on-air frame every receiver will
+// share, so the caller may reuse its buffer.
 func (t *Transceiver) Send(frame []byte) {
-	t.queue = append(t.queue, append([]byte(nil), frame...))
+	t.queue = append(t.queue, pool.Copy(&t.ch.frames, frame))
 	t.Stats.FramesQueued++
 	if t.TraceMAC != nil {
 		t.TraceMAC("queue", frame, 0)
@@ -840,6 +872,8 @@ func (c *Channel) replanWaiters() {
 	}
 }
 
+// transmitFrame keys up frame, a buffer from the channel's list that
+// the transmission now owns.
 func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	if t.TraceMAC != nil {
 		t.TraceMAC("tx-start", frame, t.frameDeferrals)
@@ -847,13 +881,13 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	c := t.ch
 	now := c.sched.Now()
 	dur := t.Params.TXDelay + c.AirTime(len(frame))
-	tx := &transmission{
-		sender:  t,
-		frame:   frame,
-		control: control,
-		start:   now,
-		end:     now.Add(dur),
+	tx, ok := c.txs.Get()
+	if !ok {
+		tx = new(transmission)
+		tx.doneFn = func() { c.complete(tx) }
 	}
+	tx.sender, tx.frame, tx.control = t, frame, control
+	tx.start, tx.end = now, now.Add(dur)
 	t.transmitting = true
 	t.txStart, t.txEnd = tx.start, tx.end
 	if control {
@@ -891,7 +925,7 @@ func (t *Transceiver) transmitFrame(frame []byte, control bool) {
 	for _, a := range c.accs {
 		a.KeyUp(c, t)
 	}
-	tx.done = c.sched.At(tx.end, func() { c.complete(tx) })
+	tx.done = c.sched.At(tx.end, tx.doneFn)
 }
 
 func (c *Channel) complete(tx *transmission) {
@@ -907,6 +941,7 @@ func (c *Channel) complete(tx *transmission) {
 
 	if walk, listeners, ok := c.addressed(tx); ok {
 		c.deliverTo(walk, listeners, tx)
+		c.release(tx)
 		sender.acc.TxDone(sender)
 		return
 	}
@@ -962,6 +997,7 @@ func (c *Channel) complete(tx *transmission) {
 		}
 	}
 
+	c.release(tx)
 	// Sender may have more queued traffic (or, polled, the rest of its
 	// reserved turn).
 	sender.acc.TxDone(sender)

@@ -18,12 +18,14 @@ type capture struct {
 	damaged int
 }
 
+// rx keeps a copy of each intact frame: the channel reuses the bytes
+// once the callback returns.
 func (c *capture) rx(f []byte, d bool) {
 	if d {
 		c.damaged++
 		return
 	}
-	c.frames = append(c.frames, f)
+	c.frames = append(c.frames, append([]byte(nil), f...))
 }
 
 func TestBroadcastDelivery(t *testing.T) {

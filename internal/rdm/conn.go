@@ -4,11 +4,13 @@ import (
 	"time"
 
 	"packetradio/internal/ip"
+	"packetradio/internal/pool"
 	"packetradio/internal/sim"
 )
 
 // outMsg is one reliable message at the sender: tracked from first
-// transmission until acknowledged.
+// transmission until acknowledged, when it and its payload buffer go
+// back to the connection's list.
 type outMsg struct {
 	seq       uint16
 	mode      Mode
@@ -17,14 +19,6 @@ type outMsg struct {
 	started   bool     // transmitted at least once (vs queued)
 	rexmits   int
 	rexmitted bool // Karn's rule: never sample RTT off a retransmitted message
-}
-
-// inMsg is one reliable message at the receiver, buffered in the
-// reorder window. A nil payload is a tombstone: the message was
-// already delivered (unordered reliable) and the entry only holds the
-// dedup/cumulative-ack state until rcvNxt passes it.
-type inMsg struct {
-	payload []byte
 }
 
 // Conn is one RDM connection — a pair of (address, port) endpoints
@@ -82,9 +76,16 @@ type Conn struct {
 	// start of the stream). A peer that lost its state therefore drops
 	// our out-of-window data until our retransmission budget fails the
 	// connection and the application redials; see DESIGN.md §3f.
+	//
+	// ooo holds each reliable message received at or past rcvNxt, by
+	// seq, until rcvNxt passes it: an ordered message's payload, copied
+	// into a buffer from held, or nil, a tombstone for a message already
+	// delivered (unordered reliable) that only keeps the dedup and
+	// cumulative-ack state.
 	rcvNxt uint16
 	hiSeen uint16
-	ooo    map[uint16]*inMsg
+	ooo    map[uint16][]byte
+	held   pool.List[[]byte]
 
 	// Receiver state, unreliable space: a 64-message sliding dedup
 	// bitmask below the highest seq heard, plus the ordered-mode
@@ -106,6 +107,13 @@ type Conn struct {
 	nakRounds   int
 
 	lastHeard sim.Time
+
+	// Storage reused across messages: msgs holds acknowledged outMsgs,
+	// acked the seqs processAckInfo settles, and the timer callbacks
+	// are built once, so arming a timer builds no closure.
+	msgs                  pool.List[*outMsg]
+	acked                 []uint16
+	rexmtFn, ackFn, nakFn func()
 }
 
 // RemoteAddr reports the peer's address.
@@ -181,7 +189,11 @@ func (c *Conn) Send(mode Mode, payload []byte) (uint16, error) {
 	}
 	seq := c.sndNxt
 	c.sndNxt++
-	m := &outMsg{seq: seq, mode: mode, payload: append([]byte(nil), payload...)}
+	m, ok := c.msgs.Get()
+	if !ok {
+		m = new(outMsg)
+	}
+	*m = outMsg{seq: seq, mode: mode, payload: append(m.payload[:0], payload...)}
 	c.inflight[seq] = m
 	c.order = append(c.order, seq)
 	if len(c.sendQ) > 0 || inWindow >= c.cfg.Window {
@@ -232,8 +244,10 @@ func (c *Conn) sendPacket(t Type, mode Mode, seq uint16, payload []byte) {
 		}
 	}
 	c.clearAckPending()
-	seg := Marshal(c.mux.stack.Addr(), c.key.raddr, h, payload)
-	c.mux.stack.Send(ip.ProtoRDM, ip.Addr{}, c.key.raddr, seg, 0, 0)
+	// The stack never keeps the caller's bytes, so the mux's one segment
+	// buffer serves every packet.
+	c.mux.seg = AppendPacket(c.mux.seg[:0], c.mux.stack.Addr(), c.key.raddr, h, payload)
+	c.mux.stack.Send(ip.ProtoRDM, ip.Addr{}, c.key.raddr, c.mux.seg, 0, 0)
 }
 
 // --- Retransmission timer -------------------------------------------------
@@ -275,7 +289,7 @@ func (c *Conn) armRexmt() {
 		return
 	}
 	d := c.rtoBase() + time.Duration(c.inflightBytes)*c.cfg.ByteTime
-	c.rexmt = c.mux.sched.After(d, c.rexmtFire)
+	c.rexmt = c.mux.sched.After(d, c.rexmtFn)
 }
 
 func (c *Conn) rexmtFire() {
@@ -377,8 +391,12 @@ func (c *Conn) processAckInfo(h Header) {
 		return
 	}
 	now := c.mux.sched.Now()
-	var acked []uint16
-	keep := make([]uint16, 0, len(c.order))
+	// The unacked seqs are filtered in place into keep, and the acked
+	// ones gathered into the connection's scratch; the upcalls below run
+	// on a slice taken out of c, so a reentrant call starts its own.
+	acked := c.acked[:0]
+	c.acked = nil
+	keep := c.order[:0]
 	for _, seq := range c.order {
 		m := c.inflight[seq]
 		hit := seqLT(seq, h.Ack)
@@ -399,13 +417,15 @@ func (c *Conn) processAckInfo(h Header) {
 			c.rttSample(now.Sub(m.sentAt))
 		}
 		delete(c.inflight, seq)
+		c.msgs.Put(m)
 		c.mux.Stats.Acked++
 		acked = append(acked, seq)
 	}
+	c.order = keep
+	defer func() { c.acked = acked[:0] }()
 	if len(acked) == 0 {
 		return
 	}
-	c.order = keep
 	c.backoff = 0
 	c.drainSendQ()
 	c.armRexmt()
@@ -477,10 +497,16 @@ func (c *Conn) receiveData(h Header, payload []byte) {
 	if h.Mode == Reliable {
 		// Unordered reliable: deliver on arrival, tombstone for dedup
 		// and cumulative-ack accounting.
-		c.ooo[h.Seq] = &inMsg{}
+		c.ooo[h.Seq] = nil
 		c.deliver(payload, h.Mode)
 	} else {
-		c.ooo[h.Seq] = &inMsg{payload: append([]byte(nil), payload...)}
+		// An empty ordered message leaves a tombstone: it is
+		// acknowledged but never delivered.
+		var held []byte
+		if len(payload) > 0 {
+			held = pool.Copy(&c.held, payload)
+		}
+		c.ooo[h.Seq] = held
 	}
 	if c.dead {
 		return
@@ -488,15 +514,16 @@ func (c *Conn) receiveData(h Header, payload []byte) {
 	// Advance the cumulative point through everything contiguous,
 	// releasing ordered messages as it passes them.
 	for {
-		e, ok := c.ooo[c.rcvNxt]
+		held, ok := c.ooo[c.rcvNxt]
 		if !ok {
 			break
 		}
 		delete(c.ooo, c.rcvNxt)
 		delete(c.nakLast, c.rcvNxt)
 		c.rcvNxt++
-		if e.payload != nil {
-			c.deliver(e.payload, ReliableOrdered)
+		if held != nil {
+			c.deliver(held, ReliableOrdered)
+			c.held.Put(held)
 		}
 		if c.dead {
 			return
@@ -577,7 +604,7 @@ func (c *Conn) noteAckPending() {
 	if c.ackTimer != nil {
 		c.mux.sched.Cancel(c.ackTimer)
 	}
-	c.ackTimer = c.mux.sched.After(c.cfg.AckDelay, c.ackFire)
+	c.ackTimer = c.mux.sched.After(c.cfg.AckDelay, c.ackFn)
 }
 
 func (c *Conn) ackFire() {
@@ -613,7 +640,7 @@ func (c *Conn) armNakTimer() {
 	if c.nakTimer != nil {
 		c.mux.sched.Cancel(c.nakTimer)
 	}
-	c.nakTimer = c.mux.sched.After(c.cfg.NakDelay, c.nakFire)
+	c.nakTimer = c.mux.sched.After(c.cfg.NakDelay, c.nakFn)
 }
 
 func (c *Conn) nakFire() {

@@ -181,6 +181,9 @@ type Mux struct {
 	conns    map[connKey]*Conn
 	nextPort uint16
 	sweeper  *sim.Ticker
+
+	// seg is the buffer every connection marshals its packets into.
+	seg []byte
 }
 
 // NewMux attaches an RDM layer to stack. cfg zero fields take the
@@ -278,9 +281,10 @@ func (m *Mux) newConn(key connKey, ownsPort bool) *Conn {
 		key:      key,
 		ownsPort: ownsPort,
 		inflight: make(map[uint16]*outMsg),
-		ooo:      make(map[uint16]*inMsg),
+		ooo:      make(map[uint16][]byte),
 		nakLast:  make(map[uint16]sim.Time),
 	}
+	c.rexmtFn, c.ackFn, c.nakFn = c.rexmtFire, c.ackFire, c.nakFire
 	c.lastHeard = m.sched.Now()
 	m.conns[key] = c
 	if m.sweeper == nil {

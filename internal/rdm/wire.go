@@ -129,20 +129,28 @@ var (
 
 // Marshal builds an RDM packet with checksum.
 func Marshal(src, dst ip.Addr, h Header, payload []byte) []byte {
-	seg := make([]byte, HeaderLen+len(payload))
+	return AppendPacket(nil, src, dst, h, payload)
+}
+
+// AppendPacket appends an RDM packet with checksum to b and returns the
+// extended slice; b grows only when its spare capacity is too small.
+func AppendPacket(b []byte, src, dst ip.Addr, h Header, payload []byte) []byte {
+	start := len(b)
+	b = append(b, make([]byte, HeaderLen)...)
+	b = append(b, payload...)
+	seg := b[start:]
 	binary.BigEndian.PutUint16(seg[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(seg[2:], h.DstPort)
 	seg[4] = uint8(h.Type)<<4 | uint8(h.Mode)&0x3
 	binary.BigEndian.PutUint16(seg[6:], h.Seq)
 	binary.BigEndian.PutUint16(seg[8:], h.Ack)
 	binary.BigEndian.PutUint16(seg[10:], h.Sack)
-	copy(seg[HeaderLen:], payload)
 	cs := ip.PseudoChecksum(src, dst, ip.ProtoRDM, seg)
 	if cs == 0 {
 		cs = 0xFFFF // 0 means "no checksum" on the wire
 	}
 	binary.BigEndian.PutUint16(seg[12:], cs)
-	return seg
+	return b
 }
 
 // Unmarshal validates a packet and returns its header and payload.

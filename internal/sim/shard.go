@@ -188,7 +188,6 @@ func (sh *Shard) drain() {
 	if len(msgs) == 0 {
 		return
 	}
-	sh.inbox = nil
 	for _, m := range msgs {
 		if m.at < sh.Sched.now {
 			panic(fmt.Sprintf("sim: shard %q received a message for %v with its clock at %v — lookahead violated",
@@ -197,6 +196,9 @@ func (sh *Shard) drain() {
 		sh.Sched.At(m.at, m.fn)
 	}
 	sh.group.crossings += uint64(len(msgs))
+	// The next window's crossings reuse the backing array.
+	clear(msgs)
+	sh.inbox = msgs[:0]
 }
 
 // horizon computes the next window bound: min over busy shards of

@@ -73,11 +73,20 @@ func (s *Socket) RecvFrom() (Datagram, error) {
 	if len(s.dq) == 0 {
 		return Datagram{}, ErrWouldBlock
 	}
+	return s.popDatagram(), nil
+}
+
+// popDatagram removes and returns the oldest queued datagram. The rest
+// slide down one slot, so the queue's backing array is reused from the
+// front and a queue that drains never regrows it.
+func (s *Socket) popDatagram() Datagram {
 	d := s.dq[0]
-	s.dq = s.dq[1:]
+	n := copy(s.dq, s.dq[1:])
+	s.dq[n] = Datagram{}
+	s.dq = s.dq[:n]
 	s.dqBytes -= len(d.Data)
 	s.Stats.BytesRead += uint64(len(d.Data))
-	return d, nil
+	return d
 }
 
 // SendTo transmits one datagram. For SOCK_DGRAM, dst:port addresses
@@ -128,8 +137,10 @@ func NewRaw(stack *ipstack.Stack, proto uint8) (*Socket, error) {
 	return s, nil
 }
 
+// rawInput queues a copy of the payload: the stack lends it for the
+// call only.
 func (s *Socket) rawInput(pkt *ip.Packet, ifName string) {
-	s.enqueue(Datagram{Src: pkt.Src, IfName: ifName, Data: pkt.Payload})
+	s.enqueue(Datagram{Src: pkt.Src, IfName: ifName, Data: append([]byte(nil), pkt.Payload...)})
 }
 
 // SetTTL sets the TTL for raw sends; zero means the stack default

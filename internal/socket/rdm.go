@@ -113,11 +113,7 @@ func (s *Socket) RecvMsg() (Datagram, error) {
 		}
 		return Datagram{}, ErrWouldBlock
 	}
-	d := s.dq[0]
-	s.dq = s.dq[1:]
-	s.dqBytes -= len(d.Data)
-	s.Stats.BytesRead += uint64(len(d.Data))
-	return d, nil
+	return s.popDatagram(), nil
 }
 
 // MsgWritable reports whether SendMsg of an n-byte reliable message

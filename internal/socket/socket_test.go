@@ -538,3 +538,32 @@ func TestWriterReportsAsyncError(t *testing.T) {
 		t.Fatalf("writer error: OnError=%v Err()=%v, want ErrRefused", reported, w.Err())
 	}
 }
+
+// A raw socket keeps copies: the stack lends a received payload for the
+// call only, and the Ethernet frame it lies in goes back to the
+// segment's list after the reception, so a datagram left queued stays
+// intact when the next frame of the same length reuses those bytes.
+func TestRawQueuedDatagramSurvivesFrameReuse(t *testing.T) {
+	const proto = 200
+	s, cl, sl := twoLayers(t)
+	rs, err := sl.RawIP(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := NewRaw(cl.Stack(), proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []string{"datagram one", "datagram two"} {
+		if err := rc.SendVia("qe0", ip.Limited, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		s.RunFor(time.Second) // received, and its frame back on the list
+	}
+	for _, want := range []string{"datagram one", "datagram two"} {
+		d, err := rs.RecvFrom()
+		if err != nil || string(d.Data) != want {
+			t.Fatalf("RecvFrom = %q, %v; want %q", d.Data, err, want)
+		}
+	}
+}

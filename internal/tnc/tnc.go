@@ -29,6 +29,7 @@ import (
 	"packetradio/internal/ax25"
 	"packetradio/internal/kiss"
 	"packetradio/internal/netif"
+	"packetradio/internal/pool"
 	"packetradio/internal/radio"
 	"packetradio/internal/serial"
 	"packetradio/internal/sim"
@@ -86,12 +87,14 @@ type TNC struct {
 	params kiss.Params
 	dec    kiss.Decoder
 
-	// hostQ holds the bodies of frames bound for the host: the shared,
-	// read-only on-air bytes, which a receiver may keep (ax25.Hear).
-	// pumpHost KISS-encodes each into hostBuf as it goes on the line,
-	// and fromHost builds FCS-suffixed frames in txBuf for the radio,
-	// which copies them.
+	// hostQ holds the bodies of frames bound for the host, each copied
+	// off the air into a buffer from bodies, since the channel reuses
+	// its bytes once fromRadio returns. pumpHost KISS-encodes each into
+	// hostBuf as it goes on the line and gives its buffer back, and
+	// fromHost builds FCS-suffixed frames in txBuf for the radio, which
+	// copies them.
 	hostQ       *netif.Queue[[]byte]
+	bodies      pool.List[[]byte]
 	hostSending bool
 	hostBuf     []byte
 	txBuf       []byte
@@ -235,7 +238,8 @@ func (t *TNC) fromRadio(framed []byte, damaged bool) {
 		t.Stats.Filtered++
 		return
 	}
-	if !t.hostQ.Enqueue(h.Body) {
+	if body := pool.Copy(&t.bodies, h.Body); !t.hostQ.Enqueue(body) {
+		t.bodies.Put(body)
 		t.Stats.HostDrops++
 		if t.OnDrop != nil {
 			t.OnDrop("tnc host queue overflow", h.Body)
@@ -259,6 +263,7 @@ func (t *TNC) pumpHost() {
 	t.hostSending = true
 	t.Stats.ToHost++
 	t.hostBuf = kiss.Encode(t.hostBuf[:0], 0, body)
+	t.bodies.Put(body)
 	t.host.Write(t.hostBuf)
 }
 

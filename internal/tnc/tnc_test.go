@@ -355,3 +355,38 @@ func TestNativeDigipeat(t *testing.T) {
 		t.Fatalf("b received %d frames", len(b.rx))
 	}
 }
+
+// The KISS TNC's host queue holds copies: a body queued behind a busy
+// serial line stays intact after the channel reuses its on-air bytes
+// for a later frame of the same length.
+func TestQueuedBodySurvivesFrameReuse(t *testing.T) {
+	s := sim.NewScheduler(1)
+	ch := radio.NewChannel(s, 1200)
+	a := newStation(s, ch, "AAA", 9600)
+	b := newStation(s, ch, "BBB", 50) // slow: bodies queue in the TNC
+	for i, info := range []string{"first", "second", "third!"} {
+		a.sendUI(t, "BBB", "AAA", ax25.PIDNone, []byte(info))
+		// Heard before the next goes out, so each frame reuses the
+		// buffer the channel took back from the one before.
+		heard := func() bool { return b.tnc.rf.FramesHeard() > uint64(i) }
+		s.RunUntilDone(s.Now().Add(time.Minute), heard)
+		if !heard() {
+			t.Fatalf("%q not heard", info)
+		}
+	}
+	if b.tnc.hostQ.Len() == 0 {
+		t.Fatal("nothing queued toward the host: the line is not slow enough")
+	}
+	s.RunFor(time.Minute)
+	var got []string
+	for _, f := range b.rx {
+		fr, err := ax25.Decode(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(fr.Info))
+	}
+	if strings.Join(got, ",") != "first,second,third!" {
+		t.Fatalf("host read %q, want first, second, third!", got)
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"packetradio/internal/experiments"
 	"packetradio/internal/ip"
+	"packetradio/internal/pool"
 	"packetradio/internal/sim"
 	"packetradio/internal/world"
 )
@@ -85,20 +86,30 @@ func seattlePing(iters int) (eventsPerOp float64) {
 
 // maxSeattlePingAllocs bounds the heap objects one warm ping allocates
 // end to end. The datapath copies bytes only where the model keeps them
-// across virtual time (DESIGN.md §3b, "Copy once per hop"), and the IP
-// layer parses and builds datagrams in scratch each stack owns. What is
-// left, 9 objects: the radio's queue copy, transmission and completion
-// closure for each of the two frames, the driver's IP-queue copy at
-// each end, and the ARP refresh, spread over the pings between
-// refreshes.
-const maxSeattlePingAllocs = 10
+// across virtual time (DESIGN.md §3b, "Copy once per hop"), into
+// buffers from their owners' free lists, and the IP layer parses and
+// builds datagrams in scratch each stack owns, so a warm ping allocates
+// nothing; the one object allowed is the ARP refresh, spread over the
+// pings between refreshes.
+const maxSeattlePingAllocs = 1
 
 // TestSeattlePingAllocs is the allocation gate on the datapath: a
 // warm ping that allocates more than maxSeattlePingAllocs objects has
 // grown a per-hop copy or a per-frame closure back.
 func TestSeattlePingAllocs(t *testing.T) {
+	skipInPoolcheck(t)
 	if allocs := pingAllocs(t, world.MACCSMA, false, 1000); allocs > maxSeattlePingAllocs {
 		t.Fatalf("a warm 64-byte ping allocates %.0f objects, want <= %d", allocs, maxSeattlePingAllocs)
+	}
+}
+
+// skipInPoolcheck skips an allocation gate in a poolcheck build, whose
+// free lists allocate to check every return (internal/pool): the gates
+// hold the production build, and the poolcheck build checks ownership.
+func skipInPoolcheck(t *testing.T) {
+	t.Helper()
+	if pool.Checking {
+		t.Skip("poolcheck build: the free-list checks allocate")
 	}
 }
 
@@ -121,18 +132,29 @@ func pingAllocs(t *testing.T, mac world.MACMode, traced bool, runs int) float64 
 // is the breakdown's growing sample slices, amortized over the pings.
 const maxTracedPingExtraAllocs = 2
 
+// maxDAMAPingAllocs bounds what an untraced warm ping allocates on a
+// polled channel, where the minute it runs also carries the master's
+// polls and the members' responses: the controller encodes them in its
+// own scratch and arms timers built once per member.
+const maxDAMAPingAllocs = 10
+
 // TestTracedPingAllocs is the allocation gate on the obs taps: with
 // the ledger and the tracer attached, a warm ping allocates at most
 // maxTracedPingExtraAllocs objects more than an untraced one, on a
 // CSMA channel and on a polled one, where the minute a ping runs also
-// carries the master's polls and every key-up names the master.
+// carries the master's polls and every key-up names the master. The
+// untraced polled ping itself allocates at most maxDAMAPingAllocs.
 func TestTracedPingAllocs(t *testing.T) {
+	skipInPoolcheck(t)
 	for _, tc := range []struct {
 		mac  world.MACMode
 		runs int
 	}{{world.MACCSMA, 1000}, {world.MACDAMA, 200}} {
 		plain, traced := pingAllocs(t, tc.mac, false, tc.runs), pingAllocs(t, tc.mac, true, tc.runs)
 		t.Logf("%v: a warm ping allocates %.0f objects, %.0f traced", tc.mac, plain, traced)
+		if tc.mac == world.MACDAMA && plain > maxDAMAPingAllocs {
+			t.Errorf("%v: a warm ping allocates %.0f objects, want at most %d", tc.mac, plain, maxDAMAPingAllocs)
+		}
 		if traced > plain+maxTracedPingExtraAllocs {
 			t.Errorf("%v: a warm traced ping allocates %.0f objects, an untraced one %.0f: want at most %d more",
 				tc.mac, traced, plain, maxTracedPingExtraAllocs)
