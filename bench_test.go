@@ -256,6 +256,19 @@ func BenchmarkSeattlePing(b *testing.B) {
 	}
 }
 
+// BenchmarkNewLarge measures construction: one operation builds a
+// 1,000-station, 40-channel single-loop world with its probers armed.
+// Its bytes per operation count no random generator, since every
+// stream builds its generator at its first draw (sim.Stream).
+func BenchmarkNewLarge(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		world.NewLarge(world.LargeConfig{
+			Seed: int64(i + 1), Stations: 1000, Channels: 40, PingInterval: time.Minute,
+		})
+	}
+}
+
 // BenchmarkE11Failover: RSPF reconvergence after gateway failure vs
 // the static-route blackhole.
 func BenchmarkE11Failover(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -110,18 +111,7 @@ func (m Mask) Apply(a Addr) Addr {
 }
 
 // Bits counts leading one bits in the mask.
-func (m Mask) Bits() int {
-	n := 0
-	for _, b := range m {
-		for i := 7; i >= 0; i-- {
-			if b&(1<<uint(i)) == 0 {
-				return n
-			}
-			n++
-		}
-	}
-	return n
-}
+func (m Mask) Bits() int { return bits.LeadingZeros32(^Addr(m).Uint32()) }
 
 func (m Mask) String() string { return Addr(m).String() }
 

@@ -81,6 +81,43 @@ func TestMaskApplyAndBits(t *testing.T) {
 	}
 }
 
+// bitLoopBits is Mask.Bits' former bit-at-a-time count, the oracle
+// for TestMaskBitsMatchesBitLoop.
+func bitLoopBits(m Mask) int {
+	n := 0
+	for _, b := range m {
+		for i := 7; i >= 0; i-- {
+			if b&(1<<uint(i)) == 0 {
+				return n
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestMaskBitsMatchesBitLoop checks Bits on all 33 prefix masks and on
+// random non-contiguous ones.
+func TestMaskBitsMatchesBitLoop(t *testing.T) {
+	for n := 0; n <= 32; n++ {
+		m := Mask(AddrFromUint32(uint32(uint64(0xffffffff) << (32 - n))))
+		if got := m.Bits(); got != n || got != bitLoopBits(m) {
+			t.Fatalf("/%d mask %v: Bits = %d", n, m, got)
+		}
+	}
+	x := uint32(0x9e3779b9)
+	for i := 0; i < 10000; i++ {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		// Keep a random run of leading ones, then random bits.
+		m := Mask(AddrFromUint32(^uint32(0)<<(x%33) | x))
+		if got, want := m.Bits(), bitLoopBits(m); got != want {
+			t.Fatalf("mask %v: Bits = %d, bit loop counts %d", m, got, want)
+		}
+	}
+}
+
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example: checksum of 00 01 f2 03 f4 f5 f6 f7 = 0x220d.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}

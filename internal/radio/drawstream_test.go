@@ -95,7 +95,7 @@ func TestPlannedDrawsFollowPerSlotStream(t *testing.T) {
 // ahead, else a fresh one from its stream.
 func nextDraw(rf *Transceiver) float64 {
 	if len(rf.draws) == 0 {
-		return rf.csmaRng.Float64()
+		return rf.csmaStream.Rand().Float64()
 	}
 	d := rf.draws[0]
 	rf.draws = rf.draws[1:]

@@ -4,7 +4,7 @@ package radio
 // oracle the event-driven contention engine (DESIGN.md §3c) is held
 // to: a deferred transmitter wakes once per SlotTime, senses the
 // carrier and, on an idle slot, takes one persistence draw from its
-// csmaRng. It plugs in through the Accessor seam, as DAMA does, so
+// csmaStream. It plugs in through the Accessor seam, as DAMA does, so
 // production code carries no second contention path. usePerSlot
 // installs it.
 //
@@ -54,7 +54,7 @@ func (a *perSlotCSMA) contend(t *Transceiver) {
 		return
 	}
 	p := t.Params
-	if !p.FullDuplex && (t.CarrierSense() || t.csmaRng.Float64() >= p.Persist) {
+	if !p.FullDuplex && (t.CarrierSense() || t.csmaStream.Rand().Float64() >= p.Persist) {
 		t.Stats.CSMADeferrals++
 		t.frameDeferrals++
 		t.ch.sched.After(p.slotTime(), func() { a.contend(t) })

@@ -35,7 +35,6 @@
 package radio
 
 import (
-	"math/rand"
 	"time"
 
 	"packetradio/internal/pool"
@@ -404,17 +403,17 @@ type Transceiver struct {
 	// queue frame, reset when a frame keys up.
 	frameDeferrals uint64
 
-	// csmaRng draws p-persistence decisions, noiseRng the BER survival
-	// of frames received here. Both are private streams seeded from
-	// Scheduler.DeriveSeed at Attach, so one station's draw sequence is
-	// a function of its attach position alone: adding stations (or
-	// reordering their traffic) never perturbs anyone else's CSMA
-	// outcomes, and draws taken ahead stay sequence-identical to
-	// per-slot ones. noiseRng is built from noiseSeed on the first BER
-	// draw (noise), so a clean channel never pays for one.
-	csmaRng   *rand.Rand
-	noiseRng  *rand.Rand
-	noiseSeed int64
+	// csmaStream draws p-persistence decisions, noiseStream the BER
+	// survival of frames received here. Both are private streams
+	// seeded from Scheduler.DeriveSeed at Attach, so one station's draw
+	// sequence is a function of its attach position alone: adding
+	// stations (or reordering their traffic) never perturbs anyone
+	// else's CSMA outcomes, and draws taken ahead stay
+	// sequence-identical to per-slot ones. Each builds its generator
+	// at its first draw, so a clean channel never pays for a noise
+	// generator, nor a station that never contends for a CSMA one.
+	csmaStream  sim.Stream
+	noiseStream sim.Stream
 
 	// queue holds the owned copies of frames awaiting transmission,
 	// oldest first (popQueue).
@@ -430,7 +429,7 @@ type Transceiver struct {
 	// persistence draw, so the stretch [slot, wakeTime) settles as
 	// deferrals when the wake fires.
 	//
-	// draws is the FIFO of persistence draws taken from csmaRng ahead
+	// draws is the FIFO of persistence draws taken from csmaStream ahead
 	// of their slots, oldest first; losers holds the instants of the
 	// planned idle slots whose draws lose, losers[i] owning draws[i].
 	// A draw leaves the FIFO only when its slot settles, so the draws
@@ -465,12 +464,12 @@ type Transceiver struct {
 // Attach adds a new transceiver to the channel.
 func (c *Channel) Attach(name string, params Params) *Transceiver {
 	t := &Transceiver{
-		Name:      name,
-		Params:    params.withDefaults(),
-		ch:        c,
-		acc:       csma,
-		csmaRng:   rand.New(rand.NewSource(c.sched.DeriveSeed())),
-		noiseSeed: c.sched.DeriveSeed(),
+		Name:        name,
+		Params:      params.withDefaults(),
+		ch:          c,
+		acc:         csma,
+		csmaStream:  sim.NewStream(c.sched.DeriveSeed()),
+		noiseStream: sim.NewStream(c.sched.DeriveSeed()),
 	}
 	t.onSlotFn = t.onSlot
 	c.join(t)
@@ -755,7 +754,7 @@ func (t *Transceiver) firstIdleSlot(from sim.Time) sim.Time {
 // walk plans t's wake from grid slot from, keeping the first kept
 // planned losers (those before from), and returns the wake instant. It
 // skips busy stretches with firstIdleSlot and decides each idle slot
-// with the next draw in the FIFO, taking a fresh one from csmaRng when
+// with the next draw in the FIFO, taking a fresh one from csmaStream when
 // the FIFO runs out. It stops at the first idle slot whose draw wins;
 // every idle slot before that is a planned loser. Full duplex never
 // defers, so it takes no draw and wakes at from.
@@ -769,7 +768,7 @@ func (t *Transceiver) walk(from sim.Time, kept int) sim.Time {
 		slot = t.firstIdleSlot(slot)
 		i := len(t.losers)
 		if i == len(t.draws) {
-			t.draws = append(t.draws, t.csmaRng.Float64())
+			t.draws = append(t.draws, t.csmaStream.Rand().Float64())
 		}
 		if t.draws[i] < t.Params.Persist {
 			return slot
@@ -965,7 +964,7 @@ func (c *Channel) complete(tx *transmission) {
 		if !damaged && c.BitErrorRate > 0 {
 			bits := float64((len(tx.frame) + 2) * 8)
 			pSurvive := pow1m(c.BitErrorRate, bits)
-			if r.noise().Float64() >= pSurvive {
+			if r.noiseStream.Rand().Float64() >= pSurvive {
 				damaged = true
 			}
 		}
@@ -1001,14 +1000,6 @@ func (c *Channel) complete(tx *transmission) {
 	// Sender may have more queued traffic (or, polled, the rest of its
 	// reserved turn).
 	sender.acc.TxDone(sender)
-}
-
-// noise returns the BER survival stream, building it on first use.
-func (t *Transceiver) noise() *rand.Rand {
-	if t.noiseRng == nil {
-		t.noiseRng = rand.New(rand.NewSource(t.noiseSeed))
-	}
-	return t.noiseRng
 }
 
 // pow1m computes (1-ber)^bits without importing math for one call.

@@ -79,9 +79,9 @@ type Conn struct {
 	//
 	// ooo holds each reliable message received at or past rcvNxt, by
 	// seq, until rcvNxt passes it: an ordered message's payload, copied
-	// into a buffer from held, or nil, a tombstone for a message already
-	// delivered (unordered reliable) that only keeps the dedup and
-	// cumulative-ack state.
+	// into a buffer from held (emptyHeld if it is empty), or nil, a
+	// tombstone for a message already delivered (unordered reliable)
+	// that only keeps the dedup and cumulative-ack state.
 	rcvNxt uint16
 	hiSeen uint16
 	ooo    map[uint16][]byte
@@ -467,6 +467,11 @@ func (c *Conn) drainSendQ() {
 	}
 }
 
+// emptyHeld is ooo's entry for an empty ordered message awaiting
+// delivery: non-nil, unlike the tombstone of a delivered one, and
+// never returned to held.
+var emptyHeld = []byte{}
+
 // receiveData runs the receive-side dedup/reorder machinery and
 // delivers to the application.
 func (c *Conn) receiveData(h Header, payload []byte) {
@@ -500,9 +505,7 @@ func (c *Conn) receiveData(h Header, payload []byte) {
 		c.ooo[h.Seq] = nil
 		c.deliver(payload, h.Mode)
 	} else {
-		// An empty ordered message leaves a tombstone: it is
-		// acknowledged but never delivered.
-		var held []byte
+		held := emptyHeld
 		if len(payload) > 0 {
 			held = pool.Copy(&c.held, payload)
 		}
@@ -523,7 +526,9 @@ func (c *Conn) receiveData(h Header, payload []byte) {
 		c.rcvNxt++
 		if held != nil {
 			c.deliver(held, ReliableOrdered)
-			c.held.Put(held)
+			if len(held) > 0 {
+				c.held.Put(held)
+			}
 		}
 		if c.dead {
 			return

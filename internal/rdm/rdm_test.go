@@ -186,6 +186,36 @@ func TestReliableModesUnderReordering(t *testing.T) {
 	}
 }
 
+// TestEmptyMessageDelivered: an empty message is a message in every
+// mode, delivered in its place in the stream; an empty ordered one
+// must not read as the tombstone of a message already delivered.
+func TestEmptyMessageDelivered(t *testing.T) {
+	for _, mode := range []rdm.Mode{rdm.Unreliable, rdm.UnreliableOrdered, rdm.Reliable, rdm.ReliableOrdered} {
+		t.Run(mode.String(), func(t *testing.T) {
+			p := newPair(6, 5*time.Millisecond, rdm.Config{})
+			var log recvLog
+			c, _ := connect(t, p, &log)
+			for _, m := range []string{"", "x"} {
+				if _, err := c.Send(mode, []byte(m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.run(10 * time.Second)
+			if got, want := log.strings(), []string{"", "x"}; fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+				t.Fatalf("delivered %q, want %q", got, want)
+			}
+			for i, m := range log.modes {
+				if m != mode {
+					t.Fatalf("message %d delivered as %v, want %v", i, m, mode)
+				}
+			}
+			if c.Pending() != 0 || p.bm.Stats.Delivered != 2 {
+				t.Fatalf("Pending = %d, Delivered = %d; want 0 and 2", c.Pending(), p.bm.Stats.Delivered)
+			}
+		})
+	}
+}
+
 func TestNakRepairsLossBeforeRTO(t *testing.T) {
 	p := newPair(5, 5*time.Millisecond, rdm.Config{})
 	// Lose the first transmission of seq 1 only; the gap behind seqs 2

@@ -8,7 +8,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"packetradio/internal/ip"
@@ -104,18 +104,23 @@ func (t *Table) AddDefault(gw ip.Addr, ifName string) *Entry {
 	return e
 }
 
+// insert installs e, replacing an existing route to the same
+// destination in place; a new route goes after the last entry at least
+// as specific, which keeps the table sorted most specific first and,
+// within one prefix length, in insertion order.
 func (t *Table) insert(e *Entry) {
-	// Replace an existing route to the same destination.
 	for i, old := range t.entries {
 		if old.Dest == e.Dest && old.Mask == e.Mask {
 			t.entries[i] = e
 			return
 		}
 	}
-	t.entries = append(t.entries, e)
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return t.entries[i].Mask.Bits() > t.entries[j].Mask.Bits()
-	})
+	bits := e.Mask.Bits()
+	i := len(t.entries)
+	for i > 0 && t.entries[i-1].Mask.Bits() < bits {
+		i--
+	}
+	t.entries = slices.Insert(t.entries, i, e)
 }
 
 // Delete removes the route to dest with the given mask, reporting

@@ -39,7 +39,6 @@
 package serial
 
 import (
-	"math/rand"
 	"time"
 
 	"packetradio/internal/sim"
@@ -73,8 +72,9 @@ type End struct {
 
 	deliverFn func() // cached bound method, so Write never allocates a closure
 
-	corruptSeed int64
-	corruptRNG  *rand.Rand
+	// corruption draws this end's byte damage (corrupt), from a seed
+	// taken at NewLine.
+	corruption sim.Stream
 
 	// Stats. In burst mode the counters advance when a run is
 	// delivered (its last byte's wire time); a mid-run observer should
@@ -131,8 +131,8 @@ func NewLine(sched *sim.Scheduler, baud int) (*End, *End) {
 	// order, not on whether delivery is per byte or per run — and
 	// deriving (rather than drawing from the shared Rand) leaves the
 	// scheduler's main stream exactly as the seed scenarios expect.
-	l.a.corruptSeed = sched.DeriveSeed()
-	l.b.corruptSeed = sched.DeriveSeed()
+	l.a.corruption = sim.NewStream(sched.DeriveSeed())
+	l.b.corruption = sim.NewStream(sched.DeriveSeed())
 	return &l.a, &l.b
 }
 
@@ -249,24 +249,15 @@ func (e *End) QueueLen() int {
 // the same byte-exact interpolation as QueueLen.
 func (e *End) Drained() bool { return e.QueueLen() == 0 }
 
-// rng returns the per-end corruption source, built on first use from
-// the seed drawn at NewLine.
-func (e *End) rng() *rand.Rand {
-	if e.corruptRNG == nil {
-		e.corruptRNG = rand.New(rand.NewSource(e.corruptSeed))
-	}
-	return e.corruptRNG
-}
-
 // corrupt damages one byte in transit: one Float64 draw per byte, a
 // second draw for the flipped bit when the byte is hit — the same
 // stream whether bytes are delivered singly or as a run.
 func (e *End) corrupt(b byte) (byte, bool) {
 	r := e.line.CorruptRate
-	if r <= 0 || e.rng().Float64() >= r {
+	if r <= 0 || e.corruption.Rand().Float64() >= r {
 		return b, false
 	}
-	return b ^ 1<<uint(e.rng().Intn(8)), true
+	return b ^ 1<<uint(e.corruption.Rand().Intn(8)), true
 }
 
 // deliverRun fires once per run, at the wire time of its last byte.

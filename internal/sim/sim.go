@@ -159,7 +159,7 @@ type Scheduler struct {
 	now   Time
 	queue eventQueue
 	seq   uint64
-	rng   *rand.Rand
+	rng   Stream
 	fired uint64
 
 	// free is the pool of fired/cancelled events awaiting reuse, which
@@ -185,9 +185,9 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a Scheduler with its clock at time zero and a
-// random source seeded with seed.
+// random stream seeded with seed, built at its first draw.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Scheduler{rng: NewStream(seed), seed: seed}
 }
 
 // DeriveSeed returns a fresh deterministic seed for a component that
@@ -214,10 +214,13 @@ func (s *Scheduler) DeriveSeed() int64 {
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Rand exposes the scheduler's deterministic random source. All
-// randomized protocol behaviour (CSMA persistence, jitter, loss
-// injection) must draw from this source so runs are reproducible.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// Rand exposes the scheduler's shared deterministic random stream,
+// built at its first draw. Randomized behaviour without a private
+// stream (RSPF jitter, TCP initial sequence numbers, experiment
+// traffic) draws from it so runs are reproducible; components whose
+// draws must not depend on anyone else's (CSMA persistence, bit
+// errors, serial corruption) seed a Stream from DeriveSeed instead.
+func (s *Scheduler) Rand() *rand.Rand { return s.rng.Rand() }
 
 // Pending reports the number of events waiting to fire.
 func (s *Scheduler) Pending() int { return len(s.queue) }
