@@ -191,9 +191,6 @@ func (o *obsFlags) attach(w *world.World, gwHost string) (func() error, error) {
 	if o.spans {
 		finishers = append(finishers, func() error {
 			bd := tr.Breakdown()
-			// Fold the per-stage histograms into the registry so a
-			// -netstat alongside -spans summarizes them too.
-			bd.Register(w.Registry(), "trace.span.")
 			fmt.Printf("# packet journeys: %d traced, %d incomplete\n", bd.Traces, bd.Incomplete)
 			bd.WriteText(os.Stdout)
 			fmt.Println("# span stream:")

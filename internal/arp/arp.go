@@ -152,6 +152,10 @@ type ResolverStats struct {
 	Expired   uint64
 }
 
+// maxRequests bounds the requests sent for one destination before its
+// held packets drop.
+const maxRequests = 5
+
 // Resolver is the per-interface ARP engine.
 type Resolver struct {
 	// Immutable identity.
@@ -163,9 +167,6 @@ type Resolver struct {
 	CacheTTL time.Duration
 	// RequestInterval spaces retransmitted requests (default 1 s).
 	RequestInterval time.Duration
-	// MaxRequests bounds retransmissions before held packets drop
-	// (default 5).
-	MaxRequests int
 	// MaxHold bounds packets held per unresolved destination
 	// (default 1, like the single ARP hold mbuf in BSD).
 	MaxHold int
@@ -214,7 +215,6 @@ func NewResolver(sched *sim.Scheduler, htype uint16, myHW []byte, myIP ip.Addr) 
 		MyIP:            myIP,
 		CacheTTL:        20 * time.Minute,
 		RequestInterval: time.Second,
-		MaxRequests:     5,
 		MaxHold:         1,
 		sched:           sched,
 		cache:           make(map[ip.Addr]*Entry),
@@ -290,7 +290,7 @@ func (r *Resolver) sendRequest(target ip.Addr, pe *pendingEntry) {
 		if r.pending[target] != pe {
 			return
 		}
-		if pe.tries >= r.MaxRequests {
+		if pe.tries >= maxRequests {
 			delete(r.pending, target)
 			r.dropHeld("unresolved", pe.held)
 			return

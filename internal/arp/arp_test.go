@@ -209,11 +209,10 @@ func TestHoldQueueLimitDropsOldest(t *testing.T) {
 func TestRequestRetriesThenGivesUp(t *testing.T) {
 	h := newResolverHarness(t)
 	h.lossy = true
-	h.a.MaxRequests = 3
 	h.a.Enqueue(testPkt(1), ip.MustAddr("10.0.0.9")) // nobody home
 	h.sched.RunFor(time.Minute)
-	if h.a.Stats.Requests != 3 {
-		t.Fatalf("requests = %d, want 3", h.a.Stats.Requests)
+	if h.a.Stats.Requests != maxRequests {
+		t.Fatalf("requests = %d, want %d", h.a.Stats.Requests, maxRequests)
 	}
 	if h.a.Stats.HeldDrops != 1 {
 		t.Fatalf("HeldDrops = %d, want 1", h.a.Stats.HeldDrops)
@@ -221,8 +220,8 @@ func TestRequestRetriesThenGivesUp(t *testing.T) {
 	// A later attempt starts a fresh request cycle.
 	h.a.Enqueue(testPkt(2), ip.MustAddr("10.0.0.9"))
 	h.sched.RunFor(time.Minute)
-	if h.a.Stats.Requests != 6 {
-		t.Fatalf("requests = %d, want 6 after second cycle", h.a.Stats.Requests)
+	if h.a.Stats.Requests != 2*maxRequests {
+		t.Fatalf("requests = %d, want %d after second cycle", h.a.Stats.Requests, 2*maxRequests)
 	}
 }
 

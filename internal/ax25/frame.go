@@ -19,7 +19,7 @@ const (
 	PIDSegF   = 0x08 // segmentation fragment (recognized, not generated)
 )
 
-// Frame kinds, derived from the control field.
+// Kind is a frame kind, derived from the control field.
 type Kind uint8
 
 const (

@@ -22,8 +22,6 @@ func TestLAPBStreamIntegrityUnderRandomLoss(t *testing.T) {
 				lp := &linkPair{sched: sched, delay: 50 * time.Millisecond}
 				lp.a = NewEndpoint(sched, MustAddr("AAA"), func(f *Frame) { lp.deliver("a->b", f, lp.bInput) })
 				lp.b = NewEndpoint(sched, MustAddr("BBB"), func(f *Frame) { lp.deliver("b->a", f, lp.aInput) })
-				lp.a.Config = ConnConfig{T1: 2 * time.Second, N2: 25, PacLen: 64}
-				lp.b.Config = ConnConfig{T1: 2 * time.Second, N2: 25, PacLen: 64}
 				lp.drop = func(string, *Frame) bool {
 					return sched.Rand().Intn(100) < lossPct
 				}
@@ -43,13 +41,16 @@ func TestLAPBStreamIntegrityUnderRandomLoss(t *testing.T) {
 					}
 					return
 				}
-				want := make([]byte, 600)
+				// Each write spans two I frames, so segmentation
+				// and reassembly are under the loss too.
+				const write = pacLen + pacLen/4
+				want := make([]byte, 8*write)
 				r := sched.Rand()
 				for i := range want {
 					want[i] = byte(r.Intn(256))
 				}
-				for i := 0; i < len(want); i += 100 {
-					c.Send(want[i : i+100])
+				for i := 0; i < len(want); i += write {
+					c.Send(want[i : i+write])
 				}
 				sched.RunFor(4 * time.Hour)
 

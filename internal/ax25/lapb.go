@@ -39,34 +39,14 @@ func (s ConnState) String() string {
 	return "UNKNOWN"
 }
 
-// ConnConfig tunes a connection. The zero value selects defaults
-// appropriate for a 1200 bps channel.
-type ConnConfig struct {
-	T1     time.Duration // retransmission (FRACK) timer; default 8s
-	T3     time.Duration // idle link-check timer; default 180s; <0 disables
-	N2     int           // max retries; default 10
-	Window int           // max outstanding I frames (MAXFRAME), 1-7; default 4
-	PacLen int           // max info bytes per I frame; default MaxInfo
-}
-
-func (c ConnConfig) withDefaults() ConnConfig {
-	if c.T1 <= 0 {
-		c.T1 = 8 * time.Second
-	}
-	if c.T3 == 0 {
-		c.T3 = 180 * time.Second
-	}
-	if c.N2 <= 0 {
-		c.N2 = 10
-	}
-	if c.Window <= 0 || c.Window > 7 {
-		c.Window = 4
-	}
-	if c.PacLen <= 0 || c.PacLen > MaxInfo {
-		c.PacLen = MaxInfo
-	}
-	return c
-}
+// Link timers and limits, sized for a 1200 bps channel.
+const (
+	frack     = 8 * time.Second   // T1, the retransmission timer
+	idleCheck = 180 * time.Second // T3, the idle link-check timer
+	maxRetry  = 10                // N2, T1 expiries without progress before the link fails
+	window    = 4                 // MAXFRAME, outstanding I frames (1-7)
+	pacLen    = MaxInfo           // PACLEN, info bytes per I frame
+)
 
 // ConnStats counts protocol events on one connection.
 type ConnStats struct {
@@ -98,7 +78,6 @@ type Conn struct {
 
 	Stats ConnStats
 
-	cfg   ConnConfig
 	sched *sim.Scheduler
 	xmit  func(*Frame)
 	state ConnState
@@ -171,7 +150,7 @@ func (c *Conn) sendCtl(kind Kind, pf, command bool) {
 
 func (c *Conn) startT1() {
 	c.stopT1()
-	c.t1 = c.sched.After(c.cfg.T1, c.t1Expired)
+	c.t1 = c.sched.After(frack, c.t1Expired)
 }
 
 func (c *Conn) stopT1() {
@@ -183,9 +162,7 @@ func (c *Conn) stopT1() {
 
 func (c *Conn) startT3() {
 	c.stopT3()
-	if c.cfg.T3 > 0 {
-		c.t3 = c.sched.After(c.cfg.T3, c.t3Expired)
-	}
+	c.t3 = c.sched.After(idleCheck, c.t3Expired)
 }
 
 func (c *Conn) stopT3() {
@@ -229,8 +206,8 @@ func (c *Conn) Send(data []byte) error {
 	}
 	for len(data) > 0 {
 		n := len(data)
-		if n > c.cfg.PacLen {
-			n = c.cfg.PacLen
+		if n > pacLen {
+			n = pacLen
 		}
 		seg := make([]byte, n)
 		copy(seg, data[:n])
@@ -271,7 +248,7 @@ func (c *Conn) pump() {
 		}
 		return
 	}
-	for len(c.sendq) > 0 && len(c.unacked) < c.cfg.Window {
+	for len(c.sendq) > 0 && len(c.unacked) < window {
 		info := c.sendq[0]
 		c.sendq = c.sendq[1:]
 		c.unacked = append(c.unacked, info)
@@ -293,7 +270,7 @@ func (c *Conn) t1Expired() {
 	c.t1 = nil
 	c.Stats.T1Expiries++
 	c.retries++
-	if c.retries > c.cfg.N2 {
+	if c.retries > maxRetry {
 		c.fail(ErrLinkTimeout)
 		return
 	}
@@ -471,7 +448,7 @@ func (c *Conn) inputConnected(f *Frame) {
 				c.OnData(info)
 			}
 			// Acknowledge: piggyback if we have data, else RR.
-			if len(c.sendq) > 0 && !c.peerBusy && len(c.unacked) < c.cfg.Window {
+			if len(c.sendq) > 0 && !c.peerBusy && len(c.unacked) < window {
 				c.pump()
 			} else if c.localBusy {
 				c.sendCtl(KindRNR, f.PF && f.Command, false)
@@ -560,8 +537,6 @@ type Endpoint struct {
 	// and OnState on the new Conn before any data arrives.
 	Accept func(*Conn) bool
 
-	Config ConnConfig
-
 	sched *sim.Scheduler
 	xmit  func(*Frame)
 	conns map[Addr]*Conn
@@ -595,7 +570,6 @@ func (e *Endpoint) conn(remote Addr) *Conn {
 		c = &Conn{
 			Local:  e.Local,
 			Remote: remote,
-			cfg:    e.Config.withDefaults(),
 			sched:  e.sched,
 			xmit:   e.xmit,
 		}

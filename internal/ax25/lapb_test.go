@@ -110,7 +110,6 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T1: 500 * time.Millisecond}
 
 	// Drop the first two I frames in the a->b direction.
 	dropped := 0
@@ -141,7 +140,6 @@ func TestREJRecoversFromMidWindowLoss(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T1: 2 * time.Second, Window: 4, PacLen: 8}
 
 	// Lose exactly the second I frame once; later frames arrive out of
 	// sequence and must trigger REJ-based recovery.
@@ -156,7 +154,10 @@ func TestREJRecoversFromMidWindowLoss(t *testing.T) {
 
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
-	msg := []byte("0123456789abcdefghijklmnopqrstuv") // 4 segments of 8
+	msg := make([]byte, window*pacLen) // one full window of segments
+	for i := range msg {
+		msg[i] = byte('a' + i%26)
+	}
 	if err := c.Send(msg); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,6 @@ func TestN2ExhaustionFailsLink(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T1: 100 * time.Millisecond, N2: 3}
 
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
@@ -187,23 +187,35 @@ func TestN2ExhaustionFailsLink(t *testing.T) {
 	// Now sever the a->b direction entirely.
 	lp.drop = func(dir string, f *Frame) bool { return dir == "a->b" }
 	c.Send([]byte("into the void"))
-	lp.sched.RunFor(time.Minute)
+	// N2 retries after the first T1 expiry: the link must still be
+	// trying one T1 before the last one, and have failed after it.
+	lp.sched.RunFor(maxRetry * frack)
+	if c.State() != StateConnected {
+		t.Fatalf("state = %v after %d T1 expiries, want CONNECTED until N2 is spent", c.State(), c.Stats.T1Expiries)
+	}
+	lp.sched.RunFor(2 * frack)
 	if c.State() != StateDisconnected {
 		t.Fatalf("state = %v, want DISCONNECTED after N2", c.State())
 	}
 	if c.Err() != ErrLinkTimeout {
 		t.Fatalf("err = %v, want ErrLinkTimeout", c.Err())
 	}
+	if c.Stats.T1Expiries != maxRetry+1 {
+		t.Fatalf("T1 expired %d times, want N2+1 = %d", c.Stats.T1Expiries, maxRetry+1)
+	}
 }
 
 func TestConnectRetriesThenFails(t *testing.T) {
 	lp := newLinkPair(t)
 	lp.drop = func(string, *Frame) bool { return true } // dead air
-	lp.a.Config = ConnConfig{T1: 100 * time.Millisecond, N2: 2}
 	c := lp.a.Dial(MustAddr("BBB"))
-	lp.sched.RunFor(10 * time.Second)
+	lp.sched.RunFor((maxRetry + 2) * frack)
 	if c.State() != StateDisconnected || c.Err() != ErrLinkTimeout {
 		t.Fatalf("state=%v err=%v", c.State(), c.Err())
+	}
+	// The first SABM and one per retry: N2+1 in all.
+	if len(lp.sent) != maxRetry+1 {
+		t.Fatalf("%d SABMs sent, want N2+1 = %d: %v", len(lp.sent), maxRetry+1, lp.sent)
 	}
 }
 
@@ -211,10 +223,9 @@ func TestWindowLimitsOutstandingFrames(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{Window: 2, PacLen: 4, T1: 5 * time.Second}
 
 	// Count I frames in flight before any ack can come back: stop all
-	// b->a traffic so the window must close at 2.
+	// b->a traffic so the window must close.
 	inFlight := 0
 	lp.drop = func(dir string, f *Frame) bool {
 		if dir == "b->a" && f.Kind != KindUA {
@@ -227,10 +238,10 @@ func TestWindowLimitsOutstandingFrames(t *testing.T) {
 	}
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
-	c.Send(bytes.Repeat([]byte("x"), 40)) // 10 segments
-	lp.sched.RunFor(2 * time.Second)      // less than T1
-	if inFlight != 2 {
-		t.Fatalf("%d I frames sent with window 2 and no acks, want 2", inFlight)
+	c.Send(bytes.Repeat([]byte("x"), 10*pacLen)) // 10 segments
+	lp.sched.RunFor(frack / 2)                   // less than T1
+	if inFlight != window {
+		t.Fatalf("%d I frames sent with window %d and no acks, want %d", inFlight, window, window)
 	}
 }
 
@@ -238,7 +249,6 @@ func TestRNRStopsSender(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{PacLen: 4, T1: 50 * time.Second, Window: 1}
 
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
@@ -246,7 +256,8 @@ func TestRNRStopsSender(t *testing.T) {
 	bc.SetBusy(true)
 	lp.sched.RunFor(time.Second)
 
-	c.Send([]byte("abcdefgh")) // 2 segments
+	msg := bytes.Repeat([]byte("abcdefgh"), pacLen/4) // 2 segments
+	c.Send(msg)
 	lp.sched.RunFor(5 * time.Second)
 	// The sender already learned the peer is busy, so nothing may be
 	// transmitted while RNR is in force.
@@ -255,8 +266,8 @@ func TestRNRStopsSender(t *testing.T) {
 	}
 	bc.SetBusy(false)
 	lp.sched.RunFor(30 * time.Minute)
-	if recv.String() != "abcdefgh" {
-		t.Fatalf("after unbusy got %q", recv.String())
+	if !bytes.Equal(recv.Bytes(), msg) {
+		t.Fatalf("after unbusy got %d bytes, want %d", recv.Len(), len(msg))
 	}
 }
 
@@ -264,7 +275,6 @@ func TestLostUnbusyRRRecoveredByPoll(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{PacLen: 4, T1: time.Second, Window: 1}
 
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
@@ -295,14 +305,17 @@ func TestT3KeepalivePolls(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T3: 5 * time.Second}
 	c := lp.a.Dial(MustAddr("BBB"))
-	lp.sched.RunFor(30 * time.Second)
+	lp.sched.RunFor(idleCheck / 2)
+	if c.Stats.KeepalivePolls != 0 {
+		t.Fatalf("%d keepalive polls before T3 ran out", c.Stats.KeepalivePolls)
+	}
+	lp.sched.RunFor(10 * idleCheck)
 	if c.State() != StateConnected {
 		t.Fatalf("idle link dropped: %v (err %v)", c.State(), c.Err())
 	}
-	if c.Stats.KeepalivePolls == 0 {
-		t.Fatal("no keepalive polls on idle link")
+	if c.Stats.KeepalivePolls < 10 {
+		t.Fatalf("%d keepalive polls in %v idle, want one per T3 (%v)", c.Stats.KeepalivePolls, 10*idleCheck+idleCheck/2, idleCheck)
 	}
 	bc := lp.b.Conns()[MustAddr("AAA")]
 	if bc.Stats.PollsAnswered == 0 {
@@ -317,12 +330,13 @@ func TestT3DoesNotKillIdleLinkLongTerm(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T3: 30 * time.Second}
-	lp.b.Config = ConnConfig{T3: 30 * time.Second}
 	c := lp.a.Dial(MustAddr("BBB"))
-	lp.sched.RunFor(time.Hour)
+	lp.sched.RunFor(120 * idleCheck)
 	if c.State() != StateConnected {
-		t.Fatalf("idle link died after an hour: err=%v stats=%+v", c.Err(), c.Stats)
+		t.Fatalf("idle link died after 120 T3 periods: err=%v stats=%+v", c.Err(), c.Stats)
+	}
+	if c.Stats.KeepalivePolls < 60 {
+		t.Fatalf("only %d keepalive polls in 120 T3 periods", c.Stats.KeepalivePolls)
 	}
 	if c.Stats.T1Expiries > 2 {
 		t.Fatalf("T1 kept re-polling: %d expiries", c.Stats.T1Expiries)
@@ -341,13 +355,16 @@ func TestPeerDisappearsDetectedByT3(t *testing.T) {
 	lp := newLinkPair(t)
 	var recv bytes.Buffer
 	lp.b.Accept = acceptAll(&recv)
-	lp.a.Config = ConnConfig{T3: 2 * time.Second, T1: 500 * time.Millisecond, N2: 3}
 	c := lp.a.Dial(MustAddr("BBB"))
 	lp.sched.RunFor(time.Second)
 	lp.drop = func(string, *Frame) bool { return true } // peer vanishes
-	lp.sched.RunFor(time.Minute)
+	lp.sched.RunFor(idleCheck + (maxRetry+2)*frack)
 	if c.State() != StateDisconnected || c.Err() != ErrLinkTimeout {
 		t.Fatalf("dead peer undetected: state=%v err=%v", c.State(), c.Err())
+	}
+	if c.Stats.KeepalivePolls != 1 || c.Stats.T1Expiries != maxRetry+1 {
+		t.Fatalf("keepalive polls %d, T1 expiries %d; want 1 poll then N2+1 = %d expiries",
+			c.Stats.KeepalivePolls, c.Stats.T1Expiries, maxRetry+1)
 	}
 }
 

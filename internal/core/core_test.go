@@ -187,13 +187,17 @@ func TestOutputQueueBoundDrops(t *testing.T) {
 	s := sim.NewScheduler(1)
 	ch := radio.NewChannel(s, 1200)
 	a := newRig(s, ch, "AAA", "44.24.0.1")
-	a.drv.OutQueueBytes = 600 // roughly two frames
 	a.drv.Resolver().AddStatic(ip.MustAddr("44.24.0.2"), ax25.MustAddr("BBB").HW())
-	for i := 0; i < 10; i++ {
+	// Twice the queue's bytes in 200-byte datagrams, written at one
+	// instant, so the serial line drains none of it.
+	for i := 0; i < 2*outQueueBytes/200; i++ {
 		a.drv.Output(mkIP("44.24.0.1", "44.24.0.2", make([]byte, 200)), ip.MustAddr("44.24.0.2"))
 	}
 	if a.drv.DStats.OutDrops == 0 {
-		t.Fatal("no output drops despite tiny queue")
+		t.Fatal("no output drops despite an overfull queue")
+	}
+	if q := a.drv.ser.QueueLen(); q > outQueueBytes || q < outQueueBytes-300 {
+		t.Fatalf("serial queue holds %d bytes, want within one frame of the %d-byte bound", q, outQueueBytes)
 	}
 }
 

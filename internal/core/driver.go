@@ -52,6 +52,10 @@ import (
 // 256-byte information field.
 const DefaultMTU = ax25.MaxInfo
 
+// outQueueBytes bounds the serial output backlog before the driver
+// drops (IF_DROP semantics).
+const outQueueBytes = 4096
+
 // DriverStats extends the generic interface counters with the checks
 // specific to this driver.
 type DriverStats struct {
@@ -89,10 +93,6 @@ type PacketRadioIf struct {
 	// The frame is the driver's own and is reused for the next one, so
 	// the callback must not keep it.
 	Monitor func(dir string, f *ax25.Frame)
-
-	// OutQueueBytes bounds serial output backlog before the driver
-	// drops (IF_DROP semantics). Default 4096.
-	OutQueueBytes int
 
 	// AutoARP enables the KA9Q NOS conveniences AX.25 IP networks ran
 	// with: glean (IP source, link source) mappings from received IP
@@ -153,16 +153,15 @@ type PacketRadioIf struct {
 // ARP.
 func NewPacketRadioIf(sched *sim.Scheduler, name string, ser *serial.End, mycall ax25.Addr, myIP ip.Addr, stack Input) *PacketRadioIf {
 	d := &PacketRadioIf{
-		MyCall:        mycall,
-		OutQueueBytes: 4096,
-		name:          name,
-		sched:         sched,
-		stack:         stack,
-		ser:           ser,
-		mtu:           DefaultMTU,
-		ipq:           netif.NewQueue[[]byte](0),
-		ttyq:          netif.NewQueue[*ax25.Frame](0),
-		paths:         make(map[ip.Addr][]ax25.Addr),
+		MyCall: mycall,
+		name:   name,
+		sched:  sched,
+		stack:  stack,
+		ser:    ser,
+		mtu:    DefaultMTU,
+		ipq:    netif.NewQueue[[]byte](0),
+		ttyq:   netif.NewQueue[*ax25.Frame](0),
+		paths:  make(map[ip.Addr][]ax25.Addr),
 	}
 	d.res = arp.NewResolver(sched, arp.HTypeAX25, mycall.HW(), myIP)
 	d.res.SendPacket = d.sendARP
@@ -446,7 +445,7 @@ func (d *PacketRadioIf) sendUI(dst ax25.Addr, pid uint8, info []byte, via []ax25
 func (d *PacketRadioIf) writeKISS(frame []byte) error {
 	d.txKISS = kiss.Encode(d.txKISS[:0], 0, frame)
 	enc := d.txKISS
-	if d.ser.QueueLen()+len(enc) > d.OutQueueBytes {
+	if d.ser.QueueLen()+len(enc) > outQueueBytes {
 		d.DStats.OutDrops++
 		d.stats.Oerrors++
 		if d.OnDrop != nil {

@@ -14,12 +14,10 @@ import (
 // time out cleanly rather than wedge the poll list on it.
 
 func TestOneWayLinkSlaveUnheard(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Burst = 2
-	n := newTestNet(21, cfg, "GW", "S1", "S2")
+	n := newTestNet(21, "GW", "S1", "S2")
 	n.s.RunFor(10 * time.Second) // GW takes mastership
 	gw, s1, s2 := n.rfs["GW"], n.rfs["S1"], n.rfs["S2"]
-	// S1 registers real demand first (a deep queue at Burst=2 keeps its
+	// S1 registers real demand first (a deep queue at burst=4 keeps its
 	// reported demand nonzero across turns) …
 	for j := 0; j < 40; j++ {
 		s1.Send([]byte(fmt.Sprintf("S1-f%d", j)))
@@ -69,7 +67,7 @@ func TestOneWayLinkSlaveUnheard(t *testing.T) {
 }
 
 func TestOneWayLinkHealRestoresService(t *testing.T) {
-	n := newTestNet(22, fastCfg(), "GW", "S1")
+	n := newTestNet(22, "GW", "S1")
 	n.s.RunFor(10 * time.Second)
 	gw, s1 := n.rfs["GW"], n.rfs["S1"]
 	n.ch.SetReachable(s1, gw, false)

@@ -15,14 +15,14 @@
 //
 //   - The master POLLs one station; the polled station answers
 //     immediately in its reserved slot — wrapped DATA frames (up to
-//     Burst per turn) or a short NONE if its queue is empty. Either
+//     burst per turn) or a short NONE if its queue is empty. Either
 //     answer piggybacks the station's remaining queue depth, so demand
 //     registration costs no extra transmissions.
 //   - The master serves stations with reported demand round-robin
 //     (staying in the ring until drained is what makes the rotation
 //     demand-weighted), interleaving one discovery poll per
 //     discoverEvery demand polls so new demand is found even under
-//     load. An idle channel paces discovery with IdleGap so polling
+//     load. An idle channel paces discovery with idleGap so polling
 //     does not consume the channel it arbitrates.
 //   - A poll that goes unanswered times out after the worst-case
 //     response airtime; maxMisses consecutive timeouts idle the
@@ -30,7 +30,7 @@
 //     list (it keeps getting discovery polls, so a healed link
 //     recovers).
 //   - Mastership is elected by poll silence: every station arms a
-//     timer of ElectionTimeout + rank·ElectionStep, where rank is the
+//     timer of electionTimeout + rank·electionStep, where rank is the
 //     station's position in the lexicographic order of member
 //     callsigns, and resets it whenever it hears channel activity.
 //     Silence therefore promotes the lowest station ID first — a
@@ -53,30 +53,24 @@ import (
 	"packetradio/internal/sim"
 )
 
-// Config tunes one channel's DAMA controller. Zero values take the
-// defaults noted on each field.
-type Config struct {
-	// ElectionTimeout is the base poll-silence interval before the
-	// lowest-ranked station assumes mastership (default 5 s).
-	ElectionTimeout time.Duration
-	// ElectionStep is the extra silence each successive rank waits, so
+const (
+	// electionTimeout is the base poll-silence interval before the
+	// lowest-ranked station assumes mastership.
+	electionTimeout = 5 * time.Second
+	// electionStep is the extra silence each successive rank waits, so
 	// exactly one station self-elects per silent interval. It must
 	// exceed one poll's airtime or two stations could elect back to
-	// back (default 2 s).
-	ElectionStep time.Duration
-	// IdleGap paces discovery polls when the channel has no reported
-	// demand and the master no traffic (default 1 s).
-	IdleGap time.Duration
-	// Burst caps frames per reserved turn — the master's own traffic
-	// obeys the same cap so a busy gateway cannot starve its slaves
-	// (default 4).
-	Burst int
-	// MaxFrame bounds one wrapped data frame's length and therefore
-	// the poll-response timeout (default 360 bytes).
-	MaxFrame int
-}
-
-const (
+	// back.
+	electionStep = 2 * time.Second
+	// idleGap paces discovery polls when the channel has no reported
+	// demand and the master no traffic.
+	idleGap = time.Second
+	// burst caps frames per reserved turn — the master's own traffic
+	// obeys the same cap so a busy gateway cannot starve its slaves.
+	burst = 4
+	// maxFrame bounds one wrapped data frame's length and therefore
+	// the poll-response timeout.
+	maxFrame = 360
 	// discoverEvery interleaves one discovery poll per this many demand
 	// polls under load.
 	discoverEvery = 4
@@ -84,25 +78,6 @@ const (
 	// station's demand.
 	maxMisses = 3
 )
-
-func (c Config) withDefaults() Config {
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 5 * time.Second
-	}
-	if c.ElectionStep <= 0 {
-		c.ElectionStep = 2 * time.Second
-	}
-	if c.IdleGap <= 0 {
-		c.IdleGap = time.Second
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 360
-	}
-	return c
-}
 
 // Stats counts controller-wide protocol events.
 type Stats struct {
@@ -140,7 +115,7 @@ type member struct {
 	rr        int        // demand round-robin cursor into members
 	disc      int        // discovery rotation cursor into members
 	polled    *member    // station holding the current reserved turn
-	ownSent   int        // own frames sent this turn, capped at Burst
+	ownSent   int        // own frames sent this turn, capped at burst
 	sinceDisc int        // demand polls since the last discovery poll
 
 	// As seen by the acting master.
@@ -149,7 +124,7 @@ type member struct {
 
 	// quiet counts consecutive polls (as master) that surfaced no
 	// demand anywhere; once it covers the whole roster the channel is
-	// genuinely idle and discovery drops to IdleGap pacing. Any sign
+	// genuinely idle and discovery drops to idleGap pacing. Any sign
 	// of demand resets it, so cold start and re-discovery sweep the
 	// roster back to back instead of one station per gap.
 	quiet int
@@ -176,7 +151,6 @@ type Controller struct {
 	// read-side — the callback must not touch the controller.
 	Trace func(event, who string)
 
-	cfg   Config
 	ch    *radio.Channel
 	sched *sim.Scheduler
 
@@ -192,18 +166,14 @@ type Controller struct {
 var _ radio.Accessor = (*Controller)(nil)
 
 // New creates a controller for ch. Stations opt in with Join.
-func New(ch *radio.Channel, cfg Config) *Controller {
+func New(ch *radio.Channel) *Controller {
 	return &Controller{
-		cfg:   cfg.withDefaults(),
 		ch:    ch,
 		sched: ch.Scheduler(),
 		byRF:  make(map[*radio.Transceiver]*member),
 		names: make(map[string]*member),
 	}
 }
-
-// Config reports the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Join enrolls a transceiver on the controller's channel: its accessor
 // becomes the controller and its election timer arms. A station joining
@@ -320,13 +290,13 @@ func (c *Controller) recomputeRanks() {
 // m's own key-up delay as the estimate for everyone's, which holds in
 // uniformly configured networks.)
 func (c *Controller) electDeadline(m *member) time.Duration {
-	floor := c.respWindow(m) + c.cfg.IdleGap + m.rf.Params.TXDelay +
+	floor := c.respWindow(m) + idleGap + m.rf.Params.TXDelay +
 		c.ch.AirTime(32) + 500*time.Millisecond
-	base := c.cfg.ElectionTimeout
+	base := electionTimeout
 	if base < floor {
 		base = floor
 	}
-	return base + time.Duration(m.rank)*c.cfg.ElectionStep
+	return base + time.Duration(m.rank)*electionStep
 }
 
 // resetElect re-arms (or arms) m's election timer — called whenever m
@@ -391,7 +361,7 @@ func (c *Controller) trace(event, who string) {
 }
 
 // step is the master's scheduling decision point: own data first (up
-// to Burst), then the demand ring, then paced discovery.
+// to burst), then the demand ring, then paced discovery.
 func (c *Controller) step(m *member) {
 	if !m.master {
 		return
@@ -410,7 +380,7 @@ func (c *Controller) step(m *member) {
 		m.act = c.sched.After(200*time.Millisecond+time.Duration(m.rank)*100*time.Millisecond, m.stepFn)
 		return
 	}
-	if m.rf.QueueLen() > 0 && m.ownSent < c.cfg.Burst {
+	if m.rf.QueueLen() > 0 && m.ownSent < burst {
 		if f, ok := m.rf.Head(); ok {
 			m.ownSent++
 			m.state = mData
@@ -447,11 +417,11 @@ func (c *Controller) step(m *member) {
 		// consume the medium it arbitrates.
 		m.state = mIdle
 		m.gapTarget = disc
-		m.act = c.sched.After(c.cfg.IdleGap, m.gapFn)
+		m.act = c.sched.After(idleGap, m.gapFn)
 	default:
 		// Alone on the roster: idle until membership or traffic changes.
 		m.state = mIdle
-		m.act = c.sched.After(c.cfg.IdleGap, m.stepFn)
+		m.act = c.sched.After(idleGap, m.stepFn)
 	}
 }
 
@@ -496,7 +466,7 @@ func (c *Controller) sendPoll(m, s *member) {
 		// Radio busy (a dueling-master overlap): retry after a gap.
 		m.state = mIdle
 		m.polled = nil
-		m.act = c.sched.After(c.cfg.IdleGap, m.stepFn)
+		m.act = c.sched.After(idleGap, m.stepFn)
 		return
 	}
 	m.rf.Stats.PollsSent++
@@ -507,7 +477,7 @@ func (c *Controller) sendPoll(m, s *member) {
 // its key-up delay plus a maximum frame's airtime plus slack for the
 // carrier-detect edge.
 func (c *Controller) respWindow(s *member) time.Duration {
-	return s.rf.Params.TXDelay + c.ch.AirTime(c.cfg.MaxFrame+dataHdrLen(s.rf.Name)) + 100*time.Millisecond
+	return s.rf.Params.TXDelay + c.ch.AirTime(maxFrame+dataHdrLen(s.rf.Name)) + 100*time.Millisecond
 }
 
 func (c *Controller) pollTimeout(m *member) {
@@ -679,8 +649,9 @@ func (c *Controller) Detach(t *radio.Transceiver) {
 	c.recomputeRanks()
 }
 
-// ParamsChanged: DAMA holds no state computed against KISS parameters
-// (the response window reads Params live), so nothing re-anchors.
+// ParamsChanged does nothing: DAMA holds no state computed against
+// KISS parameters (the response window reads Params live), so nothing
+// re-anchors.
 func (c *Controller) ParamsChanged(*radio.Transceiver, radio.Params) {}
 
 // KeyUp and CarrierChanged: DAMA stations never sit deferred against
@@ -727,7 +698,7 @@ func (c *Controller) Deliver(t *radio.Transceiver, frame []byte, damaged bool) (
 		// master writes it (timeouts up, heard frames down).
 		if string(dst) == t.Name && !m.master {
 			t.Stats.PollsHeard++
-			m.budget = c.cfg.Burst
+			m.budget = burst
 			c.slaveRespond(m)
 		}
 		return nil, true

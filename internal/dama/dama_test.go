@@ -23,14 +23,14 @@ type testNet struct {
 	heard map[string][]string
 }
 
-func newTestNet(seed int64, cfg Config, names ...string) *testNet {
+func newTestNet(seed int64, names ...string) *testNet {
 	n := &testNet{
 		s:     sim.NewScheduler(seed),
 		rfs:   make(map[string]*radio.Transceiver),
 		heard: make(map[string][]string),
 	}
 	n.ch = radio.NewChannel(n.s, 1200)
-	n.ctl = New(n.ch, cfg)
+	n.ctl = New(n.ch)
 	for _, name := range names {
 		name := name
 		rf := n.ch.Attach(name, radio.DefaultParams())
@@ -45,18 +45,8 @@ func newTestNet(seed int64, cfg Config, names ...string) *testNet {
 	return n
 }
 
-// fastCfg keeps test runs short: quick election, tight idle pacing.
-func fastCfg() Config {
-	return Config{
-		ElectionTimeout: 2 * time.Second,
-		ElectionStep:    time.Second,
-		IdleGap:         500 * time.Millisecond,
-		MaxFrame:        300,
-	}
-}
-
 func TestElectionPicksLowestID(t *testing.T) {
-	n := newTestNet(1, fastCfg(), "CHI", "ALPHA", "BRAVO")
+	n := newTestNet(1, "CHI", "ALPHA", "BRAVO")
 	n.s.RunFor(10 * time.Second)
 	m := n.ctl.Master()
 	if m == nil || m.Name != "ALPHA" {
@@ -74,7 +64,7 @@ func TestElectionPicksLowestID(t *testing.T) {
 }
 
 func TestPolledDeliveryIsCollisionFree(t *testing.T) {
-	n := newTestNet(2, fastCfg(), "GW", "S1", "S2", "S3")
+	n := newTestNet(2, "GW", "S1", "S2", "S3")
 	// Everyone piles traffic on at once — the exact pattern that makes
 	// CSMA collide — including before a master even exists.
 	for i, name := range []string{"S1", "S2", "S3"} {
@@ -127,20 +117,18 @@ func TestPolledDeliveryIsCollisionFree(t *testing.T) {
 // Demand piggybacking: a station with a deep queue stays in the demand
 // ring until drained, and the counters expose the poll economics.
 func TestDemandWeightedService(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Burst = 2
-	n := newTestNet(3, cfg, "GW", "S1", "S2")
+	n := newTestNet(3, "GW", "S1", "S2")
 	rf := n.rfs["S1"]
-	for j := 0; j < 7; j++ {
+	for j := 0; j < 13; j++ {
 		rf.Send([]byte(fmt.Sprintf("S1-f%d", j)))
 	}
 	n.s.RunFor(3 * time.Minute)
 	if rf.QueueLen() != 0 {
 		t.Fatalf("S1 still queues %d frames", rf.QueueLen())
 	}
-	// 7 frames at Burst=2 need at least 4 reserved turns.
+	// 13 frames at burst=4 need at least 4 reserved turns.
 	if rf.Stats.PollsHeard < 4 {
-		t.Fatalf("S1 heard %d polls, want >= 4 (Burst=2 over 7 frames)", rf.Stats.PollsHeard)
+		t.Fatalf("S1 heard %d polls, want >= 4 (burst=4 over 13 frames)", rf.Stats.PollsHeard)
 	}
 	gw := n.rfs["GW"]
 	if gw.Stats.PollsSent == 0 || gw.Stats.PollTimeouts != 0 {
@@ -167,12 +155,10 @@ func TestDemandWeightedService(t *testing.T) {
 	}
 }
 
-// The master's own traffic obeys the Burst cap: slaves are served even
+// The master's own traffic obeys the burst cap: slaves are served even
 // while the master has a standing backlog.
 func TestMasterDoesNotStarveSlaves(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Burst = 2
-	n := newTestNet(4, cfg, "GW", "S1")
+	n := newTestNet(4, "GW", "S1")
 	gw, s1 := n.rfs["GW"], n.rfs["S1"]
 	n.s.RunFor(10 * time.Second) // let GW take mastership
 	for j := 0; j < 12; j++ {
@@ -184,7 +170,7 @@ func TestMasterDoesNotStarveSlaves(t *testing.T) {
 		t.Fatal("slave frame never served while master drained its own queue")
 	}
 	// The slave's frame must land before the master's 12-frame backlog
-	// finishes (Burst=2 forces a poll at least every 2 own frames).
+	// finishes (burst=4 forces a poll at least every 4 own frames).
 	var slaveAt, lastGwAt string
 	for _, h := range n.heard["GW"] {
 		if strings.HasPrefix(h, "S1-urgent@") {

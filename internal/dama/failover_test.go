@@ -20,7 +20,7 @@ import (
 // observable trace.
 func failoverTrace(t *testing.T, kill func(n *testNet, far *radio.Channel)) string {
 	t.Helper()
-	n := newTestNet(11, fastCfg(), "ALPHA", "BRAVO", "CHI", "DELTA")
+	n := newTestNet(11, "ALPHA", "BRAVO", "CHI", "DELTA")
 	far := radio.NewChannel(n.s, 1200)
 	far.Attach("FARSIDE", radio.DefaultParams())
 
@@ -132,7 +132,7 @@ func TestMasterFailoverFailLink(t *testing.T) {
 // A deposed master's stale action timer must not fire into the new
 // regime: after abdication the ex-master is a well-behaved slave.
 func TestAbdicationOnLowerIDPoll(t *testing.T) {
-	n := newTestNet(12, fastCfg(), "ALPHA", "BRAVO", "CHI")
+	n := newTestNet(12, "ALPHA", "BRAVO", "CHI")
 	alpha, bravo := n.rfs["ALPHA"], n.rfs["BRAVO"]
 	// Deafen ALPHA so BRAVO self-elects, then heal: two masters briefly.
 	for _, rf := range []*radio.Transceiver{bravo, n.rfs["CHI"]} {

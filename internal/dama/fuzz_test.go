@@ -32,12 +32,7 @@ func FuzzDAMA(f *testing.F) {
 		s := sim.NewScheduler(seed)
 		ch := radio.NewChannel(s, 1200)
 		far := radio.NewChannel(s, 1200) // where retuned stations roam
-		ctl := New(ch, Config{
-			ElectionTimeout: 2 * time.Second,
-			ElectionStep:    time.Second,
-			IdleGap:         500 * time.Millisecond,
-			Burst:           2,
-		})
+		ctl := New(ch)
 		rfs := make([]*radio.Transceiver, stations)
 		away := make([]bool, stations)
 		// heard[i][payload] counts intact deliveries at station i.

@@ -77,7 +77,6 @@ func newBackboneWorldOpt(seed int64, withMid bool) *backboneWorld {
 		bbCh.SetReachable(bw.eastNode.RF(), bw.westNode.RF(), false)
 	}
 	for _, n := range nodes {
-		n.BroadcastInterval = 30 * time.Second
 		n.Start()
 	}
 

@@ -83,10 +83,6 @@ func TransferRun(transport string, mtu int) TransferPoint {
 		airStart = s.Channel.Stats.Airtime
 		w.Write(make([]byte, e17Bytes))
 	case "rdm":
-		// Same asymmetry for RDM: a radio-less host defaults to the
-		// generic profile, whose 1 s RTO floor would retransmit into
-		// every multi-second radio RTT.
-		inetSL.RDMDefaults = rdm.RadioProfile()
 		ln, err := pcSL.ListenRDM(9000)
 		if err != nil {
 			panic(err)

@@ -221,7 +221,7 @@ func E3(w io.Writer) *Result {
 		r.set("compete_rtt_s_"+key, compete.Seconds())
 	}
 
-	run("fixed-1.5s", tcp.Config{Mode: tcp.RTOFixed, FixedRTO: 1500 * time.Millisecond, MaxRetries: 200})
+	run("fixed-1.5s", tcp.Config{Mode: tcp.RTOFixed, MaxRetries: 200})
 	run("adaptive", tcp.Config{Mode: tcp.RTOAdaptive})
 	run("adaptive+slowstart", tcp.Config{Mode: tcp.RTOAdaptive, SlowStart: true})
 	t.flush()

@@ -98,7 +98,6 @@ func lineTopology(t *testing.T, names []string) (*sim.Scheduler, *radio.Channel,
 	nodes := make([]*Node, len(names))
 	for i, name := range names {
 		nodes[i] = NewNode(s, ch, name, name)
-		nodes[i].BroadcastInterval = 30 * time.Second
 	}
 	for i := range nodes {
 		for j := range nodes {
@@ -264,8 +263,6 @@ func TestCircuitRetransmission(t *testing.T) {
 	ch.BitErrorRate = 2e-4
 	a := NewNode(s, ch, "AAA", "A")
 	b := NewNode(s, ch, "BBB", "B")
-	a.BroadcastInterval = 30 * time.Second
-	b.BroadcastInterval = 30 * time.Second
 	a.Start()
 	b.Start()
 	s.RunFor(3 * time.Minute)

@@ -39,6 +39,9 @@ const (
 	minQuality = 50
 	// initialObsolescence is an entry's lifetime in broadcast rounds.
 	initialObsolescence = 6
+	// broadcastInterval spaces NODES broadcasts (the firmware used
+	// 30-60 min on real channels).
+	broadcastInterval = 30 * time.Second
 )
 
 // Node is one NET/ROM network node attached to a radio channel. Real
@@ -46,10 +49,6 @@ const (
 type Node struct {
 	Call  ax25.Addr
 	Alias string
-
-	// BroadcastInterval spaces NODES broadcasts (default 60 s here;
-	// the firmware used 30-60 min on real channels).
-	BroadcastInterval time.Duration
 
 	// OnDatagram receives datagrams addressed to this node:
 	// (origin node, protocol byte, payload).
@@ -70,13 +69,12 @@ type Node struct {
 // NewNode attaches a node to a channel.
 func NewNode(sched *sim.Scheduler, ch *radio.Channel, call, alias string) *Node {
 	n := &Node{
-		Call:              ax25.MustAddr(call),
-		Alias:             alias,
-		BroadcastInterval: 60 * time.Second,
-		sched:             sched,
-		rf:                ch.Attach(call, radio.DefaultParams()),
-		routes:            make(map[ax25.Addr]*RouteEntry),
-		circuits:          make(map[uint16]*Circuit),
+		Call:     ax25.MustAddr(call),
+		Alias:    alias,
+		sched:    sched,
+		rf:       ch.Attach(call, radio.DefaultParams()),
+		routes:   make(map[ax25.Addr]*RouteEntry),
+		circuits: make(map[uint16]*Circuit),
 	}
 	n.rf.SetReceiver(n.fromRadio)
 	return n
@@ -85,7 +83,7 @@ func NewNode(sched *sim.Scheduler, ch *radio.Channel, call, alias string) *Node 
 // Start begins periodic NODES broadcasts (and sends one immediately).
 func (n *Node) Start() {
 	n.BroadcastNodes()
-	n.ticker = n.sched.Every(n.BroadcastInterval, func() {
+	n.ticker = n.sched.Every(broadcastInterval, func() {
 		n.age()
 		n.BroadcastNodes()
 	})

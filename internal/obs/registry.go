@@ -12,7 +12,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -23,84 +22,10 @@ import (
 	"packetradio/internal/sim"
 )
 
-// Histogram is a fixed-bucket distribution. Bounds are upper edges;
-// one overflow bucket catches everything past the last bound.
-type Histogram struct {
-	bounds []float64
-	counts []uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram builds a histogram with the given ascending upper
-// bounds.
-func NewHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.total++
-	h.sum += v
-}
-
-// Count reports the number of samples.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Reset discards every sample, keeping the bucket layout — for
-// instruments that republish a freshly-aggregated distribution (the
-// tracer's Breakdown.Register) instead of observing incrementally.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum = 0, 0
-}
-
-// Mean reports the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Buckets returns (upper bound, count) pairs; the final pair has
-// bound +Inf semantics and is reported with bound 0 and ok=false via
-// the bounds slice length.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
-}
-
-// Quantile estimates the q-quantile (0..1) assuming samples sit at
-// their bucket's upper bound — coarse, but stable for reporting.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.total))
-	var acc uint64
-	for i, c := range h.counts {
-		acc += c
-		if acc > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] // overflow bucket: clamp
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // entry is one registered metric: a name plus a way to read it.
 type entry struct {
 	name string
 	read func() float64
-	hist *Histogram
 }
 
 // Registry maps hierarchical dotted names (radio.145_01.collisions,
@@ -111,7 +36,6 @@ type entry struct {
 type Registry struct {
 	entries []entry
 	names   map[string]int
-	labels  map[string]string
 
 	// Sampling state: column layout frozen at StartSampling.
 	cols []string
@@ -148,27 +72,6 @@ func (r *Registry) RegisterDuration(name string, p *time.Duration) {
 // RegisterFunc registers a computed metric.
 func (r *Registry) RegisterFunc(name string, f func() float64) {
 	r.add(name, entry{name: name, read: f})
-}
-
-// Histogram creates (or returns) a named fixed-bucket histogram. Its
-// registry entry reads the sample count; WriteJSON adds the buckets.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if i, ok := r.names[name]; ok && r.entries[i].hist != nil {
-		return r.entries[i].hist
-	}
-	h := NewHistogram(bounds)
-	r.add(name, entry{name: name, read: func() float64 { return float64(h.Count()) }, hist: h})
-	return h
-}
-
-// HistogramFor returns the named registered histogram, if the name is
-// registered and is a histogram — the accessor Netstat's percentile
-// summaries read through.
-func (r *Registry) HistogramFor(name string) (*Histogram, bool) {
-	if i, ok := r.names[name]; ok && r.entries[i].hist != nil {
-		return r.entries[i].hist, true
-	}
-	return nil, false
 }
 
 // RegisterStruct registers every uint64 and time.Duration field of the
@@ -226,20 +129,6 @@ func snakeCase(s string) string {
 	return b.String()
 }
 
-// SetLabel attaches a key=value label to the registry as a whole —
-// run-level identity like the scenario name and seed, not a metric.
-// Labels ride along in WriteJSON (under "_labels") so downstream
-// tooling can tell runs apart without parsing file names.
-func (r *Registry) SetLabel(key, value string) {
-	if r.labels == nil {
-		r.labels = make(map[string]string)
-	}
-	r.labels[key] = value
-}
-
-// Labels returns the registry's labels (nil if none were set).
-func (r *Registry) Labels() map[string]string { return r.labels }
-
 // Sample is one named value in a snapshot.
 type Sample struct {
 	Name  string
@@ -267,33 +156,6 @@ func (r *Registry) Value(name string) (float64, bool) {
 
 // Len reports the number of registered metrics.
 func (r *Registry) Len() int { return len(r.entries) }
-
-// WriteJSON dumps a snapshot as one JSON object, histograms expanded
-// with their buckets.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	obj := make(map[string]any, len(r.entries))
-	for _, e := range r.entries {
-		if e.hist != nil {
-			bounds, counts := e.hist.Buckets()
-			obj[e.name] = map[string]any{
-				"count": e.hist.Count(), "mean": e.hist.Mean(),
-				"bounds": bounds, "buckets": counts,
-			}
-			continue
-		}
-		obj[e.name] = e.read()
-	}
-	if len(r.labels) > 0 {
-		obj["_labels"] = r.labels
-	}
-	buf, err := json.MarshalIndent(obj, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
 
 // trimFloat prints integers without a trailing ".000000".
 func trimFloat(v float64) string {

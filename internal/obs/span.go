@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"packetradio/internal/sim"
@@ -189,28 +188,6 @@ func (tr Trace) Spans() []Span {
 	return out
 }
 
-// WriteWaterfall renders the trace as a per-stage waterfall: offset,
-// width, stage, seam, and a proportional bar.
-func (tr Trace) WriteWaterfall(w io.Writer) {
-	spans := tr.Spans()
-	total := tr.Elapsed()
-	fmt.Fprintf(w, "trace %s: %v over %d stages\n", tr.ID, total, len(spans))
-	const barWidth = 32
-	for _, s := range spans {
-		bar := 0
-		if total > 0 {
-			bar = int(int64(barWidth) * int64(s.Duration()) / int64(total))
-		}
-		detail := s.Who
-		if s.Arg != "" {
-			detail += " " + s.Arg
-		}
-		fmt.Fprintf(w, "  +%-12v %-12v %-10s %-20s |%s\n",
-			s.Start.Sub(tr.Crossings[0].T), s.Duration(), s.Stage, detail,
-			strings.Repeat("#", bar+1))
-	}
-}
-
 // Tracer is the span view over a seam recorder: read Breakdown between
 // runs, and the journeys themselves through Collect.
 type Tracer struct {
@@ -298,16 +275,6 @@ func (t *Tracer) Breakdown() *Breakdown {
 	b := t.bd
 	b.Incomplete += len(t.rec.open)
 	return &b
-}
-
-// SpanBounds is the histogram bucket ladder for stage durations, in
-// seconds: 1-2-5 decades from 1 ms to 200 s, wide enough for a
-// 1200 bps path's worst ARP storm.
-func SpanBounds() []float64 {
-	return []float64{
-		0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
-		1, 2, 5, 10, 20, 50, 100, 200,
-	}
 }
 
 // Breakdown is the per-stage latency attribution over complete traces:
@@ -399,22 +366,6 @@ func (b *Breakdown) ShareSamples(stage string) []float64 {
 // the traces closed.
 func (b *Breakdown) DurationSamples(stage string) []time.Duration {
 	return append([]time.Duration(nil), b.durs[stageIndex(stage)]...)
-}
-
-// Register publishes the stage histograms into a metrics registry
-// under prefix (e.g. "trace."), refreshing on re-registration, so
-// Netstat's percentile summaries cover them.
-func (b *Breakdown) Register(reg *Registry, prefix string) {
-	for st := 0; st < nStages; st++ {
-		if b.counts[st] == 0 {
-			continue
-		}
-		h := reg.Histogram(prefix+stageNames[st]+"_seconds", SpanBounds())
-		h.Reset()
-		for _, d := range b.durs[st] {
-			h.Observe(d.Seconds())
-		}
-	}
 }
 
 // WriteText renders the attribution table: per stage, span count,

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -86,12 +85,21 @@ func TestTraceTelescoping(t *testing.T) {
 		t.Fatal("one-way TCP trace not Complete")
 	}
 
-	var b strings.Builder
-	tr.WriteWaterfall(&b)
-	for _, want := range []string{"arp-wait", "mac-wait", "airtime", "turnaround", "deferrals=2"} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("waterfall missing %q:\n%s", want, b.String())
+	stages := map[string]bool{}
+	deferrals := ""
+	for _, sp := range tr.Spans() {
+		stages[sp.Stage] = true
+		if sp.Stage == StageMACWait {
+			deferrals = sp.Arg
 		}
+	}
+	for _, want := range []string{"arp-wait", "mac-wait", "airtime", "turnaround"} {
+		if !stages[want] {
+			t.Fatalf("spans missing stage %q: %v", want, tr.Spans())
+		}
+	}
+	if deferrals != "deferrals=2" {
+		t.Fatalf("mac-wait span carries %q, want the tx-start crossing's deferrals=2", deferrals)
 	}
 }
 
@@ -159,29 +167,5 @@ func TestTracerMergeAndReuse(t *testing.T) {
 	trc.Reset()
 	if got := journeys(); len(got) != 0 {
 		t.Fatalf("Reset left %d traces behind", len(got))
-	}
-}
-
-// TestBreakdownRegister folds the per-stage histograms into a registry
-// and reads them back through HistogramFor — the path prsim -spans
-// plus -netstat takes.
-func TestBreakdownRegister(t *testing.T) {
-	id := TraceID{Proto: ip.ProtoTCP, ID: 1}
-	bd := &Breakdown{}
-	bd.observe(&Trace{ID: id, Crossings: []Cross{
-		{T: ts(0), Point: PtOrigin},
-		{T: ts(time.Second), Point: PtArrive},
-	}})
-	reg := NewRegistry()
-	bd.Register(reg, "trace.span.")
-	h, ok := reg.HistogramFor("trace.span.backbone_seconds")
-	if !ok {
-		t.Fatal("backbone histogram not registered")
-	}
-	if h.Count() != 1 {
-		t.Fatalf("histogram count %d, want 1", h.Count())
-	}
-	if q := h.Quantile(0.5); q < 1 {
-		t.Fatalf("p50 %v below the observed 1s", q)
 	}
 }

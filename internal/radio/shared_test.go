@@ -61,7 +61,6 @@ func newHearingRig(damaMAC bool) *hearingRig {
 	r.board = bbs.New(r.s, r.ch, "UWBBS")
 	for _, call := range []string{"NODEA", "NODEB"} {
 		n := netrom.NewNode(r.s, r.ch, call, call[4:])
-		n.BroadcastInterval = 45 * time.Second
 		n.OnDatagram = func(ax25.Addr, uint8, []byte) { r.dgrams++ }
 		n.Start()
 		r.nodes = append(r.nodes, n)
@@ -70,7 +69,7 @@ func newHearingRig(damaMAC bool) *hearingRig {
 		r.nodes[0].SendDatagram(r.nodes[1].Call, ax25.PIDIP, []byte("datagram over the node network"))
 	})
 	if damaMAC {
-		ctl := dama.New(r.ch, dama.Config{})
+		ctl := dama.New(r.ch)
 		for _, rf := range r.ch.Stations() {
 			ctl.Join(rf)
 		}

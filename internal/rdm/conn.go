@@ -42,7 +42,6 @@ type Conn struct {
 	OnClose func(err error)
 
 	mux      *Mux
-	cfg      Config
 	key      connKey
 	ownsPort bool
 
@@ -97,7 +96,7 @@ type Conn struct {
 	uOrdHigh uint16
 
 	// Acknowledgment coalescing and NAK pacing. nakRounds counts NAK
-	// packets sent with no receive progress since; past 2×MaxRexmits
+	// packets sent with no receive progress since; past 2×maxRexmits
 	// the sender has certainly failed the connection, so the receiver
 	// stops spending airtime and leaves the rest to the stale sweeper.
 	pendingAcks int
@@ -149,16 +148,16 @@ func (c *Conn) Writable(n int) bool {
 	if c.closed || c.dead {
 		return false
 	}
-	if len(c.order)-len(c.sendQ) < c.cfg.Window && len(c.sendQ) == 0 {
+	if len(c.order)-len(c.sendQ) < window && len(c.sendQ) == 0 {
 		return true
 	}
-	return c.sendQBytes+n <= c.cfg.SndBuf
+	return c.sendQBytes+n <= sndBuf
 }
 
 // Send queues one message for transmission in the given delivery mode
 // and returns its sequence number (reliable and unreliable spaces are
 // independent). Reliable sends beyond the in-flight window queue up
-// to SndBuf bytes, then return ErrWouldBlock; OnWritable fires when
+// to sndBuf bytes, then return ErrWouldBlock; OnWritable fires when
 // there is room again. Unreliable sends never block.
 func (c *Conn) Send(mode Mode, payload []byte) (uint16, error) {
 	if c.dead {
@@ -170,7 +169,7 @@ func (c *Conn) Send(mode Mode, payload []byte) (uint16, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if len(payload) > c.cfg.MaxMessage {
+	if len(payload) > maxMessage {
 		return 0, ErrTooBig
 	}
 	if !mode.IsReliable() {
@@ -181,8 +180,8 @@ func (c *Conn) Send(mode Mode, payload []byte) (uint16, error) {
 		return seq, nil
 	}
 	inWindow := len(c.order) - len(c.sendQ)
-	if len(c.sendQ) > 0 || inWindow >= c.cfg.Window {
-		if c.sendQBytes+len(payload) > c.cfg.SndBuf {
+	if len(c.sendQ) > 0 || inWindow >= window {
+		if c.sendQBytes+len(payload) > sndBuf {
 			c.blocked = true
 			return 0, ErrWouldBlock
 		}
@@ -196,7 +195,7 @@ func (c *Conn) Send(mode Mode, payload []byte) (uint16, error) {
 	*m = outMsg{seq: seq, mode: mode, payload: append(m.payload[:0], payload...)}
 	c.inflight[seq] = m
 	c.order = append(c.order, seq)
-	if len(c.sendQ) > 0 || inWindow >= c.cfg.Window {
+	if len(c.sendQ) > 0 || inWindow >= window {
 		c.sendQ = append(c.sendQ, seq)
 		c.sendQBytes += len(payload)
 		return seq, nil
@@ -255,12 +254,12 @@ func (c *Conn) sendPacket(t Type, mode Mode, seq uint16, payload []byte) {
 // rtoBase is the RFC 6298 timeout with the radio floor and the
 // current backoff applied.
 func (c *Conn) rtoBase() time.Duration {
-	rto := c.cfg.InitialRTO
+	rto := initialRTO
 	if c.hasRTT {
 		rto = c.srtt + 4*c.rttvar
 	}
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if c.backoff > 0 {
 		shift := c.backoff
@@ -269,15 +268,15 @@ func (c *Conn) rtoBase() time.Duration {
 		}
 		rto <<= shift
 	}
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }
 
 // armRexmt (re)starts the retransmission timer for the oldest
 // transmitted-and-unacked message. The deadline is the adaptive RTO
-// plus the serialization cost of every byte in flight (Config.ByteTime)
+// plus the serialization cost of every byte in flight (byteTime)
 // — on a 1200 bps channel the first ACK for a burst cannot arrive
 // before the whole burst has been on the air.
 func (c *Conn) armRexmt() {
@@ -288,7 +287,7 @@ func (c *Conn) armRexmt() {
 	if len(c.order)-len(c.sendQ) == 0 {
 		return
 	}
-	d := c.rtoBase() + time.Duration(c.inflightBytes)*c.cfg.ByteTime
+	d := c.rtoBase() + time.Duration(c.inflightBytes)*byteTime
 	c.rexmt = c.mux.sched.After(d, c.rexmtFn)
 }
 
@@ -307,7 +306,7 @@ func (c *Conn) rexmtFire() {
 	if m == nil {
 		return
 	}
-	if m.rexmits >= c.cfg.MaxRexmits {
+	if m.rexmits >= maxRexmits {
 		c.fail(ErrTimeout)
 		return
 	}
@@ -360,9 +359,9 @@ func (c *Conn) input(h Header, payload []byte) {
 			if m == nil || !m.started {
 				continue
 			}
-			if m.rexmits >= c.cfg.MaxRexmits {
+			if m.rexmits >= maxRexmits {
 				// The peer is still asking for a message we have already
-				// repeated MaxRexmits times: the path is not passing it.
+				// repeated maxRexmits times: the path is not passing it.
 				// Fail now — skipping it silently would deadlock, because
 				// every NAK arrival re-arms the retransmission timer
 				// below and so the timer-side exhaustion check would
@@ -455,7 +454,7 @@ func (c *Conn) processAckInfo(h Header) {
 
 // drainSendQ moves queued messages into the window as acks open it.
 func (c *Conn) drainSendQ() {
-	for len(c.sendQ) > 0 && len(c.order)-len(c.sendQ) < c.cfg.Window {
+	for len(c.sendQ) > 0 && len(c.order)-len(c.sendQ) < window {
 		seq := c.sendQ[0]
 		c.sendQ = c.sendQ[1:]
 		m := c.inflight[seq]
@@ -593,23 +592,23 @@ func (c *Conn) deliver(payload []byte, mode Mode) {
 // --- Acknowledgment and NAK pacing ----------------------------------------
 
 // noteAckPending records that the peer is owed an acknowledgment:
-// flush immediately at AckEvery, otherwise wait AckDelay for a
+// flush immediately at ackEvery, otherwise wait ackDelay for a
 // piggyback or more arrivals to coalesce with. The delay restarts on
 // every arrival — lull-seeking: on a half-duplex channel a standalone
 // ACK transmitted mid-burst both collides with the rest of the peer's
 // train and deafens us to it, so the timer slides the ACK into the
-// first gap instead. AckEvery bounds how much a gapless peer can keep
+// first gap instead. ackEvery bounds how much a gapless peer can keep
 // us silent.
 func (c *Conn) noteAckPending() {
 	c.pendingAcks++
-	if c.pendingAcks >= c.cfg.AckEvery {
+	if c.pendingAcks >= ackEvery {
 		c.sendAck()
 		return
 	}
 	if c.ackTimer != nil {
 		c.mux.sched.Cancel(c.ackTimer)
 	}
-	c.ackTimer = c.mux.sched.After(c.cfg.AckDelay, c.ackFn)
+	c.ackTimer = c.mux.sched.After(ackDelay, c.ackFn)
 }
 
 func (c *Conn) ackFire() {
@@ -635,9 +634,9 @@ func (c *Conn) clearAckPending() {
 	}
 }
 
-// armNakTimer schedules gap repair: a hole must outlive NakDelay
+// armNakTimer schedules gap repair: a hole must outlive nakDelay
 // before it is NAKed (reordering is not loss), and each seq is NAKed
-// at most once per NakDelay. Like the delayed ACK, the timer restarts
+// at most once per nakDelay. Like the delayed ACK, the timer restarts
 // on every data arrival — while the peer's train is still landing, a
 // NAK would collide with it, and the sender is not stalled anyway; the
 // first lull is both the safe and the useful moment to ask for repair.
@@ -645,7 +644,7 @@ func (c *Conn) armNakTimer() {
 	if c.nakTimer != nil {
 		c.mux.sched.Cancel(c.nakTimer)
 	}
-	c.nakTimer = c.mux.sched.After(c.cfg.NakDelay, c.nakFn)
+	c.nakTimer = c.mux.sched.After(nakDelay, c.nakFn)
 }
 
 func (c *Conn) nakFire() {
@@ -659,13 +658,13 @@ func (c *Conn) nakFire() {
 		if _, ok := c.ooo[s]; ok {
 			continue
 		}
-		if last, ok := c.nakLast[s]; ok && now.Sub(last) < c.cfg.NakDelay {
+		if last, ok := c.nakLast[s]; ok && now.Sub(last) < nakDelay {
 			continue
 		}
 		missing = append(missing, s)
 	}
 	if len(missing) > 0 {
-		if c.nakRounds >= 2*c.cfg.MaxRexmits {
+		if c.nakRounds >= 2*maxRexmits {
 			// Nothing has landed across that many repair attempts: the
 			// sender has exhausted its own budget by now. Go quiet.
 			return
@@ -687,7 +686,7 @@ func (c *Conn) nakFire() {
 // Close stops accepting sends and tears the connection down once
 // everything reliable in flight is acknowledged (immediately if
 // nothing is). A Bye tells the peer to drop its state rather than
-// wait out StaleAfter. Idempotent.
+// wait out staleAfter. Idempotent.
 func (c *Conn) Close() error {
 	if c.closed || c.dead {
 		return nil

@@ -50,17 +50,7 @@ func FuzzRDM(f *testing.F) {
 			idx++
 			return b
 		}
-		cfg := rdm.Config{
-			InitialRTO: 200 * time.Millisecond,
-			MinRTO:     100 * time.Millisecond,
-			MaxRTO:     2 * time.Second,
-			AckDelay:   50 * time.Millisecond,
-			NakDelay:   50 * time.Millisecond,
-			MaxRexmits: 10,
-			Window:     4,
-			SndBuf:     256,
-		}
-		p := newPair(int64(len(data)), 2*time.Millisecond, cfg)
+		p := newPair(int64(len(data)), 2*time.Millisecond)
 		fate := func(buf []byte) pipeFate {
 			b := next()
 			var pf pipeFate
@@ -94,13 +84,16 @@ func FuzzRDM(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		n := int(next())%12 + 1
+		// Up to 40 messages of up to 401 bytes: enough to fill the
+		// window and the send buffer behind it.
+		const maxMsgs, maxSize = 40, 401
+		n := int(next())%maxMsgs + 1
 		reliable := map[uint16]bool{}
 		var id uint16
 		for i := 0; i < n; i++ {
 			mode := rdm.Mode(next() & 3)
 			at := time.Duration(next()) * 5 * time.Millisecond
-			size := int(next())%40 + 2
+			size := int(next())%(maxSize-1) + 2
 			msgID := id
 			id++
 			p.sched.After(at, func() {
@@ -112,11 +105,12 @@ func FuzzRDM(f *testing.F) {
 			})
 		}
 		// Long quiet tail: every retransmission budget is spent by the
-		// end of this. Worst case is go-back-one fully serialized:
-		// 12 messages x MaxRexmits waits of at most MaxRTO (plus the
-		// in-flight byte scaling), ~300 s — after which each message is
-		// either acknowledged or has failed the connection.
-		p.run(400 * time.Second)
+		// end of this. Worst case is go-back-one fully serialized: n
+		// messages x MaxRexmits+1 waits of at most MaxRTO plus the
+		// in-flight byte scaling — after which each message is either
+		// acknowledged or has failed the connection.
+		wait := rdm.MaxRTO + time.Duration(n*maxSize)*rdm.ByteTime
+		p.run(time.Duration(n*(rdm.MaxRexmits+1)) * wait)
 
 		for mid, count := range deliveries {
 			if count > 1 {

@@ -76,9 +76,8 @@ var (
 	addrB = ip.MustAddr("10.0.0.2")
 )
 
-// newPair wires two stacks back-to-back with the given one-way delay
-// and RDM config (zero Config takes defaults).
-func newPair(seed int64, delay time.Duration, cfg rdm.Config) *pair {
+// newPair wires two stacks back-to-back with the given one-way delay.
+func newPair(seed int64, delay time.Duration) *pair {
 	sched := sim.NewScheduler(seed)
 	a := ipstack.New(sched, "a")
 	b := ipstack.New(sched, "b")
@@ -88,7 +87,7 @@ func newPair(seed int64, delay time.Duration, cfg rdm.Config) *pair {
 	b.AddInterface(bp, addrB, ip.MaskClassC)
 	return &pair{
 		sched: sched, a: a, b: b,
-		am: rdm.NewMux(a, cfg), bm: rdm.NewMux(b, cfg),
+		am: rdm.NewMux(a), bm: rdm.NewMux(b),
 		ap: ap, bp: bp,
 	}
 }

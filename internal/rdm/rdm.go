@@ -21,126 +21,78 @@ var (
 	// queue; retry when OnWritable fires.
 	ErrWouldBlock = errors.New("rdm: send would block")
 	// ErrTimeout latches on a connection whose oldest reliable message
-	// exhausted MaxRexmits.
+	// exhausted its retransmissions.
 	ErrTimeout = errors.New("rdm: peer not responding")
 	// ErrStale latches on a connection reaped by the quiet-period
 	// sweeper.
 	ErrStale = errors.New("rdm: connection reaped after quiet period")
-	// ErrTooBig reports a message larger than Config.MaxMessage.
+	// ErrTooBig reports a message larger than the 8 KB maximum.
 	ErrTooBig = errors.New("rdm: message exceeds maximum size")
 )
 
 // recvWindow bounds the receive-side reorder buffer, in messages.
 const recvWindow = 64
 
-// Config tunes a host's RDM layer. The zero value takes defaults
-// suited to fast links; RadioProfile returns the multi-second-RTT
-// tuning the paper's §4.1 would demand for the 1200 bps channel.
-type Config struct {
-	// InitialRTO seeds the retransmission timeout before any RTT
-	// sample; MinRTO/MaxRTO clamp the adaptive value (RFC 6298 with
+// Timers and limits, sized for the multi-second RTTs of the 1200 bps
+// channel: §4.1's lesson is that timers tuned for fast links
+// retransmit into their own queue.
+const (
+	// initialRTO seeds the retransmission timeout before any RTT
+	// sample; minRTO/maxRTO clamp the adaptive value (RFC 6298 with
 	// the floor raised for radio, exactly the paper's TCP complaint).
-	InitialRTO time.Duration // default 3 s
-	MinRTO     time.Duration // default 1 s
-	MaxRTO     time.Duration // default 64 s
+	initialRTO = 10 * time.Second
+	minRTO     = 4 * time.Second
+	maxRTO     = 3 * time.Minute
 
-	// ByteTime extends each retransmission deadline by the
+	// byteTime extends each retransmission deadline by the
 	// serialization cost of every byte still in flight: deadline =
-	// RTO + ByteTime × outstanding bytes. On a 1200 bps channel a 2 KB
-	// burst takes ~17 s of airtime before the first ACK can possibly
-	// return, and an unscaled timer would retransmit into its own
-	// queue — the §4.1 lesson, applied per message.
-	ByteTime time.Duration // default 1 ms/byte
+	// RTO + byteTime × outstanding bytes, matched to the channel's
+	// effective ~10 ms/B (air plus per-frame key-up and contention
+	// overhead). A 2 KB burst takes ~17 s of airtime before the first
+	// ACK can possibly return, and an unscaled timer would retransmit
+	// into its own queue — the §4.1 lesson, applied per message.
+	byteTime = 12 * time.Millisecond
 
-	// AckDelay is how long the receiver may sit on a pending
-	// acknowledgment waiting for piggyback or coalescing; AckEvery
-	// forces a standalone ACK once that many reliable messages are
-	// pending acknowledgment.
-	AckDelay time.Duration // default 500 ms
-	AckEvery int           // default 4
+	// ackDelay is how long the receiver may sit on a pending
+	// acknowledgment waiting for piggyback or coalescing: wide enough
+	// to coalesce one acknowledgment frame per burst instead of one
+	// per message, since standalone ACK airtime is goodput lost.
+	ackDelay = 6 * time.Second
+	// ackEvery forces a standalone ACK once that many reliable
+	// messages are pending acknowledgment. It is the send window: the
+	// count-triggered flush transmits immediately, which on a
+	// half-duplex channel mid-train is a collision with the rest of
+	// the train. At the window it can only trigger when the sender is
+	// stalled anyway, and the lull-seeking ackDelay handles every
+	// shorter burst.
+	ackEvery = window
 
-	// NakDelay is how long a gap must persist before the receiver
+	// nakDelay is how long a gap must persist before the receiver
 	// NAKs it (late reordering is not loss), and the per-seq re-NAK
 	// spacing.
-	NakDelay time.Duration // default 500 ms
+	nakDelay = 4 * time.Second
 
-	// MaxRexmits fails the connection after that many retransmissions
+	// maxRexmits fails the connection after that many retransmissions
 	// of a single message.
-	MaxRexmits int // default 8
+	maxRexmits = 8
 
-	// Window bounds reliable messages in flight; SndBuf bounds the
+	// window bounds reliable messages in flight; sndBuf bounds the
 	// bytes queued behind a full window before Send returns
 	// ErrWouldBlock.
-	Window int // default 16
-	SndBuf int // default 8192 bytes
+	window = 16
+	sndBuf = 8192
 
-	// MaxMessage bounds one message's payload (IP fragmentation
+	// maxMessage bounds one message's payload (IP fragmentation
 	// carries larger-than-MTU messages, so the bound is reassembly
 	// buffer, not MTU).
-	MaxMessage int // default 8192
+	maxMessage = 8192
 
-	// StaleAfter is the quiet period after which the sweeper reaps a
-	// connection with nothing in flight; SweepEvery is the sweep
+	// staleAfter is the quiet period after which the sweeper reaps a
+	// connection with nothing in flight; sweepEvery is the sweep
 	// cadence.
-	StaleAfter time.Duration // default 10 min
-	SweepEvery time.Duration // default 1 min
-}
-
-// WithDefaults fills zero fields.
-func (c Config) WithDefaults() Config {
-	def := func(d *time.Duration, v time.Duration) {
-		if *d == 0 {
-			*d = v
-		}
-	}
-	def(&c.InitialRTO, 3*time.Second)
-	def(&c.MinRTO, time.Second)
-	def(&c.MaxRTO, 64*time.Second)
-	def(&c.ByteTime, time.Millisecond)
-	def(&c.AckDelay, 500*time.Millisecond)
-	def(&c.NakDelay, 500*time.Millisecond)
-	def(&c.StaleAfter, 10*time.Minute)
-	def(&c.SweepEvery, time.Minute)
-	if c.AckEvery == 0 {
-		c.AckEvery = 4
-	}
-	if c.MaxRexmits == 0 {
-		c.MaxRexmits = 8
-	}
-	if c.Window == 0 {
-		c.Window = 16
-	}
-	if c.SndBuf == 0 {
-		c.SndBuf = 8192
-	}
-	if c.MaxMessage == 0 {
-		c.MaxMessage = 8192
-	}
-	return c
-}
-
-// RadioProfile is the 1200 bps tuning: multi-second RTO floor, a
-// per-byte deadline term matched to the channel's effective ~10 ms/B
-// (air + per-frame key-up and contention overhead), and ACK/NAK
-// delays wide enough to coalesce one acknowledgment frame per burst
-// instead of one per message — standalone ACK airtime is goodput lost.
-func RadioProfile() Config {
-	return Config{
-		InitialRTO: 10 * time.Second,
-		MinRTO:     4 * time.Second,
-		MaxRTO:     3 * time.Minute,
-		ByteTime:   12 * time.Millisecond,
-		AckDelay:   6 * time.Second,
-		// Window-sized: the count-triggered flush transmits
-		// immediately, which on a half-duplex channel mid-train is a
-		// collision with the rest of the train. With AckEvery at the
-		// send window the flush can only trigger when the sender is
-		// stalled anyway, and the lull-seeking AckDelay handles every
-		// shorter burst.
-		AckEvery: 16,
-		NakDelay: 4 * time.Second,
-	}
-}
+	staleAfter = 10 * time.Minute
+	sweepEvery = time.Minute
+)
 
 // Stats counts mux-level events across all connections; every field
 // is obs.RegisterStruct-compatible.
@@ -176,7 +128,6 @@ type Mux struct {
 
 	stack    *ipstack.Stack
 	sched    *sim.Scheduler
-	cfg      Config
 	binds    map[uint16]*Endpoint
 	conns    map[connKey]*Conn
 	nextPort uint16
@@ -186,13 +137,11 @@ type Mux struct {
 	seg []byte
 }
 
-// NewMux attaches an RDM layer to stack. cfg zero fields take the
-// package defaults.
-func NewMux(stack *ipstack.Stack, cfg Config) *Mux {
+// NewMux attaches an RDM layer to stack.
+func NewMux(stack *ipstack.Stack) *Mux {
 	m := &Mux{
 		stack:    stack,
 		sched:    stack.Sched,
-		cfg:      cfg.WithDefaults(),
 		binds:    make(map[uint16]*Endpoint),
 		conns:    make(map[connKey]*Conn),
 		nextPort: 1024,
@@ -200,9 +149,6 @@ func NewMux(stack *ipstack.Stack, cfg Config) *Mux {
 	stack.RegisterProto(ip.ProtoRDM, m.input)
 	return m
 }
-
-// Config reports the mux's effective (default-filled) configuration.
-func (m *Mux) Config() Config { return m.cfg }
 
 // Endpoint is one listening port: inbound data for it creates
 // connections handed to OnConn.
@@ -277,7 +223,6 @@ func (m *Mux) Dial(raddr ip.Addr, rport uint16) (*Conn, error) {
 func (m *Mux) newConn(key connKey, ownsPort bool) *Conn {
 	c := &Conn{
 		mux:      m,
-		cfg:      m.cfg,
 		key:      key,
 		ownsPort: ownsPort,
 		inflight: make(map[uint16]*outMsg),
@@ -288,12 +233,12 @@ func (m *Mux) newConn(key connKey, ownsPort bool) *Conn {
 	c.lastHeard = m.sched.Now()
 	m.conns[key] = c
 	if m.sweeper == nil {
-		m.sweeper = m.sched.Every(m.cfg.SweepEvery, m.sweep)
+		m.sweeper = m.sched.Every(sweepEvery, m.sweep)
 	}
 	return c
 }
 
-// sweep reaps connections quiet past StaleAfter. A connection with
+// sweep reaps connections quiet past staleAfter. A connection with
 // reliable data still in flight is left to its retransmission timer —
 // that path fails it with ErrTimeout and proper accounting.
 func (m *Mux) sweep() {
@@ -302,7 +247,7 @@ func (m *Mux) sweep() {
 		if len(c.inflight) > 0 || len(c.sendQ) > 0 {
 			continue
 		}
-		if now.Sub(c.lastHeard) >= m.cfg.StaleAfter {
+		if now.Sub(c.lastHeard) >= staleAfter {
 			m.Stats.StaleReaped++
 			c.teardown(ErrStale)
 		}

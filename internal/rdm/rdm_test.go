@@ -65,7 +65,7 @@ func connect(t *testing.T, p *pair, log *recvLog) (*rdm.Conn, **rdm.Conn) {
 }
 
 func TestReliableDelivery(t *testing.T) {
-	p := newPair(1, 5*time.Millisecond, rdm.Config{})
+	p := newPair(1, 5*time.Millisecond)
 	var log recvLog
 	c, _ := connect(t, p, &log)
 
@@ -95,15 +95,15 @@ func TestReliableDelivery(t *testing.T) {
 	if p.bm.Stats.Delivered != uint64(len(want)) {
 		t.Fatalf("receiver Delivered = %d, want %d", p.bm.Stats.Delivered, len(want))
 	}
-	// Acks were coalesced: 5 messages under AckEvery=4 should not cost
-	// 5 standalone ACK packets.
+	// Acks were coalesced: 5 messages inside one AckDelay should not
+	// cost 5 standalone ACK packets.
 	if p.bm.Stats.AcksOut >= uint64(len(want)) {
 		t.Fatalf("no ACK coalescing: %d standalone ACKs for %d messages", p.bm.Stats.AcksOut, len(want))
 	}
 }
 
 func TestUnreliableDupSuppression(t *testing.T) {
-	p := newPair(2, 5*time.Millisecond, rdm.Config{})
+	p := newPair(2, 5*time.Millisecond)
 	// Duplicate every RDM data packet in flight.
 	p.ap.fate = func(buf []byte) pipeFate {
 		if tt, _, ok := rdmPacket(buf); ok && tt == rdm.TypeData {
@@ -128,7 +128,7 @@ func TestUnreliableDupSuppression(t *testing.T) {
 }
 
 func TestUnreliableOrderedDropsLate(t *testing.T) {
-	p := newPair(3, 5*time.Millisecond, rdm.Config{})
+	p := newPair(3, 5*time.Millisecond)
 	// Delay seq 2 so it arrives after 3 and 4.
 	p.ap.fate = func(buf []byte) pipeFate {
 		if tt, seq, ok := rdmPacket(buf); ok && tt == rdm.TypeData && seq == 2 {
@@ -161,7 +161,7 @@ func TestReliableModesUnderReordering(t *testing.T) {
 		{rdm.ReliableOrdered, []string{"0", "1", "2", "3"}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
-			p := newPair(4, 5*time.Millisecond, rdm.Config{})
+			p := newPair(4, 5*time.Millisecond)
 			p.ap.fate = func(buf []byte) pipeFate {
 				if tt, seq, ok := rdmPacket(buf); ok && tt == rdm.TypeData && seq == 1 {
 					return pipeFate{extra: 100 * time.Millisecond}
@@ -192,7 +192,7 @@ func TestReliableModesUnderReordering(t *testing.T) {
 func TestEmptyMessageDelivered(t *testing.T) {
 	for _, mode := range []rdm.Mode{rdm.Unreliable, rdm.UnreliableOrdered, rdm.Reliable, rdm.ReliableOrdered} {
 		t.Run(mode.String(), func(t *testing.T) {
-			p := newPair(6, 5*time.Millisecond, rdm.Config{})
+			p := newPair(6, 5*time.Millisecond)
 			var log recvLog
 			c, _ := connect(t, p, &log)
 			for _, m := range []string{"", "x"} {
@@ -217,9 +217,9 @@ func TestEmptyMessageDelivered(t *testing.T) {
 }
 
 func TestNakRepairsLossBeforeRTO(t *testing.T) {
-	p := newPair(5, 5*time.Millisecond, rdm.Config{})
+	p := newPair(5, 5*time.Millisecond)
 	// Lose the first transmission of seq 1 only; the gap behind seqs 2
-	// and 3 should draw a NAK well before the ~3 s RTO.
+	// and 3 should draw a NAK well before the initial RTO.
 	dropped := false
 	p.ap.fate = func(buf []byte) pipeFate {
 		if tt, seq, ok := rdmPacket(buf); ok && tt == rdm.TypeData && seq == 1 && !dropped {
@@ -235,9 +235,12 @@ func TestNakRepairsLossBeforeRTO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One NakDelay (500 ms) plus a round trip is ample; stop well short
-	// of the 3 s initial RTO so a pass proves the NAK path did the work.
-	p.run(2 * time.Second)
+	// One NakDelay plus a round trip is ample; stop short of the
+	// initial RTO so a pass proves the NAK path did the work.
+	if rdm.NakDelay+time.Second >= rdm.InitialRTO {
+		t.Fatalf("NakDelay %v leaves no room before the %v initial RTO", rdm.NakDelay, rdm.InitialRTO)
+	}
+	p.run(rdm.NakDelay + time.Second)
 	want := []string{"0", "1", "2", "3"}
 	if got := log.strings(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("delivered %v, want %v", got, want)
@@ -251,7 +254,7 @@ func TestNakRepairsLossBeforeRTO(t *testing.T) {
 }
 
 func TestRTORecoversTotalBlackout(t *testing.T) {
-	p := newPair(6, 5*time.Millisecond, rdm.Config{})
+	p := newPair(6, 5*time.Millisecond)
 	// Black out the forward path for the first 4 s: no duplicate ACK
 	// tricks, no NAKs (the receiver never saw anything) — only the
 	// sender's RTO can recover.
@@ -278,13 +281,7 @@ func TestRTORecoversTotalBlackout(t *testing.T) {
 }
 
 func TestRexmitExhaustionFailsConn(t *testing.T) {
-	cfg := rdm.Config{
-		InitialRTO: 500 * time.Millisecond,
-		MinRTO:     200 * time.Millisecond,
-		MaxRTO:     2 * time.Second,
-		MaxRexmits: 3,
-	}
-	p := newPair(7, 5*time.Millisecond, cfg)
+	p := newPair(7, 5*time.Millisecond)
 	p.ap.fate = func(buf []byte) pipeFate { return pipeFate{drop: true} }
 	var log recvLog
 	c, _ := connect(t, p, &log)
@@ -294,12 +291,18 @@ func TestRexmitExhaustionFailsConn(t *testing.T) {
 	if _, err := c.Send(rdm.Reliable, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	p.run(30 * time.Second)
+	// Each timeout is at most MaxRTO plus the one in-flight message's
+	// byte term; the connection fails at the timeout after the last
+	// retransmission.
+	p.run((rdm.MaxRexmits + 1) * (rdm.MaxRTO + time.Second))
 	if !closed || !errors.Is(closeErr, rdm.ErrTimeout) {
 		t.Fatalf("closed=%v err=%v, want ErrTimeout close", closed, closeErr)
 	}
 	if p.am.Stats.Failed != 1 {
 		t.Fatalf("Failed = %d, want 1", p.am.Stats.Failed)
+	}
+	if p.am.Stats.Resent != rdm.MaxRexmits {
+		t.Fatalf("Resent = %d, want MaxRexmits = %d before failing", p.am.Stats.Resent, rdm.MaxRexmits)
 	}
 	// The latched error surfaces on later sends.
 	if _, err := c.Send(rdm.Reliable, []byte("x")); !errors.Is(err, rdm.ErrTimeout) {
@@ -308,13 +311,13 @@ func TestRexmitExhaustionFailsConn(t *testing.T) {
 }
 
 func TestBackpressureAndResume(t *testing.T) {
-	cfg := rdm.Config{Window: 2, SndBuf: 64}
-	p := newPair(8, 5*time.Millisecond, cfg)
+	p := newPair(8, 5*time.Millisecond)
 	var log recvLog
 	c, _ := connect(t, p, &log)
 
-	const total = 8
-	payload := bytes.Repeat([]byte("x"), 32)
+	// A full window in flight, SndBuf queued behind it, and more.
+	payload := bytes.Repeat([]byte("x"), 512)
+	const total = rdm.Window + rdm.SndBuf/512 + 8
 	sent, blocked := 0, 0
 	var pump func()
 	pump = func() {
@@ -332,16 +335,19 @@ func TestBackpressureAndResume(t *testing.T) {
 	c.OnWritable = pump
 	pump()
 	if blocked == 0 {
-		t.Fatal("window 2 + 64-byte SndBuf accepted 8x32 B without blocking")
+		t.Fatalf("window %d + %d-byte SndBuf accepted %dx512 B without blocking", rdm.Window, rdm.SndBuf, total)
 	}
-	p.run(30 * time.Second)
+	if sent != rdm.Window+rdm.SndBuf/512 {
+		t.Fatalf("blocked after %d sends, want a full window plus SndBuf (%d)", sent, rdm.Window+rdm.SndBuf/512)
+	}
+	p.run(2 * time.Minute)
 	if sent != total || len(log.payloads) != total {
 		t.Fatalf("sent %d delivered %d, want %d", sent, len(log.payloads), total)
 	}
 }
 
 func TestCloseSendsByeAfterDrain(t *testing.T) {
-	p := newPair(9, 5*time.Millisecond, rdm.Config{})
+	p := newPair(9, 5*time.Millisecond)
 	var log recvLog
 	c, server := connect(t, p, &log)
 	var srvErr error
@@ -373,16 +379,21 @@ func TestCloseSendsByeAfterDrain(t *testing.T) {
 }
 
 func TestStaleReap(t *testing.T) {
-	cfg := rdm.Config{StaleAfter: 30 * time.Second, SweepEvery: 5 * time.Second}
-	p := newPair(10, 5*time.Millisecond, cfg)
+	p := newPair(10, 5*time.Millisecond)
 	var log recvLog
 	c, _ := connect(t, p, &log)
 	var closeErr error
-	c.OnClose = func(err error) { closeErr = err }
+	closed := false
+	c.OnClose = func(err error) { closed, closeErr = true, err }
 	if _, err := c.Send(rdm.Reliable, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	p.run(2 * time.Minute)
+	// Quiet, but not for StaleAfter yet: nothing is reaped.
+	p.run(rdm.StaleAfter - rdm.SweepEvery)
+	if closed || p.am.Stats.StaleReaped != 0 || p.bm.Stats.StaleReaped != 0 {
+		t.Fatalf("reaped before StaleAfter: closed=%v err=%v", closed, closeErr)
+	}
+	p.run(3 * rdm.SweepEvery)
 	if !errors.Is(closeErr, rdm.ErrStale) {
 		t.Fatalf("close err = %v, want ErrStale", closeErr)
 	}
@@ -405,25 +416,30 @@ func TestStaleReap(t *testing.T) {
 }
 
 func TestRTOAdaptsToMeasuredRTT(t *testing.T) {
-	p := newPair(11, 250*time.Millisecond, rdm.Config{})
+	const rtt = 500 * time.Millisecond
+	p := newPair(11, rtt/2)
 	var log recvLog
 	c, _ := connect(t, p, &log)
 	if c.SRTT() != 0 {
 		t.Fatal("SRTT nonzero before any sample")
 	}
+	// One message per AckDelay and more, so each is acknowledged on
+	// its own: a sample is the round trip plus the receiver's delayed
+	// ACK, the delay every radio sample carries too.
+	gap := rdm.AckDelay + 4*time.Second
 	for i := 0; i < 6; i++ {
-		at := time.Duration(i) * 3 * time.Second
+		at := time.Duration(i) * gap
 		p.sched.After(at, func() { c.Send(rdm.Reliable, []byte("sample")) })
 	}
-	p.run(30 * time.Second)
-	cfg := p.am.Config()
-	// One-way 250 ms plus the receiver's delayed ack: SRTT must have
-	// locked on to something plausible, and RTO must respect the clamp.
-	if c.SRTT() < 400*time.Millisecond || c.SRTT() > 2*time.Second {
-		t.Fatalf("SRTT = %v, want ~0.5-1 s for a 500 ms RTT with delayed acks", c.SRTT())
+	p.run(6*gap + 10*time.Second)
+	// SRTT must have locked on to the round trip plus the delayed ack,
+	// and RTO must respect the clamp.
+	want := rtt + rdm.AckDelay
+	if c.SRTT() < want-600*time.Millisecond || c.SRTT() > want+time.Second {
+		t.Fatalf("SRTT = %v, want ~%v for a %v RTT with %v delayed acks", c.SRTT(), want, rtt, rdm.AckDelay)
 	}
-	if c.RTO() < cfg.MinRTO || c.RTO() > cfg.MaxRTO {
-		t.Fatalf("RTO = %v outside [%v, %v]", c.RTO(), cfg.MinRTO, cfg.MaxRTO)
+	if c.RTO() < rdm.MinRTO || c.RTO() > rdm.MaxRTO {
+		t.Fatalf("RTO = %v outside [%v, %v]", c.RTO(), rdm.MinRTO, rdm.MaxRTO)
 	}
 	if p.am.Stats.Resent != 0 {
 		t.Fatalf("clean periodic traffic retransmitted %d times", p.am.Stats.Resent)
@@ -431,16 +447,23 @@ func TestRTOAdaptsToMeasuredRTT(t *testing.T) {
 }
 
 func TestMessageTooBig(t *testing.T) {
-	p := newPair(12, time.Millisecond, rdm.Config{MaxMessage: 100})
+	p := newPair(12, time.Millisecond)
 	var log recvLog
 	c, _ := connect(t, p, &log)
-	if _, err := c.Send(rdm.Reliable, make([]byte, 101)); !errors.Is(err, rdm.ErrTooBig) {
+	if _, err := c.Send(rdm.Reliable, make([]byte, rdm.MaxMessage+1)); !errors.Is(err, rdm.ErrTooBig) {
 		t.Fatalf("oversized Send = %v, want ErrTooBig", err)
+	}
+	if _, err := c.Send(rdm.Reliable, make([]byte, rdm.MaxMessage)); err != nil {
+		t.Fatalf("Send of exactly MaxMessage = %v, want accepted", err)
+	}
+	p.run(time.Minute)
+	if len(log.payloads) != 1 || len(log.payloads[0]) != rdm.MaxMessage {
+		t.Fatalf("delivered %d messages, want the one %d-byte message", len(log.payloads), rdm.MaxMessage)
 	}
 }
 
 func TestPortInUseAndNoPort(t *testing.T) {
-	p := newPair(13, time.Millisecond, rdm.Config{})
+	p := newPair(13, time.Millisecond)
 	if _, err := p.bm.Listen(7, func(*rdm.Conn) {}); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ const DefaultOwner = "rspf"
 type Config struct {
 	HelloInterval   time.Duration // adjacency probe period (default 30 s)
 	RefreshInterval time.Duration // periodic LSA re-origination (default 10 min)
-	Owner           string        // routing-table owner tag (default "rspf")
 }
 
 const (
@@ -39,9 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefreshInterval <= 0 {
 		c.RefreshInterval = 10 * time.Minute
-	}
-	if c.Owner == "" {
-		c.Owner = DefaultOwner
 	}
 	return c
 }
@@ -199,7 +195,7 @@ func (r *Router) Stop() {
 	r.sched.Cancel(r.helloEv)
 	r.sched.Cancel(r.refreshEv)
 	r.deadTicker.Stop()
-	r.stack.Routes.WithdrawOwner(r.Cfg.Owner)
+	r.stack.Routes.WithdrawOwner(DefaultOwner)
 	r.Stats.RoutesInstalled = 0
 }
 
@@ -641,5 +637,5 @@ func (r *Router) runSPF() {
 		}
 		return entries[i].Dest.Uint32() < entries[j].Dest.Uint32()
 	})
-	r.Stats.RoutesInstalled = r.stack.Routes.ReplaceOwned(r.Cfg.Owner, entries)
+	r.Stats.RoutesInstalled = r.stack.Routes.ReplaceOwned(DefaultOwner, entries)
 }

@@ -39,10 +39,8 @@ type Runner struct {
 	probers []func() // baseline per-station probe, large or seattle
 	ran     bool
 
-	// pairSent, pairReplies and pairRTTs account the pair flows and the
-	// seattle baseline probes; pairRTTs is in arrival order.
-	pairSent, pairReplies uint64
-	pairRTTs              []time.Duration
+	// pairs accounts the pair flows and the seattle baseline probes.
+	pairs world.ProbeTally
 }
 
 // Compile builds the scenario's world for one seed. The scenario must
@@ -88,31 +86,27 @@ func Compile(sc *Scenario, seed int64) (*Runner, error) {
 	if err := r.scheduleFailures(); err != nil {
 		return nil, err
 	}
-	r.tagRegistry()
+	r.registerRollups()
 	if sc.Gates != nil && len(sc.Gates.SpanLatency) > 0 {
 		r.Tracer = r.W.AttachTracer()
 	}
 	return r, nil
 }
 
-// tagRegistry labels the world's metric registry with the run's
-// identity and registers the scenario.* roll-ups, so -metrics and
-// -netstat output from a scenario run is self-describing. The values
-// add the live pair-flow counters to the large world's live probe
-// counts, so a mid-run sample is current.
-func (r *Runner) tagRegistry() {
+// registerRollups registers the scenario.* roll-ups in the world's
+// metric registry. The values add the live pair-flow counters to the
+// large world's live probe counts, so a mid-run sample is current.
+func (r *Runner) registerRollups() {
 	reg := r.W.Registry()
-	reg.SetLabel("scenario", r.Scenario.Name)
-	reg.SetLabel("seed", fmt.Sprintf("%d", r.Seed))
 	sent := func() uint64 {
-		n := r.pairSent
+		n := r.pairs.Sent
 		if r.Large != nil {
 			n += r.Large.Sent
 		}
 		return n
 	}
 	replies := func() uint64 {
-		n := r.pairReplies
+		n := r.pairs.Replies
 		if r.Large != nil {
 			n += r.Large.Replies
 		}
@@ -146,8 +140,7 @@ func (r *Runner) armBaseline() {
 		return
 	}
 	for i, pc := range r.Seattle.PCs {
-		p := &pairProber{r: r, st: pc, dst: world.InternetIP, size: 32}
-		r.probers[i] = p.send
+		r.probers[i] = world.NewEchoProber(pc, world.InternetIP, 32, &r.pairs).Send
 	}
 }
 
@@ -188,7 +181,7 @@ func (r *Runner) scheduleTraffic() {
 	if len(tr.Pairs) > 0 {
 		end := sc.End()
 		for _, pf := range tr.Pairs {
-			p := &pairProber{r: r, st: r.W.Host(pf.From), dst: r.hostIP(pf.To), size: pf.Size}
+			p := world.NewEchoProber(r.W.Host(pf.From), r.hostIP(pf.To), pf.Size, &r.pairs)
 			interval, stop := pf.Interval.D(), pf.Stop.D()
 			if stop == 0 {
 				stop = end
@@ -198,7 +191,7 @@ func (r *Runner) scheduleTraffic() {
 				if sched.Now().Duration() >= stop {
 					return
 				}
-				p.send()
+				p.Send()
 				sched.After(interval, tick)
 			}
 			sched.After(pf.Start.D(), tick)
@@ -340,32 +333,4 @@ func (r *Runner) hostIP(name string) ip.Addr {
 	}
 	ref, _ := sc.resolveHost(name) // "gw<c>"
 	return world.LargeGatewayRadioIP(ref.channel)
-}
-
-// pairProber keeps one persistent echo context for a pair flow (or a
-// seattle baseline probe), mirroring the large world's icmpProber: the
-// context opens lazily inside the first probe.
-type pairProber struct {
-	r      *Runner
-	st     *world.Host
-	dst    ip.Addr
-	size   int
-	opened bool
-	id     uint16
-	seq    uint16
-}
-
-func (p *pairProber) send() {
-	r := p.r
-	r.pairSent++
-	if !p.opened {
-		p.opened = true
-		p.id, _ = p.st.Stack.PingOpen(p.dst, p.size, func(_ uint16, rtt time.Duration, _ ip.Addr) {
-			r.pairReplies++
-			r.pairRTTs = append(r.pairRTTs, rtt)
-		})
-		return
-	}
-	p.seq++
-	p.st.Stack.PingSeq(p.dst, p.id, p.seq, p.size)
 }

@@ -74,9 +74,9 @@ func (r *Runner) Stats() RunStats {
 		st.Replies += lw.Replies
 		st.RTTs = append(st.RTTs, lw.RTTs...)
 	}
-	st.Sent += r.pairSent
-	st.Replies += r.pairReplies
-	st.RTTs = append(st.RTTs, r.pairRTTs...)
+	st.Sent += r.pairs.Sent
+	st.Replies += r.pairs.Replies
+	st.RTTs = append(st.RTTs, r.pairs.RTTs...)
 	if st.Sent > 0 {
 		st.Delivery = float64(st.Replies) / float64(st.Sent)
 	}

@@ -102,7 +102,7 @@ func (s *Socket) SendTo(dst ip.Addr, port uint16, payload []byte) error {
 		return s.dsock.SendTo(dst, port, payload)
 	case SockRaw:
 		s.Stats.BytesWritten += uint64(len(payload))
-		return s.stack.Send(s.rawProto, ip.Addr{}, dst, payload, s.rawTTL, 0)
+		return s.stack.Send(s.rawProto, ip.Addr{}, dst, payload, 0, 0)
 	}
 	return ErrType
 }
@@ -143,10 +143,6 @@ func (s *Socket) rawInput(pkt *ip.Packet, ifName string) {
 	s.enqueue(Datagram{Src: pkt.Src, IfName: ifName, Data: append([]byte(nil), pkt.Payload...)})
 }
 
-// SetTTL sets the TTL for raw sends; zero means the stack default
-// (and link-local TTL 1 for SendVia).
-func (s *Socket) SetTTL(ttl uint8) { s.rawTTL = ttl }
-
 // SendVia transmits a raw datagram out the named interface without
 // consulting the routing table — dst must be on-link or the limited
 // broadcast. This is the chicken-and-egg escape a routing daemon
@@ -159,5 +155,5 @@ func (s *Socket) SendVia(ifName string, dst ip.Addr, payload []byte) error {
 		return ErrClosed
 	}
 	s.Stats.BytesWritten += uint64(len(payload))
-	return s.stack.SendVia(ifName, s.rawProto, dst, payload, s.rawTTL)
+	return s.stack.SendVia(ifName, s.rawProto, dst, payload, 0)
 }

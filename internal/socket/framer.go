@@ -35,9 +35,6 @@ type Framer struct {
 // call this from OnLine to switch modes mid-buffer.
 func (f *Framer) ExpectData(n int) { f.want = n }
 
-// Expecting reports counted-region bytes still outstanding.
-func (f *Framer) Expecting() int { return f.want }
-
 // Push feeds stream bytes through the framer.
 func (f *Framer) Push(p []byte) {
 	for len(p) > 0 {

@@ -87,12 +87,6 @@ type Layer struct {
 	// defaults.
 	StreamDefaults tcp.Config
 
-	// RDMDefaults tunes SOCK_RDM sockets (RTO floor, ACK/NAK pacing,
-	// windows). Applied when the RDM transport first attaches; zero
-	// fields take protocol defaults. Radio hosts get
-	// rdm.RadioProfile() from world.Host.Sockets().
-	RDMDefaults rdm.Config
-
 	stack *ipstack.Stack
 	tp    *tcp.Proto
 	um    *udp.Mux
@@ -128,11 +122,11 @@ func (l *Layer) UDP() *udp.Mux {
 	return l.um
 }
 
-// RDM returns the host's reliable-datagram transport, creating it
-// from RDMDefaults on first use.
+// RDM returns the host's reliable-datagram transport, creating it on
+// first use.
 func (l *Layer) RDM() *rdm.Mux {
 	if l.rm == nil {
-		l.rm = rdm.NewMux(l.stack, l.RDMDefaults)
+		l.rm = rdm.NewMux(l.stack)
 	}
 	return l.rm
 }
@@ -199,7 +193,6 @@ type Socket struct {
 	// Datagram / raw state.
 	dsock    *udp.Socket
 	rawProto uint8
-	rawTTL   uint8
 	dq       []Datagram
 	dqBytes  int
 
@@ -209,27 +202,11 @@ type Socket struct {
 	closed bool
 }
 
-// SockType reports the socket's type.
-func (s *Socket) SockType() Type { return s.typ }
-
 // Err peeks at the latched SO_ERROR without clearing it.
 func (s *Socket) Err() error { return s.soError }
 
 // Closed reports whether Close has been called.
 func (s *Socket) Closed() bool { return s.closed }
-
-// SetBuffers adjusts the sockbuf high-water marks (SO_SNDBUF /
-// SO_RCVBUF). Zero leaves a mark unchanged. The write low-water mark
-// follows the send mark at half its value.
-func (s *Socket) SetBuffers(snd, rcv int) {
-	if snd > 0 {
-		s.sndHiwat = snd
-		s.sndLowat = snd / 2
-	}
-	if rcv > 0 {
-		s.rcvHiwat = rcv
-	}
-}
 
 // takeError consumes the SO_ERROR latch.
 func (s *Socket) takeError() error {

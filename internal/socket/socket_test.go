@@ -336,11 +336,12 @@ func TestDatagramRoundTrip(t *testing.T) {
 
 func TestDatagramQueueDropsAtHiwat(t *testing.T) {
 	s, cl, sl := twoLayers(t)
-	srv, _ := sl.Datagram(53)
-	srv.SetBuffers(0, 1024) // small receive sockbuf, nobody draining
+	srv, _ := sl.Datagram(53) // nobody draining
 	c, _ := cl.Datagram(0)
 	warmARP(t, s, cl)
-	for i := 0; i < 4; i++ {
+	// The receive sockbuf holds DefaultBuf bytes; two more datagrams
+	// overflow it.
+	for i := 0; i < DefaultBuf/512+2; i++ {
 		c.SendTo(serverAddr, 53, bytes.Repeat([]byte("d"), 512))
 	}
 	s.RunFor(time.Second)

@@ -17,22 +17,21 @@ func (l *Layer) Dial(dst ip.Addr, port uint16) *Socket {
 
 // DialConfig opens a SOCK_STREAM socket with explicit stream tuning.
 func (l *Layer) DialConfig(dst ip.Addr, port uint16, cfg tcp.Config) *Socket {
-	s := l.newStream(cfg)
-	// The connection's first SYN advertises cfg.WindowBytes; the
+	s := l.newStream()
+	// The connection's first SYN advertises tcp.WindowBytes; the
 	// socket's receive mark matches it so the advertisement stays
 	// truthful from the first segment on.
 	s.attach(l.TCP().DialConfig(dst, port, cfg))
 	return s
 }
 
-func (l *Layer) newStream(cfg tcp.Config) *Socket {
-	eff := cfg.WithDefaults()
+func (l *Layer) newStream() *Socket {
 	s := &Socket{
 		typ:      SockStream,
 		layer:    l,
 		stack:    l.stack,
 		sndHiwat: DefaultBuf,
-		rcvHiwat: eff.WindowBytes,
+		rcvHiwat: tcp.WindowBytes,
 	}
 	s.sndLowat = s.sndHiwat / 2
 	return s
@@ -142,18 +141,6 @@ func (s *Socket) Write(p []byte) (int, error) {
 	}
 	s.Stats.BytesWritten += uint64(n)
 	return n, nil
-}
-
-// SendSpace reports how many bytes Write would currently accept.
-func (s *Socket) SendSpace() int {
-	if s.typ != SockStream || s.closed || s.wrShut || s.connDead {
-		return 0
-	}
-	n := s.sndHiwat - s.conn.Pending()
-	if n < 0 {
-		n = 0
-	}
-	return n
 }
 
 // Shutdown closes one or both directions: ShutWr flushes queued data
@@ -270,7 +257,7 @@ func (ln *Listener) established(c *tcp.Conn) {
 		c.Abort()
 		return
 	}
-	s := ln.layer.newStream(ln.tl.Config)
+	s := ln.layer.newStream()
 	s.attach(c)
 	ln.queue = append(ln.queue, s)
 	if ln.OnAcceptable != nil {

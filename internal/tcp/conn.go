@@ -158,8 +158,10 @@ func (c *Conn) State() State { return c.state }
 // Err reports why the connection died, nil for clean closes.
 func (c *Conn) Err() error { return c.err }
 
-// LocalAddr / RemoteAddr / ports.
-func (c *Conn) LocalPort() uint16  { return c.key.localPort }
+// LocalPort reports the connection's local port.
+func (c *Conn) LocalPort() uint16 { return c.key.localPort }
+
+// RemotePort reports the peer's port.
 func (c *Conn) RemotePort() uint16 { return c.key.remotePort }
 
 // Pending reports unacknowledged plus unsent bytes.
@@ -222,7 +224,7 @@ func (c *Conn) advertisedWindow() uint16 {
 }
 
 func (c *Conn) windowNow() uint16 {
-	w := c.cfg.WindowBytes
+	w := WindowBytes
 	if c.WindowFunc != nil {
 		w = c.WindowFunc()
 		if w < 0 {
@@ -323,20 +325,20 @@ func (c *Conn) currentRTO() time.Duration {
 	var base time.Duration
 	switch c.cfg.Mode {
 	case RTOFixed:
-		return c.cfg.FixedRTO // no learning, no backoff
+		return fixedRTO // no learning, no backoff
 	default:
 		if c.rtoBase > 0 {
 			base = c.rtoBase
 		} else {
-			base = c.cfg.InitialRTO
+			base = initialRTO
 		}
 	}
 	rto := base << c.backoff
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
-	if rto < c.cfg.MinRTO {
-		rto = c.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	return rto
 }
@@ -437,11 +439,11 @@ func (c *Conn) sampleRTT(sample time.Duration) {
 	}
 	// beta = 2.
 	c.rtoBase = 2 * c.Stats.SRTT
-	if c.rtoBase < c.cfg.MinRTO {
-		c.rtoBase = c.cfg.MinRTO
+	if c.rtoBase < minRTO {
+		c.rtoBase = minRTO
 	}
-	if c.rtoBase > c.cfg.MaxRTO {
-		c.rtoBase = c.cfg.MaxRTO
+	if c.rtoBase > maxRTO {
+		c.rtoBase = maxRTO
 	}
 	c.Stats.CurrentRTO = c.currentRTO()
 }

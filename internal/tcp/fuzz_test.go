@@ -73,9 +73,6 @@ func TestTCPStreamIntegrityUnderChaos(t *testing.T) {
 				p := newPair(t, 20*time.Millisecond)
 				p.sched.Rand().Int63n(int64(seed) + 1) // perturb the stream per subtest
 				cfg := Config{Mode: mode, MaxRetries: 60}
-				if mode == RTOFixed {
-					cfg.FixedRTO = 2 * time.Second
-				}
 				p.ta.DefaultConfig = cfg
 				p.tb.DefaultConfig = cfg
 

@@ -30,18 +30,24 @@ const (
 	RTOFixed
 )
 
+// Retransmission timeouts.
+const (
+	fixedRTO   = 1500 * time.Millisecond // the RTOFixed interval
+	initialRTO = 3 * time.Second         // adaptive pre-sample timeout
+	minRTO     = time.Second             // the slow-tick floor
+	maxRTO     = 64 * time.Second
+)
+
+// WindowBytes is the advertised receive window and also the send
+// buffer unit: 2048, the 4.3BSD-era socket buffer. The socket layer
+// sizes a stream's receive buffer to match it.
+const WindowBytes = 2048
+
 // Config tunes one connection.
 type Config struct {
 	Mode       RTOMode
-	FixedRTO   time.Duration // RTOFixed interval; default 1.5 s
-	InitialRTO time.Duration // adaptive pre-sample timeout; default 3 s
-	MinRTO     time.Duration // default 1 s (the slow-tick floor)
-	MaxRTO     time.Duration // default 64 s
-	MaxRetries int           // give up after this many timeouts; default 12
+	MaxRetries int // give up after this many timeouts; default 12
 
-	// WindowBytes is the advertised receive window and also the send
-	// buffer unit; default 2048, the 4.3BSD-era socket buffer.
-	WindowBytes int
 	// MSS forced; 0 derives 536 (RFC 879 default). End hosts on the
 	// radio side set 216 (AX.25 MTU 256 − 40).
 	MSS int
@@ -50,29 +56,9 @@ type Config struct {
 	SlowStart bool
 }
 
-// WithDefaults returns the configuration with unset fields filled in —
-// the effective values a connection will run with. The socket layer
-// sizes its buffers from this.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
 func (c Config) withDefaults() Config {
-	if c.FixedRTO <= 0 {
-		c.FixedRTO = 1500 * time.Millisecond
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = 3 * time.Second
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = time.Second
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = 64 * time.Second
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 12
-	}
-	if c.WindowBytes <= 0 {
-		c.WindowBytes = 2048
 	}
 	if c.MSS <= 0 {
 		c.MSS = 536

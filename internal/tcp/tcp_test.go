@@ -235,7 +235,7 @@ func TestFixedRTOBelowRTTWastesBandwidth(t *testing.T) {
 	p := newPair(t, 2*time.Second)
 	var srv sink
 	p.tb.Listen(23, srv.accept)
-	p.ta.DefaultConfig = Config{Mode: RTOFixed, FixedRTO: 1500 * time.Millisecond, MaxRetries: 100}
+	p.ta.DefaultConfig = Config{Mode: RTOFixed, MaxRetries: 100}
 
 	c := p.ta.Dial(ip.MustAddr("10.0.0.2"), 23)
 	msg := bytes.Repeat([]byte("z"), 4000)
@@ -267,7 +267,7 @@ func TestAdaptiveBeatsFixedOnWaste(t *testing.T) {
 		}
 		return srv.conns[0].Stats.DupBytes
 	}
-	fixed := run(Config{Mode: RTOFixed, FixedRTO: 1500 * time.Millisecond, MaxRetries: 100})
+	fixed := run(Config{Mode: RTOFixed, MaxRetries: 100})
 	adaptive := run(Config{Mode: RTOAdaptive})
 	if adaptive >= fixed {
 		t.Fatalf("adaptive dup bytes (%d) not less than fixed (%d)", adaptive, fixed)
@@ -306,7 +306,7 @@ func TestMaxRetriesTimesOut(t *testing.T) {
 	p := newPair(t, time.Millisecond)
 	var srv sink
 	p.tb.Listen(23, srv.accept)
-	p.ta.DefaultConfig = Config{Mode: RTOAdaptive, MaxRetries: 3, InitialRTO: 100 * time.Millisecond}
+	p.ta.DefaultConfig = Config{Mode: RTOAdaptive, MaxRetries: 3}
 	p.ifA.drop = func(pkt *ip.Packet) bool { return pkt.Proto == ip.ProtoTCP }
 	c := p.ta.Dial(ip.MustAddr("10.0.0.2"), 23)
 	var got error
@@ -320,7 +320,6 @@ func TestMaxRetriesTimesOut(t *testing.T) {
 func TestWindowLimitsInflight(t *testing.T) {
 	p := newPair(t, 500*time.Millisecond)
 	var srv sink
-	p.tb.DefaultConfig = Config{WindowBytes: 1024} // small advertised window
 	p.tb.Listen(23, srv.accept)
 	// Track the largest inflight the sender ever has.
 	maxInflight := 0
@@ -339,8 +338,14 @@ func TestWindowLimitsInflight(t *testing.T) {
 	if srv.buf.Len() != 50000 {
 		t.Fatalf("transfer incomplete: %d", srv.buf.Len())
 	}
-	if maxInflight > 1024+1 {
-		t.Fatalf("inflight %d exceeded advertised window 1024", maxInflight)
+	if maxInflight > WindowBytes+1 {
+		t.Fatalf("inflight %d exceeded advertised window %d", maxInflight, WindowBytes)
+	}
+	// A one-second round trip holds far more than a window on this
+	// pipe, so the window, not the data, stops the sender: it must
+	// come within one 536-byte MSS of it.
+	if maxInflight < WindowBytes-536 {
+		t.Fatalf("inflight peaked at %d, never filled the %d-byte window", maxInflight, WindowBytes)
 	}
 }
 
@@ -456,7 +461,7 @@ func TestSlowStartLimitsInitialBurst(t *testing.T) {
 	p := newPair(t, 500*time.Millisecond)
 	var srv sink
 	p.tb.Listen(23, srv.accept)
-	p.ta.DefaultConfig = Config{Mode: RTOAdaptive, SlowStart: true, WindowBytes: 8192}
+	p.ta.DefaultConfig = Config{Mode: RTOAdaptive, SlowStart: true}
 
 	// Count data segments in the first RTT.
 	var firstBurst int

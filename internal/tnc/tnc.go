@@ -62,16 +62,16 @@ type Stats struct {
 	ParamsSet   uint64 // KISS parameter commands applied
 }
 
+// hostQueueFrames bounds frames buffered toward the host (the TNC's
+// scarce on-board RAM).
+const hostQueueFrames = 16
+
 // TNC is a KISS-firmware TNC.
 type TNC struct {
 	Name string
 	// MyCall is the callsign the address filter passes. SetFilter
 	// registers it with the radio, so set it before that.
 	MyCall ax25.Addr
-
-	// HostQueueFrames bounds frames buffered toward the host (the
-	// TNC's scarce on-board RAM). Default 16.
-	HostQueueFrames int
 
 	// OnDrop, when non-nil, observes frames the TNC discards toward
 	// the host ("tnc host queue overflow"); body is the AX.25 frame
@@ -105,15 +105,14 @@ type TNC struct {
 // AddressFilter mode (SetFilter).
 func New(sched *sim.Scheduler, host *serial.End, rf *radio.Transceiver, mycall ax25.Addr) *TNC {
 	t := &TNC{
-		Name:            rf.Name,
-		MyCall:          mycall,
-		HostQueueFrames: 16,
-		sched:           sched,
-		host:            host,
-		rf:              rf,
-		params:          kiss.DefaultParams(),
+		Name:   rf.Name,
+		MyCall: mycall,
+		sched:  sched,
+		host:   host,
+		rf:     rf,
+		params: kiss.DefaultParams(),
+		hostQ:  netif.NewQueue[[]byte](hostQueueFrames),
 	}
-	t.hostQ = netif.NewQueue[[]byte](t.HostQueueFrames)
 	t.dec.Frame = t.fromHost
 	// Burst receive: the KISS decoder consumes whole serial runs (one
 	// frame's worth of bytes per event) instead of a callback per byte.
@@ -176,13 +175,6 @@ func key(a ax25.Addr) uint64 {
 		k = k<<8 | uint64(c)
 	}
 	return k
-}
-
-// SetHostQueueFrames resizes the host-bound frame buffer, discarding
-// anything queued.
-func (t *TNC) SetHostQueueFrames(n int) {
-	t.HostQueueFrames = n
-	t.hostQ = netif.NewQueue[[]byte](n)
 }
 
 // applyParams translates KISS parameter bytes into radio channel-access

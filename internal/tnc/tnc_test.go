@@ -170,9 +170,8 @@ func TestHostQueueOverflowDrops(t *testing.T) {
 	// Gateway with a slow serial line: 300 baud drains ~30 B/s while
 	// the channel delivers ~150 B/s, so the host queue must overflow.
 	g := newStation(s, ch, "GGG", 300)
-	g.tnc.SetHostQueueFrames(4)
 
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 4*hostQueueFrames; i++ {
 		a.sendUI(t, "QST", "AAA", ax25.PIDNone, bytes.Repeat([]byte{byte(i)}, 128))
 	}
 	s.RunFor(10 * time.Minute)

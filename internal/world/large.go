@@ -136,17 +136,15 @@ type Large struct {
 	Channels []*radio.Channel
 	Stations []*Host
 
-	// Sent counts the probes the PingInterval traffic (or Probe) has
-	// sent, Replies the replies received, and RTTs every reply's
-	// round-trip time in the order the replies landed, so experiments
-	// can report latency distributions (E16's median) without
-	// re-instrumenting the traffic loop. The probers count into them as
-	// they go, so they are live at any instant; on the sharded engine,
-	// read them between runs, when every shard stands at the same time.
-	// Both engines send and answer the same probes, so the counts and
-	// the RTT multiset agree across engines.
-	Sent, Replies uint64
-	RTTs          []time.Duration
+	// ProbeTally accounts the probes the PingInterval traffic (or
+	// Probe) has sent and their replies, so experiments can report
+	// latency distributions (E16's median) without re-instrumenting
+	// the traffic loop. The probers count into it as they go, so it is
+	// live at any instant; on the sharded engine, read it between
+	// runs, when every shard stands at the same time. Both engines
+	// send and answer the same probes, so the counts and the RTT
+	// multiset agree across engines.
+	ProbeTally
 
 	// probers holds one probe func per station, built by ArmProbers:
 	// calling probers[i] fires one probe from station i on the
@@ -154,10 +152,18 @@ type Large struct {
 	probers []func()
 }
 
+// ProbeTally accounts echo probes: Sent counts the probes sent,
+// Replies the replies received, and RTTs every reply's round-trip time
+// in the order the replies landed.
+type ProbeTally struct {
+	Sent, Replies uint64
+	RTTs          []time.Duration
+}
+
 // reply accounts one probe's reply.
-func (lw *Large) reply(rtt time.Duration) {
-	lw.Replies++
-	lw.RTTs = append(lw.RTTs, rtt)
+func (t *ProbeTally) reply(rtt time.Duration) {
+	t.Replies++
+	t.RTTs = append(t.RTTs, rtt)
 }
 
 // LargeInternetIP is the Ethernet host of the generated world.
@@ -327,40 +333,48 @@ func (lw *Large) Probe(i int) {
 	lw.probers[i]()
 }
 
-// armPingProbers is the ICMP mode. Each station keeps one persistent
-// echo context (PingOpen + PingSeq follow-ups) rather than a one-shot
+// armPingProbers is the ICMP mode: one EchoProber per station.
+func (lw *Large) armPingProbers() {
+	for i, st := range lw.Stations {
+		lw.probers[i] = NewEchoProber(st, LargeInternetIP, 32, &lw.ProbeTally).Send
+	}
+}
+
+// EchoProber keeps one host's persistent echo context toward one
+// destination (PingOpen + PingSeq follow-ups) rather than a one-shot
 // Ping per probe: scale worlds lose plenty of probes to CSMA, and
 // one-shot contexts whose replies never arrive would leak ids without
 // bound, while a persistent context's per-seq state self-bounds at the
 // 16-bit sequence space. The context opens lazily inside the first
-// probe, so it is created on the station's own shard.
-func (lw *Large) armPingProbers() {
-	for i, st := range lw.Stations {
-		p := &icmpProber{lw: lw, st: st}
-		lw.probers[i] = p.send
-	}
-}
-
-// icmpProber keeps one station's persistent echo context.
-type icmpProber struct {
-	lw     *Large
-	st     *Host
+// probe, so it is created on the host's own shard.
+type EchoProber struct {
+	host   *Host
+	dst    ip.Addr
+	size   int
+	tally  *ProbeTally
 	opened bool
 	id     uint16
 	seq    uint16
 }
 
-func (p *icmpProber) send() {
-	p.lw.Sent++
+// NewEchoProber builds a prober that sends size-byte echo requests
+// from h to dst and accounts them, and their replies, in tally.
+func NewEchoProber(h *Host, dst ip.Addr, size int, tally *ProbeTally) *EchoProber {
+	return &EchoProber{host: h, dst: dst, size: size, tally: tally}
+}
+
+// Send fires one probe.
+func (p *EchoProber) Send() {
+	p.tally.Sent++
 	if !p.opened {
 		p.opened = true
-		p.id, _ = p.st.Stack.PingOpen(LargeInternetIP, 32, func(_ uint16, rtt time.Duration, _ ip.Addr) {
-			p.lw.reply(rtt)
+		p.id, _ = p.host.Stack.PingOpen(p.dst, p.size, func(_ uint16, rtt time.Duration, _ ip.Addr) {
+			p.tally.reply(rtt)
 		})
 		return
 	}
 	p.seq++
-	p.st.Stack.PingSeq(LargeInternetIP, p.id, p.seq, 32)
+	p.host.Stack.PingSeq(p.dst, p.id, p.seq, p.size)
 }
 
 // DeliveryRatio reports replies/sent for the background traffic.
@@ -409,11 +423,6 @@ func (lw *Large) armTCPProbers() {
 // probe never holds up the ones behind it.
 func (lw *Large) armRDMProbers() {
 	inetSL := lw.Internet.Sockets()
-	// The Internet host has no radio port, so its socket layer defaults
-	// to the fast-link RDM profile — but its echo replies cross the
-	// radio channel all the same, and a 1 s RTO floor would retransmit
-	// into every multi-second radio RTT.
-	inetSL.RDMDefaults = rdm.RadioProfile()
 	ln, err := inetSL.ListenRDM(probePort)
 	if err != nil {
 		panic(err)

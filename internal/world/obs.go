@@ -82,9 +82,7 @@ func (w *World) Registry() *obs.Registry {
 // Netstat writes the full registry snapshot as aligned name/value
 // lines, grouped by top-level prefix with a blank line between groups
 // — the simulation's `netstat -s`. prefix, when non-empty, restricts
-// the listing ("host.pc1", "radio."). Histograms render as a one-line
-// percentile summary (count, mean, p50/p95/p99) instead of a raw
-// sample count; the JSON and CSV forms are unchanged.
+// the listing ("host.pc1", "radio.").
 func (w *World) Netstat(out io.Writer, prefix string) {
 	reg := w.Registry()
 	snap := reg.Snapshot()
@@ -112,13 +110,6 @@ func (w *World) Netstat(out io.Writer, prefix string) {
 			fmt.Fprintln(out)
 		}
 		lastGroup = group
-		if h, ok := reg.HistogramFor(name); ok {
-			fmt.Fprintf(out, "%-*s count=%d mean=%s p50=%s p95=%s p99=%s\n",
-				width, name, h.Count(), obs.FormatValue(h.Mean()),
-				obs.FormatValue(h.Quantile(0.50)), obs.FormatValue(h.Quantile(0.95)),
-				obs.FormatValue(h.Quantile(0.99)))
-			continue
-		}
 		v, _ := reg.Value(name)
 		fmt.Fprintf(out, "%-*s %v\n", width, name, obs.FormatValue(v))
 	}

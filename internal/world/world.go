@@ -25,7 +25,6 @@ import (
 	"packetradio/internal/netrom"
 	"packetradio/internal/obs"
 	"packetradio/internal/radio"
-	"packetradio/internal/rdm"
 	"packetradio/internal/rspf"
 	"packetradio/internal/serial"
 	"packetradio/internal/sim"
@@ -76,7 +75,7 @@ func (w *World) DAMA(ch *radio.Channel) *dama.Controller {
 	if c, ok := w.dama[ch]; ok {
 		return c
 	}
-	c := dama.New(ch, dama.Config{})
+	c := dama.New(ch)
 	w.dama[ch] = c
 	return c
 }
@@ -131,9 +130,7 @@ func (h *Host) Sched() *sim.Scheduler { return h.sched }
 // channel-sized MSS (radio MTU − 40 bytes of headers, 216 at the AX.25
 // default), so streams dialed from a radio host fit the channel
 // without IP fragmentation, exactly as the paper's end hosts were
-// configured — and RDMDefaults tuned for the multi-second RTTs of a
-// 1200 bps path (rdm.RadioProfile). Attach radios before the first
-// Sockets call.
+// configured. Attach radios before the first Sockets call.
 func (h *Host) Sockets() *socket.Layer {
 	if h.sock == nil {
 		h.sock = socket.New(h.Stack)
@@ -145,7 +142,6 @@ func (h *Host) Sockets() *socket.Layer {
 				}
 			}
 			h.sock.StreamDefaults.MSS = mtu - 40
-			h.sock.RDMDefaults = rdm.RadioProfile()
 		}
 	}
 	return h.sock
@@ -225,13 +221,12 @@ func ParseMACMode(s string) (MACMode, error) {
 	return MACCSMA, fmt.Errorf("unknown MAC %q (want csma or dama)", s)
 }
 
-// RadioConfig tunes an AttachRadio call.
+// RadioConfig tunes an AttachRadio call. The transceiver starts at the
+// KISS defaults; SetTNCParams pushes other KISS parameters through the
+// TNC, as the host would.
 type RadioConfig struct {
-	Baud     int // serial line speed; 0 = 9600
-	Filter   tnc.FilterMode
-	TXDelay  time.Duration // 0 = KISS default (300 ms)
-	Persist  float64       // 0 = KISS default (0.25)
-	SlotTime time.Duration // 0 = KISS default (100 ms)
+	Baud   int // serial line speed; 0 = 9600
+	Filter tnc.FilterMode
 
 	// MTU overrides the interface MTU (0 = core.DefaultMTU, the AX.25
 	// 256-byte convention). Larger frames amortize the fixed per-frame
@@ -249,11 +244,7 @@ type RadioConfig struct {
 func (h *Host) AttachRadio(ch *radio.Channel, ifName string, call string, addr ip.Addr, mask ip.Mask, cfg RadioConfig) *RadioPort {
 	mycall := ax25.MustAddr(call)
 	hostEnd, tncEnd := serial.NewLine(h.sched, cfg.Baud)
-	rf := ch.Attach(call, radio.Params{
-		TXDelay:  cfg.TXDelay,
-		SlotTime: cfg.SlotTime,
-		Persist:  cfg.Persist,
-	})
+	rf := ch.Attach(call, radio.DefaultParams())
 	t := tnc.New(h.sched, tncEnd, rf, mycall)
 	t.SetFilter(cfg.Filter)
 	// MAC selection rides below the TNC: the KISS firmware still owns
@@ -309,7 +300,6 @@ func (h *Host) Gateway() *core.Gateway { return h.gw }
 // "nr0" to host h — the §2.4 gateway-to-gateway backbone attachment.
 func (w *World) NetROMBackbone(ch *radio.Channel, h *Host, nodeCall string, tunnelAddr ip.Addr) *netrom.IPTunnel {
 	node := netrom.NewNode(w.Sched, ch, nodeCall, nodeCall)
-	node.BroadcastInterval = 30 * time.Second
 	node.Start()
 	tun := netrom.NewIPTunnel(node, "nr0", h.Stack)
 	if err := tun.Init(); err != nil {

@@ -83,7 +83,9 @@ type (
 	Host = world.Host
 	// RadioPort is the Figure-1 chain: driver⇄serial⇄TNC⇄radio.
 	RadioPort = world.RadioPort
-	// RadioConfig tunes AttachRadio.
+	// RadioConfig tunes AttachRadio: serial speed, TNC filter, MTU
+	// and MAC. The radio starts at the KISS defaults; Host.SetTNCParams
+	// pushes others through the TNC.
 	RadioConfig = world.RadioConfig
 	// Seattle is the canned scenario of the paper's deployment.
 	Seattle = world.Seattle
@@ -167,13 +169,12 @@ type (
 	// Writer trickles queued output into a stream socket as the send
 	// buffer opens (the event-driven blocking write).
 	Writer = socket.Writer
-	// TCPConfig tunes stream sockets (the §4.1 RTO experiment knobs).
+	// TCPConfig tunes stream sockets: the §4.1 RTO policy (adaptive
+	// or a fixed 1.5 s), the retry limit, the MSS and slow start. The
+	// RTO bounds and the 2048-byte window are protocol constants.
 	TCPConfig = tcp.Config
 	// TCPStats are per-stream transport counters (Socket.StreamStats).
 	TCPStats = tcp.ConnStats
-	// RDMConfig tunes SOCK_RDM sockets (Sockets.RDMDefaults); see
-	// RadioRDMConfig for the 1200 bps profile.
-	RDMConfig = rdm.Config
 	// RDMMode is a per-message SOCK_RDM delivery mode.
 	RDMMode = rdm.Mode
 )
@@ -184,7 +185,8 @@ var (
 	ErrSockClosed = socket.ErrClosed
 )
 
-// SockType values for Socket.SockType.
+// Socket types: the BSD SOCK_STREAM, SOCK_DGRAM and SOCK_RAW, and
+// SOCK_RDM for reliable datagrams.
 const (
 	SockStream = socket.SockStream
 	SockDgram  = socket.SockDgram
@@ -223,11 +225,6 @@ func Pump(s *Socket, sink func([]byte), onClose func(error)) { socket.Pump(s, si
 // to fn as it arrives.
 func AcceptLoopRDM(ln *RDMListener, fn func(*Socket)) { socket.AcceptLoopRDM(ln, fn) }
 
-// RadioRDMConfig is the SOCK_RDM tuning for the 1200 bps channel
-// (multi-second RTO floor, lull-seeking coalesced ACK/NAKs). Radio
-// hosts built through World get it automatically.
-func RadioRDMConfig() RDMConfig { return rdm.RadioProfile() }
-
 // Substrate layers.
 type (
 	// Stack is a host's IP layer.
@@ -238,8 +235,9 @@ type (
 	Gateway = core.Gateway
 	// ACL is the §4.3 authorization table.
 	ACL = acl.Table
-	// TNC is a KISS-firmware TNC; NativeTNC the ROM firmware.
-	TNC       = tnc.TNC
+	// TNC is a KISS-firmware TNC.
+	TNC = tnc.TNC
+	// NativeTNC is a TNC running its ROM firmware.
 	NativeTNC = tnc.Native
 	// Digipeater is a standalone AX.25 repeater.
 	Digipeater = tnc.Digipeater
@@ -308,15 +306,24 @@ const (
 
 // Services.
 type (
+	// TelnetServer is a telnet daemon bound to a socket layer.
 	TelnetServer = telnet.Server
+	// TelnetClient is a scripted telnet user.
 	TelnetClient = telnet.Client
-	FTPServer    = ftp.Server
-	FTPClient    = ftp.Client
-	SMTPServer   = smtp.Server
-	SMTPMessage  = smtp.Message
-	BBS          = bbs.Board
-	CallbookSrv  = callbook.Server
-	CallbookRec  = callbook.Record
+	// FTPServer is an FTP daemon.
+	FTPServer = ftp.Server
+	// FTPClient drives an FTP session programmatically.
+	FTPClient = ftp.Client
+	// SMTPServer is an SMTP daemon with in-memory mailboxes.
+	SMTPServer = smtp.Server
+	// SMTPMessage is one piece of mail.
+	SMTPMessage = smtp.Message
+	// BBS is one bulletin-board station.
+	BBS = bbs.Board
+	// CallbookSrv answers queries for one region's callbook records.
+	CallbookSrv = callbook.Server
+	// CallbookRec is one callbook entry.
+	CallbookRec = callbook.Record
 )
 
 // ServeTelnet starts a telnet daemon on a socket layer.

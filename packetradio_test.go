@@ -68,7 +68,7 @@ func TestFacadeFixedVsAdaptiveRTO(t *testing.T) {
 		}
 		return srv.StreamStats().DupBytes
 	}
-	fixed := run(packetradio.TCPConfig{Mode: packetradio.RTOFixed, FixedRTO: 1500 * time.Millisecond, MaxRetries: 100})
+	fixed := run(packetradio.TCPConfig{Mode: packetradio.RTOFixed, MaxRetries: 100})
 	adaptive := run(packetradio.TCPConfig{Mode: packetradio.RTOAdaptive})
 	if fixed <= adaptive {
 		t.Fatalf("§4.1 shape violated at the facade: fixed dup=%d adaptive dup=%d", fixed, adaptive)
