@@ -3,7 +3,7 @@
 // keeps the rules enforceable offline with the stock toolchain):
 // every package has exactly one package comment, a doc comment on an
 // exported function or type starts with the identifier it documents,
-// and every exported declaration in the API-surface packages has one.
+// and every exported declaration has one.
 package packetradio
 
 import (
@@ -16,18 +16,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// docStrictPkgs are the packages whose exported surfaces must be fully
-// documented (the engine, the world builders, and the observability
-// layer other packages program against, plus the scenario schema that
-// SCENARIOS.md documents field by field).
-var docStrictPkgs = map[string]bool{
-	"internal/sim":         true,
-	"internal/world":       true,
-	"internal/obs":         true,
-	"internal/scenario":    true,
-	"internal/experiments": true,
-}
 
 func TestDocComments(t *testing.T) {
 	pkgDirs := map[string][]string{} // dir -> go files (non-test)
@@ -63,7 +51,7 @@ func TestDocComments(t *testing.T) {
 			if f.Doc != nil {
 				pkgComments = append(pkgComments, path)
 			}
-			checkExportedDocs(t, fset, f, docStrictPkgs[dir])
+			checkExportedDocs(t, fset, f)
 		}
 		// ST1000: one package comment per package — zero reads as an
 		// undocumented package, two or more concatenate into garbage on
@@ -80,9 +68,8 @@ func TestDocComments(t *testing.T) {
 
 // checkExportedDocs enforces ST1020/ST1021/ST1022: a doc comment on an
 // exported top-level func or type starts with the name it documents,
-// and, when strict, every exported func, type, and var/const group
-// carries one.
-func checkExportedDocs(t *testing.T, fset *token.FileSet, f *ast.File, strict bool) {
+// and every exported func, type, and var/const group carries one.
+func checkExportedDocs(t *testing.T, fset *token.FileSet, f *ast.File) {
 	report := func(pos token.Pos, format string, args ...any) {
 		t.Errorf("%s: %s", fset.Position(pos), fmt.Sprintf(format, args...))
 	}
@@ -91,7 +78,7 @@ func checkExportedDocs(t *testing.T, fset *token.FileSet, f *ast.File, strict bo
 			// String and Error implement fmt.Stringer / error; their
 			// meaning is the interface's, and a per-type comment would
 			// only restate it.
-			if !strict || name == "String" || name == "Error" {
+			if name == "String" || name == "Error" {
 				return
 			}
 			report(pos, "exported %s %s has no doc comment", kind, name)
@@ -139,7 +126,7 @@ func checkExportedDocs(t *testing.T, fset *token.FileSet, f *ast.File, strict bo
 						// A group doc ("const ( ... )") covers its
 						// members; per-spec docs and line comments
 						// count too.
-						if strict && d.Doc == nil && s.Doc == nil && s.Comment == nil {
+						if d.Doc == nil && s.Doc == nil && s.Comment == nil {
 							report(name.Pos(), "exported %s %s has no doc comment (group or per-line)", d.Tok, name.Name)
 						}
 					}

@@ -19,10 +19,10 @@ import (
 type ConnState int
 
 const (
-	StateDisconnected ConnState = iota
-	StateConnecting             // SABM sent, awaiting UA
-	StateConnected
-	StateDisconnecting // DISC sent, awaiting UA/DM
+	StateDisconnected  ConnState = iota // no link; the initial and final state
+	StateConnecting                     // SABM sent, awaiting UA
+	StateConnected                      // link up, I-frames flow
+	StateDisconnecting                  // DISC sent, awaiting UA/DM
 )
 
 func (s ConnState) String() string {

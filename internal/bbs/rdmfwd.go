@@ -125,7 +125,7 @@ func (f *RDMForwarder) dial() bool {
 	// peer close).
 	s.OnReadable = func() {
 		for {
-			if _, err := s.RecvMsg(); err != nil {
+			if _, err := s.RecvFrom(); err != nil {
 				if err != socket.ErrWouldBlock {
 					f.connLost()
 				}
@@ -181,7 +181,7 @@ func (f *RDMForwarder) String() string {
 // multi-hop store-and-forward composes for free). port 0 means
 // RDMForwardPort. Frames that don't parse are dropped; the transport
 // already acknowledged them, and there is no one to bounce to.
-func ServeRDM(board *Board, layer *socket.Layer, port uint16) (*socket.RDMListener, error) {
+func ServeRDM(board *Board, layer *socket.Layer, port uint16) (*socket.Listener, error) {
 	if port == 0 {
 		port = RDMForwardPort
 	}
@@ -189,20 +189,12 @@ func ServeRDM(board *Board, layer *socket.Layer, port uint16) (*socket.RDMListen
 	if err != nil {
 		return nil, err
 	}
-	socket.AcceptLoopRDM(ln, func(s *socket.Socket) {
-		drain := func() {
-			for {
-				d, err := s.RecvMsg()
-				if err != nil {
-					return
-				}
-				if from, to, subject, body, ok := unmarshalMail(d.Data); ok {
-					board.Post(from, to, subject, body)
-				}
+	socket.AcceptLoop(ln, func(s *socket.Socket) {
+		socket.PumpDatagrams(s, func(d socket.Datagram) {
+			if from, to, subject, body, ok := unmarshalMail(d.Data); ok {
+				board.Post(from, to, subject, body)
 			}
-		}
-		s.OnReadable = drain
-		drain()
+		})
 	})
 	return ln, nil
 }

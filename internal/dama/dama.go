@@ -654,10 +654,11 @@ func (c *Controller) Detach(t *radio.Transceiver) {
 // re-anchors.
 func (c *Controller) ParamsChanged(*radio.Transceiver, radio.Params) {}
 
-// KeyUp and CarrierChanged: DAMA stations never sit deferred against
-// the carrier schedule — admission is the poll, not carrier sense.
+// KeyUp does nothing: DAMA stations never sit deferred against the
+// carrier schedule — admission is the poll, not carrier sense.
 func (c *Controller) KeyUp(*radio.Channel, *radio.Transceiver) {}
 
+// CarrierChanged does nothing, for the reason KeyUp does nothing.
 func (c *Controller) CarrierChanged(*radio.Channel) {}
 
 // Deliver classifies every frame a member hears. Any activity is

@@ -23,33 +23,45 @@ type ScalePoint struct {
 	Utilization   float64 // deterministic: mean channel airtime share over the run
 }
 
-// ScaleRun steps the standard scale world — N stations round-robin
-// over N/25 channels, each channel behind its own gateway, every
-// station pinging the Internet host once a minute — for three
-// simulated minutes after a 30 s warm-up. E14 reports it, and the CI
-// event gate recomputes the event counts and holds them to
-// BENCH_simcore.json exactly.
-func ScaleRun(n int) ScalePoint {
-	lw := world.NewLarge(world.LargeConfig{
-		Seed:         1,
-		Stations:     n,
-		PingInterval: time.Minute,
-	})
-	// Warm up ARP caches and the first ping wave untimed.
+// timedRun builds the regional world cfg describes, lets attach (when
+// non-nil) hook observers onto it before its first event, warms it up
+// untimed for 30 s — ARP, the first probe wave and, under DAMA, the
+// gateway's master election — and then steps a three-minute window.
+// It returns the world and the window's scheduler events per simulated
+// second and simulated seconds per wall second.
+func timedRun(cfg world.LargeConfig, attach func(*world.Large)) (lw *world.Large, eventsPerSimS, simSPerWallS float64) {
+	lw = world.NewLarge(cfg)
+	if attach != nil {
+		attach(lw)
+	}
 	lw.W.Run(30 * time.Second)
 	firedBefore := lw.W.Sched.Fired()
 	const simWindow = 3 * time.Minute
 	wallStart := time.Now()
 	lw.W.Run(simWindow)
-	wall := time.Since(wallStart)
-	if wall <= 0 {
-		wall = time.Nanosecond
-	}
+	wall := max(time.Since(wallStart), time.Nanosecond)
+	return lw, float64(lw.W.Sched.Fired()-firedBefore) / simWindow.Seconds(), simWindow.Seconds() / wall.Seconds()
+}
+
+// ScaleRun steps the standard scale world — N stations round-robin
+// over N/25 channels, each channel behind its own gateway, every
+// station pinging the Internet host once a minute — for three
+// simulated minutes after a 30 s warm-up. E14 reports it, and the CI
+// event gate recomputes the event counts and holds them to
+// BENCH_simcore.json exactly. attach, when non-nil, hooks observers
+// onto the world before its first event: the event gate's tracing
+// pair attaches the packet tracer, which must not move a count.
+func ScaleRun(n int, attach func(*world.Large)) ScalePoint {
+	lw, events, rate := timedRun(world.LargeConfig{
+		Seed:         1,
+		Stations:     n,
+		PingInterval: time.Minute,
+	}, attach)
 	pt := ScalePoint{
 		Stations:      n,
 		Channels:      len(lw.Channels),
-		SimSPerWallS:  simWindow.Seconds() / wall.Seconds(),
-		EventsPerSimS: float64(lw.W.Sched.Fired()-firedBefore) / simWindow.Seconds(),
+		SimSPerWallS:  rate,
+		EventsPerSimS: events,
 		Delivery:      lw.DeliveryRatio(),
 	}
 	for _, st := range lw.Stations {
@@ -90,7 +102,7 @@ func E14(w io.Writer) *Result {
 	t.row("stations", "channels", "events/sim-s", "delivered", "util", "deferrals")
 
 	for _, n := range []int{10, 50, 100, 200} {
-		pt := ScaleRun(n)
+		pt := ScaleRun(n, nil)
 		t.row(n, pt.Channels,
 			fmt.Sprintf("%.0f", pt.EventsPerSimS), fmt.Sprintf("%.0f%%", pt.Delivery*100),
 			fmt.Sprintf("%.0f%%", pt.Utilization*100), pt.Deferrals)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"packetradio/internal/obs"
 	"packetradio/internal/world"
 )
 
@@ -44,7 +45,11 @@ type MACPoint struct {
 // sweeps stations-per-channel straight through the CSMA saturation
 // knee, which is exactly where polled access must keep delivering.
 func MACRun(n int, mac world.MACMode) MACPoint {
-	lw := world.NewLarge(world.LargeConfig{
+	// The ledger watches from t=0 so every ping ever sent is accounted
+	// for; its taps schedule no events, so the CI event gate still pins
+	// the same counts.
+	var ledger *obs.PingLedger
+	lw, events, _ := timedRun(world.LargeConfig{
 		Seed:         1,
 		Stations:     n,
 		Channels:     1,
@@ -54,17 +59,7 @@ func MACRun(n int, mac world.MACMode) MACPoint {
 		// without them a blocking request/reply exchange per station
 		// dominates the polled channel's cold start, and the
 		// comparison would mostly measure ARP, not channel access.
-	})
-	// The ledger watches from t=0 so every ping ever sent is accounted
-	// for; its taps schedule no events, so the CI event gate still pins
-	// the same counts.
-	ledger := lw.W.AttachPingLedger()
-	// Warm-up covers ARP, the first ping wave, and (under DAMA) the
-	// gateway's master election.
-	lw.W.Run(30 * time.Second)
-	firedBefore := lw.W.Sched.Fired()
-	const simWindow = 3 * time.Minute
-	lw.W.Run(simWindow)
+	}, func(lw *world.Large) { ledger = lw.W.AttachPingLedger() })
 
 	ch := lw.Channels[0]
 	pt := MACPoint{
@@ -72,7 +67,7 @@ func MACRun(n int, mac world.MACMode) MACPoint {
 		Sent:          lw.Sent,
 		Replies:       lw.Replies,
 		Delivery:      lw.DeliveryRatio(),
-		EventsPerSimS: float64(lw.W.Sched.Fired()-firedBefore) / simWindow.Seconds(),
+		EventsPerSimS: events,
 		Collisions:    ch.Stats.CollisionPairs,
 		Utilization:   ch.Utilization(),
 	}

@@ -87,18 +87,8 @@ func TransferRun(transport string, mtu int) TransferPoint {
 		if err != nil {
 			panic(err)
 		}
-		socket.AcceptLoopRDM(ln, func(sock *socket.Socket) {
-			drain := func() {
-				for {
-					d, err := sock.RecvMsg()
-					if err != nil {
-						return
-					}
-					count(len(d.Data))
-				}
-			}
-			sock.OnReadable = drain
-			drain()
+		socket.AcceptLoop(ln, func(sock *socket.Socket) {
+			socket.PumpDatagrams(sock, func(d socket.Datagram) { count(len(d.Data)) })
 		})
 		conn, err := inetSL.DialRDM(world.PCIP(0), 9000)
 		if err != nil {

@@ -25,21 +25,21 @@ import (
 // passed so the transport can see addresses for its pseudo-header.
 //
 // Every *ip.Packet and *icmp.Message the stack passes to a Handler,
-// Filter, ICMPHook, Tap, OnDrop or RegisterProtoError handler, or to an
-// interface's Output, is the stack's own scratch and is valid only for
-// that call. So are a received datagram's Payload bytes, which lie in
-// the driver's IP-queue buffer or the Ethernet frame, both reused once
-// Input returns: a handler that keeps bytes copies them, as the raw
-// socket does. An outgoing datagram's may not be kept either.
+// Filter, ICMPHook, Tap or OnDrop, or to an interface's Output, is the
+// stack's own scratch and is valid only for that call. So are a
+// received datagram's Payload bytes, which lie in the driver's
+// IP-queue buffer or the Ethernet frame, both reused once Input
+// returns: a handler that keeps bytes copies them, as the raw socket
+// does. An outgoing datagram's may not be kept either.
 type Handler func(pkt *ip.Packet, ifName string)
 
 // FilterVerdict is a forwarding filter's decision.
 type FilterVerdict int
 
 const (
-	VerdictAccept FilterVerdict = iota
-	VerdictDrop                 // drop silently
-	VerdictReject               // drop and return ICMP admin-prohibited
+	VerdictAccept FilterVerdict = iota // forward the packet
+	VerdictDrop                        // drop silently
+	VerdictReject                      // drop and return ICMP admin-prohibited
 )
 
 // Filter inspects a packet being forwarded from inIf to outIf.
@@ -124,7 +124,6 @@ type Stack struct {
 	ifs         []*ifEntry // attachment order
 	protos      map[uint8]Handler
 	protoOwners map[uint8]any
-	protoErrs   map[uint8]func(dst ip.Addr, m *icmp.Message)
 	reass       *ip.Reassembler
 	reassTick   *sim.Event
 	reassFn     func() // expireReassembly, built on first use
@@ -148,7 +147,6 @@ func New(sched *sim.Scheduler, hostname string) *Stack {
 		Routes:      route.New(),
 		protos:      make(map[uint8]Handler),
 		protoOwners: make(map[uint8]any),
-		protoErrs:   make(map[uint8]func(ip.Addr, *icmp.Message)),
 		reass:       ip.NewReassembler(),
 		pings:       make(map[uint16]*pingCtx),
 		nextID:      1,
@@ -246,12 +244,6 @@ func (s *Stack) UnregisterProtoOwned(proto uint8, owner any) {
 	}
 	delete(s.protos, proto)
 	delete(s.protoOwners, proto)
-}
-
-// RegisterProtoError installs a handler for ICMP errors quoting a
-// datagram of the given protocol (how TCP learns of unreachables).
-func (s *Stack) RegisterProtoError(proto uint8, h func(dst ip.Addr, m *icmp.Message)) {
-	s.protoErrs[proto] = h
 }
 
 // isLocal reports whether dst is one of our addresses or a broadcast
@@ -565,12 +557,6 @@ func (s *Stack) icmpInput(pkt *ip.Packet, ifName string) {
 		s.sendICMP(pkt.Src, icmp.NewEchoReply(m))
 	case icmp.TypeEchoReply:
 		s.pingReply(pkt, m)
-	case icmp.TypeDestUnreachable, icmp.TypeTimeExceeded:
-		if q, ok := icmp.QuotedHeader(m); ok {
-			if h, ok := s.protoErrs[q.Proto]; ok {
-				h(q.Dst, m)
-			}
-		}
 	case icmp.TypeRedirect:
 		if !s.AcceptRedirects || m.Gateway.IsZero() {
 			return

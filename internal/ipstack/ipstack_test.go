@@ -170,22 +170,6 @@ func TestProtoUnreachable(t *testing.T) {
 	}
 }
 
-func TestProtoErrorHandlerInvoked(t *testing.T) {
-	s, a, b, _, _ := pairUp(t, 1500)
-	_ = b
-	var gotDst ip.Addr
-	var gotType uint8
-	a.RegisterProtoError(123, func(dst ip.Addr, m *icmp.Message) {
-		gotDst = dst
-		gotType = m.Type
-	})
-	a.Send(123, ip.Addr{}, ip.MustAddr("10.0.0.2"), []byte("x"), 0, 0)
-	s.RunFor(time.Second)
-	if gotDst != ip.MustAddr("10.0.0.2") || gotType != icmp.TypeDestUnreachable {
-		t.Fatalf("error handler: dst=%v type=%d", gotDst, gotType)
-	}
-}
-
 func TestSendFragmentsAtSource(t *testing.T) {
 	s, a, b, _, _ := pairUp(t, 256)
 	var got int

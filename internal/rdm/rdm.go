@@ -89,8 +89,15 @@ const (
 
 	// staleAfter is the quiet period after which the sweeper reaps a
 	// connection with nothing in flight; sweepEvery is the sweep
-	// cadence.
-	staleAfter = 10 * time.Minute
+	// cadence. The receiver cannot see its peer's retransmission
+	// ladder, so the period outlasts the longest one: maxRexmits+1
+	// timeouts, each at most maxRTO plus the byte term for a full
+	// window of maximum-size messages, about 4 h 23 min. A shorter
+	// period reaps a connection whose every ACK was lost while the
+	// sender still retransmits, and the late copy re-creates the
+	// connection and is delivered again. The cost is that an idle
+	// connection's state lives that long.
+	staleAfter = (maxRexmits + 1) * (maxRTO + window*maxMessage*byteTime)
 	sweepEvery = time.Minute
 )
 

@@ -77,10 +77,10 @@ func (t Type) String() string {
 type Mode uint8
 
 const (
-	Unreliable Mode = iota
-	UnreliableOrdered
-	Reliable
-	ReliableOrdered
+	Unreliable        Mode = iota // sent once, delivered on arrival
+	UnreliableOrdered             // sent once, late arrivals dropped
+	Reliable                      // retransmitted until acknowledged, delivered on arrival
+	ReliableOrdered               // retransmitted until acknowledged, delivered in order
 )
 
 // IsReliable reports whether messages of this mode are retransmitted

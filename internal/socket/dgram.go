@@ -12,7 +12,6 @@ import (
 func (l *Layer) Datagram(port uint16) (*Socket, error) {
 	s := &Socket{
 		typ:      SockDgram,
-		layer:    l,
 		stack:    l.stack,
 		rcvHiwat: DefaultBuf,
 	}
@@ -44,9 +43,9 @@ func (s *Socket) enqueue(d Datagram) {
 	s.signalReadable()
 }
 
-// PumpDatagrams wires a datagram or raw socket's readable events into
-// sink: every queued datagram is drained and handed over, including
-// any already waiting. The datagram analog of Pump.
+// PumpDatagrams wires a datagram, raw or RDM socket's readable events
+// into sink: every queued message is drained and handed over,
+// including any already waiting. The message analog of Pump.
 func PumpDatagrams(s *Socket, sink func(Datagram)) {
 	drain := func() {
 		for {
@@ -61,8 +60,12 @@ func PumpDatagrams(s *Socket, sink func(Datagram)) {
 	drain()
 }
 
-// RecvFrom pops one received datagram (SOCK_DGRAM and SOCK_RAW), or
-// returns ErrWouldBlock.
+// RecvFrom pops one received message (SOCK_DGRAM, SOCK_RAW and
+// SOCK_RDM; the Datagram's Mode says which delivery mode an RDM
+// message arrived under). With the queue empty it reports, in order:
+// the latched SO_ERROR (consumed), ErrClosed once the connection is
+// gone, or ErrWouldBlock. Only an RDM socket latches an error or loses
+// its connection.
 func (s *Socket) RecvFrom() (Datagram, error) {
 	if s.typ == SockStream {
 		return Datagram{}, ErrType
@@ -71,22 +74,23 @@ func (s *Socket) RecvFrom() (Datagram, error) {
 		return Datagram{}, ErrClosed
 	}
 	if len(s.dq) == 0 {
+		if err := s.takeError(); err != nil {
+			return Datagram{}, err
+		}
+		if s.connDead {
+			return Datagram{}, ErrClosed
+		}
 		return Datagram{}, ErrWouldBlock
 	}
-	return s.popDatagram(), nil
-}
-
-// popDatagram removes and returns the oldest queued datagram. The rest
-// slide down one slot, so the queue's backing array is reused from the
-// front and a queue that drains never regrows it.
-func (s *Socket) popDatagram() Datagram {
+	// The rest slide down one slot, so the queue's backing array is
+	// reused from the front and a queue that drains never regrows it.
 	d := s.dq[0]
 	n := copy(s.dq, s.dq[1:])
 	s.dq[n] = Datagram{}
 	s.dq = s.dq[:n]
 	s.dqBytes -= len(d.Data)
 	s.Stats.BytesRead += uint64(len(d.Data))
-	return d
+	return d, nil
 }
 
 // SendTo transmits one datagram. For SOCK_DGRAM, dst:port addresses
@@ -109,20 +113,10 @@ func (s *Socket) SendTo(dst ip.Addr, port uint16, payload []byte) error {
 
 // --- SOCK_RAW -------------------------------------------------------------
 
-// RawIP opens a SOCK_RAW socket receiving and sending datagrams of
-// one IP protocol on the layer's stack.
-func (l *Layer) RawIP(proto uint8) (*Socket, error) {
-	s, err := NewRaw(l.stack, proto)
-	if err != nil {
-		return nil, err
-	}
-	s.layer = l
-	return s, nil
-}
-
-// NewRaw opens a SOCK_RAW socket directly over a bare IP stack, with
-// no full Layer around it — how a routing daemon bootstraps before
-// anything else exists on the host.
+// NewRaw opens a SOCK_RAW socket receiving and sending datagrams of
+// one IP protocol on stack. It needs no Layer around the stack — how
+// a routing daemon bootstraps before anything else exists on the
+// host.
 func NewRaw(stack *ipstack.Stack, proto uint8) (*Socket, error) {
 	if stack.HasProto(proto) {
 		return nil, ErrProtoInUse

@@ -18,19 +18,9 @@ func TestRDMSocketEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	AcceptLoopRDM(ln, func(sock *Socket) {
+	AcceptLoop(ln, func(sock *Socket) {
 		srv = sock
-		drain := func() {
-			for {
-				d, err := sock.RecvMsg()
-				if err != nil {
-					return
-				}
-				got = append(got, d)
-			}
-		}
-		sock.OnReadable = drain
-		drain()
+		PumpDatagrams(sock, func(d Datagram) { got = append(got, d) })
 	})
 
 	c, err := cl.DialRDM(serverAddr, 7)
@@ -76,7 +66,7 @@ func TestRDMSocketEndToEnd(t *testing.T) {
 	}
 	var reply Datagram
 	c.OnReadable = func() {
-		if d, err := c.RecvMsg(); err == nil {
+		if d, err := c.RecvFrom(); err == nil {
 			reply = d
 		}
 	}
@@ -89,8 +79,8 @@ func TestRDMSocketEndToEnd(t *testing.T) {
 	// drained.
 	c.Close()
 	s.RunFor(10 * time.Second)
-	if _, err := srv.RecvMsg(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RecvMsg after peer close = %v, want ErrClosed", err)
+	if _, err := srv.RecvFrom(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RecvFrom after peer close = %v, want ErrClosed", err)
 	}
 }
 
@@ -102,15 +92,15 @@ func TestRDMSocketTypeGuards(t *testing.T) {
 	if _, err := stream.SendMsg(rdm.Reliable, []byte("x")); !errors.Is(err, ErrType) {
 		t.Fatalf("SendMsg on stream = %v, want ErrType", err)
 	}
-	if _, err := stream.RecvMsg(); !errors.Is(err, ErrType) {
-		t.Fatalf("RecvMsg on stream = %v, want ErrType", err)
+	if _, err := stream.RecvFrom(); !errors.Is(err, ErrType) {
+		t.Fatalf("RecvFrom on stream = %v, want ErrType", err)
 	}
 	if stream.MsgWritable(1) {
 		t.Fatal("MsgWritable true on a stream socket")
 	}
 }
 
-func TestRDMListenerCloseClosesQueued(t *testing.T) {
+func TestListenerCloseClosesQueuedRDM(t *testing.T) {
 	s, cl, sl := twoLayers(t)
 	warmARP(t, s, cl)
 	ln, err := sl.ListenRDM(7)
@@ -132,7 +122,7 @@ func TestRDMListenerCloseClosesQueued(t *testing.T) {
 	}
 	// The queued socket was closed; the dialer sees the Bye.
 	s.RunFor(10 * time.Second)
-	if _, err := c.RecvMsg(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("dialer RecvMsg = %v, want ErrClosed after listener close", err)
+	if _, err := c.RecvFrom(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("dialer RecvFrom = %v, want ErrClosed after listener close", err)
 	}
 }

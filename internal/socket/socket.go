@@ -5,12 +5,18 @@
 // applications all spoke one interface, the socket layer, and the
 // packet radio work slotted in underneath it.
 //
-// One Socket type spans the three 4.3BSD socket types:
+// One Socket type spans four socket types, the three of 4.3BSD and
+// reliable datagrams:
 //
 //   - SOCK_STREAM over TCP (Dial / Listen / Accept, Read / Write)
 //   - SOCK_DGRAM over UDP (Datagram, SendTo / RecvFrom)
-//   - SOCK_RAW over IP (RawIP, SendTo / SendVia / RecvFrom — what a
+//   - SOCK_RAW over IP (NewRaw, SendTo / SendVia / RecvFrom — what a
 //     routing daemon needs before any routes exist)
+//   - SOCK_RDM over RDM (DialRDM / ListenRDM / Accept, SendMsg /
+//     RecvFrom)
+//
+// A Listener and AcceptLoop serve both connection types, and RecvFrom
+// reads every message type.
 //
 // Because the simulator is a single-threaded discrete-event machine,
 // blocking calls become non-blocking calls plus readiness upcalls: a
@@ -174,7 +180,6 @@ type Socket struct {
 	Stats SockStats
 
 	typ   Type
-	layer *Layer
 	stack *ipstack.Stack
 
 	// Stream state.

@@ -362,7 +362,7 @@ func TestDatagramQueueDropsAtHiwat(t *testing.T) {
 func TestRawSendViaAndReceive(t *testing.T) {
 	const proto = 200
 	s, cl, sl := twoLayers(t)
-	rs, err := sl.RawIP(proto)
+	rs, err := NewRaw(sl.Stack(), proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestRawSendViaAndReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RawIP(proto); err != ErrProtoInUse {
+	if _, err := NewRaw(cl.Stack(), proto); err != ErrProtoInUse {
 		t.Fatalf("duplicate raw bind = %v", err)
 	}
 	if err := rc.SendVia("qe0", ip.Limited, []byte("hello daemons")); err != nil {
@@ -547,7 +547,7 @@ func TestWriterReportsAsyncError(t *testing.T) {
 func TestRawQueuedDatagramSurvivesFrameReuse(t *testing.T) {
 	const proto = 200
 	s, cl, sl := twoLayers(t)
-	rs, err := sl.RawIP(proto)
+	rs, err := NewRaw(sl.Stack(), proto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"packetradio/internal/ip"
+	"packetradio/internal/rdm"
 	"packetradio/internal/tcp"
 )
 
@@ -12,23 +13,17 @@ import (
 // to the send high-water mark) and flush once the handshake
 // completes; OnConnect fires at ESTABLISHED.
 func (l *Layer) Dial(dst ip.Addr, port uint16) *Socket {
-	return l.DialConfig(dst, port, l.StreamDefaults)
-}
-
-// DialConfig opens a SOCK_STREAM socket with explicit stream tuning.
-func (l *Layer) DialConfig(dst ip.Addr, port uint16, cfg tcp.Config) *Socket {
 	s := l.newStream()
 	// The connection's first SYN advertises tcp.WindowBytes; the
 	// socket's receive mark matches it so the advertisement stays
 	// truthful from the first segment on.
-	s.attach(l.TCP().DialConfig(dst, port, cfg))
+	s.attach(l.TCP().DialConfig(dst, port, l.StreamDefaults))
 	return s
 }
 
 func (l *Layer) newStream() *Socket {
 	s := &Socket{
 		typ:      SockStream,
-		layer:    l,
 		stack:    l.stack,
 		sndHiwat: DefaultBuf,
 		rcvHiwat: tcp.WindowBytes,
@@ -197,17 +192,20 @@ func (s *Socket) LocalPort() uint16 {
 
 // --- Listener -------------------------------------------------------------
 
-// Listener is a listening stream socket with a backlog-bounded accept
-// queue. Handshakes beyond the backlog are refused with RST (see
-// DESIGN.md: we prefer a deterministic fast failure over 4.3BSD's
-// silent drop, whose client-side symptom on a 1200 bps channel would
-// be a minutes-long SYN retry ladder).
+// Listener is a listening socket and its accept queue. A SOCK_STREAM
+// listener (Listen) bounds the queue plus handshakes in flight by a
+// backlog and refuses handshakes beyond it with RST (see DESIGN.md: we
+// prefer a deterministic fast failure over 4.3BSD's silent drop, whose
+// client-side symptom on a 1200 bps channel would be a minutes-long SYN
+// retry ladder). A SOCK_RDM listener (ListenRDM) queues a connection
+// the moment its first message arrives.
 type Listener struct {
 	// OnAcceptable fires whenever the accept queue goes non-empty.
 	OnAcceptable func()
 
 	layer   *Layer
-	tl      *tcp.Listener
+	tl      *tcp.Listener // SOCK_STREAM
+	ep      *rdm.Endpoint // SOCK_RDM
 	backlog int
 	queue   []*Socket
 	inSyn   int // handshakes in flight, counted against the backlog
@@ -259,6 +257,11 @@ func (ln *Listener) established(c *tcp.Conn) {
 	}
 	s := ln.layer.newStream()
 	s.attach(c)
+	ln.push(s)
+}
+
+// push queues an accepted socket and signals acceptability.
+func (ln *Listener) push(s *Socket) {
 	ln.queue = append(ln.queue, s)
 	if ln.OnAcceptable != nil {
 		ln.OnAcceptable()
@@ -281,10 +284,10 @@ func AcceptLoop(ln *Listener, fn func(*Socket)) {
 	ln.OnAcceptable()
 }
 
-// Accept pops one established connection, or returns ErrWouldBlock
-// (queue empty) / ErrClosed (listener closed). A socket handed out by
-// Accept may already hold received data — consume Buffered() bytes
-// before waiting on OnReadable.
+// Accept pops one connection, or returns ErrWouldBlock (queue empty) /
+// ErrClosed (listener closed). A socket handed out by Accept may
+// already hold received data — consume Buffered() bytes of a stream,
+// or drain RecvFrom on an RDM socket, before waiting on OnReadable.
 func (ln *Listener) Accept() (*Socket, error) {
 	if len(ln.queue) > 0 {
 		s := ln.queue[0]
@@ -301,17 +304,27 @@ func (ln *Listener) Accept() (*Socket, error) {
 func (ln *Listener) Pending() int { return len(ln.queue) }
 
 // Port reports the listening port.
-func (ln *Listener) Port() uint16 { return ln.tl.Port }
+func (ln *Listener) Port() uint16 {
+	if ln.ep != nil {
+		return ln.ep.Port
+	}
+	return ln.tl.Port
+}
 
-// Close stops listening and resets every queued connection. Accept
-// afterwards returns ErrClosed. Idempotent.
+// Close stops listening and aborts every queued connection (a stream
+// is reset, an RDM socket closed). Established sockets live on, and
+// Accept afterwards returns ErrClosed. Idempotent.
 func (ln *Listener) Close() error {
 	if ln.closed {
 		return nil
 	}
 	ln.closed = true
 	ln.OnAcceptable = nil
-	ln.tl.Close()
+	if ln.ep != nil {
+		ln.ep.Close()
+	} else {
+		ln.tl.Close()
+	}
 	for _, s := range ln.queue {
 		s.Abort()
 	}

@@ -10,6 +10,7 @@ import (
 // State is a TCP connection state (RFC 793 names).
 type State int
 
+// The RFC 793 connection states; String gives each its RFC name.
 const (
 	StateClosed State = iota
 	StateSynSent

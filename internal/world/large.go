@@ -427,18 +427,8 @@ func (lw *Large) armRDMProbers() {
 	if err != nil {
 		panic(err)
 	}
-	socket.AcceptLoopRDM(ln, func(s *socket.Socket) {
-		drain := func() {
-			for {
-				d, err := s.RecvMsg()
-				if err != nil {
-					return
-				}
-				s.SendMsg(d.Mode, d.Data)
-			}
-		}
-		s.OnReadable = drain
-		drain()
+	socket.AcceptLoop(ln, func(s *socket.Socket) {
+		socket.PumpDatagrams(s, func(d socket.Datagram) { s.SendMsg(d.Mode, d.Data) })
 	})
 	for i, st := range lw.Stations {
 		p := &rdmProber{lw: lw, sched: st.Sched(), sl: st.Sockets()}
@@ -509,23 +499,15 @@ func (p *rdmProber) redial() {
 		panic(err)
 	}
 	p.sock = s
-	s.OnReadable = p.drain
+	socket.PumpDatagrams(s, p.recv)
 }
 
-func (p *rdmProber) drain() {
-	for {
-		d, err := p.sock.RecvMsg()
-		if err != nil {
-			return
-		}
-		if len(d.Data) < 2 {
-			continue
-		}
-		seq := uint16(d.Data[0])<<8 | uint16(d.Data[1])
-		at, ok := p.sent[seq]
-		if !ok {
-			continue
-		}
+func (p *rdmProber) recv(d socket.Datagram) {
+	if len(d.Data) < 2 {
+		return
+	}
+	seq := uint16(d.Data[0])<<8 | uint16(d.Data[1])
+	if at, ok := p.sent[seq]; ok {
 		delete(p.sent, seq)
 		p.lw.reply(p.sched.Now().Sub(at))
 	}

@@ -158,10 +158,9 @@ type (
 	// Socket is one socket: SOCK_STREAM, SOCK_DGRAM, SOCK_RAW or
 	// SOCK_RDM.
 	Socket = socket.Socket
-	// Listener is a listening stream socket with a bounded backlog.
+	// Listener is a listening socket: SOCK_STREAM (Sockets.Listen,
+	// with a bounded backlog) or SOCK_RDM (Sockets.ListenRDM).
 	Listener = socket.Listener
-	// RDMListener accepts inbound SOCK_RDM connections.
-	RDMListener = socket.RDMListener
 	// Datagram is a received datagram with its metadata.
 	Datagram = socket.Datagram
 	// Framer assembles lines / counted regions from a byte stream.
@@ -221,9 +220,9 @@ func NewWriter(s *Socket) *Writer { return socket.NewWriter(s) }
 // fires once at EOF (nil) or on a connection error.
 func Pump(s *Socket, sink func([]byte), onClose func(error)) { socket.Pump(s, sink, onClose) }
 
-// AcceptLoopRDM arms an RDM listener to hand every inbound connection
-// to fn as it arrives.
-func AcceptLoopRDM(ln *RDMListener, fn func(*Socket)) { socket.AcceptLoopRDM(ln, fn) }
+// AcceptLoop arms a listener to hand every inbound connection to fn
+// as it arrives, including any already queued.
+func AcceptLoop(ln *Listener, fn func(*Socket)) { socket.AcceptLoop(ln, fn) }
 
 // Substrate layers.
 type (

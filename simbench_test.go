@@ -172,26 +172,6 @@ func schedulerAllocsPerOp() float64 {
 	})
 }
 
-// tracingEventsPerSimS steps the E14 N-station world (Seed 1,
-// 1-minute pings) with or without the packet tracer attached and
-// reports the timed window's event rate. The tracer's hooks ride
-// existing events — they never schedule their own — so both numbers
-// must be identical; BENCH_simcore.json carries the pair and
-// TestWriteSimCoreBench holds it to exact equality.
-func tracingEventsPerSimS(n int, traced bool) float64 {
-	lw := world.NewLarge(world.LargeConfig{
-		Seed: 1, Stations: n, PingInterval: time.Minute,
-	})
-	if traced {
-		lw.W.AttachTracer()
-	}
-	lw.W.Run(30 * time.Second)
-	before := lw.W.Sched.Fired()
-	const simWindow = 3 * time.Minute
-	lw.W.Run(simWindow)
-	return float64(lw.W.Sched.Fired()-before) / simWindow.Seconds()
-}
-
 // simCoreReport builds BENCH_simcore.json's report once per test
 // binary, so TestEventGate and TestWriteSimCoreBench share one run of
 // every world behind it.
@@ -227,11 +207,15 @@ func buildSimCoreReport() (report map[string]any, faults []string) {
 	}
 
 	scaling := map[string]any{}
+	var untracedRate float64 // the untraced half of the tracing pair below
 	for _, n := range []int{10, 50, 100, 200} {
-		pt := experiments.ScaleRun(n)
+		pt := experiments.ScaleRun(n, nil)
 		scaling[fmt.Sprintf("n%d", n)] = map[string]float64{
 			"events_per_sim_s": pt.EventsPerSimS,
 			"delivery_ratio":   pt.Delivery,
+		}
+		if n == 200 {
+			untracedRate = pt.EventsPerSimS
 		}
 	}
 
@@ -276,9 +260,9 @@ func buildSimCoreReport() (report map[string]any, faults []string) {
 
 	// Tracing overhead at the widest E14 point: attaching the packet
 	// tracer must not add, remove or reorder a single event — a tracer
-	// hook that schedules anything of its own fails here.
-	tracedRate := tracingEventsPerSimS(200, true)
-	untracedRate := tracingEventsPerSimS(200, false)
+	// hook that schedules anything of its own fails here. The tracer's
+	// hooks ride existing events, so both rates must be identical.
+	tracedRate := experiments.ScaleRun(200, func(lw *world.Large) { lw.W.AttachTracer() }).EventsPerSimS
 	if tracedRate != untracedRate {
 		fault("tracing changed the event schedule: %.3f traced vs %.3f untraced events/sim-s",
 			tracedRate, untracedRate)
